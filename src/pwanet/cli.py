@@ -79,8 +79,6 @@ def _cmd_compile(args) -> int:
             if isinstance(layer, (PlainLayer, UnknownLayer))
         )
         raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
-    if args.check_univalence:
-        pwa.check_univalence(fn, jobs=_jobs())
     if args.prune:
         fn = pwa.prune_empty(fn)
     _write(args.out, formats.serialize_pwa(fn))
@@ -139,9 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True, help="network JSON input")
     p.add_argument("--out", required=True, help="PWA JSON output")
     p.add_argument("--prune", action="store_true", help="drop empty pieces")
-    p.add_argument(
-        "--check-univalence", action="store_true", help="record a univalence verdict"
-    )
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser("eval", help="evaluate a PWA or network file at a point")

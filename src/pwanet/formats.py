@@ -23,7 +23,8 @@ PWA document:
                  "M": [["0"]], "b": ["0"]}, ...]}
 
 "univalence" is one of "unchecked", "verified", "refuted"; a refuted
-document does not carry the witness.
+document does not carry the witness. The tag is read back as written;
+check_univalence never relies on it.
 
 The SMT export targets QF_LRA: constants x_0..x_{n-1} and y_0..y_{m-1},
 and per piece one assertion (=> <membership> <output rows>). It contains
@@ -52,6 +53,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _get(obj, key, where):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .numeric import ColVec, DimensionError, as_scalar, vec_scale, zeros_vec
-from .polyhedra import Polyhedron
+from .polyhedra import LinearConstraint, Polyhedron
 
 MAX = "max"
 MIN = "min"
@@ -162,9 +162,9 @@ class _Simplex:
             obj[c] = Fraction(-1)
         const = self._canonicalize(obj)
         status, const = self._run(obj, const)
-        # -(sum of artificials) is bounded above by zero, so "unbounded"
-        # cannot happen here.
-        assert status == "optimal"
+        if status != "optimal":
+            # -(sum of artificials) is bounded above by zero.
+            raise RuntimeError("simplex phase 1 reported an unbounded objective")
         if const != 0:
             self._feasible = False
             return False
@@ -240,24 +240,32 @@ def feasible_point(poly: Polyhedron) -> ColVec | None:
     return outcome.witness if isinstance(outcome, Optimal) else None
 
 
-def is_constant_on(poly: Polyhedron, functional: ColVec, target) -> bool:
-    """Is functional.x == target everywhere on poly?
+def off_target_point(poly: Polyhedron, functional: ColVec, target) -> ColVec | None:
+    """A point of poly where functional.x != target; None if there is none.
 
-    Vacuously true on an empty polyhedron. For a zero functional this
-    reduces to emptiness or target == 0; otherwise the maximum and minimum
-    of functional.x over poly must both be attained at the target value.
+    None means functional.x == target on all of poly, vacuously so when
+    poly is empty. A zero functional needs only some point of poly.
+    Otherwise the maximum, then the minimum, is compared with the target;
+    on an unbounded side the point is one unit past the target.
     """
     if functional.dim != poly.dim:
         raise DimensionError(
             f"functional of dim {functional.dim} over polyhedron of dim {poly.dim}"
         )
     goal = as_scalar(target)
-    if all(a == 0 for a in functional.entries):
-        return goal == 0 or is_empty(poly)
-    hi = solve(poly, functional, MAX)
-    if isinstance(hi, Infeasible):
-        return True
-    if isinstance(hi, Unbounded) or hi.value != goal:
-        return False
-    lo = solve(poly, functional, MIN)
-    return isinstance(lo, Optimal) and lo.value == goal
+    if not any(functional.entries):
+        return None if goal == 0 else feasible_point(poly)
+    for sense, sign in ((MAX, 1), (MIN, -1)):
+        outcome = solve(poly, functional, sense)
+        if isinstance(outcome, Infeasible):
+            return None
+        if isinstance(outcome, Unbounded):
+            # sign * functional.x >= sign * goal + 1
+            cut = LinearConstraint(vec_scale(-sign, functional), -(sign * goal + 1))
+            point = feasible_point(Polyhedron(poly.dim, poly.constraints + (cut,)))
+            if point is None:
+                raise RuntimeError(f"unbounded {sense} but no point past {goal}")
+            return point
+        if outcome.value != goal:
+            return outcome.witness
+    return None

@@ -178,25 +178,21 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
 def transform(net: Network) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
-    The output marker becomes the identity, and each PWA layer is composed
-    onto the collapse of everything after it. On the common layers the
-    result evaluates exactly like nn_eval.
+    The output marker becomes the identity, and the PWA layers before it
+    are composed onto it from the last to the first. On the common layers
+    the result evaluates exactly like nn_eval. Every layer that
+    parse_network builds is verified, so its compile is verified too.
     """
-
-    def build(idx: int) -> Optional[PwaFn]:
-        if idx >= len(net.layers):
-            return None
-        layer = net.layers[idx]
-        if isinstance(layer, OutputLayer):
-            return identity_pwaf(layer.dim)
-        if isinstance(layer, PwaLayer):
-            rest = build(idx + 1)
-            if rest is None:
-                return None
-            return compose(rest, layer.fn)
+    end = next(
+        (i for i, layer in enumerate(net.layers) if not isinstance(layer, PwaLayer)),
+        len(net.layers),
+    )
+    if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
         return None
-
-    return build(0)
+    fn = identity_pwaf(net.layers[end].dim)
+    for layer in reversed(net.layers[:end]):
+        fn = compose(fn, layer.fn)
+    return fn
 
 
 def relu_1d() -> PwaFn:

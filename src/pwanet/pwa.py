@@ -6,24 +6,25 @@ piece containing the input; inputs outside every piece are simply not in
 the domain, so partial functions are legal, as is a function with no
 pieces at all.
 
-Nothing forces the pieces of a freshly built function to agree where they
-overlap. check_univalence decides that property exactly, via linear
-programs over the pairwise intersections, and caches the verdict on the
-function: "unchecked" until someone asks, then "verified" or "refuted"
-with a concrete witness point. Only a univalent function is independent
-of piece order.
+Nothing forces the pieces of an arbitrary function to agree where they
+overlap. Each function carries a univalence status: "verified" when its
+construction proves the pieces agree (identity_pwaf, linear_pwaf, and
+compose/concat of verified inputs), otherwise "unchecked" until
+check_univalence decides it exactly, via linear programs over the
+pairwise intersections, as "verified" or "refuted" with a concrete
+witness point. check_univalence ignores any cached status and rescans
+the pairs. Only a univalent function is independent of piece order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import lp
-from .numeric import ColVec, DimensionError, Mat, identity, vec_add, mat_vec_mul, vec_scale, zeros_vec
-from .polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
+from .numeric import ColVec, DimensionError, Mat, identity, vec_add, mat_vec_mul, zeros_vec
+from .polyhedra import Polyhedron, contains, full_space, intersect
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -73,9 +74,9 @@ UnivalenceVerdict = Union[Univalent, UnivalenceViolation]
 class PwaFn:
     """Ordered affine pieces with a cached univalence verdict.
 
-    The cache is write-once per status change and is only ever advanced by
-    check_univalence (or trusted constructors such as identity_pwaf, whose
-    single piece cannot conflict with itself).
+    The status is set by check_univalence or by a constructor that proves
+    it: identity_pwaf and linear_pwaf (a single piece cannot conflict with
+    itself) and compose/concat of verified inputs.
     """
 
     __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "violation")
@@ -145,25 +146,6 @@ def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:
     return PwaFn(m.cols, m.rows, (piece,), univalence=VERIFIED)
 
 
-def _row_diff(a: Mat, b: Mat, r: int) -> ColVec:
-    return ColVec(x - y for x, y in zip(a.entries[r], b.entries[r]))
-
-
-def _witness_beyond(region: Polyhedron, functional: ColVec, target: Fraction, above: bool) -> ColVec:
-    """A point of region where functional.x is strictly off target.
-
-    Only called when the relevant optimum is unbounded, so a point at
-    distance one past the target is guaranteed to exist.
-    """
-    if above:
-        cut = LinearConstraint(vec_scale(-1, functional), -(target + 1))
-    else:
-        cut = LinearConstraint(functional, target - 1)
-    point = lp.feasible_point(intersect(region, Polyhedron(region.dim, (cut,))))
-    assert point is not None
-    return point
-
-
 def _check_pair(fn: PwaFn, i: int, j: int) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap."""
     pi = fn.pieces[i]
@@ -172,26 +154,10 @@ def _check_pair(fn: PwaFn, i: int, j: int) -> Optional[UnivalenceViolation]:
     if lp.is_empty(region):
         return None
     for r in range(fn.out_dim):
-        functional = _row_diff(pi.M, pj.M, r)
-        target = pj.b[r] - pi.b[r]
-        if all(a == 0 for a in functional.entries):
-            if target == 0:
-                continue
-            point = lp.feasible_point(region)
-            assert point is not None
+        functional = ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r]))
+        point = lp.off_target_point(region, functional, pj.b[r] - pi.b[r])
+        if point is not None:
             return UnivalenceViolation(i, j, r, point)
-        hi = lp.solve(region, functional, lp.MAX)
-        if isinstance(hi, lp.Unbounded):
-            return UnivalenceViolation(i, j, r, _witness_beyond(region, functional, target, above=True))
-        assert isinstance(hi, lp.Optimal)
-        if hi.value != target:
-            return UnivalenceViolation(i, j, r, hi.witness)
-        lo = lp.solve(region, functional, lp.MIN)
-        if isinstance(lo, lp.Unbounded):
-            return UnivalenceViolation(i, j, r, _witness_beyond(region, functional, target, above=False))
-        assert isinstance(lo, lp.Optimal)
-        if lo.value != target:
-            return UnivalenceViolation(i, j, r, lo.witness)
     return None
 
 

@@ -5,6 +5,10 @@ multiply. Empty pairings are kept; prune_empty is a separate pass. The
 pair order is fixed: the inner (or second) argument varies in the outer
 loop, so pieces of compose(f, g) and concat(f, g) are laid out g-piece by
 g-piece with f's pieces cycling fastest.
+
+Both operators preserve univalence (the theorem behind the network
+compiler), so the result is "verified" exactly when both inputs are, and
+"unchecked" otherwise; no LP is run.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .polyhedra import (
     lift_constraints_bottom,
     lift_constraints_top,
 )
-from .pwa import VERIFIED, AffinePiece, PwaFn, check_univalence
+from .pwa import UNCHECKED, VERIFIED, AffinePiece, PwaFn
 
 
 def compose_polyhedron(p_g: Polyhedron, m_g: Mat, b_g: ColVec, p_f: Polyhedron) -> Polyhedron:
@@ -46,12 +50,17 @@ def compose_affine(m_f: Mat, b_f: ColVec, m_g: Mat, b_g: ColVec) -> tuple[Mat, C
     return mat_mul(m_f, m_g), vec_add(mat_vec_mul(m_f, b_g), b_f)
 
 
-def compose(f: PwaFn, g: PwaFn, recheck: bool = False) -> PwaFn:
+def _carried(f: PwaFn, g: PwaFn) -> str:
+    return VERIFIED if f.univalence == g.univalence == VERIFIED else UNCHECKED
+
+
+def compose(f: PwaFn, g: PwaFn) -> PwaFn:
     """The composition f after g, one piece per (f piece, g piece) pair.
 
     Wherever both sides are defined, evaluate(compose(f, g), x) equals
-    evaluate(f, evaluate(g, x)). The result's univalence starts unchecked;
-    recheck=True runs the checker when both inputs are already verified.
+    evaluate(f, evaluate(g, x)). Verified when f and g are: where two
+    pieces overlap at x, g univalent sends x to one y, and f univalent
+    then sends y to one output.
     """
     if g.out_dim != f.in_dim:
         raise DimensionError(
@@ -63,10 +72,7 @@ def compose(f: PwaFn, g: PwaFn, recheck: bool = False) -> PwaFn:
             poly = compose_polyhedron(gp.polyhedron, gp.M, gp.b, fp.polyhedron)
             m, b = compose_affine(fp.M, fp.b, gp.M, gp.b)
             pieces.append(AffinePiece(poly, m, b))
-    out = PwaFn(g.in_dim, f.out_dim, pieces)
-    if recheck and f.univalence == VERIFIED and g.univalence == VERIFIED:
-        check_univalence(out)
-    return out
+    return PwaFn(g.in_dim, f.out_dim, pieces, univalence=_carried(f, g))
 
 
 def concat_polyhedra(p_f: Polyhedron, p_g: Polyhedron) -> Polyhedron:
@@ -83,12 +89,14 @@ def concat_polyhedra(p_f: Polyhedron, p_g: Polyhedron) -> Polyhedron:
     )
 
 
-def concat(f: PwaFn, g: PwaFn, recheck: bool = False) -> PwaFn:
+def concat(f: PwaFn, g: PwaFn) -> PwaFn:
     """Run f and g side by side on a stacked input, f on top.
 
     evaluate(concat(f, g), x1 ++ x2) equals evaluate(f, x1) ++ evaluate(g, x2)
     whenever both halves are defined. Piece pairs follow the same order as
-    compose: g's pieces drive the outer loop, f's cycle fastest.
+    compose: g's pieces drive the outer loop, f's cycle fastest. Verified
+    when f and g are: overlapping pieces overlap in both halves, where f
+    and g each agree.
     """
     pieces = []
     for gp in g.pieces:
@@ -97,7 +105,6 @@ def concat(f: PwaFn, g: PwaFn, recheck: bool = False) -> PwaFn:
             m = block_diag(fp.M, gp.M)
             b = vec_concat(fp.b, gp.b)
             pieces.append(AffinePiece(poly, m, b))
-    out = PwaFn(f.in_dim + g.in_dim, f.out_dim + g.out_dim, pieces)
-    if recheck and f.univalence == VERIFIED and g.univalence == VERIFIED:
-        check_univalence(out)
-    return out
+    return PwaFn(
+        f.in_dim + g.in_dim, f.out_dim + g.out_dim, pieces, univalence=_carried(f, g)
+    )

@@ -110,8 +110,9 @@ def univalent_fn(
 
     Single affine pieces cannot conflict with themselves; ReLU stacks and
     compiled linear/ReLU networks inherit univalence from the operators
-    that build them. The cached status is deliberately left as produced
-    (mostly unchecked) so callers exercise the checker honestly.
+    that build them. The status is left as produced: "verified" for
+    everything but a restricted affine piece, which stays "unchecked".
+    check_univalence rescans regardless, so callers still exercise it.
     """
     kinds = ["linear", "net"]
     if 2**in_dim <= max_pieces:

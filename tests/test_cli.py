@@ -8,7 +8,7 @@ from pwanet.cli import main
 from pwanet.formats import parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, Mat, parse_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, full_space
-from pwanet.pwa import AffinePiece, PwaFn, evaluate
+from pwanet.pwa import AffinePiece, PwaFn, Univalent, check_univalence, evaluate
 from pwanet.network import relu_1d, relu_nd
 
 EXAMPLE_NET = """{
@@ -62,7 +62,7 @@ class TestCompile:
         assert main(["compile", "--network", net, "--out", out]) == 0
         fn = parse_pwa((tmp_path / "fn.json").read_text())
         assert len(fn.pieces) == 4
-        assert fn.univalence == "unchecked"
+        assert fn.univalence == "verified"
         assert evaluate(fn, ColVec(["1", "1"])) == ColVec(["37/10", "63/50"])
 
     def test_output_is_byte_deterministic(self, tmp_path):
@@ -86,11 +86,16 @@ class TestCompile:
         assert fn.pieces[0].polyhedron.constraints == ()
         assert evaluate(fn, ColVec(["3", "-4"])) == ColVec(["3", "-4"])
 
-    def test_check_univalence_flag_records_the_verdict(self, tmp_path):
+    def test_verified_tag_agrees_with_the_checker(self, tmp_path, capsys):
         net = write(tmp_path, "net.json", EXAMPLE_NET)
         out = str(tmp_path / "fn.json")
-        assert main(["compile", "--network", net, "--out", out, "--check-univalence"]) == 0
-        assert parse_pwa((tmp_path / "fn.json").read_text()).univalence == "verified"
+        assert main(["compile", "--network", net, "--out", out]) == 0
+        fn = parse_pwa((tmp_path / "fn.json").read_text())
+        assert fn.univalence == "verified"
+        assert isinstance(check_univalence(PwaFn(2, 2, fn.pieces)), Univalent)
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--network", net, "--out", out, "--check-univalence"])
+        assert exc.value.code == 2
 
     def test_prune_drops_the_contradictory_piece(self, tmp_path):
         net = write(tmp_path, "net.json", ONE_EMPTY_PIECE_NET)
@@ -249,6 +254,19 @@ class TestCheck:
         monkeypatch.setenv("PWANET_JOBS", "2")
         assert main(["check", "--pwa", fn]) == 0
         assert capsys.readouterr().out == "univalent\n"
+
+    def test_verified_tag_in_the_file_is_not_trusted(self, tmp_path, capsys):
+        doc = json.loads(conflicting_doc())
+        doc["univalence"] = "verified"
+        fn = write(tmp_path, "bad.json", json.dumps(doc))
+        assert main(["check", "--pwa", fn]) == 5
+        assert capsys.readouterr().out.startswith("violation: pieces 0 and 1")
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        fn = write(tmp_path, "deep.json", "[" * 100000)
+        assert main(["check", "--pwa", fn]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", ["0", "-3", "two"])
     def test_bad_jobs_env_exits_2(self, tmp_path, capsys, monkeypatch, raw):

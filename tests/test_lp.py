@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pwanet import lp
 from pwanet.lp import (
     MAX,
     MIN,
@@ -12,8 +13,8 @@ from pwanet.lp import (
     Optimal,
     Unbounded,
     feasible_point,
-    is_constant_on,
     is_empty,
+    off_target_point,
     solve,
 )
 from pwanet.numeric import ColVec, DimensionError, dot, zeros_vec
@@ -119,7 +120,18 @@ class TestFeasiblePoint:
         assert feasible_point(p) == feasible_point(p)
 
 
+def off_target(poly, functional, target):
+    """off_target_point, checked: None, or a point of poly that is off target."""
+    point = off_target_point(poly, functional, target)
+    if point is not None:
+        assert contains(poly, point)
+        assert dot(functional, point) != target
+    return point
+
+
 class TestIsConstantOn:
+    """Constancy of functional.x on a polyhedron, decided by off_target_point."""
+
     def test_singleton_overlap_is_pinned_to_zero(self):
         # Both one-sided constraints together leave only the origin. The
         # oracle is the pair of optimizations itself: max and min of x over
@@ -129,19 +141,20 @@ class TestIsConstantOn:
         )
         assert solve(region, ColVec([1]), MAX) == Optimal(Fraction(0), ColVec([0]))
         assert solve(region, ColVec([1]), MIN) == Optimal(Fraction(0), ColVec([0]))
-        assert is_constant_on(region, ColVec([1]), 0)
-        assert not is_constant_on(region, ColVec([1]), 1)
+        assert off_target(region, ColVec([1]), 0) is None
+        assert off_target(region, ColVec([1]), 1) == ColVec([0])
 
     def test_full_line_is_not_constant(self):
-        assert not is_constant_on(full_space(1), ColVec([1]), 0)
+        assert off_target(full_space(1), ColVec([1]), 0) == ColVec([1])
+        assert off_target(full_space(1), ColVec([-1]), 0) == ColVec([-1])
 
     def test_vacuous_on_empty_polyhedron(self):
-        assert is_constant_on(contradiction(), ColVec([1]), 42)
-        assert is_constant_on(contradiction(), zeros_vec(1), 42)
+        assert off_target(contradiction(), ColVec([1]), 42) is None
+        assert off_target(contradiction(), zeros_vec(1), 42) is None
 
     def test_zero_functional(self):
-        assert is_constant_on(full_space(2), zeros_vec(2), 0)
-        assert not is_constant_on(full_space(2), zeros_vec(2), 1)
+        assert off_target(full_space(2), zeros_vec(2), 0) is None
+        assert off_target(full_space(2), zeros_vec(2), 1) == ColVec([0, 0])
 
     def test_constant_on_a_face(self):
         # On the segment from (0,1) to (1,0), x + y is constantly 1.
@@ -154,8 +167,18 @@ class TestIsConstantOn:
                 LinearConstraint(ColVec([0, -1]), 0),
             ),
         )
-        assert is_constant_on(p, ColVec([1, 1]), 1)
-        assert not is_constant_on(p, ColVec([1, 0]), 1)
+        assert off_target(p, ColVec([1, 1]), 1) is None
+        assert off_target(p, ColVec([1, 0]), 1) == ColVec([0, 1])
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            off_target_point(full_space(2), zeros_vec(1), 0)
+
+    def test_unbounded_side_without_a_point_past_the_target_raises(self, monkeypatch):
+        # Unreachable with a correct simplex; it must fail loudly, not pass.
+        monkeypatch.setattr(lp, "feasible_point", lambda poly: None)
+        with pytest.raises(RuntimeError):
+            off_target_point(full_space(1), ColVec([1]), 0)
 
 
 class TestAgainstVertexEnumeration:

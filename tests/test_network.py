@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pwanet.numeric import ColVec, DimensionError, Mat
-from pwanet.pwa import VERIFIED, evaluate, in_domain
+from pwanet.pwa import VERIFIED, PwaFn, Univalent, check_univalence, evaluate, in_domain
 from pwanet.network import (
     DimMismatch,
     Network,
@@ -286,3 +286,19 @@ class TestTransform:
             for _ in range(30):
                 x = point(rng, net.input_dim)
                 assert evaluate(fn, x) == nn_eval(net, x)
+
+    def test_compiles_verified_and_the_checker_agrees(self):
+        rng = random.Random(6610)
+        for _ in range(10):
+            net = random_network(rng, max_pieces=8, max_dim=3, max_depth=3)
+            fn = transform(net)
+            assert fn is not None and fn.univalence == VERIFIED
+            unchecked = PwaFn(fn.in_dim, fn.out_dim, fn.pieces)
+            assert isinstance(check_univalence(unchecked), Univalent)
+
+    def test_long_linear_chain_compiles(self):
+        step = nn_linear(Mat([[1]]), ColVec([1]))
+        net = Network(1, 1, (step,) * 1500 + (OutputLayer(1),))
+        fn = transform(net)
+        assert fn is not None and len(fn.pieces) == 1
+        assert evaluate(fn, ColVec([0])) == ColVec([1500])

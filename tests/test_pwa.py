@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pwanet.lp import MAX, MIN, Optimal, solve
-from pwanet.numeric import ColVec, DimensionError, Mat, dot, mat_vec_mul, vec_add
+from pwanet.numeric import ColVec, DimensionError, Mat, dot, mat_vec_mul, vec_add, vec_scale
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
 from pwanet.pwa import (
     REFUTED,
@@ -242,6 +242,75 @@ class TestCheckUnivalence:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             check_univalence(relu_1d(), jobs=0)
+
+    def test_cached_verified_tag_does_not_skip_the_scan(self):
+        fn = two_conflicting_pieces()
+        fn.univalence = VERIFIED
+        assert isinstance(check_univalence(fn), UnivalenceViolation)
+        assert fn.univalence == REFUTED
+
+
+def box(lo, hi):
+    """The axis-aligned box lo <= x <= hi, upper then lower bound per axis."""
+    constraints = []
+    for k in range(len(lo)):
+        axis = [0] * len(lo)
+        axis[k] = 1
+        constraints.append(LinearConstraint(ColVec(axis), hi[k]))
+        constraints.append(LinearConstraint(vec_scale(-1, ColVec(axis)), -lo[k]))
+    return Polyhedron(len(lo), tuple(constraints))
+
+
+class TestViolationWitnesses:
+    """The exact violation the checker reports, one case per way to find it.
+
+    The pieces overlap on the shared region; the pins are the deterministic
+    simplex witnesses, so a change to the LPs issued (or their order) shows.
+    """
+
+    def check(self, *pieces):
+        fn = PwaFn(pieces[0].polyhedron.dim, pieces[0].M.rows, pieces)
+        return check_univalence(fn)
+
+    def test_zero_functional_with_offset_gap(self):
+        # Row 0 agrees; row 1 has equal slopes and offsets 0 vs 1/2.
+        m = Mat([[1, 1], [0, 1]])
+        verdict = self.check(
+            AffinePiece(box([1, 2], [3, 5]), m, ColVec([0, 0])),
+            AffinePiece(box([0, 0], [4, 4]), m, ColVec([0, "1/2"])),
+        )
+        assert verdict == UnivalenceViolation(0, 1, 1, ColVec([1, 2]))
+
+    def test_maximum_off_target(self):
+        # On [0,2]^2 the row difference x + y must equal 1; its max is 4.
+        verdict = self.check(
+            AffinePiece(box([-1, 0], [2, 3]), Mat([[1, 2]]), ColVec([0])),
+            AffinePiece(box([0, -1], [3, 2]), Mat([[0, 1]]), ColVec([1])),
+        )
+        assert verdict == UnivalenceViolation(0, 1, 0, ColVec([2, 2]))
+
+    def test_minimum_off_target(self):
+        # On [0,2]^2 the row difference x must equal 2: the max is, the min is not.
+        verdict = self.check(
+            AffinePiece(box([-1, 0], [2, 3]), Mat([[1, 0]]), ColVec([0])),
+            AffinePiece(box([0, -1], [3, 2]), Mat([[0, 0]]), ColVec([2])),
+        )
+        assert verdict == UnivalenceViolation(0, 1, 0, ColVec([0, 0]))
+
+    def test_unbounded_above(self):
+        # -x must equal 0 on all of R; the witness is one unit past: x = -1.
+        verdict = check_univalence(two_conflicting_pieces())
+        assert verdict == UnivalenceViolation(0, 1, 0, ColVec([-1]))
+
+    def test_unbounded_below(self):
+        # On x <= -2, x must equal -2: the max is, the min is unbounded, and
+        # the witness is one unit past the target: x = -3.
+        region = Polyhedron(1, (LinearConstraint(ColVec([1]), -2),))
+        verdict = self.check(
+            AffinePiece(region, Mat([[2]]), ColVec([3])),
+            AffinePiece(region, Mat([[1]]), ColVec([1])),
+        )
+        assert verdict == UnivalenceViolation(0, 1, 0, ColVec([-3]))
 
 
 class TestPruneEmpty:

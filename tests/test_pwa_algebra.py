@@ -8,6 +8,7 @@ import pytest
 from pwanet.numeric import ColVec, DimensionError, Mat, mat_vec_mul, vec_add, vec_concat
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space
 from pwanet.pwa import (
+    REFUTED,
     UNCHECKED,
     VERIFIED,
     PwaFn,
@@ -27,6 +28,11 @@ from pwanet.pwa_algebra import (
 from pwanet.network import relu_1d, relu_nd
 
 from genutil import colvec_of, mat_of, point, univalent_fn
+
+
+def unchecked_copy(fn):
+    """The same pieces with no status, so the checker has to earn it."""
+    return PwaFn(fn.in_dim, fn.out_dim, fn.pieces)
 
 
 class TestComposePolyhedron:
@@ -189,18 +195,18 @@ class TestCompose:
             g = univalent_fn(rng, rng.randint(1, 2), max_pieces=4)
             f = univalent_fn(rng, g.out_dim, max_pieces=4)
             out = compose(f, g)
-            assert out.univalence == UNCHECKED
-            assert isinstance(check_univalence(out), Univalent)
+            both = f.univalence == VERIFIED and g.univalence == VERIFIED
+            assert out.univalence == (VERIFIED if both else UNCHECKED)
+            assert isinstance(check_univalence(unchecked_copy(out)), Univalent)
 
-    def test_recheck_flag_runs_checker_when_both_verified(self):
+    def test_status_is_verified_only_when_both_inputs_are(self):
         f = linear_pwaf(Mat([[2]]), ColVec([0]))
         g = relu_1d()
-        assert f.univalence == VERIFIED and g.univalence == VERIFIED
-        out = compose(f, g, recheck=True)
-        assert out.univalence == VERIFIED
-        unchecked_g = PwaFn(1, 1, g.pieces)
-        out2 = compose(f, unchecked_g, recheck=True)
-        assert out2.univalence == UNCHECKED
+        assert compose(f, g).univalence == VERIFIED
+        assert compose(f, unchecked_copy(g)).univalence == UNCHECKED
+        assert compose(unchecked_copy(f), g).univalence == UNCHECKED
+        refuted = PwaFn(1, 1, g.pieces, univalence=REFUTED)
+        assert compose(f, refuted).univalence == UNCHECKED
 
     def test_semantic_associativity(self):
         rng = random.Random(5506)
@@ -314,9 +320,13 @@ class TestConcat:
             out = concat(f, g)
             assert isinstance(check_univalence(out), Univalent)
 
-    def test_recheck_flag(self):
-        out = concat(relu_1d(), identity_pwaf(1), recheck=True)
-        assert out.univalence == VERIFIED
+    def test_status_is_verified_only_when_both_inputs_are(self):
+        relu = relu_1d()
+        assert concat(relu, identity_pwaf(1)).univalence == VERIFIED
+        assert concat(unchecked_copy(relu), identity_pwaf(1)).univalence == UNCHECKED
+        assert concat(relu, unchecked_copy(relu)).univalence == UNCHECKED
+        refuted = PwaFn(1, 1, relu.pieces, univalence=REFUTED)
+        assert concat(refuted, relu).univalence == UNCHECKED
 
     def test_zero_dim_functions_are_neutral(self):
         relu = relu_1d()
