@@ -23,8 +23,10 @@ PWA document:
                  "M": [["0"]], "b": ["0"]}, ...]}
 
 "univalence" is one of "unchecked", "verified", "refuted"; a refuted
-document does not carry the witness. The tag is read back as written;
-check_univalence never relies on it.
+document does not carry the witness. The tag is read back as written,
+so documents round-trip byte for byte, but the parsed function marks it as
+claimed: compose and concat do not carry a claimed "verified" into their
+results, and check_univalence never relies on any tag.
 
 The SMT export targets QF_LRA: constants x_0..x_{n-1} and y_0..y_{m-1},
 and per piece one assertion (=> <membership> <output rows>). It contains
@@ -165,7 +167,7 @@ def parse_pwa(text: str) -> PwaFn:
         m = _matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
         b = _vector(_get(raw, "b", where), out_dim, f"{where}.b")
         pieces.append(AffinePiece(Polyhedron(in_dim, tuple(constraints)), m, b))
-    return PwaFn(in_dim, out_dim, pieces, univalence=tag)
+    return PwaFn(in_dim, out_dim, pieces, univalence=tag, claimed=True)
 
 
 def serialize_pwa(fn: PwaFn) -> str:

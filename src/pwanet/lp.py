@@ -1,12 +1,27 @@
 """Exact linear programming over polyhedra.
 
-A two-phase primal simplex on dense Fraction tableaus. Free variables are
-split into differences of nonnegative variables, every inequality gets a
-slack, and rows whose right-hand side starts out negative get an artificial
+A two-phase primal simplex on integer tableaus. Free variables are split
+into differences of nonnegative variables, every inequality gets a slack,
+and rows whose right-hand side starts out negative get an artificial
 variable that phase 1 drives to zero. Entering and leaving variables follow
 Bland's smallest-index rule, which rules out cycling and makes every run
 deterministic: the same polyhedron and objective always produce the same
 outcome, including the same witness point.
+
+Each row is kept fraction-free, in the style of Bareiss: a list of Python
+ints that stands for the row divided by its basic entry, which is kept
+positive. A pivot on entry p of row r replaces every other row with
+nonzero entry f in the pivot column by row * p - f * row_r, divided by the
+gcd of its entries. Scaling a row by a positive number changes neither the
+signs of its entries nor the ratios between them, so Bland's entering
+column (the first positive objective entry) and leaving row (the least
+ratio rhs_i / a_i, compared by cross-multiplying, ties to the smaller basic
+index) are the ones the rational tableau would pick. Values and witnesses
+become Fractions only when read off.
+
+Phase 1 runs once per polyhedron: off_target_points starts every objective
+from a copy of the feasible tableau it leaves, which is the tableau a fresh
+solve would reach, since phase 1 is deterministic.
 
 Unboundedness is reported as soon as an improving column has no blocking
 row; no ray certificate is produced.
@@ -16,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Union
 
-from .numeric import ColVec, DimensionError, as_scalar, vec_scale, zeros_vec
+from .numeric import ColVec, DimensionError, ScalarLike, as_scalar, vec_scale, zeros_vec
 from .polyhedra import LinearConstraint, Polyhedron
 
 MAX = "max"
@@ -46,12 +62,31 @@ class Unbounded:
 LpOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
+def _scaled(row: list[int], p: int, f: int, prow: list[int]) -> list[int]:
+    """row * p - f * prow, divided by the gcd of its entries.
+
+    An objective row's trailing denominator, past the end of prow, is
+    scaled by p alone.
+    """
+    new = [a * p - f * b for a, b in zip(row, prow)]
+    if len(row) > len(prow):
+        new.append(row[-1] * p)
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
 class _Simplex:
-    """Mutable tableau state for a single solve.
+    """Mutable integer tableau state for a single polyhedron.
 
     Columns 0..n-1 and n..2n-1 hold the positive and negative parts of the
     free variables, columns 2n..2n+m-1 the slacks, and any artificial
-    columns sit at the end until phase 1 removes them.
+    columns sit at the end until phase 1 removes them. Each row is a list
+    of ints ending in its right-hand side; it stands for the row divided
+    by its basic entry, which is kept positive. An objective row has two
+    trailing slots: minus the objective value, then a positive
+    denominator for the whole row.
+
+    Rows are replaced, never changed in place, so copy() is shallow.
     """
 
     def __init__(self, poly: Polyhedron):
@@ -59,72 +94,73 @@ class _Simplex:
         m = len(poly.constraints)
         self.n = n
         self.struct_cols = 2 * n + m
-        negate = [as_scalar(lc.b) < 0 for lc in poly.constraints]
+        negate = [lc.b < 0 for lc in poly.constraints]
         n_art = sum(negate)
         self.ncols = self.struct_cols + n_art
-        self.T: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.T: list[list[int]] = []
         self.basis: list[int] = []
         art_seen = 0
-        zero = Fraction(0)
         for i, lc in enumerate(poly.constraints):
-            row = [zero] * self.ncols
+            # The constraint times the lcm of its denominators, negated when
+            # its right-hand side is negative.
+            den = lcm(lc.b.denominator, *(a.denominator for a in lc.c.entries))
             sign = -1 if negate[i] else 1
+            scale = sign * den
+            row = [0] * (self.ncols + 1)
             for k, a in enumerate(lc.c.entries):
                 if a:
-                    row[k] = sign * a
-                    row[n + k] = -sign * a
-            row[2 * n + i] = Fraction(sign)
+                    row[k] = a.numerator * (scale // a.denominator)
+                    row[n + k] = -row[k]
+            row[2 * n + i] = scale
+            row[-1] = lc.b.numerator * (scale // lc.b.denominator)
             if negate[i]:
                 art_col = self.struct_cols + art_seen
-                row[art_col] = Fraction(1)
+                row[art_col] = den
                 self.basis.append(art_col)
-                self.rhs.append(-lc.b)
                 art_seen += 1
             else:
                 self.basis.append(2 * n + i)
-                self.rhs.append(Fraction(lc.b))
             self.T.append(row)
         self.n_art = n_art
         self._feasible: bool | None = None
 
-    def _pivot(self, r: int, j: int, obj: list[Fraction]) -> Fraction:
-        """Make column j basic in row r; returns the objective-value shift."""
-        piv = self.T[r][j]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            self.T[r] = [v * inv for v in self.T[r]]
-            self.rhs[r] *= inv
+    def copy(self) -> _Simplex:
+        other = object.__new__(_Simplex)
+        other.__dict__.update(self.__dict__)
+        other.T = list(self.T)
+        other.basis = list(self.basis)
+        return other
+
+    def _pivot(self, r: int, j: int, obj: list[int]) -> None:
+        """Make column j basic in row r, updating the objective row too."""
         prow = self.T[r]
-        prhs = self.rhs[r]
-        for i in range(len(self.T)):
-            if i == r:
-                continue
-            f = self.T[i][j]
-            if f:
-                self.T[i] = [a - f * b for a, b in zip(self.T[i], prow)]
-                self.rhs[i] -= f * prhs
-        delta = Fraction(0)
+        if prow[j] < 0:
+            # Only when phase 1 drives out an artificial at value zero.
+            prow = self.T[r] = [-a for a in prow]
+        p = prow[j]
+        for i, row in enumerate(self.T):
+            f = row[j]
+            if f and i != r:
+                self.T[i] = _scaled(row, p, f, prow)
         f = obj[j]
         if f:
-            obj[:] = [a - f * b for a, b in zip(obj, prow)]
-            delta = f * prhs
+            obj[:] = _scaled(obj, p, f, prow)
         self.basis[r] = j
-        return delta
 
-    def _canonicalize(self, obj: list[Fraction]) -> Fraction:
-        """Zero the objective coefficients of basic columns; returns the constant."""
-        const = Fraction(0)
+    def _canonicalize(self, obj: list[int]) -> None:
+        """Zero the objective coefficients of basic columns."""
         for r, j in enumerate(self.basis):
             f = obj[j]
             if f:
                 prow = self.T[r]
-                obj[:] = [a - f * b for a, b in zip(obj, prow)]
-                const += f * self.rhs[r]
-        return const
+                obj[:] = _scaled(obj, prow[j], f, prow)
 
-    def _run(self, obj: list[Fraction], const: Fraction) -> tuple[str, Fraction]:
-        """Maximize; returns ("optimal" | "unbounded", objective value)."""
+    def _run(self, obj: list[int]) -> bool:
+        """Maximize; False when the objective is unbounded.
+
+        The rows' positive scale factors cancel in each ratio rhs_i / a_i,
+        so ratios are compared by cross-multiplying the integer entries.
+        """
         while True:
             enter = None
             for j in range(self.ncols):
@@ -132,23 +168,21 @@ class _Simplex:
                     enter = j
                     break
             if enter is None:
-                return "optimal", const
+                return True
             best_row = None
-            best_ratio = None
-            for i in range(len(self.T)):
-                a = self.T[i][enter]
+            for i, row in enumerate(self.T):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[best_row])
-                    ):
-                        best_ratio = ratio
-                        best_row = i
+                    if best_row is None:
+                        best_row, best_a, best_rhs = i, a, row[-1]
+                        continue
+                    lhs = row[-1] * best_a
+                    rhs = best_rhs * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best_row]):
+                        best_row, best_a, best_rhs = i, a, row[-1]
             if best_row is None:
-                return "unbounded", const
-            const += self._pivot(best_row, enter, obj)
+                return False
+            self._pivot(best_row, enter, obj)
 
     def phase1(self) -> bool:
         """Find a basic feasible solution. False means the polyhedron is empty."""
@@ -157,15 +191,12 @@ class _Simplex:
         if self.n_art == 0:
             self._feasible = True
             return True
-        obj = [Fraction(0)] * self.ncols
-        for c in range(self.struct_cols, self.ncols):
-            obj[c] = Fraction(-1)
-        const = self._canonicalize(obj)
-        status, const = self._run(obj, const)
-        if status != "optimal":
+        obj = [0] * self.struct_cols + [-1] * self.n_art + [0, 1]
+        self._canonicalize(obj)
+        if not self._run(obj):
             # -(sum of artificials) is bounded above by zero.
             raise RuntimeError("simplex phase 1 reported an unbounded objective")
-        if const != 0:
+        if obj[-2] != 0:
             self._feasible = False
             return False
         # Drive leftover artificials out of the basis. Their value is zero,
@@ -181,13 +212,12 @@ class _Simplex:
                 if pivot_col is None:
                     # All-zero structural row: redundant, drop it.
                     del self.T[r]
-                    del self.rhs[r]
                     del self.basis[r]
                     continue
                 self._pivot(r, pivot_col, obj)
             r += 1
-        for i in range(len(self.T)):
-            self.T[i] = self.T[i][: self.struct_cols]
+        for i, row in enumerate(self.T):
+            self.T[i] = row[: self.struct_cols] + row[-1:]
         self.ncols = self.struct_cols
         self.n_art = 0
         self._feasible = True
@@ -196,20 +226,20 @@ class _Simplex:
     def maximize(self, objective: ColVec) -> tuple[str, Fraction | None, ColVec | None]:
         if not self.phase1():
             return "infeasible", None, None
-        obj = [Fraction(0)] * self.ncols
+        den = lcm(*(c.denominator for c in objective.entries))
+        obj = [0] * self.ncols + [0, den]
         for k, c in enumerate(objective.entries):
             if c:
-                obj[k] = c
-                obj[self.n + k] = -c
-        const = self._canonicalize(obj)
-        status, const = self._run(obj, const)
-        if status == "unbounded":
+                obj[k] = c.numerator * (den // c.denominator)
+                obj[self.n + k] = -obj[k]
+        self._canonicalize(obj)
+        if not self._run(obj):
             return "unbounded", None, None
         vals = [Fraction(0)] * self.ncols
-        for r, j in enumerate(self.basis):
-            vals[j] = self.rhs[r]
+        for row, j in zip(self.T, self.basis):
+            vals[j] = Fraction(row[-1], row[j])
         witness = ColVec(vals[k] - vals[self.n + k] for k in range(self.n))
-        return "optimal", const, witness
+        return "optimal", Fraction(-obj[-2], obj[-1]), witness
 
 
 def solve(poly: Polyhedron, objective: ColVec, sense: str = MAX) -> LpOutcome:
@@ -248,24 +278,44 @@ def off_target_point(poly: Polyhedron, functional: ColVec, target) -> ColVec | N
     Otherwise the maximum, then the minimum, is compared with the target;
     on an unbounded side the point is one unit past the target.
     """
-    if functional.dim != poly.dim:
-        raise DimensionError(
-            f"functional of dim {functional.dim} over polyhedron of dim {poly.dim}"
-        )
-    goal = as_scalar(target)
+    return next(off_target_points(poly, ((functional, target),)), None)
+
+
+def off_target_points(
+    poly: Polyhedron, rows: Iterable[tuple[ColVec, ScalarLike]]
+) -> Iterator[ColVec | None]:
+    """off_target_point for each (functional, target) of rows, lazily.
+
+    Phase 1 runs once, and every objective starts from a copy of the
+    feasible tableau it leaves. An empty poly yields nothing.
+    """
+    rows = list(rows)
+    for functional, _ in rows:
+        if functional.dim != poly.dim:
+            raise DimensionError(
+                f"functional of dim {functional.dim} over polyhedron of dim {poly.dim}"
+            )
+    feasible = _Simplex(poly)
+    if not feasible.phase1():
+        return
+    for functional, target in rows:
+        yield _off_target(poly, feasible, functional, as_scalar(target))
+
+
+def _off_target(
+    poly: Polyhedron, feasible: _Simplex, functional: ColVec, goal: Fraction
+) -> ColVec | None:
     if not any(functional.entries):
-        return None if goal == 0 else feasible_point(poly)
+        return None if goal == 0 else feasible.copy().maximize(functional)[2]
     for sense, sign in ((MAX, 1), (MIN, -1)):
-        outcome = solve(poly, functional, sense)
-        if isinstance(outcome, Infeasible):
-            return None
-        if isinstance(outcome, Unbounded):
+        status, value, witness = feasible.copy().maximize(vec_scale(sign, functional))
+        if status == "unbounded":
             # sign * functional.x >= sign * goal + 1
             cut = LinearConstraint(vec_scale(-sign, functional), -(sign * goal + 1))
             point = feasible_point(Polyhedron(poly.dim, poly.constraints + (cut,)))
             if point is None:
                 raise RuntimeError(f"unbounded {sense} but no point past {goal}")
             return point
-        if outcome.value != goal:
-            return outcome.witness
+        if sign * value != goal:
+            return witness
     return None

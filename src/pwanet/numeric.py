@@ -4,7 +4,8 @@ Everything is built from `fractions.Fraction`, so arithmetic is exact.
 Floats are rejected outright: a binary float that sneaks into a weight
 or constraint would silently break the exact-equality reasoning the
 rest of the library depends on. Decimal strings like "2.7" are parsed
-exactly (27/10), as are "p/q" forms.
+exactly (27/10), as are "p/q" forms; a decimal exponent may be at most
+4300 in absolute value.
 """
 
 from __future__ import annotations
@@ -20,12 +21,25 @@ class DimensionError(ValueError):
     """Raised when operand shapes do not line up."""
 
 
+# An exponent bound matching CPython's default int-string digit limit, which
+# already bounds long mantissas: "1e2000000" would otherwise build a
+# two-million-digit integer from nine bytes of input.
+_MAX_EXPONENT = 4300
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse a decimal literal ("2.7", "-0.25") or a fraction ("p/q") exactly."""
+    """Parse a decimal literal ("2.7", "-0.25", "1e-3") or a fraction ("p/q") exactly.
+
+    Exponents beyond +-4300 are refused as malformed.
+    """
     if not isinstance(text, str):
         raise ValueError(f"expected a string literal, got {type(text).__name__}")
+    literal = text.strip()
+    _, marker, exponent = literal.upper().partition("E")
     try:
-        return Fraction(text.strip())
+        if marker and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError
+        return Fraction(literal)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:

@@ -76,10 +76,13 @@ class PwaFn:
 
     The status is set by check_univalence or by a constructor that proves
     it: identity_pwaf and linear_pwaf (a single piece cannot conflict with
-    itself) and compose/concat of verified inputs.
+    itself) and compose/concat of verified inputs. `claimed` marks a status
+    read from a document rather than proved in this process; compose and
+    concat do not carry a claimed "verified", and check_univalence clears
+    the mark.
     """
 
-    __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "violation")
+    __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "violation", "claimed")
 
     def __init__(
         self,
@@ -88,6 +91,7 @@ class PwaFn:
         pieces=(),
         univalence: str = UNCHECKED,
         violation: Optional[UnivalenceViolation] = None,
+        claimed: bool = False,
     ):
         if in_dim < 0 or out_dim < 0:
             raise DimensionError("function dimensions must be nonnegative")
@@ -108,6 +112,7 @@ class PwaFn:
         self.pieces = pieces
         self.univalence = univalence
         self.violation = violation
+        self.claimed = claimed
 
     def __repr__(self) -> str:
         return (
@@ -150,12 +155,15 @@ def _check_pair(fn: PwaFn, i: int, j: int) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap."""
     pi = fn.pieces[i]
     pj = fn.pieces[j]
-    region = intersect(pi.polyhedron, pj.polyhedron)
-    if lp.is_empty(region):
+    if pi.M == pj.M and pi.b == pj.b:
+        # Identical maps agree everywhere, overlap or not.
         return None
-    for r in range(fn.out_dim):
-        functional = ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r]))
-        point = lp.off_target_point(region, functional, pj.b[r] - pi.b[r])
+    region = intersect(pi.polyhedron, pj.polyhedron)
+    rows = (
+        (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
+        for r in range(fn.out_dim)
+    )
+    for r, point in enumerate(lp.off_target_points(region, rows)):
         if point is not None:
             return UnivalenceViolation(i, j, r, point)
     return None
@@ -173,11 +181,12 @@ def _scan_chunk(payload) -> Optional[UnivalenceViolation]:
 def check_univalence(fn: PwaFn, jobs: int = 1) -> UnivalenceVerdict:
     """Decide whether all overlapping pieces of fn agree on their overlaps.
 
-    Every unordered pair of pieces is examined; for each output row, two
-    exact linear programs over the pair's intersection decide whether the
-    row difference is pinned to the offset difference. The first violation
-    in pair order (then row order) is returned with a witness point lying
-    in both polyhedra.
+    Every unordered pair of pieces is examined; pairs with identical maps
+    agree and need no LP. Otherwise, after one phase 1 over the pair's
+    intersection, two exact linear programs per output row decide whether
+    the row difference is pinned to the offset difference. The first
+    violation in pair order (then row order) is returned with a witness
+    point lying in both polyhedra.
 
     The verdict is cached on fn. jobs > 1 spreads the pair checks over
     that many worker processes; the reported violation is the same one the
@@ -203,6 +212,7 @@ def check_univalence(fn: PwaFn, jobs: int = 1) -> UnivalenceVerdict:
                 if result is not None:
                     found = result
                     break
+    fn.claimed = False
     if found is None:
         fn.univalence = VERIFIED
         fn.violation = None
@@ -235,6 +245,7 @@ def prune_empty(fn: PwaFn) -> PwaFn:
         (fn.pieces[i] for i in keep),
         univalence=fn.univalence,
         violation=violation,
+        claimed=fn.claimed,
     )
 
 

@@ -8,7 +8,8 @@ g-piece with f's pieces cycling fastest.
 
 Both operators preserve univalence (the theorem behind the network
 compiler), so the result is "verified" exactly when both inputs are, and
-"unchecked" otherwise; no LP is run.
+"unchecked" otherwise; no LP is run. A "verified" read from a document is
+only a claim (PwaFn.claimed) and is not carried.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def compose_affine(m_f: Mat, b_f: ColVec, m_g: Mat, b_g: ColVec) -> tuple[Mat, C
 
 
 def _carried(f: PwaFn, g: PwaFn) -> str:
-    return VERIFIED if f.univalence == g.univalence == VERIFIED else UNCHECKED
+    proved = not (f.claimed or g.claimed)
+    return VERIFIED if proved and f.univalence == g.univalence == VERIFIED else UNCHECKED
 
 
 def compose(f: PwaFn, g: PwaFn) -> PwaFn:

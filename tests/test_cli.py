@@ -155,6 +155,14 @@ class TestCompile:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_exponent_exits_2_with_one_line(self, tmp_path, capsys):
+        net = write(tmp_path, "net.json", EXAMPLE_NET.replace('"2.7"', '"1e2000000"'))
+        code = main(["compile", "--network", net, "--out", str(tmp_path / "fn.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed rational literal" in err
+        assert err.count("\n") == 1
+
     def test_missing_input_file_exits_2(self, tmp_path):
         code = main(
             ["compile", "--network", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
@@ -215,6 +223,12 @@ class TestEval:
         fn = write(tmp_path, "relu.json", serialize_pwa(relu_1d()))
         assert main(["eval", "--pwa", fn, "--point", "1,,2"]) == 2
         assert "point" in capsys.readouterr().err
+
+    def test_huge_exponent_in_the_point_exits_2(self, tmp_path, capsys):
+        fn = write(tmp_path, "relu.json", serialize_pwa(relu_1d()))
+        assert main(["eval", "--pwa", fn, "--point", "1e2000000"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed rational literal" in err and err.count("\n") == 1
 
     def test_network_with_bad_dims_exits_3_before_evaluating(self, tmp_path, capsys):
         doc = json.dumps(

@@ -14,10 +14,14 @@ from pwanet.pwa import (
     VERIFIED,
     AffinePiece,
     PwaFn,
+    Univalent,
+    UnivalenceViolation,
+    check_univalence,
     evaluate,
     identity_pwaf,
     linear_pwaf,
 )
+from pwanet.pwa_algebra import compose, concat
 from pwanet.network import (
     OutputLayer,
     PwaLayer,
@@ -192,6 +196,31 @@ class TestParsePwa:
         for tag in (UNCHECKED, VERIFIED, REFUTED):
             fn = PwaFn(1, 1, (), univalence=tag)
             assert parse_pwa(serialize_pwa(fn)).univalence == tag
+
+    def test_verified_tag_does_not_carry_through_compose(self):
+        # The file claims x and 2x on all of R agree; they differ at x = -1.
+        conflicting = PwaFn(
+            1,
+            1,
+            (
+                AffinePiece(Polyhedron(1), Mat([["1"]]), ColVec(["0"])),
+                AffinePiece(Polyhedron(1), Mat([["2"]]), ColVec(["0"])),
+            ),
+            univalence=VERIFIED,
+        )
+        parsed = parse_pwa(serialize_pwa(conflicting))
+        assert parsed.univalence == VERIFIED and parsed.claimed
+        composed = compose(identity_pwaf(1), parsed)
+        assert composed.univalence == UNCHECKED
+        assert compose(parsed, identity_pwaf(1)).univalence == UNCHECKED
+        assert concat(parsed, identity_pwaf(1)).univalence == UNCHECKED
+        assert check_univalence(composed) == UnivalenceViolation(0, 1, 0, ColVec(["-1"]))
+
+    def test_checked_document_is_carried(self):
+        parsed = parse_pwa(serialize_pwa(relu_nd(2)))
+        assert compose(identity_pwaf(2), parsed).univalence == UNCHECKED
+        assert check_univalence(parsed) == Univalent() and not parsed.claimed
+        assert compose(identity_pwaf(2), parsed).univalence == VERIFIED
 
     def test_unknown_univalence_tag_rejected(self):
         doc = '{"in_dim": 1, "out_dim": 1, "univalence": "maybe", "pieces": []}'

@@ -1,9 +1,13 @@
 """Exact simplex: outcomes, witnesses, and agreement with brute force."""
 
+import hashlib
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwanet import lp
 from pwanet.lp import (
@@ -15,12 +19,15 @@ from pwanet.lp import (
     feasible_point,
     is_empty,
     off_target_point,
+    off_target_points,
     solve,
 )
 from pwanet.numeric import ColVec, DimensionError, dot, zeros_vec
+from pwanet.network import transform
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
+from pwanet.pwa import AffinePiece, PwaFn, check_univalence
 
-from genutil import box_polyhedron, point
+from genutil import box_polyhedron, point, random_network
 from oracles import vertex_optimum
 
 
@@ -34,6 +41,22 @@ def contradiction():
     return Polyhedron(
         1, (LinearConstraint(ColVec([1]), -1), LinearConstraint(ColVec([-1]), 0))
     )
+
+
+def _small_rational(rng, num, den=3):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def _random_polyhedron(rng):
+    """Dim 1-4, up to seven constraints: bounded, unbounded or empty."""
+    dim = rng.randint(1, 4)
+    constraints = tuple(
+        LinearConstraint(
+            ColVec(_small_rational(rng, 4) for _ in range(dim)), _small_rational(rng, 6)
+        )
+        for _ in range(rng.randint(0, 7))
+    )
+    return Polyhedron(dim, constraints)
 
 
 class TestSolveBasics:
@@ -181,6 +204,39 @@ class TestIsConstantOn:
             off_target_point(full_space(1), ColVec([1]), 0)
 
 
+class TestOffTargetPoints:
+    def test_matches_off_target_point_row_by_row(self):
+        rng = random.Random(3310)
+        for _ in range(40):
+            poly = _random_polyhedron(rng)
+            rows = [
+                (ColVec(_small_rational(rng, 2) for _ in range(poly.dim)), _small_rational(rng, 2))
+                for _ in range(3)
+            ]
+            expected = [off_target_point(poly, f, t) for f, t in rows]
+            got = list(off_target_points(poly, rows))
+            assert got == ([] if is_empty(poly) else expected)
+
+    def test_one_phase_one_for_all_rows(self, monkeypatch):
+        built = []
+
+        class Counted(lp._Simplex):
+            def __init__(self, poly):
+                built.append(poly)
+                super().__init__(poly)
+
+        monkeypatch.setattr(lp, "_Simplex", Counted)
+        # x >= 1 needs phase 1; every row is bounded on the segment [1, 2].
+        segment = Polyhedron(
+            1, (LinearConstraint(ColVec([-1]), -1), LinearConstraint(ColVec([1]), 2))
+        )
+        rows = [(ColVec([1]), 2), (ColVec([0]), 0), (ColVec([0]), 5), (ColVec([2]), 1)]
+        assert list(off_target_points(segment, rows)) == [
+            ColVec([1]), None, ColVec([1]), ColVec([2])
+        ]
+        assert built == [segment]
+
+
 class TestAgainstVertexEnumeration:
     """Simplex outcomes must match brute-force enumeration on bounded sets."""
 
@@ -203,6 +259,50 @@ class TestAgainstVertexEnumeration:
             assert is_empty(poly) == (vertex_optimum(poly, zeros_vec(dim), MAX) is None)
             checked += 1
         assert checked == 60
+
+
+def _small_fractions(num, den=3):
+    return st.builds(Fraction, st.integers(-num, num), st.integers(1, den))
+
+
+@st.composite
+def _bounded_lp(draw):
+    """A box of dim 1-3 (empty when a lower bound passes its upper), plus cuts."""
+    dim = draw(st.integers(1, 3))
+    constraints = []
+    for k in range(dim):
+        lower, upper = draw(_small_fractions(8)), draw(_small_fractions(8))
+        axis = [0] * dim
+        axis[k] = 1
+        constraints.append(LinearConstraint(ColVec(axis), upper))
+        axis[k] = -1
+        constraints.append(LinearConstraint(ColVec(axis), -lower))
+    vectors = st.lists(_small_fractions(4), min_size=dim, max_size=dim)
+    for c, b in draw(st.lists(st.tuples(vectors, _small_fractions(10)), max_size=3)):
+        constraints.append(LinearConstraint(ColVec(c), b))
+    objective = ColVec(draw(vectors))
+    return Polyhedron(dim, tuple(constraints)), objective
+
+
+class TestAgainstVertexEnumerationProperty:
+    """The same oracle as above, on hypothesis-drawn rational polyhedra."""
+
+    @settings(
+        derandomize=True, database=None, max_examples=120, deadline=timedelta(seconds=5)
+    )
+    @given(_bounded_lp())
+    def test_solve_and_is_empty_agree(self, case):
+        poly, objective = case
+        for sense in (MAX, MIN):
+            got = solve(poly, objective, sense)
+            expected = vertex_optimum(poly, objective, sense)
+            if expected is None:
+                assert got == Infeasible()
+            else:
+                assert isinstance(got, Optimal)
+                assert got.value == expected[0] == dot(objective, got.witness)
+                assert contains(poly, got.witness)
+        assert is_empty(poly) == (vertex_optimum(poly, zeros_vec(poly.dim), MAX) is None)
 
 
 class TestOptimalWitness:
@@ -245,3 +345,53 @@ class TestDeterminism:
             objective = ColVec(Fraction(rng.randint(-5, 5)) for _ in range(dim))
             assert solve(poly, objective, MAX) == solve(poly, objective, MAX)
             assert solve(poly, objective, MIN) == solve(poly, objective, MIN)
+
+
+def _outcome_trace():
+    """repr of every outcome of a fixed seeded set of LPs, in a fixed order."""
+    rng = random.Random(3305)
+    lines = []
+    for _ in range(250):
+        poly = _random_polyhedron(rng)
+        objective = ColVec(_small_rational(rng, 3) for _ in range(poly.dim))
+        lines.append(repr(is_empty(poly)))
+        lines.append(repr(solve(poly, objective, MAX)))
+        lines.append(repr(solve(poly, objective, MIN)))
+        lines.append(repr(feasible_point(poly)))
+        lines.append(repr(off_target_point(poly, objective, _small_rational(rng, 2))))
+    for seed in (3306, 3307, 3308, 3309):
+        net_rng = random.Random(seed)
+        fn = transform(random_network(net_rng, max_pieces=16, max_dim=3, max_depth=3))
+        pieces = fn.pieces
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                region = intersect(pieces[i].polyhedron, pieces[j].polyhedron)
+                lines.append(repr(is_empty(region)))
+                for r in range(fn.out_dim):
+                    row = ColVec(pieces[i].M.entries[r])
+                    lines.append(repr(solve(region, row, MAX)))
+                    lines.append(repr(solve(region, row, MIN)))
+        # The first piece's map moved up by one on every row.
+        first = pieces[0]
+        moved = AffinePiece(first.polyhedron, first.M, ColVec(e + 1 for e in first.b))
+        refuted = PwaFn(fn.in_dim, fn.out_dim, (moved,) + pieces[1:])
+        lines.append(repr(check_univalence(fn)))
+        lines.append(repr(check_univalence(refuted)))
+    return lines
+
+
+class TestOutcomeTraceHash:
+    """Outcomes, values and witnesses of a fixed LP set, pinned by digest.
+
+    The digest was recorded with the Fraction-tableau simplex this engine
+    replaced; any change of pivot rule or tie-break that moves a witness
+    changes it.
+    """
+
+    DIGEST = "771ae226316fa5613b7b0ff35664822a75852fb50a33a08047b2e9e62b66ea88"
+
+    def test_digest(self):
+        lines = _outcome_trace()
+        assert len(lines) > 1500
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -59,6 +59,18 @@ class TestParseScalar:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    def test_exponent_within_the_bound(self):
+        assert parse_scalar("1e4300") == Fraction(10**4300)
+        assert parse_scalar("-2.5E-4300") == Fraction(-25, 10**4301)
+        assert parse_scalar("1e2_0") == Fraction(10**20)
+
+    @pytest.mark.parametrize(
+        "bad", ["1e4301", "1E-4301", "1e2000000", "-3.5e+2000000", "1e" + "9" * 5000]
+    )
+    def test_exponent_beyond_the_bound_is_malformed(self, bad):
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            parse_scalar(bad)
+
     def test_format_is_canonical(self):
         assert format_scalar(parse_scalar("0.50")) == "1/2"
         assert format_scalar(parse_scalar("27/10")) == "27/10"

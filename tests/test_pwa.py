@@ -24,7 +24,8 @@ from pwanet.pwa import (
     linear_pwaf,
     prune_empty,
 )
-from pwanet.network import relu_1d
+from pwanet import pwa
+from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, relu_1d, transform
 
 from genutil import colvec_of, mat_of, point, restricted_affine, univalent_fn
 
@@ -311,6 +312,65 @@ class TestViolationWitnesses:
             AffinePiece(region, Mat([[1]]), ColVec([1])),
         )
         assert verdict == UnivalenceViolation(0, 1, 0, ColVec([-3]))
+
+
+def relu_into_relu():
+    """A pruned 2 -> 3 -> 1 ReLU network: 10 pieces, 21 of 45 pairs share a map.
+
+    Wherever the output unit is off, the map is x -> 0, so many pieces
+    carry identical maps on overlapping regions.
+    """
+    net = Network(
+        2,
+        1,
+        (
+            nn_linear(Mat([[1, -1], [1, 2], [-2, 1]]), ColVec([0, -1, "1/2"])),
+            nn_relu(3),
+            nn_linear(Mat([[1, -1, -1]]), ColVec(["-1/2"])),
+            nn_relu(1),
+            OutputLayer(1),
+        ),
+    )
+    return prune_empty(transform(net))
+
+
+class TestIdenticalMapPairs:
+    """Pairs with identical maps are skipped; the reported violation is not moved.
+
+    The pins were recorded with the scan that still ran LPs on those pairs.
+    """
+
+    def test_identical_maps_are_skipped_before_any_lp(self, monkeypatch):
+        fn = relu_into_relu()
+        calls = []
+
+        def counted(p1, p2):
+            calls.append(1)
+            return intersect(p1, p2)
+
+        monkeypatch.setattr(pwa, "intersect", counted)
+        assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces)) == Univalent()
+        assert len(calls) == 45 - 21
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "moved, expected",
+        [
+            (0, UnivalenceViolation(0, 1, 0, ColVec([0, "-1/2"]))),
+            (2, UnivalenceViolation(2, 3, 0, ColVec(["1/2", "1/2"]))),
+            (3, UnivalenceViolation(0, 3, 0, ColVec(["2/3", "1/6"]))),
+            (5, UnivalenceViolation(5, 6, 0, ColVec([0, 0]))),
+            (6, UnivalenceViolation(0, 6, 0, ColVec(["1/4", 0]))),
+            (8, UnivalenceViolation(2, 8, 0, ColVec(["1/2", "1/2"]))),
+            (9, UnivalenceViolation(0, 9, 0, ColVec(["2/5", "3/10"]))),
+        ],
+    )
+    def test_refuted_fixture_violation_is_pinned(self, jobs, moved, expected):
+        fn = relu_into_relu()
+        pieces = list(fn.pieces)
+        piece = pieces[moved]
+        pieces[moved] = AffinePiece(piece.polyhedron, piece.M, vec_add(piece.b, ColVec([1])))
+        assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, pieces), jobs=jobs) == expected
 
 
 class TestPruneEmpty:
