@@ -4,7 +4,8 @@ Subcommands: compile a network file into a PWA file, evaluate either kind
 of file at an exact rational point, check univalence, count non-empty
 regions, and export an SMT script. Exit codes are stable: 0 success,
 2 parse problem, 3 dimension problem, 4 non-PWA layer, 5 univalence
-violation. Output is deterministic byte for byte.
+violation, 6 compiled function too large. Output is deterministic byte
+for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NON_PWA = 4
 EXIT_UNIVALENCE = 5
+EXIT_TOO_LARGE = 6
 
 
 class _Failure(Exception):
@@ -71,14 +73,18 @@ def _cmd_compile(args) -> int:
     problem = network.validate_dims(net)
     if problem is not None:
         raise _Failure(EXIT_DIMENSION, f"error: {problem.message}")
-    fn = network.transform(net)
-    if fn is None:
-        index = next(
-            i
-            for i, layer in enumerate(net.layers)
-            if isinstance(layer, (PlainLayer, UnknownLayer))
-        )
+    index = next(
+        (i for i, layer in enumerate(net.layers) if isinstance(layer, (PlainLayer, UnknownLayer))),
+        None,
+    )
+    if index is not None:
         raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
+    if network.piece_product(net) > network.MAX_PIECES:
+        raise _Failure(
+            EXIT_TOO_LARGE,
+            f"error: the compiled function would have more than {network.MAX_PIECES} pieces",
+        )
+    fn = network.transform(net)
     if args.prune:
         fn = pwa.prune_empty(fn)
     _write(args.out, formats.serialize_pwa(fn))

@@ -14,7 +14,9 @@ Network document:
                 {"kind": "output"}]}
 
 An {"kind": "unknown", "in_dim": a, "out_dim": b} layer marks a layer the
-file cannot describe; it evaluates to nothing and blocks compilation.
+file cannot describe; it evaluates to nothing and blocks compilation. A
+relu layer's dim may be at most network.MAX_RELU_DIM, since the layer is
+built as 2^dim pieces.
 
 PWA document:
 
@@ -41,7 +43,15 @@ from fractions import Fraction
 from .numeric import ColVec, Mat, format_scalar, parse_scalar
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import UNCHECKED, REFUTED, VERIFIED, AffinePiece, PwaFn
-from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
+from .network import (
+    MAX_PIECES,
+    MAX_RELU_DIM,
+    Network,
+    OutputLayer,
+    UnknownLayer,
+    nn_linear,
+    nn_relu,
+)
 
 _UNIVALENCE_TAGS = (UNCHECKED, VERIFIED, REFUTED)
 
@@ -53,7 +63,8 @@ class ParseError(ValueError):
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the digit limit.
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
@@ -127,7 +138,13 @@ def parse_network(text: str) -> Network:
             bias = _vector(_get(raw, "bias", where), weights.rows, f"{where}.bias")
             layers.append(nn_linear(weights, bias))
         elif kind == "relu":
-            layers.append(nn_relu(_nat(_get(raw, "dim", where), f"{where}.dim")))
+            dim = _nat(_get(raw, "dim", where), f"{where}.dim")
+            if dim > MAX_RELU_DIM:
+                raise ParseError(
+                    f"{where}.dim: a relu on dim {dim} has 2^{dim} pieces, "
+                    f"more than {MAX_PIECES}"
+                )
+            layers.append(nn_relu(dim))
         elif kind == "output":
             layers.append(OutputLayer(output_dim))
         elif kind == "unknown":

@@ -31,10 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Union
 
-from .numeric import ColVec, DimensionError, ScalarLike, as_scalar, vec_scale, zeros_vec
+from .numeric import (
+    ColVec,
+    DimensionError,
+    ScalarLike,
+    as_scalar,
+    scaled_ints,
+    vec_scale,
+    zeros_vec,
+)
 from .polyhedra import LinearConstraint, Polyhedron
 
 MAX = "max"
@@ -103,16 +111,15 @@ class _Simplex:
         for i, lc in enumerate(poly.constraints):
             # The constraint times the lcm of its denominators, negated when
             # its right-hand side is negative.
-            den = lcm(lc.b.denominator, *(a.denominator for a in lc.c.entries))
+            den, ints = scaled_ints(lc.c.entries + (lc.b,))
             sign = -1 if negate[i] else 1
-            scale = sign * den
             row = [0] * (self.ncols + 1)
-            for k, a in enumerate(lc.c.entries):
+            for k, a in enumerate(ints[:-1]):
                 if a:
-                    row[k] = a.numerator * (scale // a.denominator)
+                    row[k] = sign * a
                     row[n + k] = -row[k]
-            row[2 * n + i] = scale
-            row[-1] = lc.b.numerator * (scale // lc.b.denominator)
+            row[2 * n + i] = sign * den
+            row[-1] = sign * ints[-1]
             if negate[i]:
                 art_col = self.struct_cols + art_seen
                 row[art_col] = den
@@ -226,12 +233,12 @@ class _Simplex:
     def maximize(self, objective: ColVec) -> tuple[str, Fraction | None, ColVec | None]:
         if not self.phase1():
             return "infeasible", None, None
-        den = lcm(*(c.denominator for c in objective.entries))
+        den, ints = scaled_ints(objective.entries)
         obj = [0] * self.ncols + [0, den]
-        for k, c in enumerate(objective.entries):
+        for k, c in enumerate(ints):
             if c:
-                obj[k] = c.numerator * (den // c.denominator)
-                obj[self.n + k] = -obj[k]
+                obj[k] = c
+                obj[self.n + k] = -c
         self._canonicalize(obj)
         if not self._run(obj):
             return "unbounded", None, None

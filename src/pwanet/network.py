@@ -9,7 +9,10 @@ value rather than an error, mirroring partial PWA domains.
 ReLU is built here from first principles: the one-dimensional ReLU is two
 affine pieces meeting at zero, and the n-dimensional version stacks fresh
 one-dimensional copies with concat, one coordinate at a time. Its piece
-count is 2^n, one piece per sign orthant.
+count is 2^n, one piece per sign orthant. MAX_PIECES bounds what a
+document may ask for: parse_network refuses a ReLU wider than
+MAX_RELU_DIM, and the CLI refuses to compile a network whose
+piece_product exceeds MAX_PIECES.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from .numeric import ColVec, DimensionError, Mat
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import AffinePiece, PwaFn, check_univalence, evaluate, identity_pwaf, linear_pwaf
 from .pwa_algebra import compose, concat
+
+# A ReLU on R^12 already takes about 60 MiB to build, and every further
+# coordinate doubles that.
+MAX_RELU_DIM = 12
+MAX_PIECES = 2**MAX_RELU_DIM
 
 
 @dataclass(frozen=True)
@@ -178,10 +186,20 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
 def transform(net: Network) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
-    The output marker becomes the identity, and the PWA layers before it
-    are composed onto it from the last to the first. On the common layers
-    the result evaluates exactly like nn_eval. Every layer that
-    parse_network builds is verified, so its compile is verified too.
+    The PWA layers before the output marker are composed from the first
+    to the last, onto the identity on the first layer's input: after
+    layer i the prefix is compose(layer_i, prefix). Exact pullbacks are
+    associative, so this gives the same bytes as composing from the last
+    layer back onto the marker's identity: the same pieces in the same
+    order (first layer's pieces slowest), the same constraints in the
+    same order, the same rationals. Folding forward pulls each layer's
+    constraints back only through the layers before it, never again
+    through the first. On the common layers the result evaluates exactly
+    like nn_eval. Every layer that parse_network builds is verified, so
+    its compile is verified too.
+
+    The chain is checked from the marker back before anything is
+    composed, so a shape error is the one the backward fold would raise.
     """
     end = next(
         (i for i, layer in enumerate(net.layers) if not isinstance(layer, PwaLayer)),
@@ -189,10 +207,32 @@ def transform(net: Network) -> Optional[PwaFn]:
     )
     if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
         return None
-    fn = identity_pwaf(net.layers[end].dim)
-    for layer in reversed(net.layers[:end]):
-        fn = compose(fn, layer.fn)
+    layers = net.layers[:end]
+    dim = net.layers[end].dim
+    for layer in reversed(layers):
+        if layer.out_dim != dim:
+            raise DimensionError(
+                f"compose of function on dim {dim} after function onto dim {layer.out_dim}"
+            )
+        dim = layer.in_dim
+    fn = identity_pwaf(dim)
+    for layer in layers:
+        fn = compose(layer.fn, fn)
     return fn
+
+
+def piece_product(net: Network) -> int:
+    """The piece count transform(net) would produce, from the layers alone.
+
+    It is the product of the piece counts of the PWA layers ahead of the
+    first other layer, and it stops growing once it passes MAX_PIECES.
+    """
+    product = 1
+    for layer in net.layers:
+        if not isinstance(layer, PwaLayer) or product > MAX_PIECES:
+            break
+        product *= len(layer.fn.pieces)
+    return product
 
 
 def relu_1d() -> PwaFn:

@@ -6,11 +6,19 @@ or constraint would silently break the exact-equality reasoning the
 rest of the library depends on. Decimal strings like "2.7" are parsed
 exactly (27/10), as are "p/q" forms; a decimal exponent may be at most
 4300 in absolute value.
+
+The products (dot, mat_vec_mul, mat_mul) run on integers: each operand
+row or column is scaled by the lcm of its denominators (scaled_ints),
+and each output entry is one integer dot product over the two scales'
+product, reduced once. That builds one Fraction per entry instead of a
+normalized intermediate per term, and gives the same exact value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Fraction
@@ -156,14 +164,25 @@ def identity(n: int) -> Mat:
     return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
 
+def scaled_ints(entries: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints): den is the lcm of the denominators, ints[k] = den * entries[k].
+
+    No entries give (1, []).
+    """
+    entries = tuple(entries)
+    den = lcm(*(e.denominator for e in entries))
+    return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _int_dot(da: int, a: list[int], db: int, b: list[int]) -> Fraction:
+    return Fraction(sum(map(mul, a, b)), da * db)
+
+
 def dot(v: ColVec, w: ColVec) -> Fraction:
     """Inner product. The empty product is 0."""
     if v.dim != w.dim:
         raise DimensionError(f"dot of dim {v.dim} against dim {w.dim}")
-    total = Fraction(0)
-    for a, b in zip(v.entries, w.entries):
-        total += a * b
-    return total
+    return _int_dot(*scaled_ints(v.entries), *scaled_ints(w.entries))
 
 
 def vec_add(v: ColVec, w: ColVec) -> ColVec:
@@ -200,14 +219,9 @@ def scalar_mult(s: ScalarLike, m: Mat) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise DimensionError(f"mat_mul of {a.rows}x{a.cols} against {b.rows}x{b.cols}")
+    columns = [scaled_ints(col) for col in zip(*b.entries)] if b.rows else [(1, [])] * b.cols
     return Mat(
-        (
-            [
-                sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
-                for j in range(b.cols)
-            ]
-            for i in range(a.rows)
-        ),
+        ([_int_dot(*row, *col) for col in columns] for row in map(scaled_ints, a.entries)),
         cols=b.cols,
     )
 
@@ -215,10 +229,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def mat_vec_mul(m: Mat, x: ColVec) -> ColVec:
     if m.cols != x.dim:
         raise DimensionError(f"mat_vec_mul of {m.rows}x{m.cols} against dim {x.dim}")
-    return ColVec(
-        sum((row[k] * x.entries[k] for k in range(m.cols)), Fraction(0))
-        for row in m.entries
-    )
+    scaled_x = scaled_ints(x.entries)
+    return ColVec(_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries)
 
 
 def transpose(m: Mat) -> Mat:

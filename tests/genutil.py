@@ -90,6 +90,16 @@ def random_network(
     return Network(input_dim, current, tuple(layers))
 
 
+def dense_network(rng: random.Random, widths: tuple[int, ...]) -> Network:
+    """linear -> relu per layer: widths (2, 4, 4) is 2 -> 4 -> 4, 256 pieces."""
+    layers = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        layers.append(nn_linear(mat_of(rng, fan_out, fan_in), colvec_of(rng, fan_out)))
+        layers.append(nn_relu(fan_out))
+    layers.append(OutputLayer(widths[-1]))
+    return Network(widths[0], widths[-1], tuple(layers))
+
+
 def restricted_affine(rng: random.Random, in_dim: int, out_dim: int) -> PwaFn:
     """A single affine piece over a bounded polyhedron: a partial function."""
     piece = AffinePiece(

@@ -1,8 +1,11 @@
 """Independent reference computations the tests check the library against.
 
-Nothing in here touches the simplex or the PWA machinery: linear systems
-are solved by direct Gaussian elimination, optima come from brute-force
-vertex enumeration, and affine maps are applied with raw Fraction loops.
+Nothing in here touches the simplex or the library's arithmetic: linear
+systems are solved by direct Gaussian elimination, optima come from
+brute-force vertex enumeration, and dot products, membership and affine
+maps are raw Fraction loops. right_fold_transform is the one exception:
+it keeps the network compiler's earlier composition order, last layer
+first, as the reference for the forward fold.
 """
 
 from __future__ import annotations
@@ -10,8 +13,42 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from pwanet.numeric import ColVec, dot
-from pwanet.polyhedra import Polyhedron, contains
+from pwanet.network import Network, OutputLayer, PwaLayer
+from pwanet.numeric import ColVec
+from pwanet.polyhedra import Polyhedron
+from pwanet.pwa import PwaFn, identity_pwaf
+from pwanet.pwa_algebra import compose
+
+
+def dot(v, w) -> Fraction:
+    """Inner product by a raw Fraction loop, one term at a time."""
+    total = Fraction(0)
+    for a, b in zip(v, w, strict=True):
+        total += Fraction(a) * Fraction(b)
+    return total
+
+
+def contains(poly: Polyhedron, x: ColVec) -> bool:
+    """Does x satisfy every constraint c.x <= b of poly?"""
+    return all(dot(lc.c, x) <= lc.b for lc in poly.constraints)
+
+
+def right_fold_transform(net: Network) -> PwaFn | None:
+    """network.transform as it composed before the forward fold.
+
+    The output marker becomes the identity, and the PWA layers before it
+    are composed onto it from the last to the first.
+    """
+    end = next(
+        (i for i, layer in enumerate(net.layers) if not isinstance(layer, PwaLayer)),
+        len(net.layers),
+    )
+    if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
+        return None
+    fn = identity_pwaf(net.layers[end].dim)
+    for layer in reversed(net.layers[:end]):
+        fn = compose(fn, layer.fn)
+    return fn
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

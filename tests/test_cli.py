@@ -9,7 +9,7 @@ from pwanet.formats import parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, Mat, parse_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, full_space
 from pwanet.pwa import AffinePiece, PwaFn, Univalent, check_univalence, evaluate
-from pwanet.network import relu_1d, relu_nd
+from pwanet.network import MAX_PIECES, relu_1d, relu_nd
 
 EXAMPLE_NET = """{
   "input_dim": 2,
@@ -168,6 +168,37 @@ class TestCompile:
             ["compile", "--network", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_wide_relu_exits_2_with_one_line(self, tmp_path, capsys):
+        doc = '{"input_dim": 24, "output_dim": 24, "layers": [{"kind": "relu", "dim": 24}]}'
+        net = write(tmp_path, "net.json", doc)
+        for argv in (["compile", "--out", str(tmp_path / "fn.json")], ["eval", "--point", "0"]):
+            assert main(argv + ["--network", net]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: layer 0.dim: a relu on dim 24 has 2^24 pieces, more than {MAX_PIECES}\n"
+            )
+
+    def test_piece_product_past_the_bound_exits_6_with_one_line(self, tmp_path, capsys):
+        # 2^7 * 2^6 = 8,192 pieces, each ReLU well within its own bound.
+        doc = json.dumps(
+            {
+                "input_dim": 7,
+                "output_dim": 6,
+                "layers": [
+                    {"kind": "relu", "dim": 7},
+                    {"kind": "linear", "weights": [["1"] * 7] * 6, "bias": ["0"] * 6},
+                    {"kind": "relu", "dim": 6},
+                    {"kind": "output"},
+                ],
+            }
+        )
+        net = write(tmp_path, "net.json", doc)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
+        assert not out.exists()
 
 
 class TestEval:

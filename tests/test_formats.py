@@ -2,11 +2,14 @@
 
 import json
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwanet.numeric import ColVec, Mat
+from pwanet.numeric import ColVec, DimensionError, Mat
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import (
     REFUTED,
@@ -23,6 +26,7 @@ from pwanet.pwa import (
 )
 from pwanet.pwa_algebra import compose, concat
 from pwanet.network import (
+    MAX_RELU_DIM,
     OutputLayer,
     PwaLayer,
     UnknownLayer,
@@ -155,6 +159,17 @@ class TestParseNetwork:
     def test_layers_must_be_a_list(self):
         with pytest.raises(ParseError, match="expected a list"):
             parse_network('{"input_dim": 1, "output_dim": 1, "layers": {}}')
+
+    @pytest.mark.parametrize("dim", [MAX_RELU_DIM + 1, 24, 10**9])
+    def test_relu_dim_is_bounded(self, dim):
+        doc = f'{{"input_dim": 1, "output_dim": 1, "layers": [{{"kind": "relu", "dim": {dim}}}]}}'
+        with pytest.raises(ParseError, match=rf"^layer 0\.dim: a relu on dim {dim} has 2\^{dim}"):
+            parse_network(doc)
+
+    def test_integer_literal_past_the_digit_limit(self):
+        doc = '{"input_dim": ' + "1" * 5000 + ', "output_dim": 1, "layers": []}'
+        with pytest.raises(ParseError, match="^invalid JSON"):
+            parse_network(doc)
 
 
 class TestParsePwa:
@@ -395,3 +410,137 @@ class TestExportSmt:
         rng = random.Random(7704)
         fn = univalent_fn(rng, 2)
         assert export_smt(fn) == export_smt(fn)
+
+
+# Literals parse_scalar accepts, in canonical and non-canonical spellings.
+_LITERALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-8, 8)),
+    st.sampled_from(["0", "-0", "+3", "0.50", "2/4", " 7 ", "-2.75", "1E2"]),
+)
+# An explicit alphabet: a default st.text() would first build a Unicode
+# table, seconds of work that trip hypothesis's slow-generation check.
+_CHARS = '0123456789+-/.eEnaif _x{}[]":,\\'
+# Scalar texts, mostly broken ones.
+_TEXTS = st.one_of(
+    _LITERALS,
+    st.sampled_from(["1/0", "1e5000", "nan", "inf", "", "1//2", "0x10", "1_0"]),
+    st.text(_CHARS, max_size=6),
+)
+_KEYS = st.sampled_from(
+    ["kind", "dim", "in_dim", "out_dim", "weights", "bias", "constraints", "c", "b", "M"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False) | _TEXTS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_KEYS | st.text(_CHARS, max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+_DIMS = st.integers(0, 3)
+
+
+def _scalars(scalar, size):
+    return st.lists(scalar, min_size=size, max_size=size)
+
+
+@st.composite
+def _pwa_docs(draw, scalar=_LITERALS):
+    """A PWA document with every shape right and scalars drawn from scalar."""
+    n, m = draw(_DIMS), draw(_DIMS)
+    piece = st.fixed_dictionaries(
+        {
+            "constraints": st.lists(
+                st.fixed_dictionaries({"c": _scalars(scalar, n), "b": scalar}), max_size=3
+            ),
+            "M": st.lists(_scalars(scalar, n), min_size=m, max_size=m),
+            "b": _scalars(scalar, m),
+        }
+    )
+    return {
+        "in_dim": n,
+        "out_dim": m,
+        "univalence": draw(st.sampled_from([UNCHECKED, VERIFIED, REFUTED])),
+        "pieces": draw(st.lists(piece, max_size=3)),
+    }
+
+
+@st.composite
+def _network_docs(draw):
+    """A network document of loosely right shapes and scalar texts."""
+    linear = st.fixed_dictionaries(
+        {
+            "kind": st.just("linear"),
+            "weights": st.lists(st.lists(_TEXTS, max_size=3), max_size=3),
+            "bias": st.lists(_TEXTS, max_size=3),
+        }
+    )
+    relu = st.fixed_dictionaries(
+        # Widths from 4 to MAX_RELU_DIM parse as well as 3 does, only slower.
+        {"kind": st.just("relu"), "dim": st.sampled_from([0, 1, 2, 3, 13, 24, 10**9])}
+    )
+    unknown = st.fixed_dictionaries(
+        {"kind": st.just("unknown"), "in_dim": _DIMS, "out_dim": _DIMS}
+    )
+    other = st.fixed_dictionaries({"kind": st.sampled_from(["output", "conv"])})
+    layers = st.lists(linear | relu | unknown | other, max_size=4)
+    return {"input_dim": draw(_DIMS), "output_dim": draw(_DIMS), "layers": draw(layers)}
+
+
+def _nodes(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _damaged(draw, docs):
+    """A drawn document, its text, with up to two nodes replaced or deleted."""
+    doc = draw(docs)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            doc = draw(_JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return json.dumps(doc)
+
+
+_FUZZ = settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+
+
+class TestParserFuzz:
+    """Drawn documents end in the documented errors, never anything else."""
+
+    @_FUZZ
+    @given(_damaged(_network_docs()) | st.text(_CHARS, max_size=40))
+    def test_parse_network_raises_only_documented_errors(self, text):
+        try:
+            parse_network(text)
+        except (ParseError, DimensionError):
+            pass
+
+    @_FUZZ
+    @given(_damaged(_pwa_docs(scalar=_TEXTS)) | st.text(_CHARS, max_size=40))
+    def test_parse_pwa_raises_only_documented_errors(self, text):
+        try:
+            parse_pwa(text)
+        except (ParseError, DimensionError):
+            pass
+
+    @_FUZZ
+    @given(_pwa_docs())
+    def test_valid_documents_round_trip(self, doc):
+        once = serialize_pwa(parse_pwa(json.dumps(doc)))
+        assert serialize_pwa(parse_pwa(once)) == once

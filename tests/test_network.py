@@ -5,9 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from pwanet.formats import parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, DimensionError, Mat
-from pwanet.pwa import VERIFIED, PwaFn, Univalent, check_univalence, evaluate, in_domain
+from pwanet.pwa import (
+    UNCHECKED,
+    VERIFIED,
+    PwaFn,
+    Univalent,
+    check_univalence,
+    evaluate,
+    identity_pwaf,
+    in_domain,
+    prune_empty,
+)
 from pwanet.network import (
+    MAX_PIECES,
     DimMismatch,
     Network,
     OutputLayer,
@@ -18,14 +30,23 @@ from pwanet.network import (
     nn_eval,
     nn_linear,
     nn_relu,
+    piece_product,
     relu_1d,
     relu_nd,
     transform,
     validate_dims,
 )
 
-from genutil import colvec_of, mat_of, point, random_network, restricted_affine
-from oracles import apply_affine, relu_reference
+from genutil import (
+    colvec_of,
+    dense_network,
+    mat_of,
+    point,
+    random_network,
+    restricted_affine,
+    univalent_fn,
+)
+from oracles import apply_affine, relu_reference, right_fold_transform
 
 EXAMPLE_WEIGHTS = [["2.7", "0"], ["1", "0.01"]]
 EXAMPLE_BIAS = ["1", "0.25"]
@@ -302,3 +323,113 @@ class TestTransform:
         fn = transform(net)
         assert fn is not None and len(fn.pieces) == 1
         assert evaluate(fn, ColVec([0])) == ColVec([1500])
+
+
+class TestTransformEdgeChains:
+    """Shapes at the ends of the chain, pinned on the backward fold first."""
+
+    def test_output_only_is_the_identity_on_the_marker_dim(self):
+        fn = transform(Network(3, 2, (OutputLayer(2),)))
+        assert serialize_pwa(fn) == serialize_pwa(identity_pwaf(2))
+
+    def test_in_dim_comes_from_the_first_layer(self):
+        rng = random.Random(6611)
+        first = nn_linear(mat_of(rng, 2, 3), colvec_of(rng, 2))
+        fn = transform(Network(5, 2, (first, nn_relu(2), OutputLayer(2))))
+        assert (fn.in_dim, fn.out_dim, len(fn.pieces)) == (3, 2, 4)
+
+    def test_last_layer_must_meet_the_marker(self):
+        net = Network(2, 3, (nn_relu(2), OutputLayer(3)))
+        with pytest.raises(
+            DimensionError, match="^compose of function on dim 3 after function onto dim 2$"
+        ):
+            transform(net)
+
+    def test_the_mismatch_nearest_the_marker_is_reported(self):
+        rng = random.Random(6612)
+        layers = (
+            nn_linear(mat_of(rng, 3, 2), colvec_of(rng, 3)),
+            nn_linear(mat_of(rng, 4, 2), colvec_of(rng, 4)),
+            nn_relu(5),
+            OutputLayer(5),
+        )
+        with pytest.raises(
+            DimensionError, match="^compose of function on dim 5 after function onto dim 4$"
+        ):
+            transform(Network(2, 5, layers))
+
+    def test_a_single_claimed_layer_compiles_unchecked(self):
+        claimed = parse_pwa(serialize_pwa(relu_1d()))
+        fn = transform(Network(1, 1, (PwaLayer(claimed), OutputLayer(1))))
+        assert (fn.univalence, fn.claimed) == (UNCHECKED, False)
+        assert serialize_pwa(fn) == serialize_pwa(
+            PwaFn(1, 1, relu_1d().pieces, univalence=UNCHECKED)
+        )
+
+    def test_a_layer_without_pieces_empties_the_result(self):
+        layers = (PwaLayer(PwaFn(2, 2, ())), nn_relu(2), OutputLayer(2))
+        fn = transform(Network(2, 2, layers))
+        assert (fn.in_dim, fn.out_dim, fn.pieces) == (2, 2, ())
+
+
+class TestForwardFoldMatchesRightFold:
+    """transform folds first to last; the old last-to-first fold is the oracle."""
+
+    @staticmethod
+    def assert_same_bytes(net, prune=False):
+        forward = transform(net)
+        backward = right_fold_transform(net)
+        assert serialize_pwa(forward) == serialize_pwa(backward)
+        if prune:
+            assert serialize_pwa(prune_empty(forward)) == serialize_pwa(prune_empty(backward))
+
+    def test_random_networks(self):
+        rng = random.Random(6613)
+        for k in range(40):
+            self.assert_same_bytes(random_network(rng), prune=k % 4 == 0)
+
+    def test_partial_and_univalent_layer_chains(self):
+        rng = random.Random(6614)
+        for k in range(20):
+            dims = [rng.randint(1, 3)]
+            layers = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    dims.append(rng.randint(1, 3))
+                    fn = restricted_affine(rng, dims[-2], dims[-1])
+                else:
+                    fn = univalent_fn(rng, dims[-1], max_pieces=4)
+                    dims.append(fn.out_dim)
+                layers.append(PwaLayer(fn))
+            net = Network(dims[0], dims[-1], tuple(layers) + (OutputLayer(dims[-1]),))
+            self.assert_same_bytes(net, prune=k % 2 == 0)
+
+    @pytest.mark.parametrize("widths", [(2, 3, 3), (2, 4, 4), (3, 4, 4, 2)])
+    def test_dense_networks(self, widths):
+        net = dense_network(random.Random(6615 + len(widths)), widths)
+        self.assert_same_bytes(net, prune=True)
+
+
+class TestPieceProduct:
+    @staticmethod
+    def layer_of(count: int) -> PwaLayer:
+        return PwaLayer(PwaFn(1, 1, identity_pwaf(1).pieces * count))
+
+    def test_product_of_the_leading_pwa_layers(self):
+        net = Network(
+            1, 1, (self.layer_of(3), self.layer_of(5), UnknownLayer(1, 1), self.layer_of(7))
+        )
+        assert piece_product(net) == 15
+        assert piece_product(Network(1, 1, (OutputLayer(1),))) == 1
+
+    def test_matches_transform(self):
+        rng = random.Random(6616)
+        for _ in range(10):
+            net = random_network(rng)
+            assert piece_product(net) == len(transform(net).pieces)
+
+    def test_reaches_the_bound_exactly_and_stops_past_it(self):
+        at_bound = (self.layer_of(MAX_PIECES // 2), self.layer_of(2))
+        assert piece_product(Network(1, 1, at_bound + (OutputLayer(1),))) == MAX_PIECES
+        past = (self.layer_of(MAX_PIECES), self.layer_of(2)) + (self.layer_of(MAX_PIECES),) * 100
+        assert MAX_PIECES < piece_product(Network(1, 1, past)) <= 2 * MAX_PIECES

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from pwanet.numeric import (
     mat_vec_mul,
     parse_scalar,
     scalar_mult,
+    scaled_ints,
     transpose,
     vec_add,
     vec_concat,
@@ -31,6 +33,7 @@ from pwanet.numeric import (
 )
 
 from genutil import colvec_of, mat_of
+import oracles
 
 
 class TestParseScalar:
@@ -147,6 +150,66 @@ class TestDot:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             dot(ColVec([1]), ColVec([1, 2]))
+
+
+def _huge_or_small(rng: random.Random) -> Fraction:
+    """Small rationals, zeros, and ones with 40-digit parts, any sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+
+
+def _matrix(rng: random.Random, rows: int, cols: int) -> Mat:
+    return Mat(([_huge_or_small(rng) for _ in range(cols)] for _ in range(rows)), cols=cols)
+
+
+class TestIntegerKernels:
+    """The integer dot kernels against raw Fraction loops, entry for entry."""
+
+    SHAPES = [(0, 0, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0), (1, 1, 1), (3, 4, 2), (4, 2, 5)]
+
+    def test_scaled_ints(self):
+        assert scaled_ints(()) == (1, [])
+        den, ints = scaled_ints([Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5)])
+        assert (den, ints) == (12, [2, -9, 0, 60])
+        rng = random.Random(1104)
+        entries = [_huge_or_small(rng) for _ in range(8)]
+        den, ints = scaled_ints(entries)
+        assert den == lcm(*(e.denominator for e in entries))
+        assert [Fraction(a, den) for a in ints] == entries
+
+    def test_dot(self):
+        rng = random.Random(1105)
+        for dim in (0, 1, 2, 5, 9):
+            for _ in range(10):
+                v = ColVec(_huge_or_small(rng) for _ in range(dim))
+                w = ColVec(_huge_or_small(rng) for _ in range(dim))
+                assert dot(v, w) == oracles.dot(v, w)
+
+    @pytest.mark.parametrize("rows, inner, cols", SHAPES)
+    def test_mat_mul(self, rows, inner, cols):
+        rng = random.Random(1106 + rows * 100 + inner * 10 + cols)
+        for _ in range(5):
+            a = _matrix(rng, rows, inner)
+            b = _matrix(rng, inner, cols)
+            naive = [
+                [oracles.dot(a.entries[i], [row[j] for row in b.entries]) for j in range(cols)]
+                for i in range(rows)
+            ]
+            product = mat_mul(a, b)
+            assert (product.rows, product.cols) == (rows, cols)
+            assert product == Mat(naive, cols=cols)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3)])
+    def test_mat_vec_mul(self, rows, cols):
+        rng = random.Random(1107 + rows * 10 + cols)
+        for _ in range(5):
+            m = _matrix(rng, rows, cols)
+            x = ColVec(_huge_or_small(rng) for _ in range(cols))
+            assert mat_vec_mul(m, x) == ColVec(oracles.dot(row, x) for row in m.entries)
 
 
 class TestVectorOps:
