@@ -4,19 +4,19 @@ Subcommands: compile a network file into a PWA file, evaluate either kind
 of file at an exact rational point, check univalence, count non-empty
 regions, and export an SMT script. Exit codes are stable: 0 success,
 2 parse problem, 3 dimension problem, 4 non-PWA layer, 5 univalence
-violation, 6 compiled function too large. Output is deterministic byte
-for byte.
+violation, 6 result too large (a compile past network.MAX_PIECES pieces,
+or a rational too long to write as text; no output file is written).
+Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import formats, network, pwa
 from .formats import ParseError
-from .numeric import ColVec, DimensionError, format_scalar, parse_scalar
+from .numeric import ColVec, DimensionError, ScalarTooLong, format_scalar, parse_scalar
 from .network import PlainLayer, UnknownLayer
 
 EXIT_OK = 0
@@ -34,24 +34,16 @@ class _Failure(Exception):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-
-
-def _jobs() -> int:
-    raw = os.environ.get("PWANET_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise _Failure(EXIT_PARSE, f"error: PWANET_JOBS must be a positive integer, got {raw!r}")
-    return jobs
 
 
 def _parse_point(text: str) -> ColVec:
@@ -109,7 +101,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     fn = formats.parse_pwa(_read(args.pwa))
-    verdict = pwa.check_univalence(fn, jobs=_jobs())
+    verdict = pwa.check_univalence(fn)
     if isinstance(verdict, pwa.UnivalenceViolation):
         print(
             f"violation: pieces {verdict.piece_i} and {verdict.piece_j} "
@@ -185,6 +177,9 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except ScalarTooLong as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -12,10 +12,15 @@ row or column is scaled by the lcm of its denominators (scaled_ints),
 and each output entry is one integer dot product over the two scales'
 product, reduced once. That builds one Fraction per entry instead of a
 normalized intermediate per term, and gives the same exact value.
+
+Writing a rational as text can fail even when computing it did not:
+CPython refuses to convert an int past its digit limit (4300 by default)
+to a string. format_scalar and format_int raise ScalarTooLong then.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -69,9 +74,25 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+class ScalarTooLong(ValueError):
+    """A rational whose numerator or denominator is too long to write as text."""
+
+
+def format_int(n: int) -> str:
+    """Decimal text of n; ScalarTooLong past the interpreter's int-to-string limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ScalarTooLong(
+            f"a rational has more than {sys.get_int_max_str_digits()} digits to write"
+        ) from None
+
+
 def format_scalar(value: ScalarLike) -> str:
-    """Canonical text for a scalar: "3", "-2", or reduced "p/q"."""
-    return str(as_scalar(value))
+    """Canonical text for a scalar: "3", "-2", or reduced "p/q"; ScalarTooLong if too long."""
+    q = as_scalar(value)
+    text = format_int(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{format_int(q.denominator)}"
 
 
 class ColVec:

@@ -169,49 +169,23 @@ def _check_pair(fn: PwaFn, i: int, j: int) -> Optional[UnivalenceViolation]:
     return None
 
 
-def _scan_chunk(payload) -> Optional[UnivalenceViolation]:
-    fn, pairs = payload
-    for i, j in pairs:
-        found = _check_pair(fn, i, j)
-        if found is not None:
-            return found
-    return None
-
-
-def check_univalence(fn: PwaFn, jobs: int = 1) -> UnivalenceVerdict:
+def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     """Decide whether all overlapping pieces of fn agree on their overlaps.
 
-    Every unordered pair of pieces is examined; pairs with identical maps
-    agree and need no LP. Otherwise, after one phase 1 over the pair's
-    intersection, two exact linear programs per output row decide whether
-    the row difference is pinned to the offset difference. The first
-    violation in pair order (then row order) is returned with a witness
-    point lying in both polyhedra.
+    Every unordered pair of pieces is examined in order; pairs with
+    identical maps agree and need no LP. Otherwise, after one phase 1 over
+    the pair's intersection, two exact linear programs per output row
+    decide whether the row difference is pinned to the offset difference.
+    The scan stops at the first violation in pair order (then row order)
+    and returns it with a witness point lying in both polyhedra.
 
-    The verdict is cached on fn. jobs > 1 spreads the pair checks over
-    that many worker processes; the reported violation is the same one the
-    sequential scan would find.
+    The verdict is cached on fn.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    pairs = list(itertools.combinations(range(len(fn.pieces)), 2))
     found: Optional[UnivalenceViolation] = None
-    if jobs == 1 or len(pairs) <= 1:
-        for i, j in pairs:
-            found = _check_pair(fn, i, j)
-            if found is not None:
-                break
-    else:
-        import concurrent.futures
-
-        workers = min(jobs, len(pairs))
-        step = (len(pairs) + workers - 1) // workers
-        chunks = [(fn, pairs[k : k + step]) for k in range(0, len(pairs), step)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_scan_chunk, chunks):
-                if result is not None:
-                    found = result
-                    break
+    for i, j in itertools.combinations(range(len(fn.pieces)), 2):
+        found = _check_pair(fn, i, j)
+        if found is not None:
+            break
     fn.claimed = False
     if found is None:
         fn.univalence = VERIFIED

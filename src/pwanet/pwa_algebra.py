@@ -14,7 +14,7 @@ only a claim (PwaFn.claimed) and is not carried.
 
 from __future__ import annotations
 
-from .numeric import ColVec, DimensionError, Mat, block_diag, dot, mat_mul, mat_vec_mul, transpose, vec_add, vec_concat
+from .numeric import ColVec, DimensionError, Mat, block_diag, mat_mul, mat_vec_mul, vec_add, vec_concat
 from .polyhedra import (
     LinearConstraint,
     Polyhedron,
@@ -28,7 +28,10 @@ def compose_polyhedron(p_g: Polyhedron, m_g: Mat, b_g: ColVec, p_f: Polyhedron) 
     """Preimage piece polyhedron: x in p_g and (m_g x + b_g) in p_f.
 
     p_g's constraints are kept verbatim; each constraint c.y <= b of p_f
-    is pulled back through y = m_g x + b_g into (m_g^T c).x <= b - c.b_g.
+    is pulled back through y = m_g x + b_g into (c^T m_g).x <= b - c.b_g.
+    All of p_f's constraints go through one product: their rows c^T are
+    stacked into a matrix C, and C m_g and C b_g give every coefficient
+    row and shift at once.
     """
     if m_g.cols != p_g.dim:
         raise DimensionError(f"map on dim {m_g.cols} over polyhedron of dim {p_g.dim}")
@@ -38,10 +41,10 @@ def compose_polyhedron(p_g: Polyhedron, m_g: Mat, b_g: ColVec, p_f: Polyhedron) 
         raise DimensionError(
             f"map into dim {m_g.rows} against target polyhedron of dim {p_f.dim}"
         )
-    m_g_t = transpose(m_g)
+    c = Mat((lc.c.entries for lc in p_f.constraints), cols=p_f.dim)
     pulled = tuple(
-        LinearConstraint(mat_vec_mul(m_g_t, lc.c), lc.b - dot(lc.c, b_g))
-        for lc in p_f.constraints
+        LinearConstraint(ColVec(row), lc.b - shift)
+        for lc, row, shift in zip(p_f.constraints, mat_mul(c, m_g).entries, mat_vec_mul(c, b_g))
     )
     return Polyhedron(p_g.dim, p_g.constraints + pulled)
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, files, and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -41,6 +42,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+TOO_LONG = f"error: a rational has more than {sys.get_int_max_str_digits()} digits to write\n"
+
+
+def scaling_doc(factor: str) -> str:
+    """One total piece x -> factor * x, written by hand: it need not be writable."""
+    piece = {"constraints": [], "M": [[factor]], "b": ["0"]}
+    return json.dumps({"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": [piece]})
 
 
 def conflicting_doc() -> str:
@@ -200,6 +210,17 @@ class TestCompile:
         assert err == f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", [["1e4300"], ["1e3000", "1e3000"]])
+    def test_rational_too_long_to_write_exits_6(self, tmp_path, capsys, weights):
+        # 10^4300 has 4,301 digits; two layers of 10^3000 multiply to 10^6000.
+        layers = [{"kind": "linear", "weights": [[w]], "bias": ["0"]} for w in weights]
+        doc = {"input_dim": 1, "output_dim": 1, "layers": layers + [{"kind": "output"}]}
+        net = write(tmp_path, "net.json", json.dumps(doc))
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        assert capsys.readouterr().err == TOO_LONG
+        assert not out.exists()
+
 
 class TestEval:
     def test_network_at_example_point(self, tmp_path, capsys):
@@ -261,6 +282,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert "malformed rational literal" in err and err.count("\n") == 1
 
+    def test_value_too_long_to_write_exits_6(self, tmp_path, capsys):
+        fn = write(tmp_path, "id.json", scaling_doc("1"))
+        assert main(["eval", "--pwa", fn, "--point", "1e4300"]) == 6
+        captured = capsys.readouterr()
+        assert captured.err == TOO_LONG and captured.out == ""
+
     def test_network_with_bad_dims_exits_3_before_evaluating(self, tmp_path, capsys):
         doc = json.dumps(
             {
@@ -294,12 +321,6 @@ class TestCheck:
         # The pieces compute x and 2x, so any nonzero point separates them.
         assert witness != 0
 
-    def test_jobs_env_is_honored(self, tmp_path, capsys, monkeypatch):
-        fn = write(tmp_path, "relu.json", serialize_pwa(relu_nd(2)))
-        monkeypatch.setenv("PWANET_JOBS", "2")
-        assert main(["check", "--pwa", fn]) == 0
-        assert capsys.readouterr().out == "univalent\n"
-
     def test_verified_tag_in_the_file_is_not_trusted(self, tmp_path, capsys):
         doc = json.loads(conflicting_doc())
         doc["univalence"] = "verified"
@@ -313,12 +334,19 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", ["0", "-3", "two"])
-    def test_bad_jobs_env_exits_2(self, tmp_path, capsys, monkeypatch, raw):
-        fn = write(tmp_path, "relu.json", serialize_pwa(relu_1d()))
-        monkeypatch.setenv("PWANET_JOBS", raw)
-        assert main(["check", "--pwa", fn]) == 2
-        assert "PWANET_JOBS" in capsys.readouterr().err
+    def test_jobs_env_is_ignored(self, tmp_path, capsys, monkeypatch):
+        fn = write(tmp_path, "relu.json", serialize_pwa(relu_nd(2)))
+        assert main(["check", "--pwa", fn]) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("PWANET_JOBS", "two")
+        assert main(["check", "--pwa", fn]) == 0
+        assert capsys.readouterr() == plain == ("univalent\n", "")
+
+    def test_non_utf8_file_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["check", "--pwa", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
 
 class TestRegions:
@@ -361,3 +389,10 @@ class TestExportSmt:
         out = tmp_path / "relu.smt2"
         assert main(["export-smt", "--pwa", fn, "--out", str(out), "--assert-domain"]) == 0
         assert "(assert (or " in out.read_text()
+
+    def test_rational_too_long_to_write_exits_6(self, tmp_path, capsys):
+        fn = write(tmp_path, "big.json", scaling_doc("1e4300"))
+        out = tmp_path / "big.smt2"
+        assert main(["export-smt", "--pwa", fn, "--out", str(out)]) == 6
+        assert capsys.readouterr().err == TOO_LONG
+        assert not out.exists()

@@ -1,14 +1,20 @@
 """JSON document parsing and serialization, plus the SMT-LIB export."""
 
+import contextlib
+import io
 import json
 import random
+import re
+import tempfile
 from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwanet.cli import main
 from pwanet.numeric import ColVec, DimensionError, Mat
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import (
@@ -465,13 +471,13 @@ def _pwa_docs(draw, scalar=_LITERALS):
 
 
 @st.composite
-def _network_docs(draw):
+def _network_docs(draw, scalar=_TEXTS):
     """A network document of loosely right shapes and scalar texts."""
     linear = st.fixed_dictionaries(
         {
             "kind": st.just("linear"),
-            "weights": st.lists(st.lists(_TEXTS, max_size=3), max_size=3),
-            "bias": st.lists(_TEXTS, max_size=3),
+            "weights": st.lists(st.lists(scalar, max_size=3), max_size=3),
+            "bias": st.lists(scalar, max_size=3),
         }
     )
     relu = st.fixed_dictionaries(
@@ -544,3 +550,111 @@ class TestParserFuzz:
     def test_valid_documents_round_trip(self, doc):
         once = serialize_pwa(parse_pwa(json.dumps(doc)))
         assert serialize_pwa(parse_pwa(once)) == once
+
+
+# Literals that parse but whose results may pass the 4,300-digit limit on
+# writing an int as text: 10^4300 has 4,301 digits, and 10^3000 squared
+# has 6,001.
+_HUGE = st.sampled_from(["1e4300", "-1e4300", "1e-4300", "1e3000"])
+_ANY_SCALAR = _TEXTS | _HUGE
+# Document bytes: mostly UTF-8, sometimes behind bytes no UTF-8 text starts with.
+_PREFIXES = st.sampled_from([b""] * 4 + [b"\xff\xfe", b"\x80"])
+# Placeholders for the input and output paths in a drawn command line.
+_IN, _OUT = object(), object()
+_COMMANDS = [
+    ("compile", "--network"),
+    ("eval", "--network"),
+    ("eval", "--pwa"),
+    ("check", "--pwa"),
+    ("regions", "--pwa"),
+    ("export-smt", "--pwa"),
+]
+# The commands that write --out, with their one optional switch.
+_SWITCHES = {"compile": "--prune", "export-smt": "--assert-domain"}
+
+
+def _documented_exit_codes() -> set[int]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = re.findall(r"^\| (\d+) \|", readme.read_text(encoding="utf-8"), re.M)
+    return {int(code) for code in table}
+
+
+def _scaling_doc(factor: str) -> bytes:
+    piece = {"constraints": [], "M": [[factor]], "b": ["0"]}
+    doc = {"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": [piece]}
+    return json.dumps(doc).encode()
+
+
+def _linear_chain(*weights: str) -> bytes:
+    layers = [{"kind": "linear", "weights": [[w]], "bias": ["0"]} for w in weights]
+    doc = {"input_dim": 1, "output_dim": 1, "layers": layers + [{"kind": "output"}]}
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _chain_docs(draw, scalar):
+    """A network document whose layer chain type-checks (at most 64 pieces)."""
+    dim = input_dim = draw(st.integers(1, 2))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.sampled_from(["linear", "relu"])) == "linear":
+            rows = draw(st.integers(1, 2))
+            weights = draw(st.lists(_scalars(scalar, dim), min_size=rows, max_size=rows))
+            bias = draw(_scalars(scalar, rows))
+            layers.append({"kind": "linear", "weights": weights, "bias": bias})
+            dim = rows
+        else:
+            layers.append({"kind": "relu", "dim": dim})
+    return {"input_dim": input_dim, "output_dim": dim, "layers": layers + [{"kind": "output"}]}
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv with _IN/_OUT placeholders, input file bytes) for one drawn subcommand."""
+    command, flag = draw(st.sampled_from(_COMMANDS))
+    if flag == "--network":
+        valid, loose = _chain_docs(_HUGE | _LITERALS), _network_docs(_ANY_SCALAR)
+    else:
+        valid, loose = _pwa_docs(_HUGE | _LITERALS), _pwa_docs(_ANY_SCALAR)
+    doc = valid.map(json.dumps) | _damaged(valid) | _damaged(loose)
+    data = draw(_PREFIXES) + draw(doc | st.text(_CHARS, max_size=40)).encode()
+    argv = [command, flag, _IN]
+    if command == "eval":
+        argv.append("--point=" + ",".join(draw(st.lists(_HUGE | _LITERALS, max_size=3))))
+    elif command in _SWITCHES:
+        argv += ["--out", _OUT] + draw(st.sampled_from([[], [_SWITCHES[command]]]))
+    return argv, data
+
+
+class TestCliFuzz:
+    """Every subcommand on drawn input ends in a documented exit code.
+
+    Errors are one stderr line without a traceback, and a failed compile or
+    export leaves no output file.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_cli_runs())
+    # The reported repros, which the drawn runs need not reach.
+    @example((["compile", "--network", _IN, "--out", _OUT], _linear_chain("1e3000", "1e3000")))
+    @example((["eval", "--pwa", _IN, "--point=1e4300"], _scaling_doc("1")))
+    @example((["export-smt", "--pwa", _IN, "--out", _OUT], _scaling_doc("1e4300")))
+    @example((["check", "--pwa", _IN], b"\xff\xfe" + _scaling_doc("1")))
+    def test_exit_code_is_documented_and_errors_are_one_line(self, run):
+        argv, data = run
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out = Path(tmp, "in.json"), Path(tmp, "out")
+            source.write_bytes(data)
+            paths = {_IN: str(source), _OUT: str(out)}
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([paths.get(arg, arg) for arg in argv])
+            written = out.exists()
+        err = stderr.getvalue()
+        assert code in _documented_exit_codes()
+        if code in (0, 5):
+            # A univalence violation (5) is an answer on stdout, not an error.
+            assert err == "" and (code == 0 or stdout.getvalue().startswith("violation: "))
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err and not written

@@ -230,20 +230,6 @@ class TestCheckUnivalence:
         if len(pieces) > 1:
             assert isinstance(check_univalence(tampered), UnivalenceViolation)
 
-    def test_parallel_scan_matches_sequential(self):
-        fn_bad = two_conflicting_pieces()
-        sequential = check_univalence(fn_bad)
-        fn_bad2 = two_conflicting_pieces()
-        parallel = check_univalence(fn_bad2, jobs=2)
-        assert parallel == sequential
-
-        fn_good = PwaFn(1, 1, relu_1d().pieces + relu_1d().pieces)
-        assert isinstance(check_univalence(fn_good, jobs=2), Univalent)
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            check_univalence(relu_1d(), jobs=0)
-
     def test_cached_verified_tag_does_not_skip_the_scan(self):
         fn = two_conflicting_pieces()
         fn.univalence = VERIFIED
@@ -352,7 +338,6 @@ class TestIdenticalMapPairs:
         assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces)) == Univalent()
         assert len(calls) == 45 - 21
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "moved, expected",
         [
@@ -365,12 +350,12 @@ class TestIdenticalMapPairs:
             (9, UnivalenceViolation(0, 9, 0, ColVec(["2/5", "3/10"]))),
         ],
     )
-    def test_refuted_fixture_violation_is_pinned(self, jobs, moved, expected):
+    def test_refuted_fixture_violation_is_pinned(self, moved, expected):
         fn = relu_into_relu()
         pieces = list(fn.pieces)
         piece = pieces[moved]
         pieces[moved] = AffinePiece(piece.polyhedron, piece.M, vec_add(piece.b, ColVec([1])))
-        assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, pieces), jobs=jobs) == expected
+        assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, pieces)) == expected
 
 
 class TestPruneEmpty:
