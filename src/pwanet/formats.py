@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .numeric import ColVec, Mat, format_int, format_scalar, parse_scalar
+from .numeric import ColVec, Mat, format_scalar, parse_scalar
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import UNCHECKED, REFUTED, VERIFIED, AffinePiece, PwaFn
 from .network import (
@@ -212,8 +212,8 @@ def serialize_pwa(fn: PwaFn) -> str:
 
 def _smt_rat(q: Fraction) -> str:
     if q.denominator == 1:
-        return format_int(q.numerator) if q >= 0 else f"(- {format_int(-q.numerator)})"
-    core = f"(/ {format_int(abs(q.numerator))} {format_int(q.denominator)})"
+        return format_scalar(q) if q >= 0 else f"(- {format_scalar(-q)})"
+    core = f"(/ {format_scalar(abs(q.numerator))} {format_scalar(q.denominator)})"
     return core if q > 0 else f"(- {core})"
 
 

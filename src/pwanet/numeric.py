@@ -15,7 +15,7 @@ normalized intermediate per term, and gives the same exact value.
 
 Writing a rational as text can fail even when computing it did not:
 CPython refuses to convert an int past its digit limit (4300 by default)
-to a string. format_scalar and format_int raise ScalarTooLong then.
+to a string. format_scalar raises ScalarTooLong then.
 """
 
 from __future__ import annotations
@@ -78,21 +78,15 @@ class ScalarTooLong(ValueError):
     """A rational whose numerator or denominator is too long to write as text."""
 
 
-def format_int(n: int) -> str:
-    """Decimal text of n; ScalarTooLong past the interpreter's int-to-string limit."""
+def format_scalar(value: ScalarLike) -> str:
+    """Canonical text for a scalar: "3", "-2", or reduced "p/q"; ScalarTooLong if too long."""
+    q = as_scalar(value)
     try:
-        return str(n)
+        return str(q)
     except ValueError:
         raise ScalarTooLong(
             f"a rational has more than {sys.get_int_max_str_digits()} digits to write"
         ) from None
-
-
-def format_scalar(value: ScalarLike) -> str:
-    """Canonical text for a scalar: "3", "-2", or reduced "p/q"; ScalarTooLong if too long."""
-    q = as_scalar(value)
-    text = format_int(q.numerator)
-    return text if q.denominator == 1 else f"{text}/{format_int(q.denominator)}"
 
 
 class ColVec:
