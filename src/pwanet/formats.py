@@ -15,8 +15,7 @@ Network document:
 
 An {"kind": "unknown", "in_dim": a, "out_dim": b} layer marks a layer the
 file cannot describe; it evaluates to nothing and blocks compilation. A
-relu layer's dim may be at most network.MAX_RELU_DIM, since the layer is
-built as 2^dim pieces.
+relu layer is read as its dim alone, so any width parses at the same cost.
 
 PWA document:
 
@@ -43,15 +42,7 @@ from fractions import Fraction
 from .numeric import ColVec, Mat, format_scalar, parse_scalar
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import UNCHECKED, REFUTED, VERIFIED, AffinePiece, PwaFn
-from .network import (
-    MAX_PIECES,
-    MAX_RELU_DIM,
-    Network,
-    OutputLayer,
-    UnknownLayer,
-    nn_linear,
-    nn_relu,
-)
+from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
 
 _UNIVALENCE_TAGS = (UNCHECKED, VERIFIED, REFUTED)
 
@@ -138,13 +129,7 @@ def parse_network(text: str) -> Network:
             bias = _vector(_get(raw, "bias", where), weights.rows, f"{where}.bias")
             layers.append(nn_linear(weights, bias))
         elif kind == "relu":
-            dim = _nat(_get(raw, "dim", where), f"{where}.dim")
-            if dim > MAX_RELU_DIM:
-                raise ParseError(
-                    f"{where}.dim: a relu on dim {dim} has 2^{dim} pieces, "
-                    f"more than {MAX_PIECES}"
-                )
-            layers.append(nn_relu(dim))
+            layers.append(nn_relu(_nat(_get(raw, "dim", where), f"{where}.dim")))
         elif kind == "output":
             layers.append(OutputLayer(output_dim))
         elif kind == "unknown":

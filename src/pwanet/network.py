@@ -1,18 +1,21 @@
 """Feedforward networks as layer chains, and their compilation to PWA form.
 
 A network is a list of layers ending in an output marker. Layers carrying
-a PwaFn can be both evaluated and compiled; layers carrying an opaque host
-function can only be evaluated; layers known by their dimensions alone can
-do neither. Evaluation and compilation both treat "no answer" as a missing
-value rather than an error, mirroring partial PWA domains.
+a PwaFn, and ReLU layers, can be both evaluated and compiled; layers
+carrying an opaque host function can only be evaluated; layers known by
+their dimensions alone can do neither. Evaluation and compilation both
+treat "no answer" as a missing value rather than an error, mirroring
+partial PWA domains.
 
 ReLU is built here from first principles: the one-dimensional ReLU is two
-affine pieces meeting at zero, and the n-dimensional version stacks fresh
-one-dimensional copies with concat, one coordinate at a time. Its piece
-count is 2^n, one piece per sign orthant. MAX_PIECES bounds what a
-document may ask for: parse_network refuses a ReLU wider than
-MAX_RELU_DIM, and the CLI refuses to compile a network whose
-piece_product exceeds MAX_PIECES.
+affine pieces meeting at zero, and relu_nd(n) stacks fresh
+one-dimensional copies with concat, one coordinate at a time, into 2^n
+pieces, one per sign orthant. A ReLU layer holds only its width, though:
+nn_eval takes max(0, x) componentwise, and transform pulls the 2^n sign
+patterns back through the prefix directly (pwa_algebra.compose_relu),
+with the bytes compose(relu_nd(n), prefix) would give. relu_1d and
+relu_nd are the paper's construction and the tests' oracle. The CLI
+refuses to compile a network whose piece_product exceeds MAX_PIECES.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ from typing import Callable, Optional, Union
 from .numeric import ColVec, DimensionError, Mat
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import AffinePiece, PwaFn, check_univalence, evaluate, identity_pwaf, linear_pwaf
-from .pwa_algebra import compose, concat
+from .pwa_algebra import compose, compose_relu, concat
 
-# A ReLU on R^12 already takes about 60 MiB to build, and every further
-# coordinate doubles that.
-MAX_RELU_DIM = 12
-MAX_PIECES = 2**MAX_RELU_DIM
+MAX_PIECES = 4096
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,25 @@ class PwaLayer:
 
 
 @dataclass(frozen=True)
+class ReluLayer:
+    """Componentwise max(0, x) on R^dim, known by its width alone."""
+
+    dim: int
+
+    def __post_init__(self):
+        if self.dim < 0:
+            raise DimensionError("relu layer dimension must be nonnegative")
+
+    @property
+    def in_dim(self) -> int:
+        return self.dim
+
+    @property
+    def out_dim(self) -> int:
+        return self.dim
+
+
+@dataclass(frozen=True)
 class PlainLayer:
     """An opaque host function: evaluable, but not compilable."""
 
@@ -70,7 +89,9 @@ class UnknownLayer:
     out_dim: int
 
 
-Layer = Union[OutputLayer, PwaLayer, PlainLayer, UnknownLayer]
+Layer = Union[OutputLayer, PwaLayer, ReluLayer, PlainLayer, UnknownLayer]
+# The layers transform can compose.
+_COMPILABLE = (PwaLayer, ReluLayer)
 
 
 @dataclass(frozen=True)
@@ -161,6 +182,12 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
             if result is None:
                 return None
             current = result
+        elif isinstance(layer, ReluLayer):
+            if current.dim != layer.dim:
+                raise DimensionError(
+                    f"point of dim {current.dim} into function on dim {layer.dim}"
+                )
+            current = ColVec(max(e, 0) for e in current)
         elif isinstance(layer, PlainLayer):
             if current.dim != layer.in_dim:
                 raise DimensionError(
@@ -186,23 +213,24 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
 def transform(net: Network) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
-    The PWA layers before the output marker are composed from the first
-    to the last, onto the identity on the first layer's input: after
-    layer i the prefix is compose(layer_i, prefix). Exact pullbacks are
-    associative, so this gives the same bytes as composing from the last
-    layer back onto the marker's identity: the same pieces in the same
+    The PWA and ReLU layers before the output marker are composed from the
+    first to the last, onto the identity on the first layer's input: after
+    layer i the prefix is compose(layer_i, prefix), or compose_relu for a
+    ReLU layer. Exact pullbacks are associative, so this gives the same
+    bytes as composing from the last layer back onto the marker's
+    identity, with every ReLU as relu_nd: the same pieces in the same
     order (first layer's pieces slowest), the same constraints in the
     same order, the same rationals. Folding forward pulls each layer's
     constraints back only through the layers before it, never again
     through the first. On the common layers the result evaluates exactly
-    like nn_eval. Every layer that parse_network builds is verified, so
-    its compile is verified too.
+    like nn_eval. Every layer that parse_network builds is univalent by
+    construction, so its compile is verified too.
 
     The chain is checked from the marker back before anything is
     composed, so a shape error is the one the backward fold would raise.
     """
     end = next(
-        (i for i, layer in enumerate(net.layers) if not isinstance(layer, PwaLayer)),
+        (i for i, layer in enumerate(net.layers) if not isinstance(layer, _COMPILABLE)),
         len(net.layers),
     )
     if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
@@ -217,21 +245,26 @@ def transform(net: Network) -> Optional[PwaFn]:
         dim = layer.in_dim
     fn = identity_pwaf(dim)
     for layer in layers:
-        fn = compose(layer.fn, fn)
+        fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
     return fn
 
 
 def piece_product(net: Network) -> int:
     """The piece count transform(net) would produce, from the layers alone.
 
-    It is the product of the piece counts of the PWA layers ahead of the
-    first other layer, and it stops growing once it passes MAX_PIECES.
+    It is the product of the piece counts of the PWA and ReLU layers
+    ahead of the first other layer (2^dim for a ReLU), and it stops
+    growing once it passes MAX_PIECES. A ReLU's exponent is capped where
+    2^dim alone passes MAX_PIECES, so a huge width costs nothing.
     """
     product = 1
     for layer in net.layers:
-        if not isinstance(layer, PwaLayer) or product > MAX_PIECES:
+        if not isinstance(layer, _COMPILABLE) or product > MAX_PIECES:
             break
-        product *= len(layer.fn.pieces)
+        if isinstance(layer, ReluLayer):
+            product <<= min(layer.dim, MAX_PIECES.bit_length())
+        else:
+            product *= len(layer.fn.pieces)
     return product
 
 
@@ -277,6 +310,6 @@ def nn_linear(weights: Mat, bias: ColVec) -> PwaLayer:
     return PwaLayer(linear_pwaf(weights, bias))
 
 
-def nn_relu(n: int) -> PwaLayer:
+def nn_relu(n: int) -> ReluLayer:
     """A componentwise ReLU layer on R^n."""
-    return PwaLayer(relu_nd(n))
+    return ReluLayer(n)

@@ -9,7 +9,7 @@ pieces at all.
 Nothing forces the pieces of an arbitrary function to agree where they
 overlap. Each function carries a univalence status: "verified" when its
 construction proves the pieces agree (identity_pwaf, linear_pwaf, and
-compose/concat of verified inputs), otherwise "unchecked" until
+compose/concat/compose_relu of verified inputs), otherwise "unchecked" until
 check_univalence decides it exactly, via linear programs over the
 pairwise intersections, as "verified" or "refuted" with a concrete
 witness point. check_univalence ignores any cached status and rescans

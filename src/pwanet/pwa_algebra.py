@@ -6,13 +6,20 @@ pair order is fixed: the inner (or second) argument varies in the outer
 loop, so pieces of compose(f, g) and concat(f, g) are laid out g-piece by
 g-piece with f's pieces cycling fastest.
 
-Both operators preserve univalence (the theorem behind the network
-compiler), so the result is "verified" exactly when both inputs are, and
-"unchecked" otherwise; no LP is run. A "verified" read from a document is
-only a claim (PwaFn.claimed) and is not carried.
+compose_relu(n, g) is compose(relu_nd(n), g) without the 2^n ReLU pieces:
+it pulls each sign pattern back through g's maps directly, in the same
+order and with the same bytes.
+
+All three preserve univalence (the theorem behind the network compiler),
+so the result is "verified" exactly when every input is (a ReLU always
+is), and "unchecked" otherwise; no LP is run. A "verified" read from a
+document is only a claim (PwaFn.claimed) and is not carried.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
 
 from .numeric import ColVec, DimensionError, Mat, block_diag, mat_mul, mat_vec_mul, vec_add, vec_concat
 from .polyhedra import (
@@ -54,9 +61,9 @@ def compose_affine(m_f: Mat, b_f: ColVec, m_g: Mat, b_g: ColVec) -> tuple[Mat, C
     return mat_mul(m_f, m_g), vec_add(mat_vec_mul(m_f, b_g), b_f)
 
 
-def _carried(f: PwaFn, g: PwaFn) -> str:
-    proved = not (f.claimed or g.claimed)
-    return VERIFIED if proved and f.univalence == g.univalence == VERIFIED else UNCHECKED
+def _carried(*fns: PwaFn) -> str:
+    proved = all(fn.univalence == VERIFIED and not fn.claimed for fn in fns)
+    return VERIFIED if proved else UNCHECKED
 
 
 def compose(f: PwaFn, g: PwaFn) -> PwaFn:
@@ -78,6 +85,36 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
             m, b = compose_affine(fp.M, fp.b, gp.M, gp.b)
             pieces.append(AffinePiece(poly, m, b))
     return PwaFn(g.in_dim, f.out_dim, pieces, univalence=_carried(f, g))
+
+
+def compose_relu(n: int, g: PwaFn) -> PwaFn:
+    """compose(relu_nd(n), g), byte for byte, without building relu_nd(n).
+
+    Each g piece (M, b) is followed by its 2^n sign patterns, coordinate 0
+    fastest, as in relu_nd. Unit k appends (row k of M).x <= -b_k and
+    zeroes output row k when it is inactive, and appends
+    -(row k of M).x <= b_k and keeps row k when it is active: the
+    pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. Verified
+    when g is, as relu_nd(n) always is.
+    """
+    if g.out_dim != n:
+        raise DimensionError(f"compose of function on dim {n} after function onto dim {g.out_dim}")
+    zero_row = (Fraction(0),) * g.in_dim
+    pieces = []
+    for gp in g.pieces:
+        units = [
+            (
+                (LinearConstraint(ColVec(row), -b), zero_row, 0),
+                (LinearConstraint(ColVec(-a for a in row), b), row, b),
+            )
+            for row, b in zip(gp.M.entries, gp.b)
+        ]
+        # product varies its last argument fastest, so unit 0 goes last.
+        for pattern in product(*reversed(units)):
+            lcs, rows, offsets = zip(*reversed(pattern)) if pattern else ((), (), ())
+            poly = Polyhedron(g.in_dim, gp.polyhedron.constraints + lcs)
+            pieces.append(AffinePiece(poly, Mat(rows, cols=g.in_dim), ColVec(offsets)))
+    return PwaFn(g.in_dim, n, pieces, univalence=_carried(g))
 
 
 def concat_polyhedra(p_f: Polyhedron, p_g: Polyhedron) -> Polyhedron:

@@ -5,7 +5,8 @@ systems are solved by direct Gaussian elimination, optima come from
 brute-force vertex enumeration, and dot products, membership and affine
 maps are raw Fraction loops. right_fold_transform is the one exception:
 it keeps the network compiler's earlier composition order, last layer
-first, as the reference for the forward fold.
+first, and its explicit ReLU pieces, as the reference for the forward
+fold and for compose_relu.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from pwanet.network import Network, OutputLayer, PwaLayer
+from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer, relu_nd
 from pwanet.numeric import ColVec
 from pwanet.polyhedra import Polyhedron
 from pwanet.pwa import PwaFn, identity_pwaf
@@ -37,17 +38,18 @@ def right_fold_transform(net: Network) -> PwaFn | None:
     """network.transform as it composed before the forward fold.
 
     The output marker becomes the identity, and the PWA layers before it
-    are composed onto it from the last to the first.
+    are composed onto it from the last to the first, each ReLU layer
+    expanded into relu_nd(dim).
     """
     end = next(
-        (i for i, layer in enumerate(net.layers) if not isinstance(layer, PwaLayer)),
+        (i for i, layer in enumerate(net.layers) if not isinstance(layer, (PwaLayer, ReluLayer))),
         len(net.layers),
     )
     if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
         return None
     fn = identity_pwaf(net.layers[end].dim)
     for layer in reversed(net.layers[:end]):
-        fn = compose(fn, layer.fn)
+        fn = compose(fn, relu_nd(layer.dim) if isinstance(layer, ReluLayer) else layer.fn)
     return fn
 
 

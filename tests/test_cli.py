@@ -2,11 +2,13 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+from pwanet import network
 from pwanet.cli import main
-from pwanet.formats import parse_pwa, serialize_pwa
+from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, Mat, parse_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, full_space
 from pwanet.pwa import AffinePiece, PwaFn, Univalent, check_univalence, evaluate
@@ -36,6 +38,12 @@ ONE_EMPTY_PIECE_NET = """{
     {"kind": "output"}
   ]
 }"""
+
+
+def relu_net(dim: int) -> str:
+    """A network that is one ReLU of the given width."""
+    layers = [{"kind": "relu", "dim": dim}, {"kind": "output"}]
+    return json.dumps({"input_dim": dim, "output_dim": dim, "layers": layers})
 
 
 def write(tmp_path, name, text):
@@ -179,18 +187,31 @@ class TestCompile:
         )
         assert code == 2
 
-    def test_wide_relu_exits_2_with_one_line(self, tmp_path, capsys):
-        doc = '{"input_dim": 24, "output_dim": 24, "layers": [{"kind": "relu", "dim": 24}]}'
-        net = write(tmp_path, "net.json", doc)
-        for argv in (["compile", "--out", str(tmp_path / "fn.json")], ["eval", "--point", "0"]):
-            assert main(argv + ["--network", net]) == 2
-            err = capsys.readouterr().err
-            assert err == (
-                f"error: layer 0.dim: a relu on dim 24 has 2^24 pieces, more than {MAX_PIECES}\n"
-            )
+    def test_wide_relu_evaluates_but_does_not_compile(self, tmp_path, capsys):
+        net = write(tmp_path, "net.json", relu_net(24))
+        xs = [Fraction(k - 12, 3) for k in range(24)]
+        point = "--point=" + ",".join(str(x) for x in xs)
+        assert main(["eval", "--network", net, point]) == 0
+        assert capsys.readouterr().out == ", ".join(str(max(x, 0)) for x in xs) + "\n"
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [10**9, 10**18])
+    def test_huge_relu_width_ends_at_once_with_one_line(self, tmp_path, capsys, dim):
+        net = write(tmp_path, "net.json", relu_net(dim))
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
+        assert not out.exists()
+        assert main(["eval", "--network", net, "--point", "1,2"]) == 3
+        assert capsys.readouterr().err == f"error: input of dim 2 into network on dim {dim}\n"
 
     def test_piece_product_past_the_bound_exits_6_with_one_line(self, tmp_path, capsys):
-        # 2^7 * 2^6 = 8,192 pieces, each ReLU well within its own bound.
+        # 2^7 * 2^6 = 8,192 pieces, though neither ReLU alone passes 4,096.
         doc = json.dumps(
             {
                 "input_dim": 7,
@@ -396,3 +417,25 @@ class TestExportSmt:
         assert main(["export-smt", "--pwa", fn, "--out", str(out)]) == 6
         assert capsys.readouterr().err == TOO_LONG
         assert not out.exists()
+
+
+class TestNoReluPieces:
+    """No production path builds a ReLU's pieces: relu_1d and relu_nd stay oracles."""
+
+    def test_example_network_needs_neither_relu_builder(self, tmp_path, capsys, monkeypatch):
+        net_path = write(tmp_path, "net.json", EXAMPLE_NET)
+        expected = serialize_pwa(network.transform(parse_network(EXAMPLE_NET)))
+
+        def refuse(*args):
+            raise AssertionError("a ReLU was built as explicit pieces")
+
+        monkeypatch.setattr(network, "relu_nd", refuse)
+        monkeypatch.setattr(network, "relu_1d", refuse)
+        net = parse_network(EXAMPLE_NET)
+        assert network.nn_eval(net, ColVec(["1", "1"])) == ColVec(["3.7", "1.26"])
+        assert serialize_pwa(network.transform(net)) == expected
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net_path, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+        assert main(["eval", "--network", net_path, "--point", "1,1"]) == 0
+        assert capsys.readouterr() == ("37/10, 63/50\n", "")

@@ -32,9 +32,9 @@ from pwanet.pwa import (
 )
 from pwanet.pwa_algebra import compose, concat
 from pwanet.network import (
-    MAX_RELU_DIM,
     OutputLayer,
     PwaLayer,
+    ReluLayer,
     UnknownLayer,
     nn_eval,
     relu_1d,
@@ -166,11 +166,10 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match="expected a list"):
             parse_network('{"input_dim": 1, "output_dim": 1, "layers": {}}')
 
-    @pytest.mark.parametrize("dim", [MAX_RELU_DIM + 1, 24, 10**9])
-    def test_relu_dim_is_bounded(self, dim):
+    @pytest.mark.parametrize("dim", [13, 24, 10**9])
+    def test_a_relu_of_any_width_parses_as_its_width(self, dim):
         doc = f'{{"input_dim": 1, "output_dim": 1, "layers": [{{"kind": "relu", "dim": {dim}}}]}}'
-        with pytest.raises(ParseError, match=rf"^layer 0\.dim: a relu on dim {dim} has 2\^{dim}"):
-            parse_network(doc)
+        assert parse_network(doc).layers == (ReluLayer(dim),)
 
     def test_integer_literal_past_the_digit_limit(self):
         doc = '{"input_dim": ' + "1" * 5000 + ', "output_dim": 1, "layers": []}'
@@ -481,7 +480,7 @@ def _network_docs(draw, scalar=_TEXTS):
         }
     )
     relu = st.fixed_dictionaries(
-        # Widths from 4 to MAX_RELU_DIM parse as well as 3 does, only slower.
+        # A relu is read as its width alone, so 13, 24 and 10**9 parse as fast as 3.
         {"kind": st.just("relu"), "dim": st.sampled_from([0, 1, 2, 3, 13, 24, 10**9])}
     )
     unknown = st.fixed_dictionaries(

@@ -25,6 +25,7 @@ from pwanet.network import (
     OutputLayer,
     PlainLayer,
     PwaLayer,
+    ReluLayer,
     UnknownLayer,
     layer_dims,
     nn_eval,
@@ -172,6 +173,33 @@ class TestNnEval:
             nn_eval(net, ColVec([1, 1]))
 
 
+class TestReluLayer:
+    def test_holds_only_its_width(self):
+        assert nn_relu(3) == ReluLayer(3)
+        assert (nn_relu(3).in_dim, nn_relu(3).out_dim) == (3, 3)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(DimensionError):
+            nn_relu(-1)
+
+    def test_nn_eval_matches_relu_nd(self):
+        rng = random.Random(6617)
+        for n in range(6):
+            net = Network(n, n, (nn_relu(n), OutputLayer(n)))
+            fn = relu_nd(n)
+            for _ in range(40):
+                x = point(rng, n)
+                assert nn_eval(net, x) == evaluate(fn, x)
+
+    def test_wrong_input_dim_raises_what_evaluate_raises(self):
+        net = Network(3, 2, (nn_relu(2), OutputLayer(2)))
+        x = ColVec([1, 2, 3])
+        with pytest.raises(DimensionError) as expected:
+            evaluate(relu_nd(2), x)
+        with pytest.raises(DimensionError, match=f"^{expected.value}$"):
+            nn_eval(net, x)
+
+
 class TestRelu1d:
     def test_piece_layout(self):
         fn = relu_1d()
@@ -292,7 +320,9 @@ class TestTransform:
             assert fn is not None
             product = 1
             for layer in net.layers:
-                if isinstance(layer, PwaLayer):
+                if isinstance(layer, ReluLayer):
+                    product *= len(relu_nd(layer.dim).pieces)
+                elif isinstance(layer, PwaLayer):
                     product *= len(layer.fn.pieces)
             assert len(fn.pieces) == product
 
@@ -433,3 +463,15 @@ class TestPieceProduct:
         assert piece_product(Network(1, 1, at_bound + (OutputLayer(1),))) == MAX_PIECES
         past = (self.layer_of(MAX_PIECES), self.layer_of(2)) + (self.layer_of(MAX_PIECES),) * 100
         assert MAX_PIECES < piece_product(Network(1, 1, past)) <= 2 * MAX_PIECES
+
+    def test_a_relu_counts_two_to_its_width(self):
+        for n in range(13):
+            assert piece_product(Network(n, n, (nn_relu(n), OutputLayer(n)))) == 2**n
+        layers = (self.layer_of(3), nn_relu(1), nn_relu(1), OutputLayer(1))
+        assert piece_product(Network(1, 1, layers)) == 12
+
+    @pytest.mark.parametrize("dim", [13, 10**9, 10**18])
+    def test_a_huge_width_passes_the_bound_without_computing_two_to_it(self, dim):
+        net = Network(dim, dim, (nn_relu(dim), nn_relu(dim), OutputLayer(dim)))
+        product = piece_product(net)
+        assert product > MAX_PIECES and product.bit_length() < 64

@@ -18,16 +18,18 @@ from pwanet.pwa import (
     identity_pwaf,
     linear_pwaf,
 )
+from pwanet.formats import parse_pwa, serialize_pwa
 from pwanet.pwa_algebra import (
     compose,
     compose_affine,
     compose_polyhedron,
+    compose_relu,
     concat,
     concat_polyhedra,
 )
-from pwanet.network import relu_1d, relu_nd
+from pwanet.network import Network, OutputLayer, relu_1d, relu_nd, transform
 
-from genutil import colvec_of, mat_of, point, univalent_fn
+from genutil import colvec_of, mat_of, point, random_network, restricted_affine, univalent_fn
 
 
 def unchecked_copy(fn):
@@ -334,3 +336,49 @@ class TestConcat:
         right = concat(relu, identity_pwaf(0))
         assert evaluate(left, ColVec([-3])) == ColVec([0])
         assert evaluate(right, ColVec([5])) == ColVec([5])
+
+
+def relu_prefixes(rng):
+    """Functions onto R^0..R^4 to put a ReLU after: compiled network
+    prefixes, partial affine pieces and univalent functions, each as
+    built, unchecked, parse_pwa-claimed and refuted."""
+    built = [linear_pwaf(Mat([], cols=2), ColVec([]))]
+    for _ in range(40):
+        net = random_network(rng, max_pieces=8, max_dim=4, max_depth=3)
+        dim = net.input_dim
+        for cut, layer in enumerate(net.layers[:-1]):
+            prefix = net.layers[:cut] + (OutputLayer(dim),)
+            built.append(transform(Network(net.input_dim, dim, prefix)))
+            dim = layer.out_dim
+    for k in range(60):
+        built.append(restricted_affine(rng, rng.randint(0, 3), k % 5))
+        built.append(univalent_fn(rng, rng.randint(1, 3), max_pieces=4))
+    for g in built:
+        yield g
+        yield unchecked_copy(g)
+        yield parse_pwa(serialize_pwa(g))
+        yield PwaFn(g.in_dim, g.out_dim, g.pieces, univalence=REFUTED)
+
+
+class TestComposeRelu:
+    """compose_relu(n, g) is compose(relu_nd(n), g) without relu_nd's pieces."""
+
+    def test_same_bytes_tag_and_claim_as_composing_relu_nd(self):
+        widths = set()
+        prefixes = 0
+        for g in relu_prefixes(random.Random(5507)):
+            n = g.out_dim
+            direct = compose_relu(n, g)
+            oracle = compose(relu_nd(n), g)
+            assert serialize_pwa(direct) == serialize_pwa(oracle)
+            assert (direct.univalence, direct.claimed) == (oracle.univalence, oracle.claimed)
+            widths.add(n)
+            prefixes += 1
+        assert widths == set(range(5)) and prefixes >= 800
+
+    def test_width_mismatch_raises_what_compose_raises(self):
+        g = linear_pwaf(Mat([[1], [2], [3]]), ColVec([0, 0, 0]))
+        with pytest.raises(DimensionError) as expected:
+            compose(relu_nd(2), g)
+        with pytest.raises(DimensionError, match=f"^{expected.value}$"):
+            compose_relu(2, g)
