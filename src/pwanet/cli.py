@@ -4,8 +4,9 @@ Subcommands: compile a network file into a PWA file, evaluate either kind
 of file at an exact rational point, check univalence, count non-empty
 regions, and export an SMT script. Exit codes are stable: 0 success,
 2 parse problem, 3 dimension problem, 4 non-PWA layer, 5 univalence
-violation, 6 result too large (a compile past network.MAX_PIECES pieces,
-or a rational too long to write as text; no output file is written).
+violation, 6 result too large (a compile past network.MAX_PIECES pieces
+or network.MAX_RATIONALS rationals, or a rational too long to write as
+text; no output file is written).
 Output is deterministic byte for byte.
 """
 
@@ -17,7 +18,7 @@ import sys
 from . import formats, network, pwa
 from .formats import ParseError
 from .numeric import ColVec, DimensionError, ScalarTooLong, format_scalar, parse_scalar
-from .network import PlainLayer, UnknownLayer
+from .network import PlainLayer, ReluLayer, UnknownLayer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,10 +72,19 @@ def _cmd_compile(args) -> int:
     )
     if index is not None:
         raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
-    if network.piece_product(net) > network.MAX_PIECES:
+    pieces = network.piece_product(net)
+    if pieces > network.MAX_PIECES:
         raise _Failure(
             EXIT_TOO_LARGE,
             f"error: the compiled function would have more than {network.MAX_PIECES} pieces",
+        )
+    # Each piece holds one constraint per ReLU unit and one output row,
+    # each of input_dim coefficients and one constant.
+    rows = net.output_dim + sum(layer.dim for layer in net.layers if isinstance(layer, ReluLayer))
+    if pieces * (net.input_dim + 1) * rows > network.MAX_RATIONALS:
+        raise _Failure(
+            EXIT_TOO_LARGE,
+            f"error: the compiled function would hold more than {network.MAX_RATIONALS} rationals",
         )
     fn = network.transform(net)
     if args.prune:

@@ -19,9 +19,12 @@ ratio rhs_i / a_i, compared by cross-multiplying, ties to the smaller basic
 index) are the ones the rational tableau would pick. Values and witnesses
 become Fractions only when read off.
 
-Phase 1 runs once per polyhedron: off_target_points starts every objective
-from a copy of the feasible tableau it leaves, which is the tableau a fresh
-solve would reach, since phase 1 is deterministic.
+Building a _Simplex runs phase 1 and records whether the polyhedron is
+feasible; nothing is decided later or cached. maximize returns an
+LpOutcome, and point() reads the current basic solution, so a feasible
+point costs phase 1 alone. off_target_points starts every objective from a
+copy of the one feasible tableau, which is the tableau a fresh solve would
+reach, since phase 1 is deterministic.
 
 Unboundedness is reported as soon as an improving column has no blocking
 row; no ray certificate is produced.
@@ -41,7 +44,6 @@ from .numeric import (
     as_scalar,
     scaled_ints,
     vec_scale,
-    zeros_vec,
 )
 from .polyhedra import LinearConstraint, Polyhedron
 
@@ -84,16 +86,17 @@ def _scaled(row: list[int], p: int, f: int, prow: list[int]) -> list[int]:
 
 
 class _Simplex:
-    """Mutable integer tableau state for a single polyhedron.
+    """Integer tableau for a single polyhedron; building it runs phase 1.
 
     Columns 0..n-1 and n..2n-1 hold the positive and negative parts of the
-    free variables, columns 2n..2n+m-1 the slacks, and any artificial
-    columns sit at the end until phase 1 removes them. Each row is a list
-    of ints ending in its right-hand side; it stands for the row divided
-    by its basic entry, which is kept positive. An objective row has two
-    trailing slots: minus the objective value, then a positive
-    denominator for the whole row.
+    free variables, columns 2n..2n+m-1 the slacks, and artificial columns
+    sit at the end while phase 1 runs. Each row is a list of ints ending in
+    its right-hand side; it stands for the row divided by its basic entry,
+    which is kept positive. An objective row has two trailing slots: minus
+    the objective value, then a positive denominator for the whole row.
 
+    `feasible` says whether phase 1 found a basic feasible solution; only
+    then are the artificials gone and maximize and point meaningful.
     Rows are replaced, never changed in place, so copy() is shallow.
     """
 
@@ -101,10 +104,10 @@ class _Simplex:
         n = poly.dim
         m = len(poly.constraints)
         self.n = n
-        self.struct_cols = 2 * n + m
+        struct_cols = 2 * n + m
         negate = [lc.b < 0 for lc in poly.constraints]
         n_art = sum(negate)
-        self.ncols = self.struct_cols + n_art
+        self.ncols = struct_cols + n_art
         self.T: list[list[int]] = []
         self.basis: list[int] = []
         art_seen = 0
@@ -121,15 +124,44 @@ class _Simplex:
             row[2 * n + i] = sign * den
             row[-1] = sign * ints[-1]
             if negate[i]:
-                art_col = self.struct_cols + art_seen
+                art_col = struct_cols + art_seen
                 row[art_col] = den
                 self.basis.append(art_col)
                 art_seen += 1
             else:
                 self.basis.append(2 * n + i)
             self.T.append(row)
-        self.n_art = n_art
-        self._feasible: bool | None = None
+        self.feasible = True
+        if n_art == 0:
+            return
+        # Phase 1: maximize minus the sum of the artificials.
+        obj = [0] * struct_cols + [-1] * n_art + [0, 1]
+        self._canonicalize(obj)
+        if not self._run(obj):
+            # -(sum of artificials) is bounded above by zero.
+            raise RuntimeError("simplex phase 1 reported an unbounded objective")
+        if obj[-2] != 0:
+            self.feasible = False
+            return
+        # Drive leftover artificials out of the basis. Their value is zero,
+        # so these pivots are degenerate and keep the solution feasible.
+        r = 0
+        while r < len(self.T):
+            if self.basis[r] >= struct_cols:
+                pivot_col = None
+                for jj in range(struct_cols):
+                    if self.T[r][jj] != 0:
+                        pivot_col = jj
+                        break
+                if pivot_col is None:
+                    # All-zero structural row: redundant, drop it.
+                    del self.T[r]
+                    del self.basis[r]
+                    continue
+                self._pivot(r, pivot_col, obj)
+            r += 1
+        self.T = [row[:struct_cols] + row[-1:] for row in self.T]
+        self.ncols = struct_cols
 
     def copy(self) -> _Simplex:
         other = object.__new__(_Simplex)
@@ -191,48 +223,16 @@ class _Simplex:
                 return False
             self._pivot(best_row, enter, obj)
 
-    def phase1(self) -> bool:
-        """Find a basic feasible solution. False means the polyhedron is empty."""
-        if self._feasible is not None:
-            return self._feasible
-        if self.n_art == 0:
-            self._feasible = True
-            return True
-        obj = [0] * self.struct_cols + [-1] * self.n_art + [0, 1]
-        self._canonicalize(obj)
-        if not self._run(obj):
-            # -(sum of artificials) is bounded above by zero.
-            raise RuntimeError("simplex phase 1 reported an unbounded objective")
-        if obj[-2] != 0:
-            self._feasible = False
-            return False
-        # Drive leftover artificials out of the basis. Their value is zero,
-        # so these pivots are degenerate and keep the solution feasible.
-        r = 0
-        while r < len(self.T):
-            if self.basis[r] >= self.struct_cols:
-                pivot_col = None
-                for jj in range(self.struct_cols):
-                    if self.T[r][jj] != 0:
-                        pivot_col = jj
-                        break
-                if pivot_col is None:
-                    # All-zero structural row: redundant, drop it.
-                    del self.T[r]
-                    del self.basis[r]
-                    continue
-                self._pivot(r, pivot_col, obj)
-            r += 1
-        for i, row in enumerate(self.T):
-            self.T[i] = row[: self.struct_cols] + row[-1:]
-        self.ncols = self.struct_cols
-        self.n_art = 0
-        self._feasible = True
-        return True
+    def point(self) -> ColVec:
+        """The current basic solution, in the free variables."""
+        vals = [Fraction(0)] * self.ncols
+        for row, j in zip(self.T, self.basis):
+            vals[j] = Fraction(row[-1], row[j])
+        return ColVec(vals[k] - vals[self.n + k] for k in range(self.n))
 
-    def maximize(self, objective: ColVec) -> tuple[str, Fraction | None, ColVec | None]:
-        if not self.phase1():
-            return "infeasible", None, None
+    def maximize(self, objective: ColVec) -> LpOutcome:
+        if not self.feasible:
+            return Infeasible()
         den, ints = scaled_ints(objective.entries)
         obj = [0] * self.ncols + [0, den]
         for k, c in enumerate(ints):
@@ -241,12 +241,8 @@ class _Simplex:
                 obj[self.n + k] = -c
         self._canonicalize(obj)
         if not self._run(obj):
-            return "unbounded", None, None
-        vals = [Fraction(0)] * self.ncols
-        for row, j in zip(self.T, self.basis):
-            vals[j] = Fraction(row[-1], row[j])
-        witness = ColVec(vals[k] - vals[self.n + k] for k in range(self.n))
-        return "optimal", Fraction(-obj[-2], obj[-1]), witness
+            return Unbounded()
+        return Optimal(Fraction(-obj[-2], obj[-1]), self.point())
 
 
 def solve(poly: Polyhedron, objective: ColVec, sense: str = MAX) -> LpOutcome:
@@ -257,24 +253,21 @@ def solve(poly: Polyhedron, objective: ColVec, sense: str = MAX) -> LpOutcome:
         )
     if sense not in (MAX, MIN):
         raise ValueError(f"sense must be {MAX!r} or {MIN!r}, got {sense!r}")
-    target = objective if sense == MAX else vec_scale(-1, objective)
-    status, value, witness = _Simplex(poly).maximize(target)
-    if status == "infeasible":
-        return Infeasible()
-    if status == "unbounded":
-        return Unbounded()
-    return Optimal(value if sense == MAX else -value, witness)
+    if sense == MAX:
+        return _Simplex(poly).maximize(objective)
+    outcome = _Simplex(poly).maximize(vec_scale(-1, objective))
+    return Optimal(-outcome.value, outcome.witness) if isinstance(outcome, Optimal) else outcome
 
 
 def is_empty(poly: Polyhedron) -> bool:
     """Phase 1 only: does the polyhedron contain no point at all?"""
-    return not _Simplex(poly).phase1()
+    return not _Simplex(poly).feasible
 
 
 def feasible_point(poly: Polyhedron) -> ColVec | None:
     """Some point of the polyhedron, or None when it is empty. Deterministic."""
-    outcome = solve(poly, zeros_vec(poly.dim), MAX)
-    return outcome.witness if isinstance(outcome, Optimal) else None
+    simplex = _Simplex(poly)
+    return simplex.point() if simplex.feasible else None
 
 
 def off_target_point(poly: Polyhedron, functional: ColVec, target) -> ColVec | None:
@@ -302,27 +295,27 @@ def off_target_points(
             raise DimensionError(
                 f"functional of dim {functional.dim} over polyhedron of dim {poly.dim}"
             )
-    feasible = _Simplex(poly)
-    if not feasible.phase1():
+    simplex = _Simplex(poly)
+    if not simplex.feasible:
         return
     for functional, target in rows:
-        yield _off_target(poly, feasible, functional, as_scalar(target))
+        yield _off_target(poly, simplex, functional, as_scalar(target))
 
 
 def _off_target(
-    poly: Polyhedron, feasible: _Simplex, functional: ColVec, goal: Fraction
+    poly: Polyhedron, simplex: _Simplex, functional: ColVec, goal: Fraction
 ) -> ColVec | None:
     if not any(functional.entries):
-        return None if goal == 0 else feasible.copy().maximize(functional)[2]
+        return None if goal == 0 else simplex.point()
     for sense, sign in ((MAX, 1), (MIN, -1)):
-        status, value, witness = feasible.copy().maximize(vec_scale(sign, functional))
-        if status == "unbounded":
+        outcome = simplex.copy().maximize(vec_scale(sign, functional))
+        if isinstance(outcome, Unbounded):
             # sign * functional.x >= sign * goal + 1
             cut = LinearConstraint(vec_scale(-sign, functional), -(sign * goal + 1))
             point = feasible_point(Polyhedron(poly.dim, poly.constraints + (cut,)))
             if point is None:
                 raise RuntimeError(f"unbounded {sense} but no point past {goal}")
             return point
-        if sign * value != goal:
-            return witness
+        if sign * outcome.value != goal:
+            return outcome.witness
     return None

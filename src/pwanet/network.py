@@ -15,7 +15,8 @@ nn_eval takes max(0, x) componentwise, and transform pulls the 2^n sign
 patterns back through the prefix directly (pwa_algebra.compose_relu),
 with the bytes compose(relu_nd(n), prefix) would give. relu_1d and
 relu_nd are the paper's construction and the tests' oracle. The CLI
-refuses to compile a network whose piece_product exceeds MAX_PIECES.
+refuses to compile a network whose piece_product exceeds MAX_PIECES, or
+whose compiled file would hold more than MAX_RATIONALS rationals.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from typing import Callable, Optional, Union
 from .numeric import ColVec, DimensionError, Mat
 from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import AffinePiece, PwaFn, check_univalence, evaluate, identity_pwaf, linear_pwaf
-from .pwa_algebra import compose, compose_relu, concat
+from .pwa_algebra import _carried, compose, compose_relu, concat
 
 MAX_PIECES = 4096
+# A 12-wide ReLU on 12 inputs writes 4,096 * 13 * 24 = 1,277,952 rationals.
+MAX_RATIONALS = 2**21
 
 
 @dataclass(frozen=True)
@@ -214,16 +217,20 @@ def transform(net: Network) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
     The PWA and ReLU layers before the output marker are composed from the
-    first to the last, onto the identity on the first layer's input: after
+    first to the last: the fold starts from the first layer's own pieces
+    (a leading ReLU is composed onto the identity on its input), and after
     layer i the prefix is compose(layer_i, prefix), or compose_relu for a
-    ReLU layer. Exact pullbacks are associative, so this gives the same
-    bytes as composing from the last layer back onto the marker's
-    identity, with every ReLU as relu_nd: the same pieces in the same
-    order (first layer's pieces slowest), the same constraints in the
-    same order, the same rationals. Folding forward pulls each layer's
-    constraints back only through the layers before it, never again
-    through the first. On the common layers the result evaluates exactly
-    like nn_eval. Every layer that parse_network builds is univalent by
+    ReLU layer. Pulling a layer back through the identity would copy it
+    unchanged, so no identity seed is built: a wide first layer costs its
+    own size, not the square of its input width. Exact pullbacks are
+    associative, so this gives the same bytes as composing from the last
+    layer back onto the marker's identity, with every ReLU as relu_nd: the
+    same pieces in the same order (first layer's pieces slowest), the same
+    constraints in the same order, the same rationals. Folding forward
+    pulls each layer's constraints back only through the layers before it,
+    never again through the first. An empty chain is the identity on the
+    marker's input. On the common layers the result evaluates exactly like
+    nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
 
     The chain is checked from the marker back before anything is
@@ -243,8 +250,14 @@ def transform(net: Network) -> Optional[PwaFn]:
                 f"compose of function on dim {dim} after function onto dim {layer.out_dim}"
             )
         dim = layer.in_dim
-    fn = identity_pwaf(dim)
-    for layer in layers:
+    if not layers:
+        return identity_pwaf(dim)
+    first = layers[0]
+    if isinstance(first, ReluLayer):
+        fn = compose_relu(dim, identity_pwaf(dim))
+    else:
+        fn = PwaFn(dim, first.out_dim, first.fn.pieces, univalence=_carried(first.fn))
+    for layer in layers[1:]:
         fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
     return fn
 

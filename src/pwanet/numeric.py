@@ -149,9 +149,6 @@ class Mat:
         self.rows: int = len(body)
         self.cols: int = width
 
-    def row(self, r: int) -> ColVec:
-        return ColVec(self.entries[r])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Mat)
@@ -169,10 +166,6 @@ class Mat:
 
 def zeros_vec(dim: int) -> ColVec:
     return ColVec([0] * dim)
-
-
-def zeros_mat(rows: int, cols: int) -> Mat:
-    return Mat([[0] * cols for _ in range(rows)], cols=cols)
 
 
 def identity(n: int) -> Mat:
@@ -206,29 +199,9 @@ def vec_add(v: ColVec, w: ColVec) -> ColVec:
     return ColVec(a + b for a, b in zip(v.entries, w.entries))
 
 
-def vec_sub(v: ColVec, w: ColVec) -> ColVec:
-    if v.dim != w.dim:
-        raise DimensionError(f"vec_sub of dim {v.dim} against dim {w.dim}")
-    return ColVec(a - b for a, b in zip(v.entries, w.entries))
-
-
 def vec_scale(s: ScalarLike, v: ColVec) -> ColVec:
     f = as_scalar(s)
     return ColVec(f * a for a in v.entries)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionError(f"mat_add of {a.rows}x{a.cols} against {b.rows}x{b.cols}")
-    return Mat(
-        ([x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)),
-        cols=a.cols,
-    )
-
-
-def scalar_mult(s: ScalarLike, m: Mat) -> Mat:
-    f = as_scalar(s)
-    return Mat(([f * e for e in row] for row in m.entries), cols=m.cols)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -246,13 +219,6 @@ def mat_vec_mul(m: Mat, x: ColVec) -> ColVec:
         raise DimensionError(f"mat_vec_mul of {m.rows}x{m.cols} against dim {x.dim}")
     scaled_x = scaled_ints(x.entries)
     return ColVec(_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries)
-
-
-def transpose(m: Mat) -> Mat:
-    return Mat(
-        ([m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)),
-        cols=m.rows,
-    )
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:

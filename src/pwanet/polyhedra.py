@@ -15,7 +15,6 @@ from fractions import Fraction
 from .numeric import (
     ColVec,
     DimensionError,
-    ScalarLike,
     as_scalar,
     dot,
     extend_vec_bottom,
@@ -38,13 +37,6 @@ class LinearConstraint:
     @property
     def dim(self) -> int:
         return self.c.dim
-
-
-def satisfies_lc(x: ColVec, lc: LinearConstraint) -> bool:
-    """Does x satisfy the single constraint lc?"""
-    if x.dim != lc.dim:
-        raise DimensionError(f"point of dim {x.dim} against constraint of dim {lc.dim}")
-    return dot(lc.c, x) <= lc.b
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ overlap. Each function carries a univalence status: "verified" when its
 construction proves the pieces agree (identity_pwaf, linear_pwaf, and
 compose/concat/compose_relu of verified inputs), otherwise "unchecked" until
 check_univalence decides it exactly, via linear programs over the
-pairwise intersections, as "verified" or "refuted" with a concrete
-witness point. check_univalence ignores any cached status and rescans
-the pairs. Only a univalent function is independent of piece order.
+pairwise intersections, as "verified" or "refuted"; the refutation comes
+back to the caller with a concrete witness point, and only its status is
+kept on the function. check_univalence ignores any existing status and
+rescans the pairs. Only a univalent function is independent of piece
+order.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ UnivalenceVerdict = Union[Univalent, UnivalenceViolation]
 
 
 class PwaFn:
-    """Ordered affine pieces with a cached univalence verdict.
+    """Ordered affine pieces with a univalence status.
 
     The status is set by check_univalence or by a constructor that proves
     it: identity_pwaf and linear_pwaf (a single piece cannot conflict with
@@ -82,7 +84,7 @@ class PwaFn:
     the mark.
     """
 
-    __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "violation", "claimed")
+    __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "claimed")
 
     def __init__(
         self,
@@ -90,7 +92,6 @@ class PwaFn:
         out_dim: int,
         pieces=(),
         univalence: str = UNCHECKED,
-        violation: Optional[UnivalenceViolation] = None,
         claimed: bool = False,
     ):
         if in_dim < 0 or out_dim < 0:
@@ -111,7 +112,6 @@ class PwaFn:
         self.out_dim = out_dim
         self.pieces = pieces
         self.univalence = univalence
-        self.violation = violation
         self.claimed = claimed
 
     def __repr__(self) -> str:
@@ -179,7 +179,8 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     The scan stops at the first violation in pair order (then row order)
     and returns it with a witness point lying in both polyhedra.
 
-    The verdict is cached on fn.
+    fn.univalence is set to the verdict's status and fn.claimed is
+    cleared; the violation itself is only returned.
     """
     found: Optional[UnivalenceViolation] = None
     for i, j in itertools.combinations(range(len(fn.pieces)), 2):
@@ -187,38 +188,22 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
         if found is not None:
             break
     fn.claimed = False
-    if found is None:
-        fn.univalence = VERIFIED
-        fn.violation = None
-        return Univalent()
-    fn.univalence = REFUTED
-    fn.violation = found
-    return found
+    fn.univalence = VERIFIED if found is None else REFUTED
+    return Univalent() if found is None else found
 
 
 def prune_empty(fn: PwaFn) -> PwaFn:
     """Drop pieces whose polyhedra are empty; order and semantics survive.
 
-    A cached verdict stays valid: an empty piece never overlaps anything,
-    and the two pieces of a cached violation both contain its witness, so
-    they are kept (their indices are remapped).
+    The univalence status stays valid: an empty piece never overlaps
+    anything, and the two pieces of a violation both contain its witness,
+    so neither is dropped and a "refuted" function stays refuted.
     """
-    keep = [i for i, piece in enumerate(fn.pieces) if not lp.is_empty(piece.polyhedron)]
-    new_index = {old: new for new, old in enumerate(keep)}
-    violation = fn.violation
-    if violation is not None:
-        vi = new_index.get(violation.piece_i)
-        vj = new_index.get(violation.piece_j)
-        if vi is None or vj is None:
-            violation = None
-        else:
-            violation = UnivalenceViolation(vi, vj, violation.row, violation.witness)
     return PwaFn(
         fn.in_dim,
         fn.out_dim,
-        (fn.pieces[i] for i in keep),
+        (piece for piece in fn.pieces if not lp.is_empty(piece.polyhedron)),
         univalence=fn.univalence,
-        violation=violation,
         claimed=fn.claimed,
     )
 

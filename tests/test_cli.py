@@ -243,6 +243,65 @@ class TestCompile:
         assert not out.exists()
 
 
+    def test_output_past_the_rational_bound_exits_6_with_one_line(self, tmp_path, capsys):
+        # 4,096 pieces of 49 * (12 + 12) rationals each: 4.8 million, past the bound.
+        doc = json.dumps(
+            {
+                "input_dim": 48,
+                "output_dim": 12,
+                "layers": [
+                    {"kind": "linear", "weights": [["1"] * 48] * 12, "bias": ["0"] * 12},
+                    {"kind": "relu", "dim": 12},
+                    {"kind": "output"},
+                ],
+            }
+        )
+        net = write(tmp_path, "net.json", doc)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the compiled function would hold more than {network.MAX_RATIONALS} rationals\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [10**9, 10**4000], ids=["1e9", "1e4000"])
+    def test_huge_output_only_network_ends_at_once(self, tmp_path, capsys, monkeypatch, dim):
+        def refuse(net):
+            raise AssertionError("transform ran past the size bound")
+
+        monkeypatch.setattr(network, "transform", refuse)
+        doc = json.dumps({"input_dim": dim, "output_dim": dim, "layers": [{"kind": "output"}]})
+        net = write(tmp_path, "net.json", doc)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the compiled function would hold more than {network.MAX_RATIONALS} rationals\n"
+        )
+        assert not out.exists()
+
+    def test_wide_linear_layer_needs_no_identity_seed(self, tmp_path, monkeypatch):
+        identity_pwaf = network.identity_pwaf
+
+        def small_identity(dim):
+            if dim > 12:
+                raise AssertionError(f"built the identity on dim {dim}")
+            return identity_pwaf(dim)
+
+        monkeypatch.setattr(network, "identity_pwaf", small_identity)
+        weights = [[str(k % 7 - 3) for k in range(2000)]]
+        layers = [{"kind": "linear", "weights": weights, "bias": ["1/2"]}, {"kind": "output"}]
+        net = write(
+            tmp_path, "net.json", json.dumps({"input_dim": 2000, "output_dim": 1, "layers": layers})
+        )
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 0
+        fn = parse_pwa(out.read_text(encoding="utf-8"))
+        assert len(fn.pieces) == 1 and fn.pieces[0].polyhedron == full_space(2000)
+        assert fn.pieces[0].M == Mat(weights) and fn.pieces[0].b == ColVec(["1/2"])
+
+
 class TestEval:
     def test_network_at_example_point(self, tmp_path, capsys):
         net = write(tmp_path, "net.json", EXAMPLE_NET)

@@ -14,7 +14,6 @@ from pwanet.polyhedra import (
     intersect,
     lift_constraints_bottom,
     lift_constraints_top,
-    satisfies_lc,
 )
 
 from genutil import box_polyhedron, point
@@ -33,16 +32,6 @@ class TestLinearConstraint:
 
     def test_string_offset(self):
         assert LinearConstraint(ColVec([1]), "2.5").b == Fraction(5, 2)
-
-    def test_satisfies_on_boundary_and_off(self):
-        lc = LinearConstraint(ColVec([1]), 0)
-        assert satisfies_lc(ColVec([0]), lc)
-        assert satisfies_lc(ColVec([-3]), lc)
-        assert not satisfies_lc(ColVec(["1/10"]), lc)
-
-    def test_satisfies_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            satisfies_lc(ColVec([1, 2]), LinearConstraint(ColVec([1]), 0))
 
 
 class TestPolyhedron:
