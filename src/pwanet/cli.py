@@ -3,10 +3,11 @@
 Subcommands: compile a network file into a PWA file, evaluate either kind
 of file at an exact rational point, check univalence, count non-empty
 regions, and export an SMT script. Exit codes are stable: 0 success,
-2 parse problem, 3 dimension problem, 4 non-PWA layer, 5 univalence
-violation, 6 result too large (a compile past network.MAX_PIECES pieces
-or network.MAX_RATIONALS rationals, or a rational too long to write as
-text; no output file is written).
+2 parse problem, 3 dimension problem (a layer chain that breaks, which
+building the Network reports, or a point of the wrong width), 4 non-PWA
+layer, 5 univalence violation, 6 result too large (a compile that
+network.oversize refuses, or a rational too long to write as text; no
+output file is written).
 Output is deterministic byte for byte.
 """
 
@@ -18,7 +19,7 @@ import sys
 from . import formats, network, pwa
 from .formats import ParseError
 from .numeric import ColVec, DimensionError, ScalarTooLong, format_scalar, parse_scalar
-from .network import PlainLayer, ReluLayer, UnknownLayer
+from .network import PlainLayer, UnknownLayer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -63,29 +64,15 @@ def _format_vec(v: ColVec) -> str:
 
 def _cmd_compile(args) -> int:
     net = formats.parse_network(_read(args.network))
-    problem = network.validate_dims(net)
-    if problem is not None:
-        raise _Failure(EXIT_DIMENSION, f"error: {problem.message}")
     index = next(
         (i for i, layer in enumerate(net.layers) if isinstance(layer, (PlainLayer, UnknownLayer))),
         None,
     )
     if index is not None:
         raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
-    pieces = network.piece_product(net)
-    if pieces > network.MAX_PIECES:
-        raise _Failure(
-            EXIT_TOO_LARGE,
-            f"error: the compiled function would have more than {network.MAX_PIECES} pieces",
-        )
-    # Each piece holds one constraint per ReLU unit and one output row,
-    # each of input_dim coefficients and one constant.
-    rows = net.output_dim + sum(layer.dim for layer in net.layers if isinstance(layer, ReluLayer))
-    if pieces * (net.input_dim + 1) * rows > network.MAX_RATIONALS:
-        raise _Failure(
-            EXIT_TOO_LARGE,
-            f"error: the compiled function would hold more than {network.MAX_RATIONALS} rationals",
-        )
+    excess = network.oversize(net)
+    if excess is not None:
+        raise _Failure(EXIT_TOO_LARGE, f"error: {excess}")
     fn = network.transform(net)
     if args.prune:
         fn = pwa.prune_empty(fn)
@@ -100,11 +87,7 @@ def _cmd_eval(args) -> int:
         value = pwa.evaluate(fn, point)
         print("outside domain" if value is None else _format_vec(value))
     else:
-        net = formats.parse_network(_read(args.network))
-        problem = network.validate_dims(net)
-        if problem is not None:
-            raise _Failure(EXIT_DIMENSION, f"error: {problem.message}")
-        value = network.nn_eval(net, point)
+        value = network.nn_eval(formats.parse_network(_read(args.network)), point)
         print("undefined" if value is None else _format_vec(value))
     return EXIT_OK
 

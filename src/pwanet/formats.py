@@ -41,10 +41,8 @@ from fractions import Fraction
 
 from .numeric import ColVec, Mat, format_scalar, parse_scalar
 from .polyhedra import LinearConstraint, Polyhedron
-from .pwa import UNCHECKED, REFUTED, VERIFIED, AffinePiece, PwaFn
+from .pwa import _STATUSES, AffinePiece, PwaFn
 from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
-
-_UNIVALENCE_TAGS = (UNCHECKED, VERIFIED, REFUTED)
 
 
 class ParseError(ValueError):
@@ -107,7 +105,11 @@ def _matrix(value, rows, cols, where) -> Mat:
 
 
 def parse_network(text: str) -> Network:
-    """Read a network document. Chain consistency is validate_dims's job."""
+    """Read a network document.
+
+    Every layer is parsed before the Network is built, so a ParseError
+    comes before the DimensionError of a chain that does not fit.
+    """
     doc = _load_json(text)
     input_dim = _nat(_get(doc, "input_dim", "network"), "input_dim")
     output_dim = _nat(_get(doc, "output_dim", "network"), "output_dim")
@@ -149,7 +151,7 @@ def parse_pwa(text: str) -> PwaFn:
     in_dim = _nat(_get(doc, "in_dim", "function"), "in_dim")
     out_dim = _nat(_get(doc, "out_dim", "function"), "out_dim")
     tag = _get(doc, "univalence", "function")
-    if tag not in _UNIVALENCE_TAGS:
+    if tag not in _STATUSES:
         raise ParseError(f"univalence: unknown tag {tag!r}")
     raw_pieces = _get(doc, "pieces", "function")
     if not isinstance(raw_pieces, list):

@@ -1,7 +1,10 @@
 """Feedforward networks as layer chains, and their compilation to PWA form.
 
-A network is a list of layers ending in an output marker. Layers carrying
-a PwaFn, and ReLU layers, can be both evaluated and compiled; layers
+A network is a list of layers ending in an output marker. The chain is
+checked once, when the Network is built, the way the paper's typed model
+cannot write an ill-formed chain down: each layer consumes what the last
+produced, from input_dim to the marker's output_dim. Layers carrying a
+PwaFn, and ReLU layers, can be both evaluated and compiled; layers
 carrying an opaque host function can only be evaluated; layers known by
 their dimensions alone can do neither. Evaluation and compilation both
 treat "no answer" as a missing value rather than an error, mirroring
@@ -14,15 +17,15 @@ pieces, one per sign orthant. A ReLU layer holds only its width, though:
 nn_eval takes max(0, x) componentwise, and transform pulls the 2^n sign
 patterns back through the prefix directly (pwa_algebra.compose_relu),
 with the bytes compose(relu_nd(n), prefix) would give. relu_1d and
-relu_nd are the paper's construction and the tests' oracle. The CLI
-refuses to compile a network whose piece_product exceeds MAX_PIECES, or
-whose compiled file would hold more than MAX_RATIONALS rationals.
+relu_nd are the paper's construction and the tests' oracle. oversize
+says why a network is too large to compile: a piece_product past
+MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 from .numeric import ColVec, DimensionError, Mat
 from .polyhedra import LinearConstraint, Polyhedron
@@ -93,18 +96,47 @@ class UnknownLayer:
 
 
 Layer = Union[OutputLayer, PwaLayer, ReluLayer, PlainLayer, UnknownLayer]
+_LAYERS = get_args(Layer)
 # The layers transform can compose.
 _COMPILABLE = (PwaLayer, ReluLayer)
 
 
 @dataclass(frozen=True)
 class Network:
+    """A layer chain from R^input_dim to R^output_dim, checked when built.
+
+    Each layer must consume exactly what the previous one produced, the
+    first layer must consume input_dim, and the chain must end in a single
+    OutputLayer whose pass-through dim equals output_dim. The first place
+    the chain breaks raises DimensionError, and an object that is not a
+    layer raises TypeError, so every Network in hand is well-formed.
+    """
+
     input_dim: int
     output_dim: int
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        current = self.input_dim
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, _LAYERS):
+                raise TypeError(f"not a layer: {layer!r}")
+            lin, lout = layer_dims(layer)
+            if lin != current:
+                raise DimensionError(f"layer {i}: expects input dim {lin}, gets dim {current}")
+            if isinstance(layer, OutputLayer):
+                if i != last:
+                    raise DimensionError(f"layer {i}: output layer before the end of the network")
+                if layer.dim != self.output_dim:
+                    raise DimensionError(
+                        f"layer {i}: output layer has dim {layer.dim}, "
+                        f"network declares {self.output_dim}"
+                    )
+                return
+            current = lout
+        raise DimensionError("network has no output layer")
 
 
 def layer_dims(layer: Layer) -> tuple[int, int]:
@@ -113,104 +145,35 @@ def layer_dims(layer: Layer) -> tuple[int, int]:
     return layer.in_dim, layer.out_dim
 
 
-@dataclass(frozen=True)
-class DimMismatch:
-    """First place the dimension chain breaks, with what was expected there."""
-
-    position: int
-    expected: int
-    found: int
-    message: str
-
-
-def validate_dims(net: Network) -> Optional[DimMismatch]:
-    """Check the dimension chain; None when the network is well-formed.
-
-    Each layer must consume exactly what the previous one produced, the
-    first layer must consume input_dim, and the chain must end in a single
-    OutputLayer whose pass-through dim equals output_dim.
-    """
-    current = net.input_dim
-    for i, layer in enumerate(net.layers):
-        lin, lout = layer_dims(layer)
-        if lin != current:
-            return DimMismatch(
-                i, current, lin, f"layer {i}: expects input dim {lin}, gets dim {current}"
-            )
-        if isinstance(layer, OutputLayer):
-            if i != len(net.layers) - 1:
-                return DimMismatch(
-                    i,
-                    len(net.layers) - 1,
-                    i,
-                    f"layer {i}: output layer before the end of the network",
-                )
-            if layer.dim != net.output_dim:
-                return DimMismatch(
-                    i,
-                    net.output_dim,
-                    layer.dim,
-                    f"layer {i}: output layer has dim {layer.dim}, "
-                    f"network declares {net.output_dim}",
-                )
-            return None
-        current = lout
-    return DimMismatch(
-        len(net.layers),
-        net.output_dim,
-        current,
-        "network has no output layer",
-    )
-
-
 def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
     """Feed x through the layers; None when some layer has no answer.
 
     A PWA layer yields nothing outside its domain and an unknown layer
     never yields anything; both make the whole evaluation come up empty.
-    Shape violations, by contrast, raise.
+    The chain was checked when the network was built, so only a point of
+    the wrong width, or a host function that breaks its declared output
+    width, raises.
     """
     if x.dim != net.input_dim:
         raise DimensionError(f"input of dim {x.dim} into network on dim {net.input_dim}")
     current = x
-    for layer in net.layers:
-        if isinstance(layer, OutputLayer):
-            if current.dim != layer.dim:
-                raise DimensionError(
-                    f"output layer of dim {layer.dim} fed dim {current.dim}"
-                )
-            return current
+    for layer in net.layers[:-1]:
+        if isinstance(layer, UnknownLayer):
+            return None
         if isinstance(layer, PwaLayer):
-            result = evaluate(layer.fn, current)
-            if result is None:
+            current = evaluate(layer.fn, current)
+            if current is None:
                 return None
-            current = result
         elif isinstance(layer, ReluLayer):
-            if current.dim != layer.dim:
-                raise DimensionError(
-                    f"point of dim {current.dim} into function on dim {layer.dim}"
-                )
             current = ColVec(max(e, 0) for e in current)
-        elif isinstance(layer, PlainLayer):
-            if current.dim != layer.in_dim:
-                raise DimensionError(
-                    f"layer of dim {layer.in_dim} fed dim {current.dim}"
-                )
+        else:
             current = layer.fn(current)
             if current.dim != layer.out_dim:
                 raise DimensionError(
                     f"host function produced dim {current.dim}, layer declares "
                     f"{layer.out_dim}"
                 )
-        elif isinstance(layer, UnknownLayer):
-            if current.dim != layer.in_dim:
-                raise DimensionError(
-                    f"layer of dim {layer.in_dim} fed dim {current.dim}"
-                )
-            return None
-        else:
-            raise TypeError(f"not a layer: {layer!r}")
-    raise ValueError("network has no output layer")
+    return current
 
 
 def transform(net: Network) -> Optional[PwaFn]:
@@ -229,35 +192,22 @@ def transform(net: Network) -> Optional[PwaFn]:
     constraints in the same order, the same rationals. Folding forward
     pulls each layer's constraints back only through the layers before it,
     never again through the first. An empty chain is the identity on the
-    marker's input. On the common layers the result evaluates exactly like
+    input. On the common layers the result evaluates exactly like
     nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
-
-    The chain is checked from the marker back before anything is
-    composed, so a shape error is the one the backward fold would raise.
     """
-    end = next(
-        (i for i, layer in enumerate(net.layers) if not isinstance(layer, _COMPILABLE)),
-        len(net.layers),
-    )
-    if end == len(net.layers) or not isinstance(net.layers[end], OutputLayer):
+    end = next(i for i, layer in enumerate(net.layers) if not isinstance(layer, _COMPILABLE))
+    if not isinstance(net.layers[end], OutputLayer):
         return None
-    layers = net.layers[:end]
-    dim = net.layers[end].dim
-    for layer in reversed(layers):
-        if layer.out_dim != dim:
-            raise DimensionError(
-                f"compose of function on dim {dim} after function onto dim {layer.out_dim}"
-            )
-        dim = layer.in_dim
-    if not layers:
+    dim = net.input_dim
+    if end == 0:
         return identity_pwaf(dim)
-    first = layers[0]
+    first = net.layers[0]
     if isinstance(first, ReluLayer):
         fn = compose_relu(dim, identity_pwaf(dim))
     else:
         fn = PwaFn(dim, first.out_dim, first.fn.pieces, univalence=_carried(first.fn))
-    for layer in layers[1:]:
+    for layer in net.layers[1:end]:
         fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
     return fn
 
@@ -279,6 +229,24 @@ def piece_product(net: Network) -> int:
         else:
             product *= len(layer.fn.pieces)
     return product
+
+
+def oversize(net: Network) -> Optional[str]:
+    """Why transform(net) is too large to build and write; None when it fits.
+
+    The compile is refused past MAX_PIECES pieces (piece_product), or
+    past MAX_RATIONALS rationals in the written file. Both are read off
+    the layers, so the answer comes before any piece is built.
+    """
+    pieces = piece_product(net)
+    if pieces > MAX_PIECES:
+        return f"the compiled function would have more than {MAX_PIECES} pieces"
+    # Each piece holds one constraint per ReLU unit and one output row,
+    # each of input_dim coefficients and one constant.
+    rows = net.output_dim + sum(layer.dim for layer in net.layers if isinstance(layer, ReluLayer))
+    if pieces * (net.input_dim + 1) * rows > MAX_RATIONALS:
+        return f"the compiled function would hold more than {MAX_RATIONALS} rationals"
+    return None
 
 
 def relu_1d() -> PwaFn:

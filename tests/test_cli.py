@@ -498,3 +498,55 @@ class TestNoReluPieces:
         assert out.read_text(encoding="utf-8") == expected
         assert main(["eval", "--network", net_path, "--point", "1,1"]) == 0
         assert capsys.readouterr() == ("37/10, 63/50\n", "")
+
+
+def chain_doc(*layers) -> str:
+    return json.dumps({"input_dim": 2, "output_dim": 2, "layers": list(layers)})
+
+
+# Every chain error a network document can produce, with its stderr line.
+# The output marker always takes the declared output_dim, so a marker of the
+# wrong width cannot be written down.
+CHAIN_ERRORS = {
+    "first_layer_width": (
+        chain_doc(
+            {"kind": "linear", "weights": [["1", "0", "0"]] * 2, "bias": ["0", "0"]},
+            {"kind": "output"},
+        ),
+        "error: layer 0: expects input dim 3, gets dim 2\n",
+    ),
+    "layer_to_layer": (
+        chain_doc(
+            {"kind": "linear", "weights": [["1", "0"]], "bias": ["0"]},
+            {"kind": "relu", "dim": 2},
+            {"kind": "output"},
+        ),
+        "error: layer 1: expects input dim 2, gets dim 1\n",
+    ),
+    "marker_before_the_end": (
+        chain_doc({"kind": "output"}, {"kind": "relu", "dim": 2}, {"kind": "output"}),
+        "error: layer 0: output layer before the end of the network\n",
+    ),
+    "no_marker": (
+        chain_doc({"kind": "relu", "dim": 2}),
+        "error: network has no output layer\n",
+    ),
+}
+
+
+class TestChainErrors:
+    @pytest.mark.parametrize("case", sorted(CHAIN_ERRORS))
+    def test_compile_exits_3_with_one_line(self, tmp_path, capsys, case):
+        doc, line = CHAIN_ERRORS[case]
+        net = write(tmp_path, "net.json", doc)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_ERRORS))
+    def test_eval_exits_3_with_one_line(self, tmp_path, capsys, case):
+        doc, line = CHAIN_ERRORS[case]
+        net = write(tmp_path, "net.json", doc)
+        assert main(["eval", "--network", net, "--point", "1,2"]) == 3
+        assert capsys.readouterr() == ("", line)

@@ -168,8 +168,9 @@ class TestParseNetwork:
 
     @pytest.mark.parametrize("dim", [13, 24, 10**9])
     def test_a_relu_of_any_width_parses_as_its_width(self, dim):
-        doc = f'{{"input_dim": 1, "output_dim": 1, "layers": [{{"kind": "relu", "dim": {dim}}}]}}'
-        assert parse_network(doc).layers == (ReluLayer(dim),)
+        layers = f'[{{"kind": "relu", "dim": {dim}}}, {{"kind": "output"}}]'
+        doc = f'{{"input_dim": {dim}, "output_dim": {dim}, "layers": {layers}}}'
+        assert parse_network(doc).layers == (ReluLayer(dim), OutputLayer(dim))
 
     def test_integer_literal_past_the_digit_limit(self):
         doc = '{"input_dim": ' + "1" * 5000 + ', "output_dim": 1, "layers": []}'

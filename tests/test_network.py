@@ -1,4 +1,4 @@
-"""Layer chains: dimension validation, evaluation, ReLU, and compilation."""
+"""Layer chains: the chain check at construction, evaluation, ReLU, and compilation."""
 
 import random
 from fractions import Fraction
@@ -20,7 +20,7 @@ from pwanet.pwa import (
 )
 from pwanet.network import (
     MAX_PIECES,
-    DimMismatch,
+    MAX_RATIONALS,
     Network,
     OutputLayer,
     PlainLayer,
@@ -31,11 +31,11 @@ from pwanet.network import (
     nn_eval,
     nn_linear,
     nn_relu,
+    oversize,
     piece_product,
     relu_1d,
     relu_nd,
     transform,
-    validate_dims,
 )
 
 from genutil import (
@@ -74,47 +74,43 @@ class TestLayerDims:
 
 
 class TestValidateDims:
+    """The chain is checked when a Network is built: the first break raises."""
+
     def test_example_network_is_well_formed(self):
-        assert validate_dims(example_network()) is None
+        assert len(example_network().layers) == 3
 
     def test_output_only_network_is_well_formed(self):
-        assert validate_dims(Network(2, 2, (OutputLayer(2),))) is None
+        assert Network(2, 2, (OutputLayer(2),)).layers == (OutputLayer(2),)
 
     def test_relu_fed_wrong_width(self):
-        net = Network(
-            2,
-            2,
-            (nn_linear(mat_of(random.Random(0), 3, 2), ColVec([0, 0, 0])), nn_relu(2)),
-        )
-        mismatch = validate_dims(net)
-        assert mismatch == DimMismatch(
-            1, 3, 2, "layer 1: expects input dim 2, gets dim 3"
-        )
+        layers = (nn_linear(mat_of(random.Random(0), 3, 2), ColVec([0, 0, 0])), nn_relu(2))
+        with pytest.raises(DimensionError, match="^layer 1: expects input dim 2, gets dim 3$"):
+            Network(2, 2, layers)
 
     def test_first_layer_must_consume_input_dim(self):
-        net = Network(3, 1, (nn_linear(Mat([[1, 0]]), ColVec([0])), OutputLayer(1)))
-        mismatch = validate_dims(net)
-        assert mismatch is not None and mismatch.position == 0
-        assert (mismatch.expected, mismatch.found) == (3, 2)
+        layers = (nn_linear(Mat([[1, 0]]), ColVec([0])), OutputLayer(1))
+        with pytest.raises(DimensionError, match="^layer 0: expects input dim 2, gets dim 3$"):
+            Network(3, 1, layers)
 
     def test_missing_output_layer(self):
-        net = Network(2, 2, (nn_relu(2),))
-        mismatch = validate_dims(net)
-        assert mismatch is not None
-        assert mismatch.position == 1
-        assert mismatch.message == "network has no output layer"
+        with pytest.raises(DimensionError, match="^network has no output layer$"):
+            Network(2, 2, (nn_relu(2),))
 
     def test_output_layer_in_the_middle(self):
-        net = Network(2, 2, (OutputLayer(2), nn_relu(2), OutputLayer(2)))
-        mismatch = validate_dims(net)
-        assert mismatch is not None and mismatch.position == 0
-        assert "before the end" in mismatch.message
+        with pytest.raises(
+            DimensionError, match="^layer 0: output layer before the end of the network$"
+        ):
+            Network(2, 2, (OutputLayer(2), nn_relu(2), OutputLayer(2)))
 
     def test_output_layer_contradicts_declared_output_dim(self):
-        net = Network(2, 3, (OutputLayer(2),))
-        mismatch = validate_dims(net)
-        assert mismatch is not None
-        assert (mismatch.expected, mismatch.found) == (3, 2)
+        with pytest.raises(
+            DimensionError, match="^layer 0: output layer has dim 2, network declares 3$"
+        ):
+            Network(2, 3, (OutputLayer(2),))
+
+    def test_an_object_that_is_not_a_layer_raises_type_error(self):
+        with pytest.raises(TypeError, match="^not a layer: <object object at "):
+            Network(1, 1, (object(), OutputLayer(1)))
 
 
 class TestNnEval:
@@ -168,9 +164,14 @@ class TestNnEval:
         assert nn_eval(net, outside) is None
 
     def test_network_without_output_layer_raises(self):
-        net = Network(2, 2, (nn_relu(2),))
-        with pytest.raises(ValueError):
-            nn_eval(net, ColVec([1, 1]))
+        # Evaluation would stop at the unknown layer before reaching the end.
+        with pytest.raises(DimensionError, match="^network has no output layer$"):
+            Network(2, 2, (nn_relu(2), UnknownLayer(2, 2)))
+
+    def test_a_marker_of_the_wrong_width_cannot_be_evaluated(self):
+        # Once a 2-vector came back from a network declaring output_dim 3.
+        with pytest.raises(DimensionError, match="^layer 0: output layer has dim 2"):
+            nn_eval(Network(2, 3, (OutputLayer(2),)), ColVec([1, 2]))
 
 
 class TestReluLayer:
@@ -190,14 +191,6 @@ class TestReluLayer:
             for _ in range(40):
                 x = point(rng, n)
                 assert nn_eval(net, x) == evaluate(fn, x)
-
-    def test_wrong_input_dim_raises_what_evaluate_raises(self):
-        net = Network(3, 2, (nn_relu(2), OutputLayer(2)))
-        x = ColVec([1, 2, 3])
-        with pytest.raises(DimensionError) as expected:
-            evaluate(relu_nd(2), x)
-        with pytest.raises(DimensionError, match=f"^{expected.value}$"):
-            nn_eval(net, x)
 
 
 class TestRelu1d:
@@ -330,7 +323,6 @@ class TestTransform:
         rng = random.Random(6609)
         for _ in range(30):
             net = random_network(rng)
-            assert validate_dims(net) is None
             fn = transform(net)
             assert fn is not None
             assert (fn.in_dim, fn.out_dim) == (net.input_dim, net.output_dim)
@@ -359,34 +351,19 @@ class TestTransformEdgeChains:
     """Shapes at the ends of the chain, pinned on the backward fold first."""
 
     def test_output_only_is_the_identity_on_the_marker_dim(self):
-        fn = transform(Network(3, 2, (OutputLayer(2),)))
+        fn = transform(Network(2, 2, (OutputLayer(2),)))
         assert serialize_pwa(fn) == serialize_pwa(identity_pwaf(2))
 
-    def test_in_dim_comes_from_the_first_layer(self):
+    def test_last_layer_must_meet_the_marker(self):
+        with pytest.raises(DimensionError, match="^layer 1: expects input dim 3, gets dim 2$"):
+            Network(2, 3, (nn_relu(2), OutputLayer(3)))
+
+    def test_a_first_layer_off_the_input_dim_cannot_be_compiled(self):
+        # Once this compiled to a function on R^3 under input_dim 5.
         rng = random.Random(6611)
         first = nn_linear(mat_of(rng, 2, 3), colvec_of(rng, 2))
-        fn = transform(Network(5, 2, (first, nn_relu(2), OutputLayer(2))))
-        assert (fn.in_dim, fn.out_dim, len(fn.pieces)) == (3, 2, 4)
-
-    def test_last_layer_must_meet_the_marker(self):
-        net = Network(2, 3, (nn_relu(2), OutputLayer(3)))
-        with pytest.raises(
-            DimensionError, match="^compose of function on dim 3 after function onto dim 2$"
-        ):
-            transform(net)
-
-    def test_the_mismatch_nearest_the_marker_is_reported(self):
-        rng = random.Random(6612)
-        layers = (
-            nn_linear(mat_of(rng, 3, 2), colvec_of(rng, 3)),
-            nn_linear(mat_of(rng, 4, 2), colvec_of(rng, 4)),
-            nn_relu(5),
-            OutputLayer(5),
-        )
-        with pytest.raises(
-            DimensionError, match="^compose of function on dim 5 after function onto dim 4$"
-        ):
-            transform(Network(2, 5, layers))
+        with pytest.raises(DimensionError, match="^layer 0: expects input dim 3, gets dim 5$"):
+            transform(Network(5, 2, (first, nn_relu(2), OutputLayer(2))))
 
     def test_a_single_claimed_layer_compiles_unchecked(self):
         claimed = parse_pwa(serialize_pwa(relu_1d()))
@@ -446,9 +423,8 @@ class TestPieceProduct:
         return PwaLayer(PwaFn(1, 1, identity_pwaf(1).pieces * count))
 
     def test_product_of_the_leading_pwa_layers(self):
-        net = Network(
-            1, 1, (self.layer_of(3), self.layer_of(5), UnknownLayer(1, 1), self.layer_of(7))
-        )
+        layers = (self.layer_of(3), self.layer_of(5), UnknownLayer(1, 1), self.layer_of(7))
+        net = Network(1, 1, layers + (OutputLayer(1),))
         assert piece_product(net) == 15
         assert piece_product(Network(1, 1, (OutputLayer(1),))) == 1
 
@@ -462,7 +438,7 @@ class TestPieceProduct:
         at_bound = (self.layer_of(MAX_PIECES // 2), self.layer_of(2))
         assert piece_product(Network(1, 1, at_bound + (OutputLayer(1),))) == MAX_PIECES
         past = (self.layer_of(MAX_PIECES), self.layer_of(2)) + (self.layer_of(MAX_PIECES),) * 100
-        assert MAX_PIECES < piece_product(Network(1, 1, past)) <= 2 * MAX_PIECES
+        assert MAX_PIECES < piece_product(Network(1, 1, past + (OutputLayer(1),))) <= 2 * MAX_PIECES
 
     def test_a_relu_counts_two_to_its_width(self):
         for n in range(13):
@@ -475,3 +451,20 @@ class TestPieceProduct:
         net = Network(dim, dim, (nn_relu(dim), nn_relu(dim), OutputLayer(dim)))
         product = piece_product(net)
         assert product > MAX_PIECES and product.bit_length() < 64
+
+
+class TestOversize:
+    PIECES = f"the compiled function would have more than {MAX_PIECES} pieces"
+    RATIONALS = f"the compiled function would hold more than {MAX_RATIONALS} rationals"
+
+    def test_a_small_network_fits(self):
+        assert oversize(example_network()) is None
+
+    def test_past_the_piece_bound(self):
+        assert oversize(Network(13, 13, (nn_relu(13), OutputLayer(13)))) == self.PIECES
+
+    def test_past_the_rational_bound_at_the_piece_bound(self):
+        # 4,096 pieces of (20 + 1) * (12 + 12) rationals fit; one more input does not.
+        for n, expected in ((20, None), (21, self.RATIONALS)):
+            layers = (nn_linear(Mat([[1] * n] * 12), ColVec([0] * 12)), nn_relu(12))
+            assert oversize(Network(n, 12, layers + (OutputLayer(12),))) == expected
