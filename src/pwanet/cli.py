@@ -19,7 +19,6 @@ import sys
 from . import formats, network, pwa
 from .formats import ParseError
 from .numeric import ColVec, DimensionError, ScalarTooLong, format_scalar, parse_scalar
-from .network import PlainLayer, UnknownLayer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,10 +63,7 @@ def _format_vec(v: ColVec) -> str:
 
 def _cmd_compile(args) -> int:
     net = formats.parse_network(_read(args.network))
-    index = next(
-        (i for i, layer in enumerate(net.layers) if isinstance(layer, (PlainLayer, UnknownLayer))),
-        None,
-    )
+    index = network.non_pwa_layer(net)
     if index is not None:
         raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
     excess = network.oversize(net)

@@ -29,6 +29,13 @@ so documents round-trip byte for byte, but the parsed function marks it as
 claimed: compose and concat do not carry a claimed "verified" into their
 results, and check_univalence never relies on any tag.
 
+Each document is read with one table that lives for that parse call: the
+raw text of a literal maps to its Fraction, a raw row of strings to its
+ColVec, and a row with its bound to its LinearConstraint. Repeated text
+is parsed once and the pieces share those immutable objects; a
+malformed document fails where, and with the message, it would if every
+entry were read afresh.
+
 The SMT export targets QF_LRA: constants x_0..x_{n-1} and y_0..y_{m-1},
 and per piece one assertion (=> <membership> <output rows>). It contains
 no check-sat, so callers can conjoin their own assertions after it.
@@ -73,35 +80,70 @@ def _nat(value, where) -> int:
     return value
 
 
-def _scalar(value, where) -> Fraction:
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: scalars must be strings, got {value!r}")
-    try:
-        return parse_scalar(value)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+class _Reader:
+    """One document's parse table: each distinct literal and row is read once.
 
+    literals maps a scalar's raw text to its Fraction, and rows maps a raw
+    row (a tuple of strings) to its ColVec, so repeated text yields the very
+    same immutable object. Only values that parsed are stored, and a row's
+    width is checked on every use, so a malformed document fails where and
+    how it would without the table. A row holding something other than
+    strings never parses, so it is never stored; an unhashable one is not
+    even looked up. constraints maps the ids of a row and a bound, which
+    the other two tables keep alive, to their LinearConstraint. The table
+    lives as long as one parse call.
+    """
 
-def _scalar_list(value, where) -> list[Fraction]:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list")
-    return [_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    __slots__ = ("literals", "rows", "constraints")
 
+    def __init__(self):
+        self.literals: dict[str, Fraction] = {}
+        self.rows: dict[tuple[str, ...], ColVec] = {}
+        self.constraints: dict[tuple[int, int], LinearConstraint] = {}
 
-def _vector(value, dim, where) -> ColVec:
-    entries = _scalar_list(value, where)
-    if len(entries) != dim:
-        raise ParseError(f"{where}: expected {dim} entries, got {len(entries)}")
-    return ColVec(entries)
+    def scalar(self, value, where, index=None) -> Fraction:
+        """The literal at where, or at where[index]: that text is built only for an error."""
+        q = self.literals.get(value) if isinstance(value, str) else None
+        if q is None:
+            if index is not None:
+                where = f"{where}[{index}]"
+            if not isinstance(value, str):
+                raise ParseError(f"{where}: scalars must be strings, got {value!r}")
+            try:
+                q = self.literals[value] = parse_scalar(value)
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+        return q
 
+    def vector(self, value, dim, where) -> ColVec:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list")
+        key = tuple(value)
+        try:
+            vec = self.rows.get(key)
+        except TypeError:
+            vec = None
+        if vec is None:
+            vec = ColVec([self.scalar(v, where, i) for i, v in enumerate(value)])
+            self.rows[key] = vec
+        if len(vec) != dim:
+            raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
+        return vec
 
-def _matrix(value, rows, cols, where) -> Mat:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list of rows")
-    if len(value) != rows:
-        raise ParseError(f"{where}: expected {rows} rows, got {len(value)}")
-    body = [_vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value)]
-    return Mat(body, cols=cols)
+    def constraint(self, c: ColVec, b: Fraction) -> LinearConstraint:
+        key = id(c), id(b)
+        lc = self.constraints.get(key)
+        if lc is None:
+            lc = self.constraints[key] = LinearConstraint(c, b)
+        return lc
+
+    def matrix(self, value, rows, cols, where) -> Mat:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list of rows")
+        if len(value) != rows:
+            raise ParseError(f"{where}: expected {rows} rows, got {len(value)}")
+        body = [self.vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value)]
+        return Mat(body, cols=cols)
 
 
 def parse_network(text: str) -> Network:
@@ -111,6 +153,7 @@ def parse_network(text: str) -> Network:
     comes before the DimensionError of a chain that does not fit.
     """
     doc = _load_json(text)
+    read = _Reader()
     input_dim = _nat(_get(doc, "input_dim", "network"), "input_dim")
     output_dim = _nat(_get(doc, "output_dim", "network"), "output_dim")
     raw_layers = _get(doc, "layers", "network")
@@ -127,8 +170,8 @@ def parse_network(text: str) -> Network:
             first = raw_weights[0]
             if not isinstance(first, list):
                 raise ParseError(f"{where}: weights must be a list of rows")
-            weights = _matrix(raw_weights, len(raw_weights), len(first), f"{where}.weights")
-            bias = _vector(_get(raw, "bias", where), weights.rows, f"{where}.bias")
+            weights = read.matrix(raw_weights, len(raw_weights), len(first), f"{where}.weights")
+            bias = read.vector(_get(raw, "bias", where), weights.rows, f"{where}.bias")
             layers.append(nn_linear(weights, bias))
         elif kind == "relu":
             layers.append(nn_relu(_nat(_get(raw, "dim", where), f"{where}.dim")))
@@ -156,6 +199,7 @@ def parse_pwa(text: str) -> PwaFn:
     raw_pieces = _get(doc, "pieces", "function")
     if not isinstance(raw_pieces, list):
         raise ParseError("pieces: expected a list")
+    read = _Reader()
     pieces = []
     for i, raw in enumerate(raw_pieces):
         where = f"piece {i}"
@@ -165,11 +209,11 @@ def parse_pwa(text: str) -> PwaFn:
         constraints = []
         for k, rc in enumerate(raw_constraints):
             cwhere = f"{where} constraint {k}"
-            c = _vector(_get(rc, "c", cwhere), in_dim, f"{cwhere}.c")
-            b = _scalar(_get(rc, "b", cwhere), f"{cwhere}.b")
-            constraints.append(LinearConstraint(c, b))
-        m = _matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
-        b = _vector(_get(raw, "b", where), out_dim, f"{where}.b")
+            c = read.vector(_get(rc, "c", cwhere), in_dim, f"{cwhere}.c")
+            b = read.scalar(_get(rc, "b", cwhere), f"{cwhere}.b")
+            constraints.append(read.constraint(c, b))
+        m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
+        b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
         pieces.append(AffinePiece(Polyhedron(in_dim, tuple(constraints)), m, b))
     return PwaFn(in_dim, out_dim, pieces, univalence=tag, claimed=True)
 
@@ -237,13 +281,6 @@ def _smt_or(parts) -> str:
     return "(or " + " ".join(parts) + ")"
 
 
-def _piece_condition(piece: AffinePiece) -> str:
-    return _smt_and(
-        f"(<= {_smt_linear(lc.c.entries)} {_smt_rat(lc.b)})"
-        for lc in piece.polyhedron.constraints
-    )
-
-
 def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
     """Emit a QF_LRA script relating inputs x_* to outputs y_* piece by piece.
 
@@ -251,17 +288,29 @@ def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
     forces every output row to equal its affine expression. With
     assert_domain, one more assertion places x inside some piece.
     """
+    # Each distinct constraint object is written once: the pieces of a
+    # parsed function share theirs, and fn keeps every one alive, so the
+    # ids stay put for the whole call.
+    atoms: dict[int, str] = {}
+
+    def atom(lc: LinearConstraint) -> str:
+        text = atoms.get(id(lc))
+        if text is None:
+            text = atoms[id(lc)] = f"(<= {_smt_linear(lc.c.entries)} {_smt_rat(lc.b)})"
+        return text
+
+    conditions = [_smt_and(map(atom, piece.polyhedron.constraints)) for piece in fn.pieces]
     lines = ["(set-logic QF_LRA)"]
     for k in range(fn.in_dim):
         lines.append(f"(declare-const x_{k} Real)")
     for r in range(fn.out_dim):
         lines.append(f"(declare-const y_{r} Real)")
-    for piece in fn.pieces:
+    for piece, condition in zip(fn.pieces, conditions):
         rows = _smt_and(
             f"(= y_{r} {_smt_linear(piece.M.entries[r], piece.b[r])})"
             for r in range(fn.out_dim)
         )
-        lines.append(f"(assert (=> {_piece_condition(piece)} {rows}))")
+        lines.append(f"(assert (=> {condition} {rows}))")
     if assert_domain:
-        lines.append(f"(assert {_smt_or(_piece_condition(p) for p in fn.pieces)})")
+        lines.append(f"(assert {_smt_or(conditions)})")
     return "\n".join(lines) + "\n"

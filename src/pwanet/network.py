@@ -17,8 +17,9 @@ pieces, one per sign orthant. A ReLU layer holds only its width, though:
 nn_eval takes max(0, x) componentwise, and transform pulls the 2^n sign
 patterns back through the prefix directly (pwa_algebra.compose_relu),
 with the bytes compose(relu_nd(n), prefix) would give. relu_1d and
-relu_nd are the paper's construction and the tests' oracle. oversize
-says why a network is too large to compile: a piece_product past
+relu_nd are the paper's construction and the tests' oracle.
+non_pwa_layer names the layer that keeps a network from compiling, and
+oversize says why a network is too large to compile: a piece_product past
 MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
 """
 
@@ -196,33 +197,47 @@ def transform(net: Network) -> Optional[PwaFn]:
     nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
     """
-    end = next(i for i, layer in enumerate(net.layers) if not isinstance(layer, _COMPILABLE))
-    if not isinstance(net.layers[end], OutputLayer):
+    if non_pwa_layer(net) is not None:
         return None
     dim = net.input_dim
-    if end == 0:
+    if len(net.layers) == 1:
         return identity_pwaf(dim)
     first = net.layers[0]
     if isinstance(first, ReluLayer):
         fn = compose_relu(dim, identity_pwaf(dim))
     else:
         fn = PwaFn(dim, first.out_dim, first.fn.pieces, univalence=_carried(first.fn))
-    for layer in net.layers[1:end]:
+    for layer in net.layers[1:-1]:
         fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
     return fn
+
+
+def non_pwa_layer(net: Network) -> Optional[int]:
+    """The first layer before the output marker that transform cannot compose.
+
+    That is a PlainLayer or an UnknownLayer; None means every layer before
+    the marker is PWA or ReLU, so the network compiles. compile exits 4
+    naming this index, transform returns None, and piece_product counts
+    the layers ahead of it.
+    """
+    return next(
+        (i for i, layer in enumerate(net.layers[:-1]) if not isinstance(layer, _COMPILABLE)),
+        None,
+    )
 
 
 def piece_product(net: Network) -> int:
     """The piece count transform(net) would produce, from the layers alone.
 
     It is the product of the piece counts of the PWA and ReLU layers
-    ahead of the first other layer (2^dim for a ReLU), and it stops
-    growing once it passes MAX_PIECES. A ReLU's exponent is capped where
-    2^dim alone passes MAX_PIECES, so a huge width costs nothing.
+    ahead of non_pwa_layer, or of the marker (2^dim for a ReLU), and it
+    stops growing once it passes MAX_PIECES. A ReLU's exponent is capped
+    where 2^dim alone passes MAX_PIECES, so a huge width costs nothing.
     """
+    end = non_pwa_layer(net)
     product = 1
-    for layer in net.layers:
-        if not isinstance(layer, _COMPILABLE) or product > MAX_PIECES:
+    for layer in net.layers[: -1 if end is None else end]:
+        if product > MAX_PIECES:
             break
         if isinstance(layer, ReluLayer):
             product <<= min(layer.dim, MAX_PIECES.bit_length())

@@ -48,10 +48,11 @@ def parse_scalar(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a string literal, got {type(text).__name__}")
     literal = text.strip()
-    _, marker, exponent = literal.upper().partition("E")
     try:
-        if marker and abs(int(exponent)) > _MAX_EXPONENT:
-            raise ValueError
+        if "e" in literal or "E" in literal:
+            _, _, exponent = literal.upper().partition("E")
+            if abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError
         return Fraction(literal)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

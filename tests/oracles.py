@@ -3,14 +3,17 @@
 Nothing in here touches the simplex or the library's arithmetic: linear
 systems are solved by direct Gaussian elimination, optima come from
 brute-force vertex enumeration, and dot products, membership and affine
-maps are raw Fraction loops. right_fold_transform is the one exception:
-it keeps the network compiler's earlier composition order, last layer
-first, and its explicit ReLU pieces, as the reference for the forward
-fold and for compose_relu.
+maps are raw Fraction loops. read_pwa and smt_reference read a PWA
+document and write its SMT script with json and Fraction alone, reading
+and rendering every entry afresh. right_fold_transform is the one
+exception: it keeps the network compiler's earlier composition order,
+last layer first, and its explicit ReLU pieces, as the reference for the
+forward fold and for compose_relu.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -146,3 +149,64 @@ def apply_affine(weights: list[list], bias: list, xs: list) -> list[Fraction]:
         sum((Fraction(w) * Fraction(v) for w, v in zip(row, xs)), Fraction(0)) + Fraction(b)
         for row, b in zip(weights, bias)
     ]
+
+
+def read_pwa(text: str) -> tuple[int, int, list]:
+    """A PWA document as plain data: (in_dim, out_dim, pieces).
+
+    Each piece is (constraints, M, b), with every constraint a (c, b) pair;
+    vectors are lists and matrices lists of rows, every entry read afresh
+    by Fraction(str). Only well-formed documents are expected.
+    """
+    doc = json.loads(text)
+    pieces = [
+        (
+            [([Fraction(a) for a in rc["c"]], Fraction(rc["b"])) for rc in raw["constraints"]],
+            [[Fraction(a) for a in row] for row in raw["M"]],
+            [Fraction(a) for a in raw["b"]],
+        )
+        for raw in doc["pieces"]
+    ]
+    return doc["in_dim"], doc["out_dim"], pieces
+
+
+def _smt_rat(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator) if q >= 0 else f"(- {-q.numerator})"
+    core = f"(/ {abs(q.numerator)} {q.denominator})"
+    return core if q > 0 else f"(- {core})"
+
+
+def _smt_linear(coeffs, constant=None) -> str:
+    terms = [
+        f"x_{k}" if c == 1 else f"(* {_smt_rat(c)} x_{k})" for k, c in enumerate(coeffs) if c
+    ]
+    if constant:
+        terms.append(_smt_rat(constant))
+    if len(terms) < 2:
+        return terms[0] if terms else "0"
+    return "(+ " + " ".join(terms) + ")"
+
+
+def _smt_join(op: str, unit: str, parts: list[str]) -> str:
+    if len(parts) < 2:
+        return parts[0] if parts else unit
+    return f"({op} " + " ".join(parts) + ")"
+
+
+def smt_reference(text: str, assert_domain: bool = False) -> str:
+    """export_smt's script for a PWA document, rendering every constraint anew."""
+    in_dim, out_dim, pieces = read_pwa(text)
+    lines = ["(set-logic QF_LRA)"]
+    lines += [f"(declare-const x_{k} Real)" for k in range(in_dim)]
+    lines += [f"(declare-const y_{r} Real)" for r in range(out_dim)]
+    conditions = [
+        _smt_join("and", "true", [f"(<= {_smt_linear(c)} {_smt_rat(b)})" for c, b in cons])
+        for cons, _, _ in pieces
+    ]
+    for condition, (_, m, b) in zip(conditions, pieces):
+        rows = [f"(= y_{r} {_smt_linear(m[r], b[r])})" for r in range(out_dim)]
+        lines.append(f"(assert (=> {condition} {_smt_join('and', 'true', rows)}))")
+    if assert_domain:
+        lines.append(f"(assert {_smt_join('or', 'false', conditions)})")
+    return "\n".join(lines) + "\n"

@@ -43,8 +43,8 @@ from pwanet.network import (
 )
 from pwanet.formats import ParseError, export_smt, parse_network, parse_pwa, serialize_pwa
 
-from genutil import point, univalent_fn
-from oracles import parse_sexprs
+from genutil import dense_network, point, random_network, univalent_fn
+from oracles import parse_sexprs, read_pwa, smt_reference
 
 NETWORK_DOC = """{
   "input_dim": 2,
@@ -307,6 +307,41 @@ class TestParsePwa:
         with pytest.raises(ParseError, match="expected a list"):
             parse_pwa(doc)
 
+    # A repeated literal or row is read once per document; these pin that a
+    # repeat fails exactly as a first reading of the same text would.
+    @staticmethod
+    def assert_parse_error(pieces, message):
+        doc = json.dumps({"in_dim": 2, "out_dim": 1, "univalence": "unchecked", "pieces": pieces})
+        with pytest.raises(ParseError) as raised:
+            parse_pwa(doc)
+        assert str(raised.value) == message
+
+    def test_a_row_read_as_b_is_checked_again_as_a_wider_c(self):
+        pieces = [
+            {"constraints": [], "M": [["1", "0"]], "b": ["5"]},
+            {"constraints": [{"c": ["5"], "b": "0"}], "M": [["1", "0"]], "b": ["5"]},
+        ]
+        self.assert_parse_error(pieces, "piece 1 constraint 0.c: expected 2 entries, got 1")
+
+    @pytest.mark.parametrize("entry, shown", [(0, "0"), (["0"], "['0']"), (True, "True")])
+    def test_a_repeated_row_with_a_non_string_entry(self, entry, shown):
+        pieces = [
+            {"constraints": [{"c": ["1", "0"], "b": "0"}], "M": [["1", "0"]], "b": ["0"]},
+            {"constraints": [{"c": ["1", entry], "b": "0"}], "M": [["1", "0"]], "b": ["0"]},
+        ]
+        self.assert_parse_error(
+            pieces, f"piece 1 constraint 0.c[1]: scalars must be strings, got {shown}"
+        )
+
+    def test_a_malformed_spelling_after_a_valid_one_of_the_same_value(self):
+        pieces = [
+            {"constraints": [{"c": ["0", "1"], "b": "0"}], "M": [["1", "0"]], "b": ["0"]},
+            {"constraints": [{"c": ["0e5000", "1"], "b": "0"}], "M": [["1", "0"]], "b": ["0"]},
+        ]
+        self.assert_parse_error(
+            pieces, "piece 1 constraint 0.c[0]: malformed rational literal '0e5000'"
+        )
+
 
 class TestRoundTrip:
     def test_relu_nd(self):
@@ -341,6 +376,58 @@ class TestRoundTrip:
         fn = relu_1d()
         assert serialize_pwa(fn) == serialize_pwa(fn)
         assert serialize_pwa(fn).endswith("\n")
+
+
+def _oracle_compiles():
+    """Compiles of the 40 random chains and of a dense 2-3-3-2 network."""
+    rng = random.Random(7703)
+    nets = [random_network(rng) for _ in range(40)]
+    nets.append(dense_network(random.Random(7704), (2, 3, 3, 2)))
+    return [transform(net) for net in nets]
+
+
+class TestParseTables:
+    """parse_pwa reads each distinct literal and row once per document."""
+
+    @pytest.fixture(scope="class")
+    def compiles(self):
+        return _oracle_compiles()
+
+    def test_pieces_equal_a_raw_reading(self, compiles):
+        for fn in compiles:
+            text = serialize_pwa(fn)
+            in_dim, out_dim, raw = read_pwa(text)
+            parsed = parse_pwa(text)
+            assert (parsed.in_dim, parsed.out_dim) == (in_dim, out_dim)
+            assert len(parsed.pieces) == len(raw)
+            for piece, (cons, m, b) in zip(parsed.pieces, raw):
+                got = [(list(lc.c), lc.b) for lc in piece.polyhedron.constraints]
+                assert got == cons
+                assert [list(row) for row in piece.M.entries] == m
+                assert list(piece.b) == b
+
+    @pytest.mark.parametrize("assert_domain", [False, True])
+    def test_smt_bytes_match_a_fresh_rendering(self, compiles, assert_domain):
+        for fn in compiles:
+            text = serialize_pwa(fn)
+            expected = smt_reference(text, assert_domain)
+            assert export_smt(fn, assert_domain) == expected
+            assert export_smt(parse_pwa(text), assert_domain) == expected
+
+    def test_repeated_rows_are_one_object(self, compiles):
+        parsed = parse_pwa(serialize_pwa(compiles[-1]))
+        objects = {}
+        count = 0
+        for piece in parsed.pieces:
+            for lc in piece.polyhedron.constraints:
+                count += 1
+                for value in (lc, lc.c, lc.b):
+                    assert objects.setdefault((type(value), value), value) is value
+            for value in (piece.b, *piece.b, *(e for row in piece.M.entries for e in row)):
+                assert objects.setdefault((type(value), value), value) is value
+        # The compile does repeat itself, so the checks above were not vacuous.
+        distinct = sum(1 for kind, _ in objects if kind is LinearConstraint)
+        assert distinct < count // 4
 
 
 class TestExportSmt:
