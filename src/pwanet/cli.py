@@ -6,8 +6,9 @@ regions, and export an SMT script. Exit codes are stable: 0 success,
 2 parse problem, 3 dimension problem (a layer chain that breaks, which
 building the Network reports, or a point of the wrong width), 4 non-PWA
 layer, 5 univalence violation, 6 result too large (a compile that
-network.oversize refuses, or a rational too long to write as text; no
-output file is written).
+network.oversize refuses, an SMT script that would declare more than
+network.MAX_RATIONALS variables, or a rational too long to write as
+text; no output file is written).
 Output is deterministic byte for byte.
 """
 
@@ -109,6 +110,12 @@ def _cmd_regions(args) -> int:
 
 def _cmd_export_smt(args) -> int:
     fn = formats.parse_pwa(_read(args.pwa))
+    # One declaration per input and output, even where no row bounds them.
+    if fn.in_dim + fn.out_dim > network.MAX_RATIONALS:
+        raise _Failure(
+            EXIT_TOO_LARGE,
+            f"error: the SMT script would declare more than {network.MAX_RATIONALS} variables",
+        )
     _write(args.out, formats.export_smt(fn, assert_domain=args.assert_domain))
     return EXIT_OK
 

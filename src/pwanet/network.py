@@ -44,6 +44,14 @@ class OutputLayer:
 
     dim: int
 
+    @property
+    def in_dim(self) -> int:
+        return self.dim
+
+    @property
+    def out_dim(self) -> int:
+        return self.dim
+
 
 @dataclass(frozen=True)
 class PwaLayer:
@@ -124,9 +132,10 @@ class Network:
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, _LAYERS):
                 raise TypeError(f"not a layer: {layer!r}")
-            lin, lout = layer_dims(layer)
-            if lin != current:
-                raise DimensionError(f"layer {i}: expects input dim {lin}, gets dim {current}")
+            if layer.in_dim != current:
+                raise DimensionError(
+                    f"layer {i}: expects input dim {layer.in_dim}, gets dim {current}"
+                )
             if isinstance(layer, OutputLayer):
                 if i != last:
                     raise DimensionError(f"layer {i}: output layer before the end of the network")
@@ -136,14 +145,8 @@ class Network:
                         f"network declares {self.output_dim}"
                     )
                 return
-            current = lout
+            current = layer.out_dim
         raise DimensionError("network has no output layer")
-
-
-def layer_dims(layer: Layer) -> tuple[int, int]:
-    if isinstance(layer, OutputLayer):
-        return layer.dim, layer.dim
-    return layer.in_dim, layer.out_dim
 
 
 def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:

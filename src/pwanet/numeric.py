@@ -5,7 +5,8 @@ Floats are rejected outright: a binary float that sneaks into a weight
 or constraint would silently break the exact-equality reasoning the
 rest of the library depends on. Decimal strings like "2.7" are parsed
 exactly (27/10), as are "p/q" forms; a decimal exponent may be at most
-4300 in absolute value.
+4300 in absolute value. parse_scalar reads one ASCII grammar, whatever
+the running Python's Fraction accepts.
 
 The products (dot, mat_vec_mul, mat_mul) run on integers: each operand
 row or column is scaled by the lcm of its denominators (scaled_ints),
@@ -20,6 +21,7 @@ to a string. format_scalar raises ScalarTooLong then.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -39,21 +41,28 @@ class DimensionError(ValueError):
 # two-million-digit integer from nine bytes of input.
 _MAX_EXPONENT = 4300
 
+_LITERAL = re.compile(
+    r"\s*[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE](?P<exponent>[-+]?\d+))?)\s*",
+    re.ASCII,
+)
+
 
 def parse_scalar(text: str) -> Fraction:
     """Parse a decimal literal ("2.7", "-0.25", "1e-3") or a fraction ("p/q") exactly.
 
-    Exponents beyond +-4300 are refused as malformed.
+    A literal is an optional sign, then either p/q or a decimal (digits
+    with an optional point, or a point and digits) with an optional
+    exponent e or E and signed digits, with ASCII whitespace allowed
+    around it. Digits are ASCII 0-9 only. Exponents beyond +-4300 are
+    refused as malformed.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a string literal, got {type(text).__name__}")
-    literal = text.strip()
+    match = _LITERAL.fullmatch(text)
     try:
-        if "e" in literal or "E" in literal:
-            _, _, exponent = literal.upper().partition("E")
-            if abs(int(exponent)) > _MAX_EXPONENT:
-                raise ValueError
-        return Fraction(literal)
+        if match is None or abs(int(match["exponent"] or 0)) > _MAX_EXPONENT:
+            raise ValueError
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
@@ -222,27 +231,5 @@ def mat_vec_mul(m: Mat, x: ColVec) -> ColVec:
     return ColVec(_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries)
 
 
-def block_diag(a: Mat, b: Mat) -> Mat:
-    """Stack a on the upper left and b on the lower right, zeros elsewhere."""
-    cols = a.cols + b.cols
-    body = [list(row) + [Fraction(0)] * b.cols for row in a.entries]
-    body += [[Fraction(0)] * a.cols + list(row) for row in b.entries]
-    return Mat(body, cols=cols)
-
-
 def vec_concat(v: ColVec, w: ColVec) -> ColVec:
     return ColVec(v.entries + w.entries)
-
-
-def extend_vec_bottom(v: ColVec, new_dim: int) -> ColVec:
-    """Pad with zeros below: the original entries keep their positions."""
-    if new_dim < v.dim:
-        raise DimensionError(f"cannot extend dim {v.dim} down to {new_dim}")
-    return ColVec(v.entries + (Fraction(0),) * (new_dim - v.dim))
-
-
-def extend_vec_top(v: ColVec, new_dim: int) -> ColVec:
-    """Pad with zeros above: the original entries shift to the bottom."""
-    if new_dim < v.dim:
-        raise DimensionError(f"cannot extend dim {v.dim} down to {new_dim}")
-    return ColVec((Fraction(0),) * (new_dim - v.dim) + v.entries)

@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import (
-    ColVec,
-    DimensionError,
-    as_scalar,
-    dot,
-    extend_vec_bottom,
-    extend_vec_top,
-)
+from .numeric import ColVec, DimensionError, as_scalar, dot
 
 
 @dataclass(frozen=True)
@@ -73,25 +66,3 @@ def intersect(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     if p1.dim != p2.dim:
         raise DimensionError(f"intersect of dim {p1.dim} against dim {p2.dim}")
     return Polyhedron(p1.dim, p1.constraints + p2.constraints)
-
-
-def lift_constraints_bottom(
-    constraints: tuple[LinearConstraint, ...], new_dim: int
-) -> tuple[LinearConstraint, ...]:
-    """Reinterpret constraints in a larger space, original coordinates on top.
-
-    Each coefficient vector is zero-padded below, so the constraint ignores
-    the appended coordinates.
-    """
-    return tuple(
-        LinearConstraint(extend_vec_bottom(lc.c, new_dim), lc.b) for lc in constraints
-    )
-
-
-def lift_constraints_top(
-    constraints: tuple[LinearConstraint, ...], new_dim: int
-) -> tuple[LinearConstraint, ...]:
-    """Reinterpret constraints in a larger space, original coordinates at bottom."""
-    return tuple(
-        LinearConstraint(extend_vec_top(lc.c, new_dim), lc.b) for lc in constraints
-    )

@@ -131,12 +131,6 @@ def evaluate(fn: PwaFn, x: ColVec) -> Optional[ColVec]:
     return None
 
 
-def in_domain(fn: PwaFn, x: ColVec) -> bool:
-    if x.dim != fn.in_dim:
-        raise DimensionError(f"point of dim {x.dim} into function on dim {fn.in_dim}")
-    return any(contains(piece.polyhedron, x) for piece in fn.pieces)
-
-
 def identity_pwaf(n: int) -> PwaFn:
     """The identity on R^n as a single unconstrained piece."""
     piece = AffinePiece(full_space(n), identity(n), zeros_vec(n))

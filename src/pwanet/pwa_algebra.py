@@ -21,13 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .numeric import ColVec, DimensionError, Mat, block_diag, mat_mul, mat_vec_mul, vec_add, vec_concat
-from .polyhedra import (
-    LinearConstraint,
-    Polyhedron,
-    lift_constraints_bottom,
-    lift_constraints_top,
-)
+from .numeric import ColVec, DimensionError, Mat, mat_mul, mat_vec_mul, vec_add
+from .polyhedra import LinearConstraint, Polyhedron
 from .pwa import UNCHECKED, VERIFIED, AffinePiece, PwaFn
 
 
@@ -117,36 +112,36 @@ def compose_relu(n: int, g: PwaFn) -> PwaFn:
     return PwaFn(g.in_dim, n, pieces, univalence=_carried(g))
 
 
-def concat_polyhedra(p_f: Polyhedron, p_g: Polyhedron) -> Polyhedron:
-    """Product polyhedron in dim p_f.dim + p_g.dim.
-
-    p_f's constraints come first, padded to ignore the new bottom
-    coordinates; p_g's follow, padded to ignore the top ones.
-    """
-    total = p_f.dim + p_g.dim
-    return Polyhedron(
-        total,
-        lift_constraints_bottom(p_f.constraints, total)
-        + lift_constraints_top(p_g.constraints, total),
+def _padded(piece: AffinePiece, before: int, after: int):
+    """The piece's constraints and map rows with `before` zeros ahead and
+    `after` zeros behind each row, and its offset entries."""
+    lead, trail = (Fraction(0),) * before, (Fraction(0),) * after
+    constraints = tuple(
+        LinearConstraint(ColVec(lead + lc.c.entries + trail), lc.b)
+        for lc in piece.polyhedron.constraints
     )
+    return constraints, tuple(lead + row + trail for row in piece.M.entries), piece.b.entries
 
 
 def concat(f: PwaFn, g: PwaFn) -> PwaFn:
     """Run f and g side by side on a stacked input, f on top.
 
     evaluate(concat(f, g), x1 ++ x2) equals evaluate(f, x1) ++ evaluate(g, x2)
-    whenever both halves are defined. Piece pairs follow the same order as
-    compose: g's pieces drive the outer loop, f's cycle fastest. Verified
-    when f and g are: overlapping pieces overlap in both halves, where f
-    and g each agree.
+    whenever both halves are defined. Each piece pairs an f piece, its
+    rows padded with zeros below, with a g piece, its rows padded with
+    zeros above: f's constraints come first, then g's, and the map is
+    block-diagonal. Piece pairs follow the same order as compose: g's
+    pieces drive the outer loop, f's cycle fastest. Each piece is padded
+    once and its rows are shared by every pair it is in. Verified when f
+    and g are: overlapping pieces overlap in both halves, where f and g
+    each agree.
     """
+    dim = f.in_dim + g.in_dim
+    tops = [_padded(fp, 0, g.in_dim) for fp in f.pieces]
     pieces = []
     for gp in g.pieces:
-        for fp in f.pieces:
-            poly = concat_polyhedra(fp.polyhedron, gp.polyhedron)
-            m = block_diag(fp.M, gp.M)
-            b = vec_concat(fp.b, gp.b)
-            pieces.append(AffinePiece(poly, m, b))
-    return PwaFn(
-        f.in_dim + g.in_dim, f.out_dim + g.out_dim, pieces, univalence=_carried(f, g)
-    )
+        g_lcs, g_rows, g_b = _padded(gp, f.in_dim, 0)
+        for f_lcs, f_rows, f_b in tops:
+            poly = Polyhedron(dim, f_lcs + g_lcs)
+            pieces.append(AffinePiece(poly, Mat(f_rows + g_rows, cols=dim), ColVec(f_b + g_b)))
+    return PwaFn(dim, f.out_dim + g.out_dim, pieces, univalence=_carried(f, g))

@@ -12,7 +12,7 @@ from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, Mat, parse_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, full_space
 from pwanet.pwa import AffinePiece, PwaFn, Univalent, check_univalence, evaluate
-from pwanet.network import MAX_PIECES, relu_1d, relu_nd
+from pwanet.network import MAX_PIECES, MAX_RATIONALS, relu_1d, relu_nd
 
 EXAMPLE_NET = """{
   "input_dim": 2,
@@ -475,6 +475,26 @@ class TestExportSmt:
         out = tmp_path / "big.smt2"
         assert main(["export-smt", "--pwa", fn, "--out", str(out)]) == 6
         assert capsys.readouterr().err == TOO_LONG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dims, pieces",
+        [
+            ((10**18, 0), []),
+            ((10**18, 0), [{"constraints": [], "M": [], "b": []}]),
+            ((MAX_RATIONALS, 1), []),
+        ],
+        ids=["no_pieces", "unconstrained_piece", "one_past_the_bound"],
+    )
+    def test_too_many_variables_exits_6_with_one_line(self, tmp_path, capsys, dims, pieces):
+        in_dim, out_dim = dims
+        doc = {"in_dim": in_dim, "out_dim": out_dim, "univalence": "unchecked", "pieces": pieces}
+        fn = write(tmp_path, "wide.json", json.dumps(doc))
+        out = tmp_path / "wide.smt2"
+        assert main(["export-smt", "--pwa", fn, "--out", str(out)]) == 6
+        assert capsys.readouterr().err == (
+            f"error: the SMT script would declare more than {MAX_RATIONALS} variables\n"
+        )
         assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from pwanet.pwa import (
     check_univalence,
     evaluate,
     identity_pwaf,
-    in_domain,
     prune_empty,
 )
 from pwanet.network import (
@@ -27,7 +26,6 @@ from pwanet.network import (
     PwaLayer,
     ReluLayer,
     UnknownLayer,
-    layer_dims,
     nn_eval,
     nn_linear,
     nn_relu,
@@ -66,11 +64,14 @@ def example_oracle(x: ColVec) -> ColVec:
 
 class TestLayerDims:
     def test_each_kind(self):
-        assert layer_dims(OutputLayer(3)) == (3, 3)
-        assert layer_dims(nn_relu(2)) == (2, 2)
-        assert layer_dims(nn_linear(Mat([[1, 0]]), ColVec([0]))) == (2, 1)
-        assert layer_dims(PlainLayer(lambda v: v, 4, 4)) == (4, 4)
-        assert layer_dims(UnknownLayer(2, 5)) == (2, 5)
+        def dims(layer):
+            return layer.in_dim, layer.out_dim
+
+        assert dims(OutputLayer(3)) == (3, 3)
+        assert dims(nn_relu(2)) == (2, 2)
+        assert dims(nn_linear(Mat([[1, 0]]), ColVec([0]))) == (2, 1)
+        assert dims(PlainLayer(lambda v: v, 4, 4)) == (4, 4)
+        assert dims(UnknownLayer(2, 5)) == (2, 5)
 
 
 class TestValidateDims:
@@ -160,7 +161,7 @@ class TestNnEval:
         fn = restricted_affine(rng, 1, 1)
         net = Network(1, 1, (PwaLayer(fn), OutputLayer(1)))
         outside = ColVec([1000])
-        assert not in_domain(fn, outside)
+        assert evaluate(fn, outside) is None
         assert nn_eval(net, outside) is None
 
     def test_network_without_output_layer_raises(self):

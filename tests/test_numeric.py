@@ -11,10 +11,7 @@ from pwanet.numeric import (
     DimensionError,
     Mat,
     as_scalar,
-    block_diag,
     dot,
-    extend_vec_bottom,
-    extend_vec_top,
     format_scalar,
     identity,
     mat_mul,
@@ -48,7 +45,12 @@ class TestParseScalar:
     def test_surrounding_whitespace(self):
         assert parse_scalar("  2.7\n") == Fraction(27, 10)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "2.7.1", "1 2"])
+    @pytest.mark.parametrize(
+        "bad",
+        # Underscores and "p / q" parse on some Python versions only, and
+        # non-ASCII digits on all of them; the literal grammar refuses them.
+        ["", "abc", "1/2/3", "2.7.1", "1 2", "1_000", "1e2_0", "1 / 3", "\u0661", "\uff11"],
+    )
     def test_malformed_literal(self, bad):
         with pytest.raises(ValueError):
             parse_scalar(bad)
@@ -60,7 +62,6 @@ class TestParseScalar:
     def test_exponent_within_the_bound(self):
         assert parse_scalar("1e4300") == Fraction(10**4300)
         assert parse_scalar("-2.5E-4300") == Fraction(-25, 10**4301)
-        assert parse_scalar("1e2_0") == Fraction(10**20)
 
     @pytest.mark.parametrize(
         "bad", ["1e4301", "1E-4301", "1e2000000", "-3.5e+2000000", "1e" + "9" * 5000]
@@ -216,15 +217,9 @@ class TestVectorOps:
 
     def test_concat_and_extend(self):
         assert vec_concat(ColVec([1]), ColVec([2, 3])) == ColVec([1, 2, 3])
-        assert extend_vec_bottom(ColVec([1, 2]), 4) == ColVec([1, 2, 0, 0])
-        assert extend_vec_top(ColVec([1, 2]), 4) == ColVec([0, 0, 1, 2])
-        assert extend_vec_bottom(ColVec([1]), 1) == ColVec([1])
-
-    def test_extend_cannot_shrink(self):
-        with pytest.raises(DimensionError):
-            extend_vec_bottom(ColVec([1, 2]), 1)
-        with pytest.raises(DimensionError):
-            extend_vec_top(ColVec([1, 2]), 0)
+        assert vec_concat(ColVec([1, 2]), zeros_vec(2)) == ColVec([1, 2, 0, 0])
+        assert vec_concat(zeros_vec(2), ColVec([1, 2])) == ColVec([0, 0, 1, 2])
+        assert vec_concat(ColVec([1]), zeros_vec(0)) == ColVec([1])
 
 
 class TestMatrixOps:
@@ -263,43 +258,6 @@ class TestMatrixOps:
             assert mat_vec_mul(m, vec_add(x, y)) == vec_add(
                 mat_vec_mul(m, x), mat_vec_mul(m, y)
             )
-
-
-class TestBlockDiag:
-    def test_known_layout(self):
-        a = Mat([[1]])
-        b = Mat([[2, 3]])
-        assert block_diag(a, b) == Mat([[1, 0, 0], [0, 2, 3]])
-
-    def test_empty_blocks_are_neutral(self):
-        empty = Mat([], cols=0)
-        m = Mat([[1, 2], [3, 4]])
-        assert block_diag(empty, m) == m
-        assert block_diag(m, empty) == m
-
-    def test_acts_blockwise_random(self):
-        rng = random.Random(1104)
-        for _ in range(25):
-            a = mat_of(rng, rng.randint(0, 3), rng.randint(0, 3), num=9, den=5)
-            b = mat_of(rng, rng.randint(0, 3), rng.randint(0, 3), num=9, den=5)
-            x = colvec_of(rng, a.cols, num=9, den=5)
-            y = colvec_of(rng, b.cols, num=9, den=5)
-            assert mat_vec_mul(block_diag(a, b), vec_concat(x, y)) == vec_concat(
-                mat_vec_mul(a, x), mat_vec_mul(b, y)
-            )
-
-    def test_extension_preserves_dot_products(self):
-        rng = random.Random(1105)
-        for _ in range(25):
-            n = rng.randint(0, 3)
-            m = rng.randint(0, 3)
-            c = colvec_of(rng, n, num=9, den=5)
-            x = colvec_of(rng, n, num=9, den=5)
-            y = colvec_of(rng, m, num=9, den=5)
-            joint = vec_concat(x, y)
-            assert dot(extend_vec_bottom(c, n + m), joint) == dot(c, x)
-            d = colvec_of(rng, m, num=9, den=5)
-            assert dot(extend_vec_top(d, n + m), joint) == dot(d, y)
 
 
 class TestZeros:

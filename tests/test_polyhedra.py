@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from pwanet.numeric import ColVec, DimensionError, vec_concat
+from pwanet.numeric import ColVec, DimensionError
 from pwanet.polyhedra import (
     LinearConstraint,
     Polyhedron,
     contains,
     full_space,
     intersect,
-    lift_constraints_bottom,
-    lift_constraints_top,
 )
 
 from genutil import box_polyhedron, point
@@ -98,46 +96,6 @@ class TestIntersect:
             for _ in range(200):
                 x = point(rng, dim)
                 assert contains(both, x) == (contains(p1, x) and contains(p2, x))
-
-
-class TestLifting:
-    def test_bottom_keeps_leading_coordinates(self):
-        (lifted,) = lift_constraints_bottom(
-            (LinearConstraint(ColVec([1]), 2),), 3
-        )
-        assert lifted.c == ColVec([1, 0, 0])
-        assert lifted.b == Fraction(2)
-
-    def test_top_moves_to_trailing_coordinates(self):
-        (lifted,) = lift_constraints_top((LinearConstraint(ColVec([1]), 2),), 3)
-        assert lifted.c == ColVec([0, 0, 1])
-        assert lifted.b == Fraction(2)
-
-    def test_lifting_to_same_dim_changes_nothing(self):
-        cs = (LinearConstraint(ColVec([1, -1]), 0),)
-        assert lift_constraints_bottom(cs, 2) == cs
-        assert lift_constraints_top(cs, 2) == cs
-
-    def test_lifting_cannot_shrink(self):
-        cs = (LinearConstraint(ColVec([1, -1]), 0),)
-        with pytest.raises(DimensionError):
-            lift_constraints_bottom(cs, 1)
-        with pytest.raises(DimensionError):
-            lift_constraints_top(cs, 1)
-
-    def test_lifted_membership_ignores_new_coordinates(self):
-        rng = random.Random(2202)
-        for _ in range(5):
-            dim = rng.randint(1, 3)
-            extra = rng.randint(0, 3)
-            p = box_polyhedron(rng, dim)
-            bottom = Polyhedron(dim + extra, lift_constraints_bottom(p.constraints, dim + extra))
-            top = Polyhedron(dim + extra, lift_constraints_top(p.constraints, dim + extra))
-            for _ in range(100):
-                x = point(rng, dim)
-                pad = point(rng, extra)
-                assert contains(bottom, vec_concat(x, pad)) == contains(p, x)
-                assert contains(top, vec_concat(pad, x)) == contains(p, x)
 
 
 class TestMonotonicity:

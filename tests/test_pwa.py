@@ -20,7 +20,6 @@ from pwanet.pwa import (
     count_regions,
     evaluate,
     identity_pwaf,
-    in_domain,
     linear_pwaf,
     prune_empty,
 )
@@ -90,7 +89,7 @@ class TestEvaluate:
     def test_zero_pieces_means_empty_domain(self):
         fn = PwaFn(2, 3)
         assert evaluate(fn, ColVec([0, 0])) is None
-        assert not in_domain(fn, ColVec([1, 1]))
+        assert evaluate(fn, ColVec([1, 1])) is None
 
     def test_first_matching_piece_wins(self):
         fn = two_conflicting_pieces()
@@ -102,15 +101,17 @@ class TestEvaluate:
         with pytest.raises(DimensionError):
             evaluate(relu_1d(), ColVec([1, 2]))
         with pytest.raises(DimensionError):
-            in_domain(relu_1d(), ColVec())
+            evaluate(relu_1d(), ColVec())
 
     def test_in_domain_agrees_with_evaluate(self):
+        # The domain is the union of the piece polyhedra.
         rng = random.Random(4401)
         for _ in range(5):
             fn = restricted_affine(rng, 2, 2)
             for _ in range(100):
                 x = point(rng, 2)
-                assert in_domain(fn, x) == (evaluate(fn, x) is not None)
+                inside = any(contains(piece.polyhedron, x) for piece in fn.pieces)
+                assert inside == (evaluate(fn, x) is not None)
 
 
 class TestConstructors:

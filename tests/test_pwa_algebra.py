@@ -1,5 +1,6 @@
 """Composition and concatenation: piece structure and pointwise laws."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from pwanet.pwa import (
     REFUTED,
     UNCHECKED,
     VERIFIED,
+    AffinePiece,
     PwaFn,
     Univalent,
     check_univalence,
@@ -25,11 +27,18 @@ from pwanet.pwa_algebra import (
     compose_polyhedron,
     compose_relu,
     concat,
-    concat_polyhedra,
 )
 from pwanet.network import Network, OutputLayer, relu_1d, relu_nd, transform
 
-from genutil import colvec_of, mat_of, point, random_network, restricted_affine, univalent_fn
+from genutil import (
+    box_polyhedron,
+    colvec_of,
+    mat_of,
+    point,
+    random_network,
+    restricted_affine,
+    univalent_fn,
+)
 
 
 def unchecked_copy(fn):
@@ -222,36 +231,48 @@ class TestCompose:
             assert evaluate(left, x) == evaluate(right, x)
 
 
+def single_piece(poly, m=None):
+    """poly as the domain of one piece: m (default the zero map onto R^0) and a zero offset."""
+    m = Mat([], cols=poly.dim) if m is None else m
+    return PwaFn(poly.dim, m.rows, (AffinePiece(poly, m, ColVec([0] * m.rows)),))
+
+
 class TestConcatPolyhedra:
+    """The polyhedron of each concat piece, read off single-piece functions."""
+
     def test_known_layout(self):
         p_f = Polyhedron(1, (LinearConstraint(ColVec([1]), 0),))
-        p_g = Polyhedron(1, (LinearConstraint(ColVec([-1]), 0),))
-        got = concat_polyhedra(p_f, p_g)
-        assert got.dim == 2
+        p_g = Polyhedron(2, (LinearConstraint(ColVec([-1, 3]), 2),))
+        (piece,) = concat(single_piece(p_f), single_piece(p_g)).pieces
+        got = piece.polyhedron
+        assert got.dim == 3
+        # f's rows keep the leading coordinates, g's move to the trailing ones.
         assert got.constraints == (
-            LinearConstraint(ColVec([1, 0]), 0),
-            LinearConstraint(ColVec([0, -1]), 0),
+            LinearConstraint(ColVec([1, 0, 0]), 0),
+            LinearConstraint(ColVec([0, -1, 3]), 2),
         )
-        # Membership is componentwise: x <= 0 in the first slot, y >= 0 in the second.
-        assert contains(got, ColVec([-1, 1]))
-        assert contains(got, ColVec([0, 0]))
-        assert not contains(got, ColVec([1, 1]))
-        assert not contains(got, ColVec([-1, -1]))
+        # Membership is componentwise: x <= 0 in the first slot, 3z - y <= 2 in the others.
+        assert contains(got, ColVec([-1, 1, 1]))
+        assert contains(got, ColVec([0, 0, 0]))
+        assert not contains(got, ColVec([1, 1, 1]))
+        assert not contains(got, ColVec([-1, 0, 1]))
 
     def test_zero_dim_is_neutral(self):
         p = Polyhedron(2, (LinearConstraint(ColVec([1, 1]), 3),))
-        assert concat_polyhedra(p, full_space(0)).constraints == p.constraints
-        assert concat_polyhedra(full_space(0), p).constraints == p.constraints
+        f = single_piece(p, Mat([[1, 2], [3, 4]]))
+        for stacked in (concat(f, identity_pwaf(0)), concat(identity_pwaf(0), f)):
+            (piece,) = stacked.pieces
+            assert piece.polyhedron.constraints == p.constraints
+            assert (piece.M, piece.b) == (f.pieces[0].M, f.pieces[0].b)
 
     def test_membership_is_componentwise_random(self):
         rng = random.Random(5507)
-        from genutil import box_polyhedron
-
         for _ in range(10):
-            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            n, m = rng.randint(0, 3), rng.randint(0, 3)
             p_f = box_polyhedron(rng, n)
             p_g = box_polyhedron(rng, m)
-            stacked = concat_polyhedra(p_f, p_g)
+            (piece,) = concat(single_piece(p_f), single_piece(p_g)).pieces
+            stacked = piece.polyhedron
             for _ in range(60):
                 x = point(rng, n)
                 y = point(rng, m)
@@ -330,12 +351,71 @@ class TestConcat:
         refuted = PwaFn(1, 1, relu.pieces, univalence=REFUTED)
         assert concat(refuted, relu).univalence == UNCHECKED
 
+    def test_maps_are_block_diagonal(self):
+        f = single_piece(full_space(1), Mat([[1]]))
+        g = single_piece(full_space(2), Mat([[2, 3]]))
+        (piece,) = concat(f, g).pieces
+        assert piece.M == Mat([[1, 0, 0], [0, 2, 3]])
+        assert piece.b == ColVec([0, 0])
+
+    def test_maps_act_blockwise_random(self):
+        rng = random.Random(1104)
+        for _ in range(25):
+            a = mat_of(rng, rng.randint(0, 3), rng.randint(0, 3), num=9, den=5)
+            b = mat_of(rng, rng.randint(0, 3), rng.randint(0, 3), num=9, den=5)
+            f = single_piece(full_space(a.cols), a)
+            g = single_piece(full_space(b.cols), b)
+            (piece,) = concat(f, g).pieces
+            x = colvec_of(rng, a.cols, num=9, den=5)
+            y = colvec_of(rng, b.cols, num=9, den=5)
+            assert mat_vec_mul(piece.M, vec_concat(x, y)) == vec_concat(
+                mat_vec_mul(a, x), mat_vec_mul(b, y)
+            )
+
     def test_zero_dim_functions_are_neutral(self):
         relu = relu_1d()
         left = concat(identity_pwaf(0), relu)
         right = concat(relu, identity_pwaf(0))
         assert evaluate(left, ColVec([-3])) == ColVec([0])
         assert evaluate(right, ColVec([5])) == ColVec([5])
+
+
+def stacked_restricted_pieces(rng):
+    """0-3 pieces of restricted_affine on R^0..R^3 onto R^0..R^3, one
+    function; "verified" on a coin flip when it has at most one piece."""
+    in_dim, out_dim = rng.randint(0, 3), rng.randint(0, 3)
+    pieces = [
+        piece
+        for _ in range(rng.randint(0, 3))
+        for piece in restricted_affine(rng, in_dim, out_dim).pieces
+    ]
+    status = VERIFIED if len(pieces) <= 1 and rng.random() < 0.5 else UNCHECKED
+    return PwaFn(in_dim, out_dim, pieces, univalence=status)
+
+
+class TestConcatBytes:
+    """concat's output pinned byte for byte: piece order, constraint order,
+    every rational and the status tag. The digests were computed with the
+    earlier concat, which padded the rows of every pair anew."""
+
+    def test_relu_nd_bytes(self):
+        digest = hashlib.sha256()
+        for n in range(10):
+            digest.update(serialize_pwa(relu_nd(n)).encode())
+        assert digest.hexdigest() == (
+            "889c4f8e8baff010e4107343b6c4b3529fe5beb128ed24c8aecc79de209631a1"
+        )
+
+    def test_seeded_pairs_bytes(self):
+        rng = random.Random(1010)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            f = stacked_restricted_pieces(rng)
+            g = stacked_restricted_pieces(rng)
+            digest.update(serialize_pwa(concat(f, g)).encode())
+        assert digest.hexdigest() == (
+            "d95be7a6e888335bc1f09736ad01dafe2831f97e22c1c8762218d07b0dd59f91"
+        )
 
 
 def relu_prefixes(rng):
