@@ -100,6 +100,12 @@ def dense_network(rng: random.Random, widths: tuple[int, ...]) -> Network:
     return Network(widths[0], widths[-1], tuple(layers))
 
 
+def single_piece(poly: Polyhedron, m: Mat | None = None) -> PwaFn:
+    """poly as the domain of one piece: m (default the zero map onto R^0) and a zero offset."""
+    m = Mat([], cols=poly.dim) if m is None else m
+    return PwaFn(poly.dim, m.rows, (AffinePiece(poly, m, ColVec([0] * m.rows)),))
+
+
 def restricted_affine(rng: random.Random, in_dim: int, out_dim: int) -> PwaFn:
     """A single affine piece over a bounded polyhedron: a partial function."""
     piece = AffinePiece(

@@ -24,7 +24,10 @@ from pwanet.numeric import (
     zeros_vec,
 )
 
-from genutil import colvec_of, mat_of
+from pwanet.polyhedra import full_space
+from pwanet.pwa_algebra import concat
+
+from genutil import colvec_of, mat_of, single_piece
 import oracles
 
 
@@ -258,6 +261,36 @@ class TestMatrixOps:
             assert mat_vec_mul(m, vec_add(x, y)) == vec_add(
                 mat_vec_mul(m, x), mat_vec_mul(m, y)
             )
+
+
+class TestBlockDiag:
+    """The block-diagonal map of a concat piece: f's map rows padded with zeros
+    on the right, g's on the left."""
+
+    def test_empty_blocks_are_neutral(self):
+        m = Mat([[1, 2], [3, 4]])
+        f = single_piece(full_space(2), m)
+        empty = single_piece(full_space(0), Mat([], cols=0))
+        for stacked in (concat(empty, f), concat(f, empty)):
+            (piece,) = stacked.pieces
+            assert piece.M == m
+
+    def test_extension_preserves_dot_products(self):
+        rng = random.Random(1105)
+        for _ in range(25):
+            n = rng.randint(0, 3)
+            m = rng.randint(0, 3)
+            c = colvec_of(rng, n, num=9, den=5)
+            x = colvec_of(rng, n, num=9, den=5)
+            y = colvec_of(rng, m, num=9, den=5)
+            joint = vec_concat(x, y)
+            d = colvec_of(rng, m, num=9, den=5)
+            f = single_piece(full_space(n), Mat([c.entries], cols=n))
+            g = single_piece(full_space(m), Mat([d.entries], cols=m))
+            (piece,) = concat(f, g).pieces
+            f_row, g_row = (ColVec(row) for row in piece.M.entries)
+            assert dot(f_row, joint) == dot(c, x)
+            assert dot(g_row, joint) == dot(d, y)
 
 
 class TestZeros:

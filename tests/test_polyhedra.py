@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwanet.numeric import ColVec, DimensionError
+from pwanet.numeric import ColVec, DimensionError, vec_concat
 from pwanet.polyhedra import (
     LinearConstraint,
     Polyhedron,
@@ -13,8 +13,9 @@ from pwanet.polyhedra import (
     full_space,
     intersect,
 )
+from pwanet.pwa_algebra import concat
 
-from genutil import box_polyhedron, point
+from genutil import box_polyhedron, point, single_piece
 
 
 def halfline_left():
@@ -96,6 +97,49 @@ class TestIntersect:
             for _ in range(200):
                 x = point(rng, dim)
                 assert contains(both, x) == (contains(p1, x) and contains(p2, x))
+
+
+class TestLifting:
+    """The constraint rows of a concat piece: f's padded with zeros on the
+    right, so they keep the leading coordinates, g's on the left."""
+
+    def test_bottom_keeps_leading_coordinates(self):
+        f = single_piece(Polyhedron(1, (LinearConstraint(ColVec([1]), 2),)))
+        (piece,) = concat(f, single_piece(full_space(2))).pieces
+        (lifted,) = piece.polyhedron.constraints
+        assert lifted.c == ColVec([1, 0, 0])
+        assert lifted.b == Fraction(2)
+
+    def test_top_moves_to_trailing_coordinates(self):
+        g = single_piece(Polyhedron(1, (LinearConstraint(ColVec([1]), 2),)))
+        (piece,) = concat(single_piece(full_space(2)), g).pieces
+        (lifted,) = piece.polyhedron.constraints
+        assert lifted.c == ColVec([0, 0, 1])
+        assert lifted.b == Fraction(2)
+
+    def test_lifting_to_same_dim_changes_nothing(self):
+        cs = (LinearConstraint(ColVec([1, -1]), 0),)
+        f = single_piece(Polyhedron(2, cs))
+        empty = single_piece(full_space(0))
+        for stacked in (concat(f, empty), concat(empty, f)):
+            (piece,) = stacked.pieces
+            assert piece.polyhedron.constraints == cs
+
+    def test_lifted_membership_ignores_new_coordinates(self):
+        rng = random.Random(2202)
+        for _ in range(5):
+            dim = rng.randint(1, 3)
+            extra = rng.randint(0, 3)
+            p = box_polyhedron(rng, dim)
+            f = single_piece(p)
+            free = single_piece(full_space(extra))
+            (bottom,) = concat(f, free).pieces
+            (top,) = concat(free, f).pieces
+            for _ in range(100):
+                x = point(rng, dim)
+                pad = point(rng, extra)
+                assert contains(bottom.polyhedron, vec_concat(x, pad)) == contains(p, x)
+                assert contains(top.polyhedron, vec_concat(pad, x)) == contains(p, x)
 
 
 class TestMonotonicity:

@@ -37,6 +37,7 @@ from genutil import (
     point,
     random_network,
     restricted_affine,
+    single_piece,
     univalent_fn,
 )
 
@@ -229,12 +230,6 @@ class TestCompose:
         for _ in range(50):
             x = point(rng, 2)
             assert evaluate(left, x) == evaluate(right, x)
-
-
-def single_piece(poly, m=None):
-    """poly as the domain of one piece: m (default the zero map onto R^0) and a zero offset."""
-    m = Mat([], cols=poly.dim) if m is None else m
-    return PwaFn(poly.dim, m.rows, (AffinePiece(poly, m, ColVec([0] * m.rows)),))
 
 
 class TestConcatPolyhedra:
