@@ -270,24 +270,18 @@ def feasible_point(poly: Polyhedron) -> ColVec | None:
     return simplex.point() if simplex.feasible else None
 
 
-def off_target_point(poly: Polyhedron, functional: ColVec, target) -> ColVec | None:
-    """A point of poly where functional.x != target; None if there is none.
-
-    None means functional.x == target on all of poly, vacuously so when
-    poly is empty. A zero functional needs only some point of poly.
-    Otherwise the maximum, then the minimum, is compared with the target;
-    on an unbounded side the point is one unit past the target.
-    """
-    return next(off_target_points(poly, ((functional, target),)), None)
-
-
 def off_target_points(
     poly: Polyhedron, rows: Iterable[tuple[ColVec, ScalarLike]]
 ) -> Iterator[ColVec | None]:
-    """off_target_point for each (functional, target) of rows, lazily.
+    """For each (functional, target) of rows, lazily: a point of poly where
+    functional.x != target, or None when functional.x == target on all of
+    poly.
 
-    Phase 1 runs once, and every objective starts from a copy of the
-    feasible tableau it leaves. An empty poly yields nothing.
+    A zero functional needs only some point of poly. Otherwise the
+    maximum, then the minimum, is compared with the target; on an
+    unbounded side the point is one unit past the target. Phase 1 runs
+    once, and every objective starts from a copy of the feasible tableau
+    it leaves. An empty poly yields nothing: every row holds vacuously.
     """
     rows = list(rows)
     for functional, _ in rows:

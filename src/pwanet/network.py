@@ -10,14 +10,13 @@ their dimensions alone can do neither. Evaluation and compilation both
 treat "no answer" as a missing value rather than an error, mirroring
 partial PWA domains.
 
-ReLU is built here from first principles: the one-dimensional ReLU is two
-affine pieces meeting at zero, and relu_nd(n) stacks fresh
-one-dimensional copies with concat, one coordinate at a time, into 2^n
-pieces, one per sign orthant. A ReLU layer holds only its width, though:
-nn_eval takes max(0, x) componentwise, and transform pulls the 2^n sign
-patterns back through the prefix directly (pwa_algebra.compose_relu),
-with the bytes compose(relu_nd(n), prefix) would give. relu_1d and
-relu_nd are the paper's construction and the tests' oracle.
+A ReLU layer holds only its width: nn_eval takes max(0, x)
+componentwise, and transform pulls the 2^n sign patterns back through the
+prefix directly (pwa_algebra.compose_relu). relu_nd(n), the ReLU as 2^n
+explicit pieces, is that pullback through the identity, and a leading
+ReLU layer compiles to it. The paper stacks two-piece 1-d ReLUs with
+concat instead; that construction gives the same bytes and is kept in
+the tests as the oracle for compose_relu.
 non_pwa_layer names the layer that keeps a network from compiling, and
 oversize says why a network is too large to compile: a piece_product past
 MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
@@ -29,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union, get_args
 
 from .numeric import ColVec, DimensionError, Mat
-from .polyhedra import LinearConstraint, Polyhedron
-from .pwa import AffinePiece, PwaFn, check_univalence, evaluate, identity_pwaf, linear_pwaf
-from .pwa_algebra import _carried, compose, compose_relu, concat
+from .pwa import PwaFn, evaluate, identity_pwaf, linear_pwaf
+from .pwa_algebra import _carried, compose, compose_relu
 
 MAX_PIECES = 4096
 # A 12-wide ReLU on 12 inputs writes 4,096 * 13 * 24 = 1,277,952 rationals.
@@ -185,13 +183,13 @@ def transform(net: Network) -> Optional[PwaFn]:
 
     The PWA and ReLU layers before the output marker are composed from the
     first to the last: the fold starts from the first layer's own pieces
-    (a leading ReLU is composed onto the identity on its input), and after
-    layer i the prefix is compose(layer_i, prefix), or compose_relu for a
-    ReLU layer. Pulling a layer back through the identity would copy it
-    unchanged, so no identity seed is built: a wide first layer costs its
-    own size, not the square of its input width. Exact pullbacks are
-    associative, so this gives the same bytes as composing from the last
-    layer back onto the marker's identity, with every ReLU as relu_nd: the
+    (relu_nd for a leading ReLU layer), and after layer i the prefix is
+    compose(layer_i, prefix), or compose_relu for a ReLU layer. Pulling a
+    layer back through the identity would copy it unchanged, so no
+    identity seed is built: a wide first layer costs its own size, not the
+    square of its input width. Exact pullbacks are associative, so this
+    gives the same bytes as composing from the last layer back onto the
+    marker's identity, with every ReLU as its 2^n explicit pieces: the
     same pieces in the same order (first layer's pieces slowest), the same
     constraints in the same order, the same rationals. Folding forward
     pulls each layer's constraints back only through the layers before it,
@@ -207,7 +205,7 @@ def transform(net: Network) -> Optional[PwaFn]:
         return identity_pwaf(dim)
     first = net.layers[0]
     if isinstance(first, ReluLayer):
-        fn = compose_relu(dim, identity_pwaf(dim))
+        fn = relu_nd(dim)
     else:
         fn = PwaFn(dim, first.out_dim, first.fn.pieces, univalence=_carried(first.fn))
     for layer in net.layers[1:-1]:
@@ -267,41 +265,16 @@ def oversize(net: Network) -> Optional[str]:
     return None
 
 
-def relu_1d() -> PwaFn:
-    """max(0, x) on R: the zero map left of 0, the identity right of it.
-
-    The two polyhedra share only the origin, where both maps send 0 to 0,
-    so the function is univalent; the checker is run once here so the
-    verdict is earned rather than asserted.
-    """
-    left = AffinePiece(
-        Polyhedron(1, (LinearConstraint(ColVec([1]), 0),)),
-        Mat([[0]]),
-        ColVec([0]),
-    )
-    right = AffinePiece(
-        Polyhedron(1, (LinearConstraint(ColVec([-1]), 0),)),
-        Mat([[1]]),
-        ColVec([0]),
-    )
-    fn = PwaFn(1, 1, (left, right))
-    check_univalence(fn)
-    return fn
-
-
 def relu_nd(n: int) -> PwaFn:
-    """Componentwise max(0, x) on R^n, built by stacking 1-d ReLUs.
+    """Componentwise max(0, x) on R^n as 2^n pieces, one per sign orthant.
 
-    Each step concatenates a fresh 1-d ReLU on top of the function built
-    so far, so the result has 2^n pieces, one per sign orthant.
+    It is compose_relu on the identity: the sign patterns of the
+    coordinates themselves, coordinate 0 fastest. These are the bytes the
+    paper's construction gives, a 1-d ReLU stacked n times with concat.
     """
     if n < 0:
         raise DimensionError("relu_nd needs a nonnegative dimension")
-    fn = identity_pwaf(0)
-    one = relu_1d()
-    for _ in range(n):
-        fn = concat(one, fn)
-    return fn
+    return compose_relu(n, identity_pwaf(n))
 
 
 def nn_linear(weights: Mat, bias: ColVec) -> PwaLayer:

@@ -229,7 +229,3 @@ def mat_vec_mul(m: Mat, x: ColVec) -> ColVec:
         raise DimensionError(f"mat_vec_mul of {m.rows}x{m.cols} against dim {x.dim}")
     scaled_x = scaled_ints(x.entries)
     return ColVec(_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries)
-
-
-def vec_concat(v: ColVec, w: ColVec) -> ColVec:
-    return ColVec(v.entries + w.entries)

@@ -78,10 +78,10 @@ class PwaFn:
 
     The status is set by check_univalence or by a constructor that proves
     it: identity_pwaf and linear_pwaf (a single piece cannot conflict with
-    itself) and compose/concat of verified inputs. `claimed` marks a status
-    read from a document rather than proved in this process; compose and
-    concat do not carry a claimed "verified", and check_univalence clears
-    the mark.
+    itself) and compose, concat and compose_relu of verified inputs.
+    `claimed` marks a status read from a document rather than proved in
+    this process; those operators do not carry a claimed "verified", and
+    check_univalence clears the mark.
     """
 
     __slots__ = ("in_dim", "out_dim", "pieces", "univalence", "claimed")
@@ -138,9 +138,11 @@ def identity_pwaf(n: int) -> PwaFn:
 
 
 def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:
-    """The total affine map x -> Mx + b as a single unconstrained piece."""
-    if m.rows != b.dim:
-        raise DimensionError(f"matrix has {m.rows} rows but offset has dim {b.dim}")
+    """The total affine map x -> Mx + b as a single unconstrained piece.
+
+    A matrix and offset of different heights raise AffinePiece's
+    DimensionError.
+    """
     piece = AffinePiece(full_space(m.cols), m, b)
     return PwaFn(m.cols, m.rows, (piece,), univalence=VERIFIED)
 

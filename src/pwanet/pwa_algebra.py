@@ -6,12 +6,14 @@ pair order is fixed: the inner (or second) argument varies in the outer
 loop, so pieces of compose(f, g) and concat(f, g) are laid out g-piece by
 g-piece with f's pieces cycling fastest.
 
-compose_relu(n, g) is compose(relu_nd(n), g) without the 2^n ReLU pieces:
-it pulls each sign pattern back through g's maps directly, in the same
-order and with the same bytes.
+compose_relu(n, g) follows g with the ReLU on R^n. It pulls each sign
+pattern back through g's maps directly, so the ReLU's 2^n pieces are
+never built; the bytes are those of compose(relu, g) with relu the
+paper's construction, n two-piece 1-d ReLUs stacked with concat.
+network.relu_nd(n) is compose_relu on the identity.
 
 All three preserve univalence (the theorem behind the network compiler),
-so the result is "verified" exactly when every input is (a ReLU always
+so the result is "verified" exactly when every input is (the ReLU always
 is), and "unchecked" otherwise; no LP is run. A "verified" read from a
 document is only a claim (PwaFn.claimed) and is not carried.
 """
@@ -83,14 +85,14 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
 
 
 def compose_relu(n: int, g: PwaFn) -> PwaFn:
-    """compose(relu_nd(n), g), byte for byte, without building relu_nd(n).
+    """Componentwise max(0, .) after g, one piece per (g piece, sign pattern).
 
     Each g piece (M, b) is followed by its 2^n sign patterns, coordinate 0
-    fastest, as in relu_nd. Unit k appends (row k of M).x <= -b_k and
-    zeroes output row k when it is inactive, and appends
-    -(row k of M).x <= b_k and keeps row k when it is active: the
-    pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. Verified
-    when g is, as relu_nd(n) always is.
+    fastest, as in n stacked 1-d ReLUs. Unit k appends
+    (row k of M).x <= -b_k and zeroes output row k when it is inactive,
+    and appends -(row k of M).x <= b_k and keeps row k when it is active:
+    the pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. Verified
+    when g is, since the ReLU itself is univalent.
     """
     if g.out_dim != n:
         raise DimensionError(f"compose of function on dim {n} after function onto dim {g.out_dim}")

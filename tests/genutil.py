@@ -13,7 +13,9 @@ from fractions import Fraction
 from pwanet.numeric import ColVec, Mat
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import AffinePiece, PwaFn, linear_pwaf
-from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, relu_nd, transform
+from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
+
+from oracles import stacked_relu
 
 
 def rational(rng: random.Random, num: int = 100, den: int = 100) -> Fraction:
@@ -140,7 +142,7 @@ def univalent_fn(
         out_dim = rng.randint(1, 4)
         return linear_pwaf(mat_of(rng, out_dim, in_dim), colvec_of(rng, out_dim))
     if kind == "relu":
-        return relu_nd(in_dim)
+        return stacked_relu(in_dim)
     if kind == "restricted":
         return restricted_affine(rng, in_dim, rng.randint(1, 4))
     layers = []

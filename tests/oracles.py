@@ -5,10 +5,16 @@ systems are solved by direct Gaussian elimination, optima come from
 brute-force vertex enumeration, and dot products, membership and affine
 maps are raw Fraction loops. read_pwa and smt_reference read a PWA
 document and write its SMT script with json and Fraction alone, reading
-and rendering every entry afresh. right_fold_transform is the one
-exception: it keeps the network compiler's earlier composition order,
-last layer first, and its explicit ReLU pieces, as the reference for the
-forward fold and for compose_relu.
+and rendering every entry afresh.
+
+The ReLU oracles are the exception: they are the paper's construction,
+built with the library's own operators. relu_1d is two literal affine
+pieces meeting at zero, and check_univalence earns its "verified" tag;
+stacked_relu(n) folds n copies together with concat. Neither goes
+through compose_relu, which builds every ReLU the library compiles, so
+they are its reference. right_fold_transform keeps the network
+compiler's earlier composition order, last layer first, with every ReLU
+as stacked_relu, as the reference for the forward fold.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer, relu_nd
-from pwanet.numeric import ColVec
-from pwanet.polyhedra import Polyhedron
-from pwanet.pwa import PwaFn, identity_pwaf
-from pwanet.pwa_algebra import compose
+from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer
+from pwanet.numeric import ColVec, Mat
+from pwanet.polyhedra import LinearConstraint, Polyhedron
+from pwanet.pwa import AffinePiece, PwaFn, check_univalence, identity_pwaf
+from pwanet.pwa_algebra import compose, concat
 
 
 def dot(v, w) -> Fraction:
@@ -37,12 +43,45 @@ def contains(poly: Polyhedron, x: ColVec) -> bool:
     return all(dot(lc.c, x) <= lc.b for lc in poly.constraints)
 
 
+def relu_1d() -> PwaFn:
+    """max(0, x) on R: the zero map left of 0, the identity right of it.
+
+    The two polyhedra share only the origin, where both maps send 0 to 0,
+    so the function is univalent; the checker is run here so the verdict
+    is earned rather than asserted.
+    """
+    left = AffinePiece(
+        Polyhedron(1, (LinearConstraint(ColVec([1]), 0),)),
+        Mat([[0]]),
+        ColVec([0]),
+    )
+    right = AffinePiece(
+        Polyhedron(1, (LinearConstraint(ColVec([-1]), 0),)),
+        Mat([[1]]),
+        ColVec([0]),
+    )
+    fn = PwaFn(1, 1, (left, right))
+    check_univalence(fn)
+    return fn
+
+
+def stacked_relu(n: int) -> PwaFn:
+    """Componentwise max(0, x) on R^n, the paper's way: a fresh 1-d ReLU
+    concatenated on top of the function built so far, n times, into 2^n
+    pieces, one per sign orthant."""
+    fn = identity_pwaf(0)
+    one = relu_1d()
+    for _ in range(n):
+        fn = concat(one, fn)
+    return fn
+
+
 def right_fold_transform(net: Network) -> PwaFn | None:
     """network.transform as it composed before the forward fold.
 
     The output marker becomes the identity, and the PWA layers before it
     are composed onto it from the last to the first, each ReLU layer
-    expanded into relu_nd(dim).
+    expanded into stacked_relu(dim).
     """
     end = next(
         (i for i, layer in enumerate(net.layers) if not isinstance(layer, (PwaLayer, ReluLayer))),
@@ -52,7 +91,7 @@ def right_fold_transform(net: Network) -> PwaFn | None:
         return None
     fn = identity_pwaf(net.layers[end].dim)
     for layer in reversed(net.layers[:end]):
-        fn = compose(fn, relu_nd(layer.dim) if isinstance(layer, ReluLayer) else layer.fn)
+        fn = compose(fn, stacked_relu(layer.dim) if isinstance(layer, ReluLayer) else layer.fn)
     return fn
 
 

@@ -10,16 +10,16 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from pwanet.numeric import ColVec, Mat, dot, parse_scalar, vec_concat
+from pwanet.numeric import ColVec, Mat, dot, parse_scalar
 from pwanet.polyhedra import contains, intersect
 from pwanet.lp import MAX, MIN, Optimal, feasible_point, is_empty, solve
 from pwanet.pwa import Univalent, check_univalence, evaluate
 from pwanet.pwa_algebra import compose, concat
-from pwanet.network import Network, OutputLayer, nn_eval, nn_linear, nn_relu, relu_1d, relu_nd, transform
+from pwanet.network import Network, OutputLayer, nn_eval, nn_linear, nn_relu, relu_nd, transform
 from pwanet.formats import export_smt, parse_pwa, serialize_pwa
 
 from genutil import box_polyhedron, colvec_of, point, random_network, univalent_fn
-from oracles import parse_sexprs, relu_reference, vertex_optimum
+from oracles import parse_sexprs, relu_1d, relu_reference, vertex_optimum
 
 
 @contextmanager
@@ -108,11 +108,11 @@ def test_03_concatenation_pointwise_law(capsys):
                 x2 = point(rng, g.in_dim)
                 fx = evaluate(f, x1)
                 gx = evaluate(g, x2)
-                got = evaluate(stacked, vec_concat(x1, x2))
+                got = evaluate(stacked, ColVec(x1.entries + x2.entries))
                 if fx is None or gx is None:
                     assert got is None
                     continue
-                assert got == vec_concat(fx, gx)
+                assert got == ColVec(fx.entries + gx.entries)
                 checked += 1
         assert checked >= 10000
 

@@ -37,14 +37,13 @@ from pwanet.network import (
     ReluLayer,
     UnknownLayer,
     nn_eval,
-    relu_1d,
     relu_nd,
     transform,
 )
 from pwanet.formats import ParseError, export_smt, parse_network, parse_pwa, serialize_pwa
 
 from genutil import dense_network, point, random_network, univalent_fn
-from oracles import parse_sexprs, read_pwa, smt_reference
+from oracles import parse_sexprs, read_pwa, relu_1d, smt_reference
 
 NETWORK_DOC = """{
   "input_dim": 2,

@@ -18,7 +18,6 @@ from pwanet.lp import (
     Unbounded,
     feasible_point,
     is_empty,
-    off_target_point,
     off_target_points,
     solve,
 )
@@ -144,8 +143,9 @@ class TestFeasiblePoint:
 
 
 def off_target(poly, functional, target):
-    """off_target_point, checked: None, or a point of poly that is off target."""
-    point = off_target_point(poly, functional, target)
+    """off_target_points for one row, checked: None, or a point of poly
+    that is off target."""
+    point = next(off_target_points(poly, ((functional, target),)), None)
     if point is not None:
         assert contains(poly, point)
         assert dot(functional, point) != target
@@ -153,7 +153,7 @@ def off_target(poly, functional, target):
 
 
 class TestIsConstantOn:
-    """Constancy of functional.x on a polyhedron, decided by off_target_point."""
+    """Constancy of functional.x on a polyhedron, decided by off_target_points."""
 
     def test_singleton_overlap_is_pinned_to_zero(self):
         # Both one-sided constraints together leave only the origin. The
@@ -195,13 +195,13 @@ class TestIsConstantOn:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            off_target_point(full_space(2), zeros_vec(1), 0)
+            next(off_target_points(full_space(2), ((zeros_vec(1), 0),)))
 
     def test_unbounded_side_without_a_point_past_the_target_raises(self, monkeypatch):
         # Unreachable with a correct simplex; it must fail loudly, not pass.
         monkeypatch.setattr(lp, "feasible_point", lambda poly: None)
         with pytest.raises(RuntimeError):
-            off_target_point(full_space(1), ColVec([1]), 0)
+            next(off_target_points(full_space(1), ((ColVec([1]), 0),)))
 
 
 class TestOffTargetPoints:
@@ -213,7 +213,7 @@ class TestOffTargetPoints:
                 (ColVec(_small_rational(rng, 2) for _ in range(poly.dim)), _small_rational(rng, 2))
                 for _ in range(3)
             ]
-            expected = [off_target_point(poly, f, t) for f, t in rows]
+            expected = [next(off_target_points(poly, ((f, t),)), None) for f, t in rows]
             got = list(off_target_points(poly, rows))
             assert got == ([] if is_empty(poly) else expected)
 
@@ -358,7 +358,8 @@ def _outcome_trace():
         lines.append(repr(solve(poly, objective, MAX)))
         lines.append(repr(solve(poly, objective, MIN)))
         lines.append(repr(feasible_point(poly)))
-        lines.append(repr(off_target_point(poly, objective, _small_rational(rng, 2))))
+        target = _small_rational(rng, 2)
+        lines.append(repr(next(off_target_points(poly, ((objective, target),)), None)))
     for seed in (3306, 3307, 3308, 3309):
         net_rng = random.Random(seed)
         fn = transform(random_network(net_rng, max_pieces=16, max_dim=3, max_depth=3))

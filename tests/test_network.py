@@ -7,6 +7,7 @@ import pytest
 
 from pwanet.formats import parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, DimensionError, Mat
+from pwanet.polyhedra import LinearConstraint
 from pwanet.pwa import (
     UNCHECKED,
     VERIFIED,
@@ -31,7 +32,6 @@ from pwanet.network import (
     nn_relu,
     oversize,
     piece_product,
-    relu_1d,
     relu_nd,
     transform,
 )
@@ -45,7 +45,7 @@ from genutil import (
     restricted_affine,
     univalent_fn,
 )
-from oracles import apply_affine, relu_reference, right_fold_transform
+from oracles import apply_affine, relu_1d, relu_reference, right_fold_transform
 
 EXAMPLE_WEIGHTS = [["2.7", "0"], ["1", "0.01"]]
 EXAMPLE_BIAS = ["1", "0.25"]
@@ -195,24 +195,29 @@ class TestReluLayer:
 
 
 class TestRelu1d:
+    """The paper's two-piece 1-d ReLU (the tests' oracle) and the library's
+    relu_nd(1), which must be the same function byte for byte."""
+
     def test_piece_layout(self):
-        fn = relu_1d()
-        assert (fn.in_dim, fn.out_dim) == (1, 1)
-        left, right = fn.pieces
-        assert left.polyhedron.constraints[0].c == ColVec([1])
-        assert left.polyhedron.constraints[0].b == 0
-        assert left.M == Mat([[0]]) and left.b == ColVec([0])
-        assert right.polyhedron.constraints[0].c == ColVec([-1])
-        assert right.M == Mat([[1]]) and right.b == ColVec([0])
+        assert serialize_pwa(relu_nd(1)) == serialize_pwa(relu_1d())
+        for fn in (relu_1d(), relu_nd(1)):
+            assert (fn.in_dim, fn.out_dim) == (1, 1)
+            left, right = fn.pieces
+            assert left.polyhedron.constraints == (LinearConstraint(ColVec([1]), 0),)
+            assert left.M == Mat([[0]]) and left.b == ColVec([0])
+            assert right.polyhedron.constraints == (LinearConstraint(ColVec([-1]), 0),)
+            assert right.M == Mat([[1]]) and right.b == ColVec([0])
 
     def test_verdict_is_earned_in_the_constructor(self):
-        assert relu_1d().univalence == VERIFIED
+        # The oracle earns it from check_univalence, relu_nd by construction.
+        for fn in (relu_1d(), relu_nd(1)):
+            assert (fn.univalence, fn.claimed) == (VERIFIED, False)
 
     def test_values(self):
-        fn = relu_1d()
-        for raw in ("-7", "-1/3", "0", "1/3", "7"):
-            x = ColVec([raw])
-            assert evaluate(fn, x) == relu_reference(x)
+        for fn in (relu_1d(), relu_nd(1)):
+            for raw in ("-7", "-1/3", "0", "1/3", "7"):
+                x = ColVec([raw])
+                assert evaluate(fn, x) == relu_reference(x)
 
 
 class TestReluNd:

@@ -19,12 +19,12 @@ from pwanet.numeric import (
     parse_scalar,
     scaled_ints,
     vec_add,
-    vec_concat,
     vec_scale,
     zeros_vec,
 )
 
 from pwanet.polyhedra import full_space
+from pwanet.pwa import evaluate, identity_pwaf
 from pwanet.pwa_algebra import concat
 
 from genutil import colvec_of, mat_of, single_piece
@@ -219,10 +219,19 @@ class TestVectorOps:
             vec_add(ColVec([1]), ColVec([1, 2]))
 
     def test_concat_and_extend(self):
-        assert vec_concat(ColVec([1]), ColVec([2, 3])) == ColVec([1, 2, 3])
-        assert vec_concat(ColVec([1, 2]), zeros_vec(2)) == ColVec([1, 2, 0, 0])
-        assert vec_concat(zeros_vec(2), ColVec([1, 2])) == ColVec([0, 0, 1, 2])
-        assert vec_concat(ColVec([1]), zeros_vec(0)) == ColVec([1])
+        # A stacked point is its halves' entries end to end; concat of two
+        # identities maps it to itself, a zero-dim half included.
+        for top, bottom in (
+            (ColVec([1]), ColVec([2, 3])),
+            (ColVec([1, 2]), zeros_vec(2)),
+            (zeros_vec(2), ColVec([1, 2])),
+            (ColVec([1]), zeros_vec(0)),
+        ):
+            joint = ColVec(top.entries + bottom.entries)
+            assert joint.dim == top.dim + bottom.dim
+            assert joint.entries[: top.dim] == top.entries
+            stacked = concat(identity_pwaf(top.dim), identity_pwaf(bottom.dim))
+            assert evaluate(stacked, joint) == joint
 
 
 class TestMatrixOps:
@@ -283,7 +292,7 @@ class TestBlockDiag:
             c = colvec_of(rng, n, num=9, den=5)
             x = colvec_of(rng, n, num=9, den=5)
             y = colvec_of(rng, m, num=9, den=5)
-            joint = vec_concat(x, y)
+            joint = ColVec(x.entries + y.entries)
             d = colvec_of(rng, m, num=9, den=5)
             f = single_piece(full_space(n), Mat([c.entries], cols=n))
             g = single_piece(full_space(m), Mat([d.entries], cols=m))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwanet.numeric import ColVec, DimensionError, vec_concat
+from pwanet.numeric import ColVec, DimensionError
 from pwanet.polyhedra import (
     LinearConstraint,
     Polyhedron,
@@ -138,8 +138,9 @@ class TestLifting:
             for _ in range(100):
                 x = point(rng, dim)
                 pad = point(rng, extra)
-                assert contains(bottom.polyhedron, vec_concat(x, pad)) == contains(p, x)
-                assert contains(top.polyhedron, vec_concat(pad, x)) == contains(p, x)
+                inside = contains(p, x)
+                assert contains(bottom.polyhedron, ColVec(x.entries + pad.entries)) == inside
+                assert contains(top.polyhedron, ColVec(pad.entries + x.entries)) == inside
 
 
 class TestMonotonicity:

@@ -24,9 +24,10 @@ from pwanet.pwa import (
     prune_empty,
 )
 from pwanet import pwa
-from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, relu_1d, transform
+from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
 from genutil import colvec_of, mat_of, point, restricted_affine, univalent_fn
+from oracles import relu_1d
 
 
 def two_conflicting_pieces():
@@ -141,7 +142,7 @@ class TestConstructors:
             assert evaluate(fn, x) == evaluate(ident, x)
 
     def test_linear_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^matrix has 1 rows but offset has dim 2$"):
             linear_pwaf(Mat([[1, 2]]), ColVec([1, 2]))
 
 

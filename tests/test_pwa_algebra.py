@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwanet.numeric import ColVec, DimensionError, Mat, mat_vec_mul, vec_add, vec_concat
+from pwanet.numeric import ColVec, DimensionError, Mat, mat_vec_mul, vec_add
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space
 from pwanet.pwa import (
     REFUTED,
@@ -28,7 +28,7 @@ from pwanet.pwa_algebra import (
     compose_relu,
     concat,
 )
-from pwanet.network import Network, OutputLayer, relu_1d, relu_nd, transform
+from pwanet.network import Network, OutputLayer, relu_nd, transform
 
 from genutil import (
     box_polyhedron,
@@ -40,6 +40,7 @@ from genutil import (
     single_piece,
     univalent_fn,
 )
+from oracles import relu_1d, stacked_relu
 
 
 def unchecked_copy(fn):
@@ -271,7 +272,7 @@ class TestConcatPolyhedra:
             for _ in range(60):
                 x = point(rng, n)
                 y = point(rng, m)
-                assert contains(stacked, vec_concat(x, y)) == (
+                assert contains(stacked, ColVec(x.entries + y.entries)) == (
                     contains(p_f, x) and contains(p_g, y)
                 )
 
@@ -322,11 +323,11 @@ class TestConcat:
                 y = point(rng, g.in_dim)
                 fx = evaluate(f, x)
                 gy = evaluate(g, y)
-                got = evaluate(stacked, vec_concat(x, y))
+                got = evaluate(stacked, ColVec(x.entries + y.entries))
                 if fx is None or gy is None:
                     assert got is None
                     continue
-                assert got == vec_concat(fx, gy)
+                assert got == ColVec(fx.entries + gy.entries)
                 checked += 1
         assert checked > 200
 
@@ -363,8 +364,8 @@ class TestConcat:
             (piece,) = concat(f, g).pieces
             x = colvec_of(rng, a.cols, num=9, den=5)
             y = colvec_of(rng, b.cols, num=9, den=5)
-            assert mat_vec_mul(piece.M, vec_concat(x, y)) == vec_concat(
-                mat_vec_mul(a, x), mat_vec_mul(b, y)
+            assert mat_vec_mul(piece.M, ColVec(x.entries + y.entries)) == ColVec(
+                mat_vec_mul(a, x).entries + mat_vec_mul(b, y).entries
             )
 
     def test_zero_dim_functions_are_neutral(self):
@@ -391,12 +392,24 @@ def stacked_restricted_pieces(rng):
 class TestConcatBytes:
     """concat's output pinned byte for byte: piece order, constraint order,
     every rational and the status tag. The digests were computed with the
-    earlier concat, which padded the rows of every pair anew."""
+    earlier concat, which padded the rows of every pair anew, and with
+    relu_nd built by stacking 1-d ReLUs; relu_nd is now compose_relu on the
+    identity and must still give those bytes."""
 
     def test_relu_nd_bytes(self):
         digest = hashlib.sha256()
         for n in range(10):
             digest.update(serialize_pwa(relu_nd(n)).encode())
+        assert digest.hexdigest() == (
+            "889c4f8e8baff010e4107343b6c4b3529fe5beb128ed24c8aecc79de209631a1"
+        )
+
+    def test_stacked_relu_bytes(self):
+        # The paper's construction, 1-d ReLUs stacked with concat, against
+        # the digest test_relu_nd_bytes pins for the library's relu_nd.
+        digest = hashlib.sha256()
+        for n in range(10):
+            digest.update(serialize_pwa(stacked_relu(n)).encode())
         assert digest.hexdigest() == (
             "889c4f8e8baff010e4107343b6c4b3529fe5beb128ed24c8aecc79de209631a1"
         )
@@ -436,7 +449,9 @@ def relu_prefixes(rng):
 
 
 class TestComposeRelu:
-    """compose_relu(n, g) is compose(relu_nd(n), g) without relu_nd's pieces."""
+    """compose_relu(n, g) is compose(stacked_relu(n), g), the paper's ReLU
+    composed explicitly, without building its pieces. relu_nd is built by
+    compose_relu, so the oracle is the concat-stacked construction."""
 
     def test_same_bytes_tag_and_claim_as_composing_relu_nd(self):
         widths = set()
@@ -444,7 +459,7 @@ class TestComposeRelu:
         for g in relu_prefixes(random.Random(5507)):
             n = g.out_dim
             direct = compose_relu(n, g)
-            oracle = compose(relu_nd(n), g)
+            oracle = compose(stacked_relu(n), g)
             assert serialize_pwa(direct) == serialize_pwa(oracle)
             assert (direct.univalence, direct.claimed) == (oracle.univalence, oracle.claimed)
             widths.add(n)
@@ -454,6 +469,6 @@ class TestComposeRelu:
     def test_width_mismatch_raises_what_compose_raises(self):
         g = linear_pwaf(Mat([[1], [2], [3]]), ColVec([0, 0, 0]))
         with pytest.raises(DimensionError) as expected:
-            compose(relu_nd(2), g)
+            compose(stacked_relu(2), g)
         with pytest.raises(DimensionError, match=f"^{expected.value}$"):
             compose_relu(2, g)
