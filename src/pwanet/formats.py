@@ -288,15 +288,24 @@ def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
     forces every output row to equal its affine expression. With
     assert_domain, one more assertion places x inside some piece.
     """
-    # Each distinct constraint object is written once: the pieces of a
-    # parsed function share theirs, and fn keeps every one alive, so the
-    # ids stay put for the whole call.
+    # Each distinct constraint object, and each distinct (map row, offset)
+    # pair of objects, is written once: the pieces of a parsed function
+    # share theirs, and fn keeps every one alive, so the ids stay put for
+    # the whole call.
     atoms: dict[int, str] = {}
+    terms: dict[tuple[int, int], str] = {}
 
     def atom(lc: LinearConstraint) -> str:
         text = atoms.get(id(lc))
         if text is None:
             text = atoms[id(lc)] = f"(<= {_smt_linear(lc.c.entries)} {_smt_rat(lc.b)})"
+        return text
+
+    def term(row, offset: Fraction) -> str:
+        key = id(row), id(offset)
+        text = terms.get(key)
+        if text is None:
+            text = terms[key] = _smt_linear(row, offset)
         return text
 
     conditions = [_smt_and(map(atom, piece.polyhedron.constraints)) for piece in fn.pieces]
@@ -307,7 +316,7 @@ def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
         lines.append(f"(declare-const y_{r} Real)")
     for piece, condition in zip(fn.pieces, conditions):
         rows = _smt_and(
-            f"(= y_{r} {_smt_linear(piece.M.entries[r], piece.b[r])})"
+            f"(= y_{r} {term(piece.M.entries[r], piece.b[r])})"
             for r in range(fn.out_dim)
         )
         lines.append(f"(assert (=> {condition} {rows}))")

@@ -280,8 +280,10 @@ def off_target_points(
     A zero functional needs only some point of poly. Otherwise the
     maximum, then the minimum, is compared with the target; on an
     unbounded side the point is one unit past the target. Phase 1 runs
-    once, and every objective starts from a copy of the feasible tableau
-    it leaves. An empty poly yields nothing: every row holds vacuously.
+    once, at the call, as does the check that every functional has the
+    polyhedron's width; every objective starts from a copy of the
+    feasible tableau phase 1 leaves. An empty poly yields nothing: every
+    row holds vacuously.
     """
     rows = list(rows)
     for functional, _ in rows:
@@ -291,9 +293,11 @@ def off_target_points(
             )
     simplex = _Simplex(poly)
     if not simplex.feasible:
-        return
-    for functional, target in rows:
-        yield _off_target(poly, simplex, functional, as_scalar(target))
+        return iter(())
+    return (
+        _off_target(poly, simplex, functional, as_scalar(target))
+        for functional, target in rows
+    )
 
 
 def _off_target(

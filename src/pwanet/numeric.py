@@ -135,13 +135,19 @@ class Mat:
 
     `cols` must be passed explicitly when there are zero rows, since the
     width cannot be inferred from an empty row list. Zero-width rows are
-    fine without it.
+    fine without it. A row that is already a tuple of Fractions is kept as
+    it is, so rows shared between matrices stay one object.
     """
 
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]] = (), cols: int | None = None):
-        body = tuple(tuple(as_scalar(e) for e in row) for row in entries)
+        body = tuple(
+            row
+            if type(row) is tuple and all(isinstance(e, Fraction) for e in row)
+            else tuple(as_scalar(e) for e in row)
+            for row in entries
+        )
         if body:
             width = len(body[0])
             for row in body[1:]:

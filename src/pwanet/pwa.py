@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import lp
-from .numeric import ColVec, DimensionError, Mat, identity, vec_add, mat_vec_mul, zeros_vec
-from .polyhedra import Polyhedron, contains, full_space, intersect
+from .numeric import ColVec, DimensionError, Mat, dot, identity, vec_add, mat_vec_mul, zeros_vec
+from .polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -188,9 +188,64 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     return Univalent() if found is None else found
 
 
+def _live(fn: PwaFn) -> list[bool]:
+    """For each piece of fn, whether its polyhedron is non-empty.
+
+    The pieces' constraint tuples go into a trie keyed by constraint value,
+    so a prefix that several pieces share is one node, and its emptiness
+    is decided once. The walk starts at the root, all of R^in_dim, with the
+    origin as its witness point. A child whose new constraints the parent's
+    witness satisfies is non-empty and keeps that witness; any other child
+    costs one phase 1 on its prefix, which gives either a new witness or
+    an empty prefix, and then every piece below it is empty. A chain of
+    nodes where no piece ends and nothing branches is one step, so pieces
+    that share no first constraint cost at most one phase 1 each, as they
+    would tested alone. Only booleans leave the walk.
+    """
+    # A node is (children, pieces ending here, its constraint). Hashing a
+    # constraint hashes every coefficient, and pieces share constraint
+    # objects, so each object is looked up by value once; children are
+    # keyed by the id of the first equal constraint, which fn keeps alive.
+    first: dict[LinearConstraint, LinearConstraint] = {}
+    key_of: dict[int, int] = {}
+    root = ({}, [], None)
+    for i, piece in enumerate(fn.pieces):
+        node = root
+        for lc in piece.polyhedron.constraints:
+            key = key_of.get(id(lc))
+            if key is None:
+                key = key_of[id(lc)] = id(first.setdefault(lc, lc))
+            child = node[0].get(key)
+            if child is None:
+                child = node[0][key] = ({}, [], lc)
+            node = child
+        node[1].append(i)
+    live = [False] * len(fn.pieces)
+    stack = [(root, (), zeros_vec(fn.in_dim))]
+    while stack:
+        (children, ends, _), prefix, witness = stack.pop()
+        for i in ends:
+            live[i] = True
+        for child in children.values():
+            step = [child[2]]
+            while not child[1] and len(child[0]) == 1:
+                (child,) = child[0].values()
+                step.append(child[2])
+            path = prefix + tuple(step)
+            below = witness
+            if not all(dot(lc.c, witness) <= lc.b for lc in step):
+                below = lp.feasible_point(Polyhedron(fn.in_dim, path))
+            if below is not None:
+                stack.append((child, path, below))
+    return live
+
+
 def prune_empty(fn: PwaFn) -> PwaFn:
     """Drop pieces whose polyhedra are empty; order and semantics survive.
 
+    Emptiness is decided once per shared constraint prefix, and a prefix
+    that contains its parent prefix's witness point needs no LP (see
+    _live); the result is that of testing every piece on its own.
     The univalence status stays valid: an empty piece never overlaps
     anything, and the two pieces of a violation both contain its witness,
     so neither is dropped and a "refuted" function stays refuted.
@@ -198,12 +253,16 @@ def prune_empty(fn: PwaFn) -> PwaFn:
     return PwaFn(
         fn.in_dim,
         fn.out_dim,
-        (piece for piece in fn.pieces if not lp.is_empty(piece.polyhedron)),
+        itertools.compress(fn.pieces, _live(fn)),
         univalence=fn.univalence,
         claimed=fn.claimed,
     )
 
 
 def count_regions(fn: PwaFn) -> int:
-    """Number of pieces whose polyhedron is non-empty."""
-    return sum(1 for piece in fn.pieces if not lp.is_empty(piece.polyhedron))
+    """Number of pieces whose polyhedron is non-empty.
+
+    Decided like prune_empty: once per shared constraint prefix, reusing
+    the parent prefix's witness point where it fits.
+    """
+    return sum(_live(fn))

@@ -428,6 +428,21 @@ class TestParseTables:
         distinct = sum(1 for kind, _ in objects if kind is LinearConstraint)
         assert distinct < count // 4
 
+    def test_matrix_rows_are_the_readers_rows(self, compiles):
+        # A map row is the very tuple of the ColVec the reader built for
+        # that text, whether the text came as a map row, a constraint row or
+        # an offset.
+        parsed = parse_pwa(serialize_pwa(compiles[-1]))
+        rows = {}
+        for piece in parsed.pieces:
+            for lc in piece.polyhedron.constraints:
+                rows.setdefault(lc.c.entries, lc.c.entries)
+            rows.setdefault(piece.b.entries, piece.b.entries)
+        m_rows = [row for piece in parsed.pieces for row in piece.M.entries]
+        for row in m_rows:
+            assert rows.setdefault(row, row) is row
+        assert len({id(row) for row in m_rows}) < len(m_rows) // 4
+
 
 class TestExportSmt:
     def test_header_declares_logic_and_variables(self):

@@ -195,7 +195,7 @@ class TestIsConstantOn:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            next(off_target_points(full_space(2), ((zeros_vec(1), 0),)))
+            off_target_points(full_space(2), ((zeros_vec(1), 0),))
 
     def test_unbounded_side_without_a_point_past_the_target_raises(self, monkeypatch):
         # Unreachable with a correct simplex; it must fail loudly, not pass.

@@ -134,6 +134,20 @@ class TestMat:
         with pytest.raises(DimensionError):
             Mat([[1, 2]], cols=3)
 
+    def test_fraction_tuple_rows_are_kept_and_other_rows_coerced(self):
+        row = (Fraction(1), Fraction(-2, 3))
+        m = Mat([row, [1, "2/3"], ("-1", Fraction(5)), (7, 8)])
+        assert m.entries[0] is row
+        assert m.entries == (
+            (1, Fraction(-2, 3)),
+            (1, Fraction(2, 3)),
+            (-1, 5),
+            (7, 8),
+        )
+        assert all(type(e) is Fraction for r in m.entries for e in r)
+        with pytest.raises(TypeError):
+            Mat([(Fraction(1), 0.5)])
+
 
 class TestDot:
     def test_known_value(self):

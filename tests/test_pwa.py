@@ -1,9 +1,12 @@
 """PWA functions: evaluation, domains, univalence, pruning."""
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwanet.lp import MAX, MIN, Optimal, solve
 from pwanet.numeric import ColVec, DimensionError, Mat, dot, mat_vec_mul, vec_add, vec_scale
@@ -23,10 +26,19 @@ from pwanet.pwa import (
     linear_pwaf,
     prune_empty,
 )
-from pwanet import pwa
+from pwanet import lp, pwa
+from pwanet.formats import serialize_pwa
 from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
-from genutil import colvec_of, mat_of, point, restricted_affine, univalent_fn
+from genutil import (
+    box_polyhedron,
+    colvec_of,
+    dense_network,
+    mat_of,
+    point,
+    restricted_affine,
+    univalent_fn,
+)
 from oracles import relu_1d
 
 
@@ -415,3 +427,149 @@ class TestCountRegions:
 
     def test_zero_piece_function(self):
         assert count_regions(PwaFn(3, 1)) == 0
+
+
+def _pieces_over(dim, prefixes):
+    """One piece per constraint tuple, with the zero map onto R^1."""
+    zero = Mat([[0] * dim], cols=dim)
+    return [AffinePiece(Polyhedron(dim, lcs), zero, ColVec([0])) for lcs in prefixes]
+
+
+def _halfspace(c, b):
+    return LinearConstraint(ColVec(c), b)
+
+
+def _copy(lc):
+    """An equal constraint that is a distinct object, down to its row."""
+    return LinearConstraint(ColVec(list(lc.c.entries)), lc.b)
+
+
+_X_LE_0 = _halfspace([1], 0)
+_X_GE_1 = _halfspace([-1], -1)
+_X_LE_2 = _halfspace([1], 2)
+
+# Named cases, each run besides the drawn ones.
+_LIVE_CASES = {
+    "shared prefixes": PwaFn(1, 1, _pieces_over(1, [
+        (_X_LE_2, _X_LE_0), (_X_LE_2, _X_GE_1), (_X_LE_2, _X_LE_0, _X_GE_1),
+    ])),
+    "no shared first constraint": PwaFn(1, 1, _pieces_over(1, [
+        (_X_LE_0, _X_LE_2), (_X_GE_1,), (_X_LE_2, _X_GE_1, _X_LE_0),
+    ])),
+    "equal but distinct objects": PwaFn(1, 1, _pieces_over(1, [
+        (_X_GE_1, _X_LE_2), (_copy(_X_GE_1), _X_LE_0), (_copy(_X_GE_1), _copy(_X_LE_2)),
+    ])),
+    "empty prefix below live pieces": PwaFn(1, 1, _pieces_over(1, [
+        (), (_X_LE_0, _X_GE_1), (_X_LE_0, _X_GE_1, _X_LE_2), (_X_LE_0,),
+    ])),
+    "strict prefix and duplicates": PwaFn(1, 1, _pieces_over(1, [
+        (_X_GE_1, _X_LE_2), (_X_GE_1,), (_X_GE_1, _X_LE_2), (_X_GE_1, _X_LE_2, _X_LE_0),
+    ]), univalence=REFUTED, claimed=True),
+    "zero pieces": PwaFn(2, 1, (), univalence=VERIFIED),
+    "in_dim 0": PwaFn(0, 1, _pieces_over(0, [
+        (), (_halfspace([], 0),), (_halfspace([], -1),), (_halfspace([], 0), _halfspace([], -1)),
+    ])),
+}
+
+
+@st.composite
+def _prefix_sharing_fns(draw):
+    """Functions on R^0..R^2 whose pieces often share constraint prefixes.
+
+    Constraints come from a small pool, so some pieces repeat each other's
+    first constraints; a piece may also start with a prefix of an earlier
+    piece (all of it, for a duplicate), and any constraint may be an equal
+    copy rather than the pool's object. Small bounds make many prefixes
+    empty.
+    """
+    dim = draw(st.integers(0, 2))
+    small = st.integers(-2, 2)
+    pool = draw(st.lists(
+        st.builds(_halfspace, st.lists(small, min_size=dim, max_size=dim), small),
+        min_size=1, max_size=5,
+    ))
+    prefixes = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = ()
+        if prefixes and draw(st.booleans()):
+            base = draw(st.sampled_from(prefixes))
+            start = base[: draw(st.integers(0, len(base)))]
+        extra = draw(st.lists(st.sampled_from(pool), max_size=4))
+        prefixes.append(tuple(
+            _copy(lc) if draw(st.booleans()) else lc for lc in start + tuple(extra)
+        ))
+    status = draw(st.sampled_from((UNCHECKED, VERIFIED, REFUTED)))
+    return PwaFn(dim, 1, _pieces_over(dim, prefixes), univalence=status, claimed=draw(st.booleans()))
+
+
+class TestLivePieces:
+    """prune_empty and count_regions decide emptiness per shared prefix.
+
+    The oracle is the plain loop they replace: phase 1 on every piece.
+    """
+
+    def check(self, fn):
+        live = [not lp.is_empty(piece.polyhedron) for piece in fn.pieces]
+        expected = PwaFn(
+            fn.in_dim,
+            fn.out_dim,
+            (piece for piece, keep in zip(fn.pieces, live) if keep),
+            univalence=fn.univalence,
+            claimed=fn.claimed,
+        )
+        pruned = prune_empty(fn)
+        assert serialize_pwa(pruned) == serialize_pwa(expected)
+        assert pruned.pieces == expected.pieces
+        assert (pruned.univalence, pruned.claimed) == (fn.univalence, fn.claimed)
+        assert count_regions(fn) == sum(live)
+        return live
+
+    @pytest.mark.parametrize("name", sorted(_LIVE_CASES))
+    def test_named_case_matches_the_per_piece_loop(self, name):
+        live = self.check(_LIVE_CASES[name])
+        # Every case but "zero pieces" has both a live and an empty piece.
+        assert (any(live) and not all(live)) == (name != "zero pieces")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_prefix_sharing_fns())
+    def test_drawn_function_matches_the_per_piece_loop(self, fn):
+        self.check(fn)
+
+    @staticmethod
+    def phase_1_runs(monkeypatch, call, fn):
+        built = []
+
+        class Counted(lp._Simplex):
+            def __init__(self, poly):
+                built.append(poly)
+                super().__init__(poly)
+
+        monkeypatch.setattr(lp, "_Simplex", Counted)
+        call(fn)
+        monkeypatch.undo()
+        return len(built)
+
+    def test_phase_1_runs_on_a_seeded_compile(self, monkeypatch):
+        fn = transform(dense_network(random.Random(1), (2, 3, 3, 2)))
+        assert len(fn.pieces) == 256
+        assert self.phase_1_runs(monkeypatch, prune_empty, fn) == 62
+        assert self.phase_1_runs(monkeypatch, count_regions, fn) == 62
+        assert count_regions(fn) == 14
+        # Prefixes are shared by value: equal copies of every constraint
+        # cost the same runs as the objects compose_relu shares.
+        copied = PwaFn(fn.in_dim, fn.out_dim, (
+            AffinePiece(Polyhedron(2, tuple(map(_copy, p.polyhedron.constraints))), p.M, p.b)
+            for p in fn.pieces
+        ))
+        assert self.phase_1_runs(monkeypatch, count_regions, copied) == 62
+
+    def test_no_shared_first_constraint_costs_at_most_one_run_per_piece(self, monkeypatch):
+        rng = random.Random(4407)
+        prefixes = [
+            (_halfspace([1, 0], k),) + box_polyhedron(rng, 2).constraints for k in range(-6, 6)
+        ]
+        fn = PwaFn(2, 1, _pieces_over(2, prefixes))
+        runs = self.phase_1_runs(monkeypatch, count_regions, fn)
+        assert runs <= len(fn.pieces)
+        assert runs == 11  # one of the twelve pieces holds the origin
+        self.check(fn)
