@@ -29,12 +29,6 @@ EXIT_UNIVALENCE = 5
 EXIT_TOO_LARGE = 6
 
 
-class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -66,10 +60,12 @@ def _cmd_compile(args) -> int:
     net = formats.parse_network(_read(args.network))
     index = network.non_pwa_layer(net)
     if index is not None:
-        raise _Failure(EXIT_NON_PWA, f"error: layer {index}: not piecewise-affine")
+        print(f"error: layer {index}: not piecewise-affine", file=sys.stderr)
+        return EXIT_NON_PWA
     excess = network.oversize(net)
     if excess is not None:
-        raise _Failure(EXIT_TOO_LARGE, f"error: {excess}")
+        print(f"error: {excess}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     fn = network.transform(net)
     if args.prune:
         fn = pwa.prune_empty(fn)
@@ -112,10 +108,9 @@ def _cmd_export_smt(args) -> int:
     fn = formats.parse_pwa(_read(args.pwa))
     # One declaration per input and output, even where no row bounds them.
     if fn.in_dim + fn.out_dim > network.MAX_RATIONALS:
-        raise _Failure(
-            EXIT_TOO_LARGE,
-            f"error: the SMT script would declare more than {network.MAX_RATIONALS} variables",
-        )
+        limit = network.MAX_RATIONALS
+        print(f"error: the SMT script would declare more than {limit} variables", file=sys.stderr)
+        return EXIT_TOO_LARGE
     _write(args.out, formats.export_smt(fn, assert_domain=args.assert_domain))
     return EXIT_OK
 
@@ -164,9 +159,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _Failure as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

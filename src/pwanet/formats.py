@@ -101,12 +101,9 @@ class _Reader:
         self.rows: dict[tuple[str, ...], ColVec] = {}
         self.constraints: dict[tuple[int, int], LinearConstraint] = {}
 
-    def scalar(self, value, where, index=None) -> Fraction:
-        """The literal at where, or at where[index]: that text is built only for an error."""
+    def scalar(self, value, where) -> Fraction:
         q = self.literals.get(value) if isinstance(value, str) else None
         if q is None:
-            if index is not None:
-                where = f"{where}[{index}]"
             if not isinstance(value, str):
                 raise ParseError(f"{where}: scalars must be strings, got {value!r}")
             try:
@@ -124,7 +121,7 @@ class _Reader:
         except TypeError:
             vec = None
         if vec is None:
-            vec = ColVec([self.scalar(v, where, i) for i, v in enumerate(value)])
+            vec = ColVec([self.scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
             self.rows[key] = vec
         if len(vec) != dim:
             raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
@@ -263,22 +260,14 @@ def _smt_linear(coeffs, constant=None) -> str:
     return "(+ " + " ".join(terms) + ")"
 
 
-def _smt_and(parts) -> str:
+def _smt_join(op: str, unit: str, parts) -> str:
+    """(op part ...), with no parts giving unit and one part giving itself."""
     parts = list(parts)
     if not parts:
-        return "true"
+        return unit
     if len(parts) == 1:
         return parts[0]
-    return "(and " + " ".join(parts) + ")"
-
-
-def _smt_or(parts) -> str:
-    parts = list(parts)
-    if not parts:
-        return "false"
-    if len(parts) == 1:
-        return parts[0]
-    return "(or " + " ".join(parts) + ")"
+    return f"({op} " + " ".join(parts) + ")"
 
 
 def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
@@ -308,18 +297,21 @@ def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
             text = terms[key] = _smt_linear(row, offset)
         return text
 
-    conditions = [_smt_and(map(atom, piece.polyhedron.constraints)) for piece in fn.pieces]
+    conditions = [
+        _smt_join("and", "true", map(atom, piece.polyhedron.constraints)) for piece in fn.pieces
+    ]
     lines = ["(set-logic QF_LRA)"]
     for k in range(fn.in_dim):
         lines.append(f"(declare-const x_{k} Real)")
     for r in range(fn.out_dim):
         lines.append(f"(declare-const y_{r} Real)")
     for piece, condition in zip(fn.pieces, conditions):
-        rows = _smt_and(
-            f"(= y_{r} {term(piece.M.entries[r], piece.b[r])})"
-            for r in range(fn.out_dim)
+        rows = _smt_join(
+            "and",
+            "true",
+            (f"(= y_{r} {term(piece.M.entries[r], piece.b[r])})" for r in range(fn.out_dim)),
         )
         lines.append(f"(assert (=> {condition} {rows}))")
     if assert_domain:
-        lines.append(f"(assert {_smt_or(conditions)})")
+        lines.append(f"(assert {_smt_join('or', 'false', conditions)})")
     return "\n".join(lines) + "\n"

@@ -132,8 +132,6 @@ class _Simplex:
                 self.basis.append(2 * n + i)
             self.T.append(row)
         self.feasible = True
-        if n_art == 0:
-            return
         # Phase 1: maximize minus the sum of the artificials.
         obj = [0] * struct_cols + [-1] * n_art + [0, 1]
         self._canonicalize(obj)

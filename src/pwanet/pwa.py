@@ -133,8 +133,7 @@ def evaluate(fn: PwaFn, x: ColVec) -> Optional[ColVec]:
 
 def identity_pwaf(n: int) -> PwaFn:
     """The identity on R^n as a single unconstrained piece."""
-    piece = AffinePiece(full_space(n), identity(n), zeros_vec(n))
-    return PwaFn(n, n, (piece,), univalence=VERIFIED)
+    return linear_pwaf(identity(n), zeros_vec(n))
 
 
 def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:

@@ -1,12 +1,13 @@
-"""Seeded random builders shared across the test modules.
+"""Seeded random builders, and the fixed example fixtures, shared across the test modules.
 
-Everything takes an explicit random.Random so each test controls its own
+Every random builder takes an explicit random.Random so each test controls its own
 seed and reruns are reproducible. Weights stay small (numerators and
 denominators bounded by 100) to keep the exact arithmetic quick.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,22 @@ from pwanet.pwa import AffinePiece, PwaFn, linear_pwaf
 from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
 from oracles import stacked_relu
+
+
+EXAMPLE_WEIGHTS = [["2.7", "0"], ["1", "0.01"]]
+EXAMPLE_BIAS = ["1", "0.25"]
+
+
+def example_network() -> Network:
+    """Dense 2 -> 2 with decimal-string weights, then ReLU, then output."""
+    linear = nn_linear(Mat(EXAMPLE_WEIGHTS), ColVec(EXAMPLE_BIAS))
+    return Network(2, 2, (linear, nn_relu(2), OutputLayer(2)))
+
+
+def scaling_doc(factor: str) -> str:
+    """One total piece x -> factor * x, written by hand: it need not be writable."""
+    piece = {"constraints": [], "M": [[factor]], "b": ["0"]}
+    return json.dumps({"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": [piece]})
 
 
 def rational(rng: random.Random, num: int = 100, den: int = 100) -> Fraction:

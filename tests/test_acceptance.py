@@ -10,15 +10,15 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from pwanet.numeric import ColVec, Mat, dot, parse_scalar
+from pwanet.numeric import ColVec, dot, parse_scalar
 from pwanet.polyhedra import contains, intersect
 from pwanet.lp import MAX, MIN, Optimal, feasible_point, is_empty, solve
 from pwanet.pwa import Univalent, check_univalence, evaluate
 from pwanet.pwa_algebra import compose, concat
-from pwanet.network import Network, OutputLayer, nn_eval, nn_linear, nn_relu, relu_nd, transform
+from pwanet.network import nn_eval, relu_nd, transform
 from pwanet.formats import export_smt, parse_pwa, serialize_pwa
 
-from genutil import box_polyhedron, colvec_of, point, random_network, univalent_fn
+from genutil import box_polyhedron, colvec_of, example_network, point, random_network, univalent_fn
 from oracles import parse_sexprs, relu_1d, relu_reference, vertex_optimum
 
 
@@ -32,13 +32,6 @@ def criterion(capsys, number, label):
         raise
     with capsys.disabled():
         print(f"criterion {number:2d} ({label}): PASS")
-
-
-def example_network() -> Network:
-    linear = nn_linear(
-        Mat([["2.7", "0"], ["1", "0.01"]]), ColVec(["1", "0.25"])
-    )
-    return Network(2, 2, (linear, nn_relu(2), OutputLayer(2)))
 
 
 def test_01_transform_matches_direct_evaluation(capsys):

@@ -14,6 +14,7 @@ from pwanet.polyhedra import LinearConstraint, Polyhedron, full_space
 from pwanet.pwa import AffinePiece, PwaFn, Univalent, check_univalence, evaluate
 from pwanet.network import MAX_PIECES, MAX_RATIONALS, relu_nd
 
+from genutil import scaling_doc
 from oracles import relu_1d
 
 EXAMPLE_NET = """{
@@ -55,12 +56,6 @@ def write(tmp_path, name, text):
 
 
 TOO_LONG = f"error: a rational has more than {sys.get_int_max_str_digits()} digits to write\n"
-
-
-def scaling_doc(factor: str) -> str:
-    """One total piece x -> factor * x, written by hand: it need not be writable."""
-    piece = {"constraints": [], "M": [[factor]], "b": ["0"]}
-    return json.dumps({"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": [piece]})
 
 
 def conflicting_doc() -> str:
@@ -150,7 +145,7 @@ class TestCompile:
         net = write(tmp_path, "net.json", doc)
         code = main(["compile", "--network", net, "--out", str(tmp_path / "fn.json")])
         assert code == 4
-        assert "layer 2: not piecewise-affine" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: layer 2: not piecewise-affine\n"
 
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         doc = json.dumps(

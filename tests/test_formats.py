@@ -42,7 +42,7 @@ from pwanet.network import (
 )
 from pwanet.formats import ParseError, export_smt, parse_network, parse_pwa, serialize_pwa
 
-from genutil import dense_network, point, random_network, univalent_fn
+from genutil import dense_network, point, random_network, scaling_doc, univalent_fn
 from oracles import parse_sexprs, read_pwa, relu_1d, smt_reference
 
 NETWORK_DOC = """{
@@ -340,6 +340,41 @@ class TestParsePwa:
         self.assert_parse_error(
             pieces, "piece 1 constraint 0.c[0]: malformed rational literal '0e5000'"
         )
+
+
+def _second_piece(**change) -> str:
+    piece = {"constraints": [{"c": ["1"], "b": "0"}], "M": [["1"]], "b": ["0"]}
+    pieces = [piece, {**piece, **change}]
+    return json.dumps({"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": pieces})
+
+
+def _linear_layer(**change) -> str:
+    layer = {"kind": "linear", "weights": [["1", "0"], ["0", "1"]], "bias": ["0", "0"], **change}
+    return json.dumps({"input_dim": 2, "output_dim": 2, "layers": [layer, {"kind": "output"}]})
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_pwa, _second_piece(M=[["x"]]), "piece 1.M[0][0]: malformed rational literal 'x'"),
+        (parse_pwa, _second_piece(b=["1/0"]), "piece 1.b[0]: zero denominator in '1/0'"),
+        (
+            parse_network,
+            _linear_layer(weights=[["1", "0"], ["0", 2]]),
+            "layer 0.weights[1][1]: scalars must be strings, got 2",
+        ),
+        (
+            parse_network,
+            _linear_layer(bias=["0", "1e9999"]),
+            "layer 0.bias[1]: malformed rational literal '1e9999'",
+        ),
+    ],
+    ids=["M", "b", "weights", "bias"],
+)
+def test_a_bad_entry_is_located_inside_its_row(parse, text, message):
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    assert str(raised.value) == message
 
 
 class TestRoundTrip:
@@ -680,12 +715,6 @@ def _documented_exit_codes() -> set[int]:
     return {int(code) for code in table}
 
 
-def _scaling_doc(factor: str) -> bytes:
-    piece = {"constraints": [], "M": [[factor]], "b": ["0"]}
-    doc = {"in_dim": 1, "out_dim": 1, "univalence": "unchecked", "pieces": [piece]}
-    return json.dumps(doc).encode()
-
-
 def _linear_chain(*weights: str) -> bytes:
     layers = [{"kind": "linear", "weights": [[w]], "bias": ["0"]} for w in weights]
     doc = {"input_dim": 1, "output_dim": 1, "layers": layers + [{"kind": "output"}]}
@@ -738,9 +767,9 @@ class TestCliFuzz:
     @given(_cli_runs())
     # The reported repros, which the drawn runs need not reach.
     @example((["compile", "--network", _IN, "--out", _OUT], _linear_chain("1e3000", "1e3000")))
-    @example((["eval", "--pwa", _IN, "--point=1e4300"], _scaling_doc("1")))
-    @example((["export-smt", "--pwa", _IN, "--out", _OUT], _scaling_doc("1e4300")))
-    @example((["check", "--pwa", _IN], b"\xff\xfe" + _scaling_doc("1")))
+    @example((["eval", "--pwa", _IN, "--point=1e4300"], scaling_doc("1").encode()))
+    @example((["export-smt", "--pwa", _IN, "--out", _OUT], scaling_doc("1e4300").encode()))
+    @example((["check", "--pwa", _IN], b"\xff\xfe" + scaling_doc("1").encode()))
     def test_exit_code_is_documented_and_errors_are_one_line(self, run):
         argv, data = run
         with tempfile.TemporaryDirectory() as tmp:

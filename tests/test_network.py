@@ -37,8 +37,11 @@ from pwanet.network import (
 )
 
 from genutil import (
+    EXAMPLE_BIAS,
+    EXAMPLE_WEIGHTS,
     colvec_of,
     dense_network,
+    example_network,
     mat_of,
     point,
     random_network,
@@ -46,16 +49,6 @@ from genutil import (
     univalent_fn,
 )
 from oracles import apply_affine, relu_1d, relu_reference, right_fold_transform
-
-EXAMPLE_WEIGHTS = [["2.7", "0"], ["1", "0.01"]]
-EXAMPLE_BIAS = ["1", "0.25"]
-
-
-def example_network() -> Network:
-    """Dense 2 -> 2 with decimal-string weights, then ReLU, then output."""
-    linear = nn_linear(Mat(EXAMPLE_WEIGHTS), ColVec(EXAMPLE_BIAS))
-    return Network(2, 2, (linear, nn_relu(2), OutputLayer(2)))
-
 
 def example_oracle(x: ColVec) -> ColVec:
     pre = apply_affine(EXAMPLE_WEIGHTS, EXAMPLE_BIAS, list(x.entries))
