@@ -31,10 +31,17 @@ results, and check_univalence never relies on any tag.
 
 Each document is read with one table that lives for that parse call: the
 raw text of a literal maps to its Fraction, a raw row of strings to its
-ColVec, and a row with its bound to its LinearConstraint. Repeated text
-is parsed once and the pieces share those immutable objects; a
-malformed document fails where, and with the message, it would if every
-entry were read afresh.
+ColVec, and a constraint's raw text, its c row with its b, to its
+LinearConstraint. Repeated text is parsed once and the pieces share those
+immutable objects; a malformed document fails where, and with the
+message, it would if every entry were read afresh.
+
+serialize_pwa writes the bytes json.dumps(doc, indent=2) would, plus a
+newline, but lays them out directly: with indent, json uses its slow
+pure-Python encoder. Nothing needs escaping, since the keys are fixed, the
+tag is one of three words and format_scalar writes only digits, "-" and
+"/". Each distinct constraint object and map row is rendered once per
+call, as export_smt renders each distinct constraint once.
 
 The SMT export targets QF_LRA: constants x_0..x_{n-1} and y_0..y_{m-1},
 and per piece one assertion (=> <membership> <output rows>). It contains
@@ -89,9 +96,10 @@ class _Reader:
     width is checked on every use, so a malformed document fails where and
     how it would without the table. A row holding something other than
     strings never parses, so it is never stored; an unhashable one is not
-    even looked up. constraints maps the ids of a row and a bound, which
-    the other two tables keep alive, to their LinearConstraint. The table
-    lives as long as one parse call.
+    even looked up. constraints maps a constraint's raw text, the pair
+    (tuple of c, b), to its LinearConstraint; a pair is stored only once it
+    has parsed, so a hit is a repeat of valid text. The table lives as long
+    as one parse call.
     """
 
     __slots__ = ("literals", "rows", "constraints")
@@ -99,7 +107,7 @@ class _Reader:
     def __init__(self):
         self.literals: dict[str, Fraction] = {}
         self.rows: dict[tuple[str, ...], ColVec] = {}
-        self.constraints: dict[tuple[int, int], LinearConstraint] = {}
+        self.constraints: dict[tuple, LinearConstraint] = {}
 
     def scalar(self, value, where) -> Fraction:
         q = self.literals.get(value) if isinstance(value, str) else None
@@ -127,11 +135,27 @@ class _Reader:
             raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
         return vec
 
-    def constraint(self, c: ColVec, b: Fraction) -> LinearConstraint:
-        key = id(c), id(b)
-        lc = self.constraints.get(key)
-        if lc is None:
-            lc = self.constraints[key] = LinearConstraint(c, b)
+    def constraint(self, raw, dim, where, k) -> LinearConstraint:
+        """Constraint k of the piece at where, from its raw {"c": [...], "b": ...}.
+
+        A repeat of a raw text that parsed before is the stored constraint,
+        found before any location string is made; anything else is read
+        afresh, so it fails as a first reading would.
+        """
+        key = None
+        if isinstance(raw, dict) and isinstance(raw.get("c"), list):
+            try:
+                key = tuple(raw["c"]), raw["b"]
+                lc = self.constraints.get(key)
+            except (KeyError, TypeError):
+                key = lc = None
+            if lc is not None:
+                return lc
+        cwhere = f"{where} constraint {k}"
+        c = self.vector(_get(raw, "c", cwhere), dim, f"{cwhere}.c")
+        lc = LinearConstraint(c, self.scalar(_get(raw, "b", cwhere), f"{cwhere}.b"))
+        if key is not None:
+            self.constraints[key] = lc
         return lc
 
     def matrix(self, value, rows, cols, where) -> Mat:
@@ -203,39 +227,63 @@ def parse_pwa(text: str) -> PwaFn:
         raw_constraints = _get(raw, "constraints", where)
         if not isinstance(raw_constraints, list):
             raise ParseError(f"{where}: constraints must be a list")
-        constraints = []
-        for k, rc in enumerate(raw_constraints):
-            cwhere = f"{where} constraint {k}"
-            c = read.vector(_get(rc, "c", cwhere), in_dim, f"{cwhere}.c")
-            b = read.scalar(_get(rc, "b", cwhere), f"{cwhere}.b")
-            constraints.append(read.constraint(c, b))
+        constraints = [
+            read.constraint(rc, in_dim, where, k) for k, rc in enumerate(raw_constraints)
+        ]
         m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
         b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
         pieces.append(AffinePiece(Polyhedron(in_dim, tuple(constraints)), m, b))
     return PwaFn(in_dim, out_dim, pieces, univalence=tag, claimed=True)
 
 
+def _block(open_: str, close: str, items: list[str], depth: int) -> str:
+    """items in a container at depth, laid out as json.dumps(indent=2) does."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * depth
+    return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
+
+
+def _strings(row, depth: int) -> str:
+    return _block("[", "]", [f'"{format_scalar(a)}"' for a in row], depth)
+
+
 def serialize_pwa(fn: PwaFn) -> str:
-    doc = {
-        "in_dim": fn.in_dim,
-        "out_dim": fn.out_dim,
-        "univalence": fn.univalence,
-        "pieces": [
-            {
-                "constraints": [
-                    {
-                        "c": [format_scalar(a) for a in lc.c],
-                        "b": format_scalar(lc.b),
-                    }
-                    for lc in piece.polyhedron.constraints
-                ],
-                "M": [[format_scalar(a) for a in row] for row in piece.M.entries],
-                "b": [format_scalar(a) for a in piece.b],
-            }
-            for piece in fn.pieces
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The canonical document of fn: json.dumps(doc, indent=2) and a newline.
+
+    Every constraint and map row sits at depth 4, so each distinct
+    constraint object and row is rendered once; fn keeps every one alive,
+    so their ids stay put for the whole call.
+    """
+    constraints: dict[int, str] = {}
+    rows: dict[int, str] = {}
+
+    def constraint(lc: LinearConstraint) -> str:
+        text = constraints.get(id(lc))
+        if text is None:
+            fields = [f'"c": {_strings(lc.c, 5)}', f'"b": "{format_scalar(lc.b)}"']
+            text = constraints[id(lc)] = _block("{", "}", fields, 4)
+        return text
+
+    def row(entries) -> str:
+        text = rows.get(id(entries))
+        if text is None:
+            text = rows[id(entries)] = _strings(entries, 4)
+        return text
+
+    def piece_text(piece: AffinePiece) -> str:
+        cons = _block("[", "]", [*map(constraint, piece.polyhedron.constraints)], 3)
+        m = _block("[", "]", [*map(row, piece.M.entries)], 3)
+        fields = [f'"constraints": {cons}', f'"M": {m}', f'"b": {_strings(piece.b, 3)}']
+        return _block("{", "}", fields, 2)
+
+    fields = [
+        f'"in_dim": {fn.in_dim}',
+        f'"out_dim": {fn.out_dim}',
+        f'"univalence": "{fn.univalence}"',
+        f'"pieces": {_block("[", "]", [*map(piece_text, fn.pieces)], 1)}',
+    ]
+    return _block("{", "}", fields, 0) + "\n"
 
 
 def _smt_rat(q: Fraction) -> str:

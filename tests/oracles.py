@@ -5,7 +5,10 @@ systems are solved by direct Gaussian elimination, optima come from
 brute-force vertex enumeration, and dot products, membership and affine
 maps are raw Fraction loops. read_pwa and smt_reference read a PWA
 document and write its SMT script with json and Fraction alone, reading
-and rendering every entry afresh.
+and rendering every entry afresh. json_serialize_pwa is the document
+writer as it was before serialize_pwa laid out its text by hand: the
+whole document built as a dict and handed to json.dumps, with the
+library's format_scalar for each entry.
 
 The ReLU oracles are the exception: they are the paper's construction,
 built with the library's own operators. relu_1d is two literal affine
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer
-from pwanet.numeric import ColVec, Mat
+from pwanet.numeric import ColVec, Mat, format_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import AffinePiece, PwaFn, check_univalence, identity_pwaf
 from pwanet.pwa_algebra import compose, concat
@@ -207,6 +210,29 @@ def read_pwa(text: str) -> tuple[int, int, list]:
         for raw in doc["pieces"]
     ]
     return doc["in_dim"], doc["out_dim"], pieces
+
+
+def json_serialize_pwa(fn: PwaFn) -> str:
+    doc = {
+        "in_dim": fn.in_dim,
+        "out_dim": fn.out_dim,
+        "univalence": fn.univalence,
+        "pieces": [
+            {
+                "constraints": [
+                    {
+                        "c": [format_scalar(a) for a in lc.c],
+                        "b": format_scalar(lc.b),
+                    }
+                    for lc in piece.polyhedron.constraints
+                ],
+                "M": [[format_scalar(a) for a in row] for row in piece.M.entries],
+                "b": [format_scalar(a) for a in piece.b],
+            }
+            for piece in fn.pieces
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _smt_rat(q: Fraction) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import sys
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwanet.cli import main
-from pwanet.numeric import ColVec, DimensionError, Mat
+from pwanet.numeric import ColVec, DimensionError, Mat, ScalarTooLong
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import (
     REFUTED,
@@ -29,9 +30,11 @@ from pwanet.pwa import (
     evaluate,
     identity_pwaf,
     linear_pwaf,
+    prune_empty,
 )
 from pwanet.pwa_algebra import compose, concat
 from pwanet.network import (
+    Network,
     OutputLayer,
     PwaLayer,
     ReluLayer,
@@ -42,8 +45,16 @@ from pwanet.network import (
 )
 from pwanet.formats import ParseError, export_smt, parse_network, parse_pwa, serialize_pwa
 
-from genutil import dense_network, point, random_network, scaling_doc, univalent_fn
-from oracles import parse_sexprs, read_pwa, relu_1d, smt_reference
+from genutil import (
+    dense_network,
+    point,
+    random_network,
+    restricted_affine,
+    scaling_doc,
+    single_piece,
+    univalent_fn,
+)
+from oracles import json_serialize_pwa, parse_sexprs, read_pwa, relu_1d, smt_reference
 
 NETWORK_DOC = """{
   "input_dim": 2,
@@ -341,6 +352,58 @@ class TestParsePwa:
             pieces, "piece 1 constraint 0.c[0]: malformed rational literal '0e5000'"
         )
 
+    # A constraint is looked up by its raw text before anything else is
+    # read; a damaged repeat of one that parsed must still fail as a first
+    # reading of it does.
+    @pytest.mark.parametrize(
+        "first, repeat, message",
+        [
+            ({"c": ["1", "0"], "b": "0"}, {"c": "10", "b": "0"}, ".c: expected a list"),
+            (
+                {"c": ["1", "0"], "b": "0"},
+                {"c": ["1", "0"], "b": 0},
+                ".b: scalars must be strings, got 0",
+            ),
+            ({"c": ["1", "0"], "b": "0"}, {"c": ["1", "0"]}, ": missing key 'b'"),
+            (
+                {"c": ["1", "1"], "b": "0"},
+                {"c": ["1", True], "b": "0"},
+                ".c[1]: scalars must be strings, got True",
+            ),
+            (
+                {"c": ["1", "0"], "b": "0"},
+                {"c": [["1", "0"], "0"], "b": "0"},
+                ".c[0]: scalars must be strings, got ['1', '0']",
+            ),
+            (
+                {"c": ["1", "0"], "b": "0"},
+                {"c": ["1", "0"], "b": ["0"]},
+                ".b: scalars must be strings, got ['0']",
+            ),
+        ],
+        ids=["c_string", "b_number", "b_missing", "c_bool", "c_nested", "b_list"],
+    )
+    def test_a_damaged_repeat_of_a_constraint(self, first, repeat, message):
+        def piece(*constraints):
+            return {"constraints": list(constraints), "M": [["1", "0"]], "b": ["0"]}
+
+        self.assert_parse_error([piece(repeat)], "piece 0 constraint 0" + message)
+        self.assert_parse_error([piece(first), piece(repeat)], "piece 1 constraint 0" + message)
+        self.assert_parse_error([piece(first, repeat)], "piece 0 constraint 1" + message)
+
+    def test_an_extra_key_in_a_constraint_is_ignored(self):
+        plain = {"c": ["1", "0"], "b": "0"}
+        extra = {**plain, "note": [1]}
+        pieces = [
+            {"constraints": [plain, extra], "M": [["1", "0"]], "b": ["0"]},
+            {"constraints": [extra, plain], "M": [["1", "0"]], "b": ["0"]},
+        ]
+        doc = {"in_dim": 2, "out_dim": 1, "univalence": "unchecked", "pieces": pieces}
+        fn = parse_pwa(json.dumps(doc))
+        first, second = (piece.polyhedron.constraints for piece in fn.pieces)
+        assert first == second == (LinearConstraint(ColVec([1, 0]), Fraction(0)),) * 2
+        assert "note" not in serialize_pwa(fn)
+
 
 def _second_piece(**change) -> str:
     piece = {"constraints": [{"c": ["1"], "b": "0"}], "M": [["1"]], "b": ["0"]}
@@ -410,6 +473,100 @@ class TestRoundTrip:
         fn = relu_1d()
         assert serialize_pwa(fn) == serialize_pwa(fn)
         assert serialize_pwa(fn).endswith("\n")
+
+
+def _writer_corpus():
+    """Compiles of random_network prefixes and of dense 2-3-3, 2-4-4 and
+    3-4-4-2 networks, restricted_affine pieces and univalent_fn functions."""
+    rng = random.Random(7705)
+    built = []
+    for _ in range(30):
+        net = random_network(rng)
+        dim = net.input_dim
+        for cut, layer in enumerate(net.layers):
+            prefix = net.layers[:cut] + (OutputLayer(dim),)
+            built.append(transform(Network(net.input_dim, dim, prefix)))
+            dim = layer.out_dim
+    for widths in [(2, 3, 3), (2, 4, 4), (3, 4, 4, 2)]:
+        built.append(transform(dense_network(rng, widths)))
+    for k in range(30):
+        built.append(restricted_affine(rng, rng.randint(0, 3), k % 4))
+        built.append(univalent_fn(rng, rng.randint(1, 3)))
+    return built
+
+
+_NOWHERE = Polyhedron(0, (LinearConstraint(ColVec([]), Fraction(-1)),))
+_ROW = ColVec([1, -1])
+_STRIP = Polyhedron(2, (LinearConstraint(_ROW, Fraction(1)), LinearConstraint(_ROW, Fraction(2))))
+_EDGE_SHAPES = {
+    "no_pieces": PwaFn(2, 1, ()),
+    "no_pieces_no_dims": PwaFn(0, 0, ()),
+    "in_dim_0": linear_pwaf(Mat([[], []]), ColVec(["1", "-1/2"])),
+    "in_dim_0_constrained": single_piece(_NOWHERE, Mat([[]])),
+    "out_dim_0": linear_pwaf(Mat([], cols=2), ColVec([])),
+    "out_dim_0_constrained": single_piece(_STRIP),
+    "one_row_two_bounds": single_piece(_STRIP, Mat([_ROW.entries, _ROW.entries])),
+    "no_dims": identity_pwaf(0),
+    "no_constraints": identity_pwaf(2),
+    **{tag: PwaFn(1, 1, relu_1d().pieces, tag) for tag in (UNCHECKED, VERIFIED, REFUTED)},
+}
+
+
+class TestWriterMatchesJsonDumps:
+    """serialize_pwa writes the bytes of the json.dumps writer it replaced."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _writer_corpus()
+
+    @pytest.mark.parametrize("form", ["built", "pruned", "parsed"])
+    def test_corpus(self, corpus, form):
+        for fn in corpus:
+            if form == "pruned":
+                fn = prune_empty(fn)
+            elif form == "parsed":
+                fn = parse_pwa(json_serialize_pwa(fn))
+            assert serialize_pwa(fn) == json_serialize_pwa(fn)
+        assert len(corpus) >= 150 and max(len(fn.pieces) for fn in corpus) == 1024
+
+    @pytest.mark.parametrize("fn", _EDGE_SHAPES.values(), ids=_EDGE_SHAPES.keys())
+    def test_edge_shapes(self, fn):
+        assert serialize_pwa(fn) == json_serialize_pwa(fn)
+        assert serialize_pwa(parse_pwa(serialize_pwa(fn))) == json_serialize_pwa(fn)
+
+
+def _too_long_fns():
+    """One rational past the digit limit, in a constraint two pieces share,
+    in a map row two pieces share, and in an offset."""
+    huge = Fraction(10) ** sys.get_int_max_str_digits()
+    zero = Fraction(0)
+    ok = LinearConstraint(ColVec([1, 0]), zero)
+    shared = LinearConstraint(ColVec([1, 1]), 1 / huge)
+    row = (huge, zero)
+
+    def fn(*pieces):
+        return PwaFn(2, 1, pieces)
+
+    def piece(*constraints, m=Mat([[1, 0]]), b=ColVec([0])):
+        return AffinePiece(Polyhedron(2, constraints), m, b)
+
+    return {
+        "constraint": fn(piece(ok), piece(ok, shared), piece(shared)),
+        "map_row": fn(piece(ok), piece(ok, m=Mat([row])), piece(m=Mat([row]))),
+        "offset": fn(piece(ok), piece(ok, b=ColVec([-huge]))),
+    }
+
+
+_TOO_LONG = _too_long_fns()
+
+
+@pytest.mark.parametrize("fn", _TOO_LONG.values(), ids=_TOO_LONG.keys())
+def test_a_rational_too_long_to_write_raises_as_before(fn):
+    with pytest.raises(ScalarTooLong) as expected:
+        json_serialize_pwa(fn)
+    for _ in range(2):
+        with pytest.raises(ScalarTooLong, match=f"^{re.escape(str(expected.value))}$"):
+            serialize_pwa(fn)
 
 
 def _oracle_compiles():
@@ -686,6 +843,12 @@ class TestParserFuzz:
     def test_valid_documents_round_trip(self, doc):
         once = serialize_pwa(parse_pwa(json.dumps(doc)))
         assert serialize_pwa(parse_pwa(once)) == once
+
+    @_FUZZ
+    @given(_pwa_docs())
+    def test_valid_documents_write_as_json_dumps(self, doc):
+        fn = parse_pwa(json.dumps(doc))
+        assert serialize_pwa(fn) == json_serialize_pwa(fn)
 
 
 # Literals that parse but whose results may pass the 4,300-digit limit on
