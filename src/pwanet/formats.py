@@ -54,7 +54,7 @@ import json
 from fractions import Fraction
 
 from .numeric import ColVec, Mat, format_scalar, parse_scalar
-from .polyhedra import LinearConstraint, Polyhedron
+from .polyhedra import LinearConstraint, _unchecked_polyhedron
 from .pwa import _STATUSES, AffinePiece, PwaFn
 from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
 
@@ -232,7 +232,8 @@ def parse_pwa(text: str) -> PwaFn:
         ]
         m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
         b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
-        pieces.append(AffinePiece(Polyhedron(in_dim, tuple(constraints)), m, b))
+        # read.constraint has checked every width against in_dim.
+        pieces.append(AffinePiece(_unchecked_polyhedron(in_dim, tuple(constraints)), m, b))
     return PwaFn(in_dim, out_dim, pieces, univalence=tag, claimed=True)
 
 

@@ -26,13 +26,23 @@ point costs phase 1 alone. off_target_points starts every objective from a
 copy of the one feasible tableau, which is the tableau a fresh solve would
 reach, since phase 1 is deterministic.
 
-Unboundedness is reported as soon as an improving column has no blocking
-row; no ray certificate is produced.
+An infeasible phase 1 leaves a Farkas certificate: y >= 0, one entry per
+constraint c_i.x <= b_i, with sum y_i c_i = 0 and sum y_i b_i < 0, so no
+point satisfies that nonnegative combination. It is read off the final
+phase-1 objective row. Up to a positive factor, each entry there is the
+column's cost minus the duals' combination of the column, and the slack
+column of constraint i holds nothing but the factor by which tableau row
+i scales that constraint; so y_i is minus the objective row's entry in
+that slack column. Infeasible carries the certificate, out of equality
+and repr, and _farkas_support checks it exactly, with Fraction sums,
+before a caller relies on its support. Unboundedness is reported as soon
+as an improving column has no blocking row; no ray certificate is
+produced, and Optimal carries no dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Union
@@ -61,7 +71,16 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """The polyhedron is empty."""
+    """The polyhedron is empty.
+
+    certificate holds Farkas multipliers, one nonnegative int per
+    constraint c_i.x <= b_i in order, with sum y_i c_i = 0 and
+    sum y_i b_i < 0; no point can satisfy that nonnegative combination.
+    It is left out of equality and repr, so outcomes compare and print as
+    they did without it.
+    """
+
+    certificate: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,6 +116,7 @@ class _Simplex:
 
     `feasible` says whether phase 1 found a basic feasible solution; only
     then are the artificials gone and maximize and point meaningful.
+    Otherwise `farkas` holds the multipliers of Infeasible.certificate.
     Rows are replaced, never changed in place, so copy() is shallow.
     """
 
@@ -140,6 +160,9 @@ class _Simplex:
             raise RuntimeError("simplex phase 1 reported an unbounded objective")
         if obj[-2] != 0:
             self.feasible = False
+            # The certificate of the module docstring, scaled by the
+            # objective row's positive denominator.
+            self.farkas = tuple(-obj[2 * n + i] for i in range(m))
             return
         # Drive leftover artificials out of the basis. Their value is zero,
         # so these pivots are degenerate and keep the solution feasible.
@@ -230,7 +253,7 @@ class _Simplex:
 
     def maximize(self, objective: ColVec) -> LpOutcome:
         if not self.feasible:
-            return Infeasible()
+            return Infeasible(self.farkas)
         den, ints = scaled_ints(objective.entries)
         obj = [0] * self.ncols + [0, den]
         for k, c in enumerate(ints):
@@ -283,6 +306,14 @@ def off_target_points(
     feasible tableau phase 1 leaves. An empty poly yields nothing: every
     row holds vacuously.
     """
+    search = _off_target_search(poly, rows)
+    return iter(()) if isinstance(search, Infeasible) else search
+
+
+def _off_target_search(
+    poly: Polyhedron, rows: Iterable[tuple[ColVec, ScalarLike]]
+) -> Infeasible | Iterator[ColVec | None]:
+    """off_target_points, but an empty poly gives its Infeasible outcome."""
     rows = list(rows)
     for functional, _ in rows:
         if functional.dim != poly.dim:
@@ -291,11 +322,33 @@ def off_target_points(
             )
     simplex = _Simplex(poly)
     if not simplex.feasible:
-        return iter(())
+        return Infeasible(simplex.farkas)
     return (
         _off_target(poly, simplex, functional, as_scalar(target))
         for functional, target in rows
     )
+
+
+def _farkas_support(poly: Polyhedron, certificate: tuple[int, ...]) -> list[int]:
+    """The indices of the constraints with a positive multiplier, once the
+    certificate is checked exactly against poly: one y_i >= 0 per
+    constraint, sum y_i c_i = 0 and sum y_i b_i < 0. Those constraints
+    alone have no common point. A certificate that fails raises
+    RuntimeError.
+    """
+    lcs = poly.constraints
+    if len(certificate) != len(lcs) or any(y < 0 for y in certificate):
+        raise RuntimeError("Farkas multipliers must be one nonnegative int per constraint")
+    support = [i for i, y in enumerate(certificate) if y]
+    combined = [Fraction(0)] * poly.dim
+    rhs = Fraction(0)
+    for i in support:
+        y = certificate[i]
+        combined = [a + y * c for a, c in zip(combined, lcs[i].c.entries)]
+        rhs += y * lcs[i].b
+    if any(combined) or rhs >= 0:
+        raise RuntimeError("Farkas multipliers do not refute the polyhedron")
+    return support
 
 
 def _off_target(

@@ -50,6 +50,16 @@ class Polyhedron:
                 )
 
 
+def _unchecked_polyhedron(dim: int, constraints: tuple[LinearConstraint, ...]) -> Polyhedron:
+    """The Polyhedron(dim, constraints) that passes every check, built
+    without running them: the caller guarantees dim >= 0 and a tuple of
+    constraints that each have width dim."""
+    poly = object.__new__(Polyhedron)
+    object.__setattr__(poly, "dim", dim)
+    object.__setattr__(poly, "constraints", constraints)
+    return poly
+
+
 def full_space(dim: int) -> Polyhedron:
     """All of R^dim: the polyhedron with no constraints."""
     return Polyhedron(dim)
@@ -65,4 +75,4 @@ def intersect(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     """Concatenate constraint lists; p1's constraints come first."""
     if p1.dim != p2.dim:
         raise DimensionError(f"intersect of dim {p1.dim} against dim {p2.dim}")
-    return Polyhedron(p1.dim, p1.constraints + p2.constraints)
+    return _unchecked_polyhedron(p1.dim, p1.constraints + p2.constraints)

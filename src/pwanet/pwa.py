@@ -14,8 +14,10 @@ check_univalence decides it exactly, via linear programs over the
 pairwise intersections, as "verified" or "refuted"; the refutation comes
 back to the caller with a concrete witness point, and only its status is
 kept on the function. check_univalence ignores any existing status and
-rescans the pairs. Only a univalent function is independent of piece
-order.
+rescans the pairs. An overlap found empty leaves a Farkas certificate,
+which lp checks exactly; the constraints it uses form a core, and a
+later pair whose overlap holds a whole core is empty without an LP.
+Only a univalent function is independent of piece order.
 """
 
 from __future__ import annotations
@@ -146,19 +148,79 @@ def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:
     return PwaFn(m.cols, m.rows, (piece,), univalence=VERIFIED)
 
 
-def _check_pair(fn: PwaFn, i: int, j: int) -> Optional[UnivalenceViolation]:
-    """Search for a disagreement between pieces i and j on their overlap."""
+def _value_keys(fn: PwaFn) -> list[tuple[int, ...]]:
+    """For each piece of fn, its constraints as ints: equal constraints,
+    by value, get equal ints, numbered in order of first appearance.
+
+    Hashing a constraint hashes every coefficient, and pieces share
+    constraint objects, so each object is looked up by value once.
+    """
+    number: dict[LinearConstraint, int] = {}
+    key_of: dict[int, int] = {}
+    keys = []
+    for piece in fn.pieces:
+        row = []
+        for lc in piece.polyhedron.constraints:
+            key = key_of.get(id(lc))
+            if key is None:
+                key = key_of[id(lc)] = number.setdefault(lc, len(number))
+            row.append(key)
+        keys.append(tuple(row))
+    return keys
+
+
+class _EmptyCores:
+    """Sets of constraint keys (see _value_keys) with no common point.
+
+    A core is the support of a Farkas certificate that lp has checked
+    exactly, so any polyhedron holding every constraint of a core is
+    empty, whatever else it holds. Each core is filed under its largest
+    key, so a set of keys scans only the cores filed under its own keys.
+    """
+
+    def __init__(self):
+        self.filed: dict[int, list[frozenset[int]]] = {}
+
+    def cover(self, keys: set[int]) -> bool:
+        """Does keys hold every key of some core?"""
+        filed = self.filed
+        return any(core <= keys for key in keys if key in filed for core in filed[key])
+
+    def add(self, keys: tuple[int, ...], region: Polyhedron, certificate: tuple[int, ...]) -> None:
+        """File the core of region's certificate; keys are region's
+        constraints as keys, in order. Raises RuntimeError, and files
+        nothing, when the certificate does not check."""
+        core = frozenset(keys[i] for i in lp._farkas_support(region, certificate))
+        self.filed.setdefault(max(core), []).append(core)
+
+
+def _check_pair(
+    fn: PwaFn, i: int, j: int, keys: list[tuple[int, ...]], cores: _EmptyCores
+) -> Optional[UnivalenceViolation]:
+    """Search for a disagreement between pieces i and j on their overlap.
+
+    keys holds every piece's constraint keys. An overlap that holds one
+    of the cores is empty and needs no LP; one whose phase 1 finds it
+    empty files its certified core.
+    """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
     if pi.M == pj.M and pi.b == pj.b:
         # Identical maps agree everywhere, overlap or not.
         return None
     region = intersect(pi.polyhedron, pj.polyhedron)
+    region_keys = keys[i] + keys[j]
+    if cores.cover(set(region_keys)):
+        return None
     rows = (
         (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
         for r in range(fn.out_dim)
     )
-    for r, point in enumerate(lp.off_target_points(region, rows)):
+    search = lp._off_target_search(region, rows)
+    if isinstance(search, lp.Infeasible):
+        cores.add(region_keys, region, search.certificate)
+        return None
+    for r, point in enumerate(search):
         if point is not None:
             return UnivalenceViolation(i, j, r, point)
     return None
@@ -174,12 +236,22 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     The scan stops at the first violation in pair order (then row order)
     and returns it with a witness point lying in both polyhedra.
 
+    An empty overlap never disagrees. When a pair's phase 1 finds its
+    overlap empty, the constraints that its checked Farkas certificate
+    uses form a core, and a later pair whose overlap holds every
+    constraint of a core, by value, is skipped without an LP. Only empty
+    pairs are skipped, so the verdict is that of the plain scan, and a
+    witness still comes from a from-scratch simplex on its pair's own
+    intersection.
+
     fn.univalence is set to the verdict's status and fn.claimed is
     cleared; the violation itself is only returned.
     """
+    keys = _value_keys(fn)
+    cores = _EmptyCores()
     found: Optional[UnivalenceViolation] = None
     for i, j in itertools.combinations(range(len(fn.pieces)), 2):
-        found = _check_pair(fn, i, j)
+        found = _check_pair(fn, i, j, keys, cores)
         if found is not None:
             break
     fn.claimed = False
@@ -201,19 +273,12 @@ def _live(fn: PwaFn) -> list[bool]:
     that share no first constraint cost at most one phase 1 each, as they
     would tested alone. Only booleans leave the walk.
     """
-    # A node is (children, pieces ending here, its constraint). Hashing a
-    # constraint hashes every coefficient, and pieces share constraint
-    # objects, so each object is looked up by value once; children are
-    # keyed by the id of the first equal constraint, which fn keeps alive.
-    first: dict[LinearConstraint, LinearConstraint] = {}
-    key_of: dict[int, int] = {}
+    # A node is (children, pieces ending here, its constraint); children
+    # are keyed by the constraint's value key.
     root = ({}, [], None)
-    for i, piece in enumerate(fn.pieces):
+    for i, (piece, keys) in enumerate(zip(fn.pieces, _value_keys(fn))):
         node = root
-        for lc in piece.polyhedron.constraints:
-            key = key_of.get(id(lc))
-            if key is None:
-                key = key_of[id(lc)] = id(first.setdefault(lc, lc))
+        for key, lc in zip(keys, piece.polyhedron.constraints):
             child = node[0].get(key)
             if child is None:
                 child = node[0][key] = ({}, [], lc)

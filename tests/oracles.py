@@ -10,6 +10,9 @@ writer as it was before serialize_pwa laid out its text by hand: the
 whole document built as a dict and handed to json.dumps, with the
 library's format_scalar for each entry.
 
+farkas_refutes checks a Farkas certificate of emptiness with raw
+Fraction sums and nothing of the simplex that produced it.
+
 The ReLU oracles are the exception: they are the paper's construction,
 built with the library's own operators. relu_1d is two literal affine
 pieces meeting at zero, and check_univalence earns its "verified" tag;
@@ -18,6 +21,9 @@ through compose_relu, which builds every ReLU the library compiles, so
 they are its reference. right_fold_transform keeps the network
 compiler's earlier composition order, last layer first, with every ReLU
 as stacked_relu, as the reference for the forward fold.
+plain_check_univalence is the univalence checker's pair loop as it was
+before it reused certified empty cores: every pair with different maps
+gets its own LPs, through the library's off_target_points.
 """
 
 from __future__ import annotations
@@ -26,10 +32,20 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+from pwanet import lp
 from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer
 from pwanet.numeric import ColVec, Mat, format_scalar
-from pwanet.polyhedra import LinearConstraint, Polyhedron
-from pwanet.pwa import AffinePiece, PwaFn, check_univalence, identity_pwaf
+from pwanet.polyhedra import LinearConstraint, Polyhedron, intersect
+from pwanet.pwa import (
+    REFUTED,
+    VERIFIED,
+    AffinePiece,
+    PwaFn,
+    Univalent,
+    UnivalenceViolation,
+    check_univalence,
+    identity_pwaf,
+)
 from pwanet.pwa_algebra import compose, concat
 
 
@@ -44,6 +60,60 @@ def dot(v, w) -> Fraction:
 def contains(poly: Polyhedron, x: ColVec) -> bool:
     """Does x satisfy every constraint c.x <= b of poly?"""
     return all(dot(lc.c, x) <= lc.b for lc in poly.constraints)
+
+
+def farkas_refutes(poly: Polyhedron, multipliers) -> bool:
+    """Do the multipliers prove poly empty?
+
+    They must be one nonnegative number y_i per constraint c_i.x <= b_i
+    of poly, with sum y_i c_i the zero vector and sum y_i b_i negative:
+    every point of poly would satisfy 0 = (sum y_i c_i).x <= sum y_i b_i
+    < 0.
+    """
+    constraints = poly.constraints
+    if len(multipliers) != len(constraints):
+        return False
+    combined = [Fraction(0)] * poly.dim
+    bound = Fraction(0)
+    for y, lc in zip(multipliers, constraints):
+        y = Fraction(y)
+        if y < 0:
+            return False
+        if y == 0:
+            continue
+        for k in range(poly.dim):
+            combined[k] += y * Fraction(lc.c.entries[k])
+        bound += y * Fraction(lc.b)
+    return all(a == 0 for a in combined) and bound < 0
+
+
+def _plain_check_pair(fn: PwaFn, i: int, j: int) -> UnivalenceViolation | None:
+    pi = fn.pieces[i]
+    pj = fn.pieces[j]
+    if pi.M == pj.M and pi.b == pj.b:
+        # Identical maps agree everywhere, overlap or not.
+        return None
+    region = intersect(pi.polyhedron, pj.polyhedron)
+    rows = (
+        (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
+        for r in range(fn.out_dim)
+    )
+    for r, point in enumerate(lp.off_target_points(region, rows)):
+        if point is not None:
+            return UnivalenceViolation(i, j, r, point)
+    return None
+
+
+def plain_check_univalence(fn: PwaFn):
+    """check_univalence with LPs on every pair whose maps differ."""
+    found = None
+    for i, j in combinations(range(len(fn.pieces)), 2):
+        found = _plain_check_pair(fn, i, j)
+        if found is not None:
+            break
+    fn.claimed = False
+    fn.univalence = VERIFIED if found is None else REFUTED
+    return Univalent() if found is None else found
 
 
 def relu_1d() -> PwaFn:

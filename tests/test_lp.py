@@ -21,13 +21,13 @@ from pwanet.lp import (
     off_target_points,
     solve,
 )
-from pwanet.numeric import ColVec, DimensionError, dot, zeros_vec
+from pwanet.numeric import ColVec, DimensionError, dot, vec_scale, zeros_vec
 from pwanet.network import transform
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
-from pwanet.pwa import AffinePiece, PwaFn, check_univalence
+from pwanet.pwa import AffinePiece, PwaFn, check_univalence, prune_empty
 
-from genutil import box_polyhedron, point, random_network
-from oracles import vertex_optimum
+from genutil import box_polyhedron, dense_network, point, random_network
+from oracles import farkas_refutes, vertex_optimum
 
 
 def unit_interval():
@@ -396,3 +396,135 @@ class TestOutcomeTraceHash:
         assert len(lines) > 1500
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def _mutants(poly, multipliers):
+    """Certificates one edit away from multipliers that can never refute,
+    for each constraint with a positive multiplier: that multiplier
+    negated, and, when the constraint's row is nonzero, the multiplier
+    raised by one or the constraint dropped along with it. The last two
+    leave sum y_i c_i off zero by a nonzero multiple of that row."""
+    y = tuple(multipliers)
+    for k, lc in enumerate(poly.constraints):
+        if y[k] > 0:
+            yield poly, y[:k] + (-y[k],) + y[k + 1:]
+            if any(lc.c.entries):
+                yield poly, y[:k] + (y[k] + 1,) + y[k + 1:]
+                rest = poly.constraints[:k] + poly.constraints[k + 1:]
+                yield Polyhedron(poly.dim, rest), y[:k] + y[k + 1:]
+
+
+def _near_opposite_polyhedron(rng):
+    """_random_polyhedron with rows repeated and near-opposite rows added.
+
+    A row may come again as the same object or as an equal copy, and may
+    gain a partner s * (-c).x <= s * (-b) + d with s in {1/3, 1, 2} and d
+    in [-1, 1]: a slab that is thin, flat or empty. Rows are shuffled.
+    """
+    poly = _random_polyhedron(rng)
+    rows = list(poly.constraints)
+    for lc in poly.constraints:
+        if rng.random() < 0.3:
+            rows.append(lc if rng.random() < 0.5 else LinearConstraint(ColVec(lc.c.entries), lc.b))
+        if rng.random() < 0.5:
+            s = rng.choice((Fraction(1, 3), Fraction(1), Fraction(2)))
+            rows.append(LinearConstraint(vec_scale(-s, lc.c), -s * lc.b + _small_rational(rng, 1)))
+    rng.shuffle(rows)
+    return Polyhedron(poly.dim, tuple(rows))
+
+
+class TestFarkasCertificates:
+    """Every Infeasible outcome carries multipliers that prove emptiness.
+
+    The checker is oracles.farkas_refutes, raw Fraction sums that share no
+    code with the simplex. lp._farkas_support, the library's own check,
+    must agree on every certificate and on its mutants.
+    """
+
+    def check(self, poly, multipliers):
+        assert farkas_refutes(poly, multipliers)
+        support = lp._farkas_support(poly, multipliers)
+        assert support == [i for i, y in enumerate(multipliers) if y > 0]
+        mutants = list(_mutants(poly, multipliers))
+        assert mutants
+        for bad_poly, bad in mutants:
+            assert not farkas_refutes(bad_poly, bad)
+            with pytest.raises(RuntimeError):
+                lp._farkas_support(bad_poly, bad)
+
+    @staticmethod
+    def infeasible_builds(monkeypatch, run):
+        """(polyhedron, multipliers) of each _Simplex built by run whose
+        phase 1 finds it empty."""
+        found = []
+
+        class Recorded(lp._Simplex):
+            def __init__(self, poly):
+                super().__init__(poly)
+                if not self.feasible:
+                    found.append((poly, self.farkas))
+
+        monkeypatch.setattr(lp, "_Simplex", Recorded)
+        run()
+        monkeypatch.undo()
+        return found
+
+    def test_outcome_trace_polyhedra(self, monkeypatch):
+        found = self.infeasible_builds(monkeypatch, _outcome_trace)
+        assert len(found) > 300
+        for poly, multipliers in found:
+            self.check(poly, multipliers)
+
+    def test_random_polyhedra_with_repeated_and_near_opposite_rows(self):
+        rng = random.Random(3311)
+        infeasible = 0
+        for _ in range(300):
+            poly = _near_opposite_polyhedron(rng)
+            objective = ColVec(_small_rational(rng, 3) for _ in range(poly.dim))
+            outcome = solve(poly, objective, MAX)
+            if isinstance(outcome, Infeasible):
+                infeasible += 1
+                self.check(poly, outcome.certificate)
+                assert solve(poly, objective, MIN).certificate == outcome.certificate
+        assert infeasible > 100
+
+    def test_pair_intersections_of_compiled_networks(self):
+        fns = [
+            transform(random_network(random.Random(seed), max_pieces=16, max_dim=3, max_depth=3))
+            for seed in range(3312, 3320)
+        ]
+        fns += [
+            prune_empty(transform(dense_network(random.Random(1), shape)))
+            for shape in ((2, 3, 3, 2), (2, 4, 4))
+        ]
+        infeasible = 0
+        for fn in fns:
+            for i in range(len(fn.pieces)):
+                for j in range(i + 1, len(fn.pieces)):
+                    region = intersect(fn.pieces[i].polyhedron, fn.pieces[j].polyhedron)
+                    outcome = solve(region, zeros_vec(fn.in_dim), MAX)
+                    if isinstance(outcome, Infeasible):
+                        infeasible += 1
+                        self.check(region, outcome.certificate)
+        assert infeasible > 250
+
+    def test_named_certificates(self):
+        # x <= -1 and -x <= 0 add up to 0 <= -1.
+        self.check(contradiction(), solve(contradiction(), ColVec([1])).certificate)
+        assert solve(contradiction(), ColVec([1])).certificate == (1, 1)
+        # 0.x <= -1 alone, in R^0 too.
+        for dim in (0, 2):
+            poly = Polyhedron(dim, (LinearConstraint(ColVec([0] * dim), -1),))
+            (multiplier,) = solve(poly, zeros_vec(dim)).certificate
+            assert multiplier > 0
+            self.check(poly, (multiplier,))
+
+    def test_certificate_is_outside_equality_and_repr(self):
+        assert Infeasible((1, 1)) == Infeasible()
+        assert repr(Infeasible((1, 1))) == "Infeasible()"
+        assert Infeasible().certificate == ()
+
+    def test_wrong_length_is_refused(self):
+        with pytest.raises(RuntimeError):
+            lp._farkas_support(contradiction(), (1,))
+        assert not farkas_refutes(contradiction(), (1,))

@@ -13,9 +13,11 @@ from pwanet.polyhedra import (
     full_space,
     intersect,
 )
+from pwanet.formats import parse_pwa, serialize_pwa
+from pwanet.network import transform
 from pwanet.pwa_algebra import concat
 
-from genutil import box_polyhedron, point, single_piece
+from genutil import box_polyhedron, dense_network, point, random_network, single_piece
 
 
 def halfline_left():
@@ -97,6 +99,47 @@ class TestIntersect:
             for _ in range(200):
                 x = point(rng, dim)
                 assert contains(both, x) == (contains(p1, x) and contains(p2, x))
+
+
+class TestUncheckedConstructor:
+    """intersect and parse_pwa skip Polyhedron's checks; what they build
+    must equal what the checked constructor builds from the same parts."""
+
+    @staticmethod
+    def same(built):
+        checked = Polyhedron(built.dim, built.constraints)
+        assert built == checked
+        assert hash(built) == hash(checked)
+        assert type(built.constraints) is tuple
+        assert (built.dim, built.constraints) == (checked.dim, checked.constraints)
+
+    def test_intersect(self):
+        rng = random.Random(2210)
+        for dim in (0, 1, 3):
+            for _ in range(10):
+                p, q = box_polyhedron(rng, dim), box_polyhedron(rng, dim)
+                self.same(intersect(p, q))
+        self.same(intersect(full_space(0), full_space(0)))
+
+    def test_parse_pwa(self):
+        rng = random.Random(2211)
+        fns = [transform(random_network(rng, max_pieces=16, max_dim=3)) for _ in range(10)]
+        fns.append(transform(dense_network(random.Random(1), (2, 3, 2))))
+        for fn in fns:
+            parsed = parse_pwa(serialize_pwa(fn))
+            assert [p.polyhedron for p in parsed.pieces] == [p.polyhedron for p in fn.pieces]
+            for piece in parsed.pieces:
+                self.same(piece.polyhedron)
+        on_r0 = (
+            '{"in_dim": 0, "out_dim": 1, "univalence": "unchecked", "pieces": ['
+            '{"constraints": [], "M": [[]], "b": ["0"]}, '
+            '{"constraints": [{"c": [], "b": "-1"}, {"c": [], "b": "2"}], "M": [[]], "b": ["1"]}]}'
+        )
+        polys = [piece.polyhedron for piece in parse_pwa(on_r0).pieces]
+        for poly in polys:
+            self.same(poly)
+        pair = (LinearConstraint(ColVec(), -1), LinearConstraint(ColVec(), 2))
+        assert polys[1] == Polyhedron(0, pair)
 
 
 class TestLifting:

@@ -36,10 +36,11 @@ from genutil import (
     dense_network,
     mat_of,
     point,
+    random_network,
     restricted_affine,
     univalent_fn,
 )
-from oracles import relu_1d
+from oracles import plain_check_univalence, relu_1d
 
 
 def two_conflicting_pieces():
@@ -573,3 +574,152 @@ class TestLivePieces:
         assert runs <= len(fn.pieces)
         assert runs == 11  # one of the twelve pieces holds the origin
         self.check(fn)
+
+
+def _moved(fn, k):
+    """fn with 1 added to row 0 of piece k's offset."""
+    pieces = list(fn.pieces)
+    piece = pieces[k]
+    bump = ColVec([1] + [0] * (fn.out_dim - 1))
+    pieces[k] = AffinePiece(piece.polyhedron, piece.M, vec_add(piece.b, bump))
+    return PwaFn(fn.in_dim, fn.out_dim, pieces)
+
+
+@st.composite
+def _core_sharing_fns(draw):
+    """Functions on R^1 or R^2 onto R^1 or R^2 with many empty overlaps.
+
+    Most pieces are sign patterns over one to three drawn hyperplanes
+    c.x = b: per hyperplane, c.x <= b or -c.x <= -b - g with g in {0, 1},
+    so two patterns that differ at a hyperplane with g = 1 are disjoint,
+    for the same two constraints every time, while g = 0 leaves them a
+    shared facet. The other pieces take up to three constraints from a
+    small pool, half the time after a prefix of an earlier piece's
+    constraints. Every function has at least two pieces. Any
+    constraint may be an equal copy instead of the shared object. Maps
+    come from a pool of at most three, so some pairs share their map,
+    and a piece may repeat an earlier one outright. Some functions open
+    with two disjoint pieces whose maps differ, and some have one piece's
+    offset moved, so violations come after empty overlaps.
+    """
+    dim = draw(st.integers(1, 2))
+    out = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    row = st.lists(small, min_size=dim, max_size=dim)
+    pool = draw(st.lists(st.builds(_halfspace, row, small), min_size=1, max_size=6))
+    sides = [
+        (lc, _halfspace([-a for a in lc.c], -lc.b - draw(st.integers(0, 1))))
+        for lc in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    ]
+    offset = st.lists(small, min_size=out, max_size=out)
+    maps = draw(st.lists(
+        st.tuples(st.lists(row, min_size=out, max_size=out), offset), min_size=1, max_size=3
+    ))
+    pieces = []
+    if draw(st.booleans()):
+        axis = [1] + [0] * (dim - 1)
+        for lc, shift in ((_halfspace(axis, -1), 0), (_halfspace([-a for a in axis], 0), 1)):
+            pieces.append(AffinePiece(
+                Polyhedron(dim, (lc,)), Mat([axis] * out, cols=dim), ColVec([shift] * out)
+            ))
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.integers(0, 5))
+        if pieces and kind == 0:
+            pieces.append(draw(st.sampled_from(pieces)))
+            continue
+        if kind > 2:
+            lcs = tuple(pair[draw(st.integers(0, 1))] for pair in sides)
+        else:
+            lcs = ()
+            if pieces and draw(st.booleans()):
+                base = draw(st.sampled_from(pieces)).polyhedron.constraints
+                lcs = base[: draw(st.integers(0, len(base)))]
+            lcs += tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
+        m, b = draw(st.sampled_from(maps))
+        pieces.append(AffinePiece(
+            Polyhedron(dim, tuple(_copy(lc) if draw(st.booleans()) else lc for lc in lcs)),
+            Mat(m, cols=dim),
+            ColVec(b),
+        ))
+    fn = PwaFn(dim, out, pieces)
+    if pieces and draw(st.booleans()):
+        fn = _moved(fn, draw(st.integers(0, len(pieces) - 1)))
+    return fn
+
+
+class TestEmptyCores:
+    """check_univalence skips pairs whose overlap holds a certified empty core.
+
+    The oracle is the plain pair loop, with LPs on every pair whose maps
+    differ; the verdict, down to the pair, row and witness, must be its.
+    """
+
+    def check(self, fn):
+        expected = plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        copy = PwaFn(fn.in_dim, fn.out_dim, fn.pieces, univalence=VERIFIED, claimed=True)
+        assert check_univalence(copy) == expected
+        assert (copy.univalence, copy.claimed) == (
+            REFUTED if isinstance(expected, UnivalenceViolation) else VERIFIED,
+            False,
+        )
+        return expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_core_sharing_fns())
+    def test_drawn_function_matches_the_plain_loop(self, fn):
+        self.check(fn)
+
+    def test_compiled_and_moved_functions_match_the_plain_loop(self):
+        fns = [
+            transform(random_network(random.Random(seed), max_pieces=16, max_dim=3, max_depth=3))
+            for seed in range(4410, 4420)
+        ]
+        fns.append(relu_into_relu())
+        refuted = 0
+        for fn in fns:
+            self.check(fn)
+            for k in range(len(fn.pieces)):
+                refuted += isinstance(self.check(_moved(fn, k)), UnivalenceViolation)
+        assert refuted > 20
+
+    @pytest.mark.parametrize("shape, plain, cores", [((2, 3, 3, 2), 91, 65), ((2, 4, 4), 300, 133)])
+    def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, cores):
+        fn = prune_empty(transform(dense_network(random.Random(1), shape)))
+        runs = TestLivePieces.phase_1_runs
+        assert runs(monkeypatch, plain_check_univalence, fn) == plain
+        assert runs(monkeypatch, check_univalence, fn) == cores
+        assert check_univalence(fn) == Univalent()
+
+    @staticmethod
+    def disjoint_pieces():
+        """x <= -1 and x >= 0 with different maps: their overlap is empty."""
+        return PwaFn(1, 1, (
+            AffinePiece(Polyhedron(1, (_halfspace([1], -1),)), Mat([[1]]), ColVec([0])),
+            AffinePiece(Polyhedron(1, (_halfspace([-1], 0),)), Mat([[2]]), ColVec([0])),
+        ))
+
+    def test_a_checked_certificate_files_its_core(self):
+        fn = self.disjoint_pieces()
+        region = intersect(fn.pieces[0].polyhedron, fn.pieces[1].polyhedron)
+        cores = pwa._EmptyCores()
+        cores.add((4, 7), region, (1, 1))
+        assert cores.filed == {7: [frozenset({4, 7})]}
+        assert cores.cover({4, 7, 9}) and not cores.cover({4, 9})
+
+    def test_a_corrupted_multiplier_raises_and_files_nothing(self, monkeypatch):
+        fn = self.disjoint_pieces()
+        region = intersect(fn.pieces[0].polyhedron, fn.pieces[1].polyhedron)
+        cores = pwa._EmptyCores()
+        with pytest.raises(RuntimeError):
+            cores.add((4, 7), region, (2, 1))
+        assert cores.filed == {}
+
+        class Corrupted(lp._Simplex):
+            def __init__(self, poly):
+                super().__init__(poly)
+                if not self.feasible:
+                    self.farkas = (self.farkas[0] + 1,) + self.farkas[1:]
+
+        monkeypatch.setattr(lp, "_Simplex", Corrupted)
+        with pytest.raises(RuntimeError):
+            check_univalence(fn)
