@@ -17,18 +17,32 @@ kept on the function. check_univalence ignores any existing status and
 rescans the pairs. An overlap found empty leaves a Farkas certificate,
 which lp checks exactly; the constraints it uses form a core, and a
 later pair whose overlap holds a whole core is empty without an LP.
-Only a univalent function is independent of piece order.
+A constraint whose exact negation is in the same overlap is a facet
+equality, c.x = b all over it, as where two ReLU regions meet; a map
+row whose difference lies in the rational span of those (c, b) needs
+no LP either. Only a univalent function is independent of piece order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Union
 
 from . import lp
-from .numeric import ColVec, DimensionError, Mat, dot, identity, vec_add, mat_vec_mul, zeros_vec
-from .polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
+from .numeric import (
+    ColVec,
+    DimensionError,
+    Mat,
+    dot,
+    identity,
+    mat_vec_mul,
+    scaled_ints,
+    vec_add,
+    zeros_vec,
+)
+from .polyhedra import Polyhedron, contains, full_space, intersect
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -148,14 +162,17 @@ def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:
     return PwaFn(m.cols, m.rows, (piece,), univalence=VERIFIED)
 
 
-def _value_keys(fn: PwaFn) -> list[tuple[int, ...]]:
+def _value_keys(fn: PwaFn) -> tuple[list[tuple[int, ...]], dict[tuple, int]]:
     """For each piece of fn, its constraints as ints: equal constraints,
     by value, get equal ints, numbered in order of first appearance.
+    Also that numbering, from each distinct value to its int, in order.
 
-    Hashing a constraint hashes every coefficient, and pieces share
-    constraint objects, so each object is looked up by value once.
+    A value is the (numerator, denominator) pair of every coefficient
+    and of the bound, a tuple of ints that hashes without Fraction
+    arithmetic. Pieces share constraint objects, so each object is read
+    once.
     """
-    number: dict[LinearConstraint, int] = {}
+    number: dict[tuple, int] = {}
     key_of: dict[int, int] = {}
     keys = []
     for piece in fn.pieces:
@@ -163,10 +180,11 @@ def _value_keys(fn: PwaFn) -> list[tuple[int, ...]]:
         for lc in piece.polyhedron.constraints:
             key = key_of.get(id(lc))
             if key is None:
-                key = key_of[id(lc)] = number.setdefault(lc, len(number))
+                value = tuple([(a.numerator, a.denominator) for a in lc.c.entries + (lc.b,)])
+                key = key_of[id(lc)] = number.setdefault(value, len(number))
             row.append(key)
         keys.append(tuple(row))
-    return keys
+    return keys, number
 
 
 class _EmptyCores:
@@ -194,14 +212,109 @@ class _EmptyCores:
         self.filed.setdefault(max(core), []).append(core)
 
 
+class _FacetEqualities:
+    """The facet equalities of overlaps, and the map rows they pin.
+
+    A constraint c.x <= b of an overlap whose exact negation
+    -c.x <= -b is in the same overlap makes c.x = b hold on all of it.
+    compose_relu writes the hyperplane of a flipping unit as such a pair,
+    one side in each of the two pieces it separates, and their maps
+    differ by multiples of it. A row (d, t) in the rational span of the
+    (c, b) of those equalities gives d.x = t on the overlap, with no LP,
+    whether the overlap is empty or not.
+
+    number is _value_keys' numbering. The negation of each key is looked
+    up once, when an overlap first holds it. The span test runs on
+    integer rows, each scaled by the lcm of its denominators: a positive
+    scale changes no span. Each piece's map rows are scaled once, and
+    each set of facets is put in echelon form once.
+    """
+
+    def __init__(self, fn: PwaFn, number: dict[tuple, int]):
+        self.fn = fn
+        self.number = number
+        self.values = list(number)
+        self.negation: dict[int, int] = {}
+        self.maps: dict[int, list[tuple[int, list[int]]]] = {}
+        self.bases: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+
+    def _negation(self, key: int) -> int:
+        """The key of the exact negation of key's constraint, or -1."""
+        negation = self.negation.get(key)
+        if negation is None:
+            value = tuple([(-n, d) for n, d in self.values[key]])
+            negation = self.negation[key] = self.number.get(value, -1)
+        return negation
+
+    def _map(self, i: int) -> list[tuple[int, list[int]]]:
+        """Piece i's rows (M[r], -b[r]) as (lcm of denominators, ints)."""
+        rows = self.maps.get(i)
+        if rows is None:
+            piece = self.fn.pieces[i]
+            rows = self.maps[i] = [
+                scaled_ints(row + (-b,)) for row, b in zip(piece.M.entries, piece.b)
+            ]
+        return rows
+
+    def _basis(self, facets: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+        """The facets' (c, b) rows in echelon form: (pivot, row) pairs,
+        each row nonzero at its pivot and 0 at every earlier pivot."""
+        basis = self.bases.get(facets)
+        if basis is None:
+            basis = self.bases[facets] = []
+            for key in facets:
+                value = self.values[key]
+                den = lcm(*(d for _, d in value))
+                row = _reduced(basis, [n * (den // d) for n, d in value])
+                pivot = next((k for k, a in enumerate(row) if a), None)
+                if pivot is not None:
+                    basis.append((pivot, row))
+        return basis
+
+    def unpinned(self, i: int, j: int, overlap: set[int]) -> list[int]:
+        """The rows of pieces i and j, in order, that the facet equalities
+        of their overlap, whose constraint keys are overlap, do not pin."""
+        facets = []
+        for key in overlap:
+            negation = self._negation(key)
+            if key < negation and negation in overlap:
+                facets.append(key)
+        if not facets:
+            # A zero row needs no LP either, but the search costs it none.
+            return list(range(self.fn.out_dim))
+        basis = self._basis(tuple(sorted(facets)))
+        return [
+            r
+            for r, ((di, xi), (dj, xj)) in enumerate(zip(self._map(i), self._map(j)))
+            if any(_reduced(basis, [a * dj - b * di for a, b in zip(xi, xj)]))
+        ]
+
+
+def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
+    """row less a combination of an echelon basis, then scaled: all zero
+    exactly when row lies in the basis's span."""
+    for pivot, base in basis:
+        f = row[pivot]
+        if f:
+            row = lp._scaled(row, base[pivot], f, base)
+    return row
+
+
 def _check_pair(
-    fn: PwaFn, i: int, j: int, keys: list[tuple[int, ...]], cores: _EmptyCores
+    fn: PwaFn,
+    i: int,
+    j: int,
+    keys: list[tuple[int, ...]],
+    cores: _EmptyCores,
+    facets: _FacetEqualities,
 ) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
     keys holds every piece's constraint keys. An overlap that holds one
-    of the cores is empty and needs no LP; one whose phase 1 finds it
-    empty files its certified core.
+    of the cores is empty and needs no LP, nor does a pair whose every
+    row the overlap's facet equalities pin. Otherwise the unpinned rows
+    go to one phase 1 and its LPs; an overlap that phase 1 finds empty
+    files its certified core.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
@@ -210,17 +323,21 @@ def _check_pair(
         return None
     region = intersect(pi.polyhedron, pj.polyhedron)
     region_keys = keys[i] + keys[j]
-    if cores.cover(set(region_keys)):
+    overlap = set(region_keys)
+    if cores.cover(overlap):
+        return None
+    unpinned = facets.unpinned(i, j, overlap)
+    if not unpinned:
         return None
     rows = (
         (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
-        for r in range(fn.out_dim)
+        for r in unpinned
     )
     search = lp._off_target_search(region, rows)
     if isinstance(search, lp.Infeasible):
         cores.add(region_keys, region, search.certificate)
         return None
-    for r, point in enumerate(search):
+    for r, point in zip(unpinned, search):
         if point is not None:
             return UnivalenceViolation(i, j, r, point)
     return None
@@ -239,19 +356,28 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     An empty overlap never disagrees. When a pair's phase 1 finds its
     overlap empty, the constraints that its checked Farkas certificate
     uses form a core, and a later pair whose overlap holds every
-    constraint of a core, by value, is skipped without an LP. Only empty
-    pairs are skipped, so the verdict is that of the plain scan, and a
+    constraint of a core, by value, is skipped without an LP.
+
+    Before its phase 1, a pair collects its overlap's facet equalities:
+    each constraint c.x <= b whose exact negation -c.x <= -b, by value,
+    is in the overlap too. A row whose difference and offset difference
+    lie in the exact rational span of their (c, b) holds on all of the
+    overlap, empty or not, and needs no LP; a pair whose every row is
+    pinned is skipped, and only the other rows go to the LPs, in order.
+    Pinned rows never have an off-target point and skipped pairs are
+    empty or agree, so the verdict is that of the plain scan, and a
     witness still comes from a from-scratch simplex on its pair's own
     intersection.
 
     fn.univalence is set to the verdict's status and fn.claimed is
     cleared; the violation itself is only returned.
     """
-    keys = _value_keys(fn)
+    keys, number = _value_keys(fn)
     cores = _EmptyCores()
+    facets = _FacetEqualities(fn, number)
     found: Optional[UnivalenceViolation] = None
     for i, j in itertools.combinations(range(len(fn.pieces)), 2):
-        found = _check_pair(fn, i, j, keys, cores)
+        found = _check_pair(fn, i, j, keys, cores, facets)
         if found is not None:
             break
     fn.claimed = False
@@ -276,7 +402,7 @@ def _live(fn: PwaFn) -> list[bool]:
     # A node is (children, pieces ending here, its constraint); children
     # are keyed by the constraint's value key.
     root = ({}, [], None)
-    for i, (piece, keys) in enumerate(zip(fn.pieces, _value_keys(fn))):
+    for i, (piece, keys) in enumerate(zip(fn.pieces, _value_keys(fn)[0])):
         node = root
         for key, lc in zip(keys, piece.polyhedron.constraints):
             child = node[0].get(key)

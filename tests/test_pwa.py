@@ -40,7 +40,7 @@ from genutil import (
     restricted_affine,
     univalent_fn,
 )
-from oracles import plain_check_univalence, relu_1d
+from oracles import _plain_check_pair, plain_check_univalence, relu_1d
 
 
 def two_conflicting_pieces():
@@ -682,12 +682,12 @@ class TestEmptyCores:
                 refuted += isinstance(self.check(_moved(fn, k)), UnivalenceViolation)
         assert refuted > 20
 
-    @pytest.mark.parametrize("shape, plain, cores", [((2, 3, 3, 2), 91, 65), ((2, 4, 4), 300, 133)])
-    def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, cores):
+    @pytest.mark.parametrize("shape, plain, scan", [((2, 3, 3, 2), 91, 36), ((2, 4, 4), 300, 74)])
+    def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, scan):
         fn = prune_empty(transform(dense_network(random.Random(1), shape)))
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, plain_check_univalence, fn) == plain
-        assert runs(monkeypatch, check_univalence, fn) == cores
+        assert runs(monkeypatch, check_univalence, fn) == scan
         assert check_univalence(fn) == Univalent()
 
     @staticmethod
@@ -723,3 +723,145 @@ class TestEmptyCores:
         monkeypatch.setattr(lp, "_Simplex", Corrupted)
         with pytest.raises(RuntimeError):
             check_univalence(fn)
+
+
+@st.composite
+def _facet_sharing_fns(draw):
+    """Functions on R^1 or R^2 onto R^1 or R^2 whose pieces agree on shared
+    facets, and a flag: was one map entry or offset then moved?
+
+    One to three hyperplanes c.x = b are drawn, and each piece takes a
+    side of every one: c.x <= b, or its exact negation -c.x <= -b, like
+    the two sides of a ReLU unit. Now and then the second side is written
+    as 2 times the negation, which is no exact negation, so the pairs it
+    separates fall back to LPs. A piece may add a constraint of its own,
+    and any constraint may be an equal copy. On the side past c.x = b,
+    output row r adds mu * (c.x - b), mu drawn per hyperplane and row, so
+    two pieces' maps differ by a combination of the (c, b) of the
+    hyperplanes that separate them, and those hold as equalities on the
+    overlap: the function is univalent until an entry is moved. Planes,
+    mus and maps have small rational entries, so two pieces' rows have
+    different denominators.
+    """
+    dim = draw(st.integers(1, 2))
+    out = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    row = st.lists(small, min_size=dim, max_size=dim)
+    ratio = st.builds(Fraction, small, st.integers(1, 3))
+    ratios = st.lists(ratio, min_size=dim, max_size=dim)
+    planes = draw(st.lists(st.tuples(ratios, ratio), min_size=1, max_size=3))
+    mus = [draw(st.lists(ratio, min_size=out, max_size=out)) for _ in planes]
+    m0 = draw(st.lists(ratios, min_size=out, max_size=out))
+    b0 = draw(st.lists(ratio, min_size=out, max_size=out))
+    pieces = []
+    for _ in range(draw(st.integers(2, 6))):
+        lcs, m, b = [], list(m0), list(b0)
+        for (c, t), mu in zip(planes, mus):
+            if not draw(st.booleans()):
+                lcs.append(_halfspace(c, t))
+                continue
+            scale = 2 if draw(st.integers(0, 4)) == 0 else 1
+            lcs.append(_halfspace([-scale * a for a in c], -scale * t))
+            for r in range(out):
+                m[r] = [a + mu[r] * ck for a, ck in zip(m[r], c)]
+                b[r] -= mu[r] * t
+        if draw(st.integers(0, 3)) == 0:
+            lcs.append(draw(st.builds(_halfspace, row, small)))
+        pieces.append(AffinePiece(
+            Polyhedron(dim, tuple(_copy(lc) if draw(st.booleans()) else lc for lc in lcs)),
+            Mat(m, cols=dim),
+            ColVec(b),
+        ))
+    moved = draw(st.booleans())
+    if moved:
+        k = draw(st.integers(0, len(pieces) - 1))
+        r = draw(st.integers(0, out - 1))
+        col = draw(st.integers(0, dim))  # dim stands for the offset
+        delta = draw(st.sampled_from((-2, -1, 1, 2)))
+        piece = pieces[k]
+        m = [list(entries) for entries in piece.M.entries]
+        b = list(piece.b.entries)
+        if col == dim:
+            b[r] += delta
+        else:
+            m[r][col] += delta
+        pieces[k] = AffinePiece(piece.polyhedron, Mat(m, cols=dim), ColVec(b))
+    return PwaFn(dim, out, pieces), moved
+
+
+class TestFacetEqualities:
+    """check_univalence needs no LP for a row that the overlap's facet
+    equalities pin: a constraint and its exact negation, both in the
+    overlap, and the row in the rational span of their (c, b).
+
+    The oracle is the plain pair loop, with LPs on every pair whose maps
+    differ; the verdict, down to the pair, row and witness, must be its.
+    """
+
+    @staticmethod
+    def check(fn):
+        expected = plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces)) == expected
+        return expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_facet_sharing_fns())
+    def test_drawn_function_matches_the_plain_loop(self, drawn):
+        fn, moved = drawn
+        expected = self.check(fn)
+        if not moved:
+            assert expected == Univalent()
+
+    @staticmethod
+    def pinned(monkeypatch, fn):
+        """check_univalence on fn, recording each pair that reached the
+        facet test: (i, j, the rows it left to the LPs)."""
+        seen = []
+        unpinned = pwa._FacetEqualities.unpinned
+
+        def recording(self, i, j, overlap):
+            left = unpinned(self, i, j, overlap)
+            seen.append((i, j, left))
+            return left
+
+        monkeypatch.setattr(pwa._FacetEqualities, "unpinned", recording)
+        check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        monkeypatch.undo()
+        return seen
+
+    def test_every_pinned_pair_and_row_agrees_on_seeded_compiles(self, monkeypatch):
+        fns = [
+            transform(random_network(random.Random(seed), max_pieces=16, max_dim=3, max_depth=3))
+            for seed in range(4420, 4430)
+        ]
+        fns += [
+            prune_empty(transform(dense_network(random.Random(1), shape)))
+            for shape in ((2, 3, 3, 2), (2, 4, 4))
+        ]
+        fns += [_moved(fn, k) for fn in list(fns) for k in range(len(fn.pieces))]
+        whole = rows_pinned = 0
+        for fn in fns:
+            for i, j, unpinned in self.pinned(monkeypatch, fn):
+                if not unpinned:
+                    whole += 1
+                    assert _plain_check_pair(fn, i, j) is None
+                    continue
+                pi, pj = fn.pieces[i], fn.pieces[j]
+                region = intersect(pi.polyhedron, pj.polyhedron)
+                for r in range(fn.out_dim):
+                    if r not in unpinned:
+                        rows_pinned += 1
+                        d = ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r]))
+                        target = [(d, pj.b[r] - pi.b[r])]
+                        assert all(p is None for p in lp.off_target_points(region, target))
+        assert whole >= 1000 and rows_pinned >= 2000
+
+    def test_a_relu_pair_builds_no_simplex(self, monkeypatch):
+        fn = relu_1d()
+        runs = TestLivePieces.phase_1_runs
+        assert runs(monkeypatch, check_univalence, fn) == 0
+        assert check_univalence(fn) == Univalent()
+        # Its active offset moved by 1: the row is no longer pinned.
+        moved = _moved(fn, 1)
+        assert runs(monkeypatch, check_univalence, moved) == 1
+        assert check_univalence(moved) == UnivalenceViolation(0, 1, 0, ColVec([0]))
