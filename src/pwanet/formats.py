@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .numeric import ColVec, Mat, format_scalar, parse_scalar
+from .numeric import ColVec, Mat, _unchecked_mat, format_scalar, parse_scalar
 from .polyhedra import LinearConstraint, _unchecked_polyhedron
 from .pwa import _STATUSES, AffinePiece, PwaFn
 from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
@@ -163,8 +163,9 @@ class _Reader:
             raise ParseError(f"{where}: expected a list of rows")
         if len(value) != rows:
             raise ParseError(f"{where}: expected {rows} rows, got {len(value)}")
-        body = [self.vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value)]
-        return Mat(body, cols=cols)
+        body = tuple(self.vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value))
+        # read.vector has checked every row's width against cols.
+        return _unchecked_mat(body, cols)
 
 
 def parse_network(text: str) -> Network:

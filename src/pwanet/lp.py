@@ -20,10 +20,17 @@ index) are the ones the rational tableau would pick. Values and witnesses
 become Fractions only when read off.
 
 Building a _Simplex runs phase 1 and records whether the polyhedron is
-feasible; nothing is decided later or cached. maximize returns an
-LpOutcome, and point() reads the current basic solution, so a feasible
-point costs phase 1 alone. off_target_points starts every objective from a
-copy of the one feasible tableau, which is the tableau a fresh solve would
+feasible. A build is the empty tableau on R^n extended by the
+polyhedron's rows, and extended() appends rows to any feasible tableau
+the same way: each new row is reduced against the current basis, only
+rows whose reduced right-hand side is negative get an artificial, and
+the one phase-1 routine drives those out. A caller that holds the
+tableau of a prefix of a polyhedron's rows, as pwa's trie walk does,
+pays only for the rows past it; extension copies, so the prefix's
+tableau can be extended again. maximize returns an LpOutcome, and
+point() reads the current basic solution, so a feasible point costs
+phase 1 alone. off_target_points starts every objective from a copy of
+the one feasible tableau, which is the tableau a fresh solve would
 reach, since phase 1 is deterministic.
 
 An infeasible phase 1 leaves a Farkas certificate: y >= 0, one entry per
@@ -33,9 +40,11 @@ phase-1 objective row. Up to a positive factor, each entry there is the
 column's cost minus the duals' combination of the column, and the slack
 column of constraint i holds nothing but the factor by which tableau row
 i scales that constraint; so y_i is minus the objective row's entry in
-that slack column. Infeasible carries the certificate, out of equality
-and repr, and _farkas_support checks it exactly, with Fraction sums,
-before a caller relies on its support. Unboundedness is reported as soon
+that slack column. This holds for an extended tableau too, whose rows
+are combinations of the constraints, and the certificate covers every
+row appended so far. Infeasible carries the certificate, out of
+equality and repr, and _checked_support checks it exactly, with integer
+sums, before a caller relies on its support. Unboundedness is reported as soon
 as an improving column has no blocking row; no ray certificate is
 produced, and Optimal carries no dual.
 """
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .numeric import (
@@ -94,8 +103,9 @@ LpOutcome = Union[Optimal, Infeasible, Unbounded]
 def _scaled(row: list[int], p: int, f: int, prow: list[int]) -> list[int]:
     """row * p - f * prow, divided by the gcd of its entries.
 
-    An objective row's trailing denominator, past the end of prow, is
-    scaled by p alone.
+    A trailing entry past the end of prow, an objective row's denominator
+    or the slack entry of a row that _phase_1 is appending, is scaled by
+    p alone.
     """
     new = [a * p - f * b for a, b in zip(row, prow)]
     if len(row) > len(prow):
@@ -114,45 +124,91 @@ class _Simplex:
     which is kept positive. An objective row has two trailing slots: minus
     the objective value, then a positive denominator for the whole row.
 
+    A build is the empty tableau on R^n, which has no rows and the origin
+    as its basic point, extended by the polyhedron's rows; extended()
+    appends rows to a feasible tableau the same way, through the one
+    phase 1 of _phase_1.
+
     `feasible` says whether phase 1 found a basic feasible solution; only
-    then are the artificials gone and maximize and point meaningful.
-    Otherwise `farkas` holds the multipliers of Infeasible.certificate.
-    Rows are replaced, never changed in place, so copy() is shallow.
+    then are the artificials gone and maximize, point and extended
+    meaningful. Otherwise `farkas` holds the multipliers of
+    Infeasible.certificate, one per row appended so far. Rows are
+    replaced, never changed in place, so copy() is shallow, and a tableau
+    that has been extended is left as it was.
     """
 
     def __init__(self, poly: Polyhedron):
-        n = poly.dim
-        m = len(poly.constraints)
-        self.n = n
-        struct_cols = 2 * n + m
-        negate = [lc.b < 0 for lc in poly.constraints]
-        n_art = sum(negate)
-        self.ncols = struct_cols + n_art
-        self.T: list[list[int]] = []
-        self.basis: list[int] = []
-        art_seen = 0
-        for i, lc in enumerate(poly.constraints):
-            # The constraint times the lcm of its denominators, negated when
-            # its right-hand side is negative.
-            den, ints = scaled_ints(lc.c.entries + (lc.b,))
-            sign = -1 if negate[i] else 1
-            row = [0] * (self.ncols + 1)
+        self.__dict__.update(self.empty(poly.dim).__dict__)
+        self._phase_1([scaled_ints(lc.c.entries + (lc.b,)) for lc in poly.constraints])
+
+    @classmethod
+    def empty(cls, n: int) -> _Simplex:
+        """The tableau on R^n with no rows: feasible, and its basic point is
+        the origin. No phase 1 runs."""
+        tableau = object.__new__(cls)
+        tableau.n = n
+        tableau.m = 0
+        tableau.ncols = 2 * n
+        tableau.T = []
+        tableau.basis = []
+        tableau.feasible = True
+        return tableau
+
+    def extended(self, rows: list[tuple[int, list[int]]]) -> _Simplex:
+        """A new tableau: this feasible one with rows appended, after phase
+        1. Each row is (den, ints) as scaled_ints gives for a constraint's
+        coefficients followed by its bound."""
+        other = self.copy()
+        other._phase_1(rows)
+        return other
+
+    def _phase_1(self, rows: list[tuple[int, list[int]]]) -> None:
+        """Append rows, as in extended, to this feasible tableau; run phase 1.
+
+        Each new constraint gets the next slack column and is reduced
+        against the current basis, which leaves every basic column a unit
+        column. A row whose reduced right-hand side is negative is negated
+        and gets an artificial, and phase 1 maximizes minus the sum of the
+        artificials. On an empty tableau nothing is reduced, so a build
+        negates the rows whose bound is negative.
+        """
+        n = self.n
+        old = self.ncols
+        struct_cols = old + len(rows)
+        added = []
+        for den, ints in rows:
+            # The columns so far, the right-hand side, then the new slack's
+            # entry, which _scaled carries past the end of a tableau row as
+            # it carries an objective row's denominator.
+            row = [0] * old + [ints[-1], den]
             for k, a in enumerate(ints[:-1]):
                 if a:
-                    row[k] = sign * a
-                    row[n + k] = -row[k]
-            row[2 * n + i] = sign * den
-            row[-1] = sign * ints[-1]
-            if negate[i]:
-                art_col = struct_cols + art_seen
-                row[art_col] = den
+                    row[k] = a
+                    row[n + k] = -a
+            for prow, j in zip(self.T, self.basis):
+                f = row[j]
+                if f:
+                    row = _scaled(row, prow[j], f, prow)
+            added.append(row)
+        n_art = sum(row[-2] < 0 for row in added)
+        self.ncols = struct_cols + n_art
+        pad = [0] * (len(rows) + n_art)
+        self.T = [row[:-1] + pad + row[-1:] for row in self.T]
+        art_col = struct_cols
+        for i, row in enumerate(added):
+            slack = row.pop()
+            row[-1:-1] = pad
+            if row[-1] < 0:
+                row = [-a for a in row]
+                row[old + i] = -slack
+                row[art_col] = slack
                 self.basis.append(art_col)
-                art_seen += 1
+                art_col += 1
             else:
-                self.basis.append(2 * n + i)
+                row[old + i] = slack
+                self.basis.append(old + i)
             self.T.append(row)
-        self.feasible = True
-        # Phase 1: maximize minus the sum of the artificials.
+        self.m += len(rows)
         obj = [0] * struct_cols + [-1] * n_art + [0, 1]
         self._canonicalize(obj)
         if not self._run(obj):
@@ -162,7 +218,7 @@ class _Simplex:
             self.feasible = False
             # The certificate of the module docstring, scaled by the
             # objective row's positive denominator.
-            self.farkas = tuple(-obj[2 * n + i] for i in range(m))
+            self.farkas = tuple(-obj[2 * n + i] for i in range(self.m))
             return
         # Drive leftover artificials out of the basis. Their value is zero,
         # so these pivots are degenerate and keep the solution feasible.
@@ -181,7 +237,8 @@ class _Simplex:
                     continue
                 self._pivot(r, pivot_col, obj)
             r += 1
-        self.T = [row[:struct_cols] + row[-1:] for row in self.T]
+        if n_art:
+            self.T = [row[:struct_cols] + row[-1:] for row in self.T]
         self.ncols = struct_cols
 
     def copy(self) -> _Simplex:
@@ -330,25 +387,34 @@ def _off_target_search(
 
 
 def _farkas_support(poly: Polyhedron, certificate: tuple[int, ...]) -> list[int]:
+    """_checked_support of poly's constraints as integer rows."""
+    return _checked_support(
+        [scaled_ints(lc.c.entries + (lc.b,)) for lc in poly.constraints], certificate
+    )
+
+
+def _checked_support(rows: list[tuple[int, list[int]]], certificate: tuple[int, ...]) -> list[int]:
     """The indices of the constraints with a positive multiplier, once the
-    certificate is checked exactly against poly: one y_i >= 0 per
-    constraint, sum y_i c_i = 0 and sum y_i b_i < 0. Those constraints
-    alone have no common point. A certificate that fails raises
-    RuntimeError.
+    certificate is checked exactly against the constraints c_i.x <= b_i,
+    each given as (den, ints) with ints = den * (c_i, b_i): one y_i >= 0
+    per constraint, sum y_i c_i = 0 and sum y_i b_i < 0. Those
+    constraints alone have no common point. The sums are taken in ints,
+    weighting row i by y_i * L / den_i, where L is the lcm of the
+    support's dens. A certificate that fails raises RuntimeError.
     """
-    lcs = poly.constraints
-    if len(certificate) != len(lcs) or any(y < 0 for y in certificate):
+    if len(certificate) != len(rows) or any(y < 0 for y in certificate):
         raise RuntimeError("Farkas multipliers must be one nonnegative int per constraint")
     support = [i for i, y in enumerate(certificate) if y]
-    combined = [Fraction(0)] * poly.dim
-    rhs = Fraction(0)
-    for i in support:
-        y = certificate[i]
-        combined = [a + y * c for a, c in zip(combined, lcs[i].c.entries)]
-        rhs += y * lcs[i].b
-    if any(combined) or rhs >= 0:
-        raise RuntimeError("Farkas multipliers do not refute the polyhedron")
-    return support
+    if support:
+        scale = lcm(*(rows[i][0] for i in support))
+        combined = [0] * len(rows[support[0]][1])
+        for i in support:
+            den, ints = rows[i]
+            y = certificate[i] * (scale // den)
+            combined = [a + y * c for a, c in zip(combined, ints)]
+        if not any(combined[:-1]) and combined[-1] < 0:
+            return support
+    raise RuntimeError("Farkas multipliers do not refute the polyhedron")
 
 
 def _off_target(

@@ -180,6 +180,17 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: [{rows}])"
 
 
+def _unchecked_mat(entries: tuple[tuple[Fraction, ...], ...], cols: int) -> Mat:
+    """The Mat(entries, cols=cols) that passes every check, built without
+    running them: the caller guarantees cols >= 0 and a tuple of rows
+    that are each a tuple of cols Fractions."""
+    m = object.__new__(Mat)
+    m.entries = entries
+    m.rows = len(entries)
+    m.cols = cols
+    return m
+
+
 def zeros_vec(dim: int) -> ColVec:
     return ColVec([0] * dim)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Optional, Union
 
 from . import lp
@@ -35,7 +36,6 @@ from .numeric import (
     ColVec,
     DimensionError,
     Mat,
-    dot,
     identity,
     mat_vec_mul,
     scaled_ints,
@@ -187,6 +187,13 @@ def _value_keys(fn: PwaFn) -> tuple[list[tuple[int, ...]], dict[tuple, int]]:
     return keys, number
 
 
+def _int_row(value: tuple) -> tuple[int, list[int]]:
+    """A constraint value of _value_keys as scaled_ints gives it: (den,
+    ints), den the lcm of the denominators and ints = den * value."""
+    den = lcm(*(d for _, d in value))
+    return den, [n * (den // d) for n, d in value]
+
+
 class _EmptyCores:
     """Sets of constraint keys (see _value_keys) with no common point.
 
@@ -263,9 +270,7 @@ class _FacetEqualities:
         if basis is None:
             basis = self.bases[facets] = []
             for key in facets:
-                value = self.values[key]
-                den = lcm(*(d for _, d in value))
-                row = _reduced(basis, [n * (den // d) for n, d in value])
+                row = _reduced(basis, _int_row(self.values[key])[1])
                 pivot = next((k for k, a in enumerate(row) if a), None)
                 if pivot is not None:
                     basis.append((pivot, row))
@@ -390,30 +395,48 @@ def _live(fn: PwaFn) -> list[bool]:
 
     The pieces' constraint tuples go into a trie keyed by constraint value,
     so a prefix that several pieces share is one node, and its emptiness
-    is decided once. The walk starts at the root, all of R^in_dim, with the
-    origin as its witness point. A child whose new constraints the parent's
-    witness satisfies is non-empty and keeps that witness; any other child
-    costs one phase 1 on its prefix, which gives either a new witness or
-    an empty prefix, and then every piece below it is empty. A chain of
-    nodes where no piece ends and nothing branches is one step, so pieces
-    that share no first constraint cost at most one phase 1 each, as they
-    would tested alone. Only booleans leave the walk.
+    is decided once. Each distinct constraint is scaled once to an integer
+    row (den, ints), which serves both the witness tests and the tableaus.
+    The walk starts at the root, all of R^in_dim, with the empty tableau
+    and its basic point, the origin, as witness. A child whose new
+    constraints the witness satisfies is non-empty and keeps the witness
+    and the tableau it came from. Any other child extends that tableau,
+    the nearest feasible one above it, by the constraints added since,
+    and runs one phase 1; siblings share the parent's tableau, which
+    extension leaves as it was. A chain of nodes where no piece ends and
+    nothing branches is one step, so pieces that share no first
+    constraint cost at most one phase 1 each.
+
+    Only booleans leave the walk, and each is certified exactly: a
+    non-empty verdict's basic point satisfies every constraint of its
+    prefix, and an empty verdict's Farkas multipliers refute the prefix's
+    rows. Either check failing raises RuntimeError.
     """
-    # A node is (children, pieces ending here, its constraint); children
-    # are keyed by the constraint's value key.
+    keys, number = _value_keys(fn)
+    rows = [_int_row(value) for value in number]
+
+    def satisfied(path, witness):
+        den, ints = witness
+        return all(sum(map(mul, rows[k][1], ints)) <= rows[k][1][-1] * den for k in path)
+
+    # A node is (children, pieces ending here, its constraint's key);
+    # children are keyed by that key.
     root = ({}, [], None)
-    for i, (piece, keys) in enumerate(zip(fn.pieces, _value_keys(fn)[0])):
+    for i, piece_keys in enumerate(keys):
         node = root
-        for key, lc in zip(keys, piece.polyhedron.constraints):
+        for key in piece_keys:
             child = node[0].get(key)
             if child is None:
-                child = node[0][key] = ({}, [], lc)
+                child = node[0][key] = ({}, [], key)
             node = child
         node[1].append(i)
     live = [False] * len(fn.pieces)
-    stack = [(root, (), zeros_vec(fn.in_dim))]
+    # (node, its prefix as keys, the nearest feasible tableau at or above
+    # it, which holds the first tableau.m keys of the prefix, and that
+    # tableau's basic point as scaled_ints gives it)
+    stack = [(root, (), lp._Simplex.empty(fn.in_dim), (1, [0] * fn.in_dim))]
     while stack:
-        (children, ends, _), prefix, witness = stack.pop()
+        (children, ends, _), prefix, tableau, witness = stack.pop()
         for i in ends:
             live[i] = True
         for child in children.values():
@@ -422,20 +445,28 @@ def _live(fn: PwaFn) -> list[bool]:
                 (child,) = child[0].values()
                 step.append(child[2])
             path = prefix + tuple(step)
-            below = witness
-            if not all(dot(lc.c, witness) <= lc.b for lc in step):
-                below = lp.feasible_point(Polyhedron(fn.in_dim, path))
-            if below is not None:
-                stack.append((child, path, below))
+            if satisfied(step, witness):
+                stack.append((child, path, tableau, witness))
+                continue
+            below = tableau.extended([rows[k] for k in path[tableau.m:]])
+            if not below.feasible:
+                lp._checked_support([rows[k] for k in path], below.farkas)
+                continue
+            point = scaled_ints(below.point().entries)
+            if not satisfied(path, point):
+                raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
+            stack.append((child, path, below, point))
     return live
 
 
 def prune_empty(fn: PwaFn) -> PwaFn:
     """Drop pieces whose polyhedra are empty; order and semantics survive.
 
-    Emptiness is decided once per shared constraint prefix, and a prefix
-    that contains its parent prefix's witness point needs no LP (see
-    _live); the result is that of testing every piece on its own.
+    Emptiness is decided once per shared constraint prefix: a prefix that
+    contains its parent prefix's witness point needs no LP, any other
+    extends the nearest feasible ancestor's tableau by its new rows, and
+    every verdict is certified exactly (see _live). The result is that of
+    testing every piece on its own.
     The univalence status stays valid: an empty piece never overlaps
     anything, and the two pieces of a violation both contain its witness,
     so neither is dropped and a "refuted" function stays refuted.
@@ -453,6 +484,7 @@ def count_regions(fn: PwaFn) -> int:
     """Number of pieces whose polyhedron is non-empty.
 
     Decided like prune_empty: once per shared constraint prefix, reusing
-    the parent prefix's witness point where it fits.
+    the parent prefix's witness point where it fits and its nearest
+    feasible ancestor's tableau where it does not.
     """
     return sum(_live(fn))

@@ -635,6 +635,30 @@ class TestParseTables:
             assert rows.setdefault(row, row) is row
         assert len({id(row) for row in m_rows}) < len(m_rows) // 4
 
+    def test_matrices_equal_the_checked_constructors(self, compiles):
+        # The reader builds each Mat without Mat's checks, from rows it has
+        # already read and width-checked; each must equal the Mat that the
+        # checked constructor builds from the same rows.
+        edge = [
+            '{"in_dim": 2, "out_dim": 0, "univalence": "unchecked", '
+            '"pieces": [{"constraints": [], "M": [], "b": []}]}',
+            '{"in_dim": 0, "out_dim": 2, "univalence": "unchecked", '
+            '"pieces": [{"constraints": [], "M": [[], []], "b": ["1", "-1/2"]}]}',
+        ]
+        mats = [
+            piece.M
+            for text in [serialize_pwa(fn) for fn in compiles] + edge
+            for piece in parse_pwa(text).pieces
+        ]
+        mats.append(parse_network(NETWORK_DOC).layers[0].fn.pieces[0].M)
+        assert {(m.rows, m.cols) for m in mats} >= {(2, 0), (0, 2), (2, 2)}
+        for m in mats:
+            checked = Mat(m.entries, cols=m.cols)
+            assert type(m) is Mat
+            assert (m, m.rows, m.cols, m.entries) == (
+                checked, checked.rows, checked.cols, checked.entries
+            )
+
 
 class TestExportSmt:
     def test_header_declares_logic_and_variables(self):

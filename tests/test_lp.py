@@ -21,7 +21,7 @@ from pwanet.lp import (
     off_target_points,
     solve,
 )
-from pwanet.numeric import ColVec, DimensionError, dot, vec_scale, zeros_vec
+from pwanet.numeric import ColVec, DimensionError, dot, scaled_ints, vec_scale, zeros_vec
 from pwanet.network import transform
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
 from pwanet.pwa import AffinePiece, PwaFn, check_univalence, prune_empty
@@ -528,3 +528,129 @@ class TestFarkasCertificates:
         with pytest.raises(RuntimeError):
             lp._farkas_support(contradiction(), (1,))
         assert not farkas_refutes(contradiction(), (1,))
+
+
+def _int_rows(constraints):
+    """Each constraint as the (den, ints) row that _Simplex.extended takes."""
+    return [scaled_ints(lc.c.entries + (lc.b,)) for lc in constraints]
+
+
+def _state(simplex):
+    return (
+        simplex.T,
+        simplex.basis,
+        simplex.ncols,
+        simplex.m,
+        simplex.feasible,
+        getattr(simplex, "farkas", None),
+    )
+
+
+def _warm_chain(poly, cuts):
+    """(prefix length, tableau) for each step of a chain that extends the
+    empty tableau by poly's constraints, one segment per gap between the
+    sorted cuts, and stops at the first empty prefix."""
+    rows = _int_rows(poly.constraints)
+    tableau = lp._Simplex.empty(poly.dim)
+    steps = []
+    for start, stop in zip([0] + cuts, cuts + [len(rows)]):
+        tableau = tableau.extended(rows[start:stop])
+        steps.append((stop, tableau))
+        if not tableau.feasible:
+            break
+    return steps
+
+
+@st.composite
+def _split_chains(draw):
+    """A polyhedron in R^0..R^3 with up to eight constraints of small
+    rationals, and up to four sorted cut points into its constraints."""
+    dim = draw(st.integers(0, 3))
+    scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    constraints = draw(st.lists(
+        st.builds(
+            lambda c, b: LinearConstraint(ColVec(c), b),
+            st.lists(scalar, min_size=dim, max_size=dim),
+            scalar,
+        ),
+        max_size=8,
+    ))
+    cuts = draw(st.sets(st.integers(0, len(constraints)), max_size=4))
+    return Polyhedron(dim, tuple(constraints)), sorted(cuts)
+
+
+class TestWarmExtension:
+    """A tableau extended by new rows runs the same phase 1 as a build.
+
+    A build is the empty tableau extended by all of a polyhedron's rows,
+    so the two must agree exactly; a chain of extensions must agree with
+    feasible_point on emptiness, with points and certificates that check.
+    """
+
+    def check_chain(self, poly, cuts):
+        steps = _warm_chain(poly, cuts)
+        for stop, tableau in steps:
+            prefix = Polyhedron(poly.dim, poly.constraints[:stop])
+            assert tableau.m == stop
+            if tableau.feasible:
+                assert contains(prefix, tableau.point())
+            else:
+                assert farkas_refutes(prefix, tableau.farkas)
+        feasible = steps[-1][1].feasible
+        assert feasible == (feasible_point(poly) is not None)
+        return feasible
+
+    def test_a_build_is_the_empty_tableau_extended(self, monkeypatch):
+        polys = []
+
+        class Recorded(lp._Simplex):
+            def __init__(self, poly):
+                polys.append(poly)
+                super().__init__(poly)
+
+        monkeypatch.setattr(lp, "_Simplex", Recorded)
+        _outcome_trace()
+        monkeypatch.undo()
+        rng = random.Random(3321)
+        polys += [_near_opposite_polyhedron(rng) for _ in range(300)]
+        assert len(polys) > 1500
+        for poly in polys:
+            cold = lp._Simplex(poly)
+            warm = lp._Simplex.empty(poly.dim).extended(_int_rows(poly.constraints))
+            assert _state(warm) == _state(cold)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_split_chains())
+    def test_drawn_chains_agree_with_feasible_point(self, chain):
+        self.check_chain(*chain)
+
+    def test_seeded_chains_with_near_opposite_rows(self):
+        rng = random.Random(3322)
+        outcomes = []
+        for _ in range(300):
+            poly = _near_opposite_polyhedron(rng)
+            m = len(poly.constraints)
+            cuts = sorted({rng.randint(0, m) for _ in range(rng.randint(0, 4))})
+            outcomes.append(self.check_chain(poly, cuts))
+        assert outcomes.count(True) > 50 and outcomes.count(False) > 100
+
+    def test_extending_a_parent_twice_leaves_it_as_it_was(self):
+        rng = random.Random(3323)
+        extended = 0
+        for _ in range(200):
+            poly = _near_opposite_polyhedron(rng)
+            k = rng.randint(0, len(poly.constraints))
+            parent = lp._Simplex(Polyhedron(poly.dim, poly.constraints[:k]))
+            if not parent.feasible:
+                continue
+            before = ([list(row) for row in parent.T], list(parent.basis), parent.ncols, parent.m)
+            point = parent.point()
+            rows = _int_rows(poly.constraints[k:])
+            first = parent.extended(rows[:1])
+            second = parent.extended(rows)
+            assert ([list(row) for row in parent.T], parent.basis, parent.ncols, parent.m) == before
+            assert parent.point() == point
+            assert _state(parent.extended(rows[:1])) == _state(first)
+            assert _state(parent.extended(rows)) == _state(second)
+            extended += bool(rows)
+        assert extended > 100

@@ -40,7 +40,7 @@ from genutil import (
     restricted_affine,
     univalent_fn,
 )
-from oracles import _plain_check_pair, plain_check_univalence, relu_1d
+from oracles import _plain_check_pair, farkas_refutes, plain_check_univalence, relu_1d
 
 
 def two_conflicting_pieces():
@@ -538,17 +538,18 @@ class TestLivePieces:
 
     @staticmethod
     def phase_1_runs(monkeypatch, call, fn):
-        built = []
+        """Runs of the one phase-1 routine, from a build or an extension."""
+        runs = []
+        phase_1 = lp._Simplex._phase_1
 
-        class Counted(lp._Simplex):
-            def __init__(self, poly):
-                built.append(poly)
-                super().__init__(poly)
+        def counted(self, rows):
+            runs.append(rows)
+            phase_1(self, rows)
 
-        monkeypatch.setattr(lp, "_Simplex", Counted)
+        monkeypatch.setattr(lp._Simplex, "_phase_1", counted)
         call(fn)
         monkeypatch.undo()
-        return len(built)
+        return len(runs)
 
     def test_phase_1_runs_on_a_seeded_compile(self, monkeypatch):
         fn = transform(dense_network(random.Random(1), (2, 3, 3, 2)))
@@ -574,6 +575,67 @@ class TestLivePieces:
         assert runs <= len(fn.pieces)
         assert runs == 11  # one of the twelve pieces holds the origin
         self.check(fn)
+
+    @staticmethod
+    def warm_steps(monkeypatch, call, fn):
+        """(prefix polyhedron, tableau) of each extension call makes."""
+        extended = lp._Simplex.extended
+        prefixes = {}
+        steps = []
+
+        def recorded(self, rows):
+            below = extended(self, rows)
+            prefixes[id(below)] = prefix = prefixes.get(id(self), ()) + tuple(
+                LinearConstraint(ColVec(Fraction(a, den) for a in ints[:-1]), Fraction(ints[-1], den))
+                for den, ints in rows
+            )
+            steps.append((Polyhedron(fn.in_dim, prefix), below))
+            return below
+
+        monkeypatch.setattr(lp._Simplex, "extended", recorded)
+        call(fn)
+        monkeypatch.undo()
+        return steps
+
+    def test_warm_points_and_certificates_check(self, monkeypatch):
+        fns = [transform(dense_network(random.Random(1), (2, 3, 3, 2)))]
+        fns += list(_LIVE_CASES.values())
+        outcomes = []
+        for fn in fns:
+            for prefix, tableau in self.warm_steps(monkeypatch, prune_empty, fn):
+                assert tableau.m == len(prefix.constraints)
+                if tableau.feasible:
+                    assert contains(prefix, tableau.point())
+                else:
+                    assert farkas_refutes(prefix, tableau.farkas)
+                outcomes.append(tableau.feasible)
+        assert outcomes.count(True) > 10 and outcomes.count(False) > 10
+
+    @pytest.mark.parametrize("call", [prune_empty, count_regions])
+    @pytest.mark.parametrize("fault", ["multiplier", "point"])
+    def test_a_corrupted_extension_raises(self, monkeypatch, call, fault):
+        # In "shared prefixes", x <= 2 and x >= 1 needs a phase 1 that finds
+        # a point, and x <= 2, x <= 0 and x >= 1 one that finds none.
+        extended = lp._Simplex.extended
+        corrupted = []
+
+        def corrupt(self, rows):
+            below = extended(self, rows)
+            if fault == "multiplier" and not below.feasible:
+                below.farkas = (below.farkas[0] + 1,) + below.farkas[1:]
+                corrupted.append(below)
+            if fault == "point" and below.feasible:
+                outside = ColVec(a + 1000 for a in below.point())
+                below.point = lambda: outside
+                corrupted.append(below)
+            return below
+
+        fn = _LIVE_CASES["shared prefixes"]
+        call(fn)  # without the fault, every verdict checks
+        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
+        with pytest.raises(RuntimeError):
+            call(fn)
+        assert len(corrupted) == 1
 
 
 def _moved(fn, k):
