@@ -53,9 +53,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .numeric import ColVec, Mat, _unchecked_mat, format_scalar, parse_scalar
-from .polyhedra import LinearConstraint, _unchecked_polyhedron
-from .pwa import _STATUSES, AffinePiece, PwaFn
+from .numeric import ColVec, Mat, _unchecked_mat, _unchecked_vec, format_scalar, parse_scalar
+from .polyhedra import LinearConstraint, _unchecked_constraint, _unchecked_polyhedron
+from .pwa import _STATUSES, AffinePiece, PwaFn, _unchecked_piece, _unchecked_pwafn
 from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
 
 
@@ -129,7 +129,9 @@ class _Reader:
         except TypeError:
             vec = None
         if vec is None:
-            vec = ColVec([self.scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
+            vec = _unchecked_vec(
+                tuple([self.scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
+            )
             self.rows[key] = vec
         if len(vec) != dim:
             raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
@@ -153,7 +155,7 @@ class _Reader:
                 return lc
         cwhere = f"{where} constraint {k}"
         c = self.vector(_get(raw, "c", cwhere), dim, f"{cwhere}.c")
-        lc = LinearConstraint(c, self.scalar(_get(raw, "b", cwhere), f"{cwhere}.b"))
+        lc = _unchecked_constraint(c, self.scalar(_get(raw, "b", cwhere), f"{cwhere}.b"))
         if key is not None:
             self.constraints[key] = lc
         return lc
@@ -228,14 +230,14 @@ def parse_pwa(text: str) -> PwaFn:
         raw_constraints = _get(raw, "constraints", where)
         if not isinstance(raw_constraints, list):
             raise ParseError(f"{where}: constraints must be a list")
-        constraints = [
-            read.constraint(rc, in_dim, where, k) for k, rc in enumerate(raw_constraints)
-        ]
+        constraints = tuple(
+            [read.constraint(rc, in_dim, where, k) for k, rc in enumerate(raw_constraints)]
+        )
         m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
         b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
-        # read.constraint has checked every width against in_dim.
-        pieces.append(AffinePiece(_unchecked_polyhedron(in_dim, tuple(constraints)), m, b))
-    return PwaFn(in_dim, out_dim, pieces, univalence=tag, claimed=True)
+        # The reader has checked every width against in_dim and out_dim.
+        pieces.append(_unchecked_piece(_unchecked_polyhedron(in_dim, constraints), m, b))
+    return _unchecked_pwafn(in_dim, out_dim, tuple(pieces), tag, claimed=True)
 
 
 def _block(open_: str, close: str, items: list[str], depth: int) -> str:

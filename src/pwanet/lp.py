@@ -386,13 +386,6 @@ def _off_target_search(
     )
 
 
-def _farkas_support(poly: Polyhedron, certificate: tuple[int, ...]) -> list[int]:
-    """_checked_support of poly's constraints as integer rows."""
-    return _checked_support(
-        [scaled_ints(lc.c.entries + (lc.b,)) for lc in poly.constraints], certificate
-    )
-
-
 def _checked_support(rows: list[tuple[int, list[int]]], certificate: tuple[int, ...]) -> list[int]:
     """The indices of the constraints with a positive multiplier, once the
     certificate is checked exactly against the constraints c_i.x <= b_i,

@@ -12,7 +12,10 @@ The products (dot, mat_vec_mul, mat_mul) run on integers: each operand
 row or column is scaled by the lcm of its denominators (scaled_ints),
 and each output entry is one integer dot product over the two scales'
 product, reduced once. That builds one Fraction per entry instead of a
-normalized intermediate per term, and gives the same exact value.
+normalized intermediate per term, and gives the same exact value. They
+build their results with the private _unchecked_mat and _unchecked_vec,
+which skip the constructors' checks: each entry is a Fraction made from
+checked operands, and each width is read off their checked shapes.
 
 Writing a rational as text can fail even when computing it did not:
 CPython refuses to convert an int past its digit limit (4300 by default)
@@ -130,6 +133,13 @@ class ColVec:
         return "ColVec([%s])" % ", ".join(str(e) for e in self.entries)
 
 
+def _unchecked_vec(entries: tuple[Fraction, ...]) -> ColVec:
+    """ColVec(entries) without its checks: entries is a tuple of Fractions."""
+    v = object.__new__(ColVec)
+    v.entries = entries
+    return v
+
+
 class Mat:
     """Immutable dense matrix of exact rationals.
 
@@ -223,7 +233,7 @@ def dot(v: ColVec, w: ColVec) -> Fraction:
 def vec_add(v: ColVec, w: ColVec) -> ColVec:
     if v.dim != w.dim:
         raise DimensionError(f"vec_add of dim {v.dim} against dim {w.dim}")
-    return ColVec(a + b for a, b in zip(v.entries, w.entries))
+    return _unchecked_vec(tuple([a + b for a, b in zip(v.entries, w.entries)]))
 
 
 def vec_scale(s: ScalarLike, v: ColVec) -> ColVec:
@@ -235,14 +245,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise DimensionError(f"mat_mul of {a.rows}x{a.cols} against {b.rows}x{b.cols}")
     columns = [scaled_ints(col) for col in zip(*b.entries)] if b.rows else [(1, [])] * b.cols
-    return Mat(
-        ([_int_dot(*row, *col) for col in columns] for row in map(scaled_ints, a.entries)),
-        cols=b.cols,
-    )
+    rows = (tuple([_int_dot(*row, *col) for col in columns]) for row in map(scaled_ints, a.entries))
+    return _unchecked_mat(tuple(rows), b.cols)
 
 
 def mat_vec_mul(m: Mat, x: ColVec) -> ColVec:
     if m.cols != x.dim:
         raise DimensionError(f"mat_vec_mul of {m.rows}x{m.cols} against dim {x.dim}")
     scaled_x = scaled_ints(x.entries)
-    return ColVec(_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries)
+    return _unchecked_vec(tuple([_int_dot(*scaled_ints(row), *scaled_x) for row in m.entries]))

@@ -5,6 +5,10 @@ The empty list denotes all of R^dim, which is why the dimension is stored
 explicitly. Constraints are kept verbatim: no normalization, deduplication,
 or reordering, so structural identities (such as one constraint list being
 a prefix of another) stay visible.
+
+intersect, pwa_algebra's operators and the document reader skip these
+checks (_unchecked_constraint, _unchecked_polyhedron): their rows are
+Fractions from checked values, in widths the builder has matched.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ class LinearConstraint:
         return self.c.dim
 
 
+def _unchecked_constraint(c: ColVec, b: Fraction) -> LinearConstraint:
+    """LinearConstraint(c, b) without its checks: c is a ColVec, b a Fraction."""
+    lc = object.__new__(LinearConstraint)
+    lc.__dict__.update(c=c, b=b)
+    return lc
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     """Intersection of finitely many closed halfspaces of a fixed dimension."""
@@ -55,8 +66,7 @@ def _unchecked_polyhedron(dim: int, constraints: tuple[LinearConstraint, ...]) -
     without running them: the caller guarantees dim >= 0 and a tuple of
     constraints that each have width dim."""
     poly = object.__new__(Polyhedron)
-    object.__setattr__(poly, "dim", dim)
-    object.__setattr__(poly, "constraints", constraints)
+    poly.__dict__.update(dim=dim, constraints=constraints)
     return poly
 
 

@@ -21,6 +21,11 @@ A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
 no LP either. Only a univalent function is independent of piece order.
+
+The public constructors check every width; the library's own builders,
+whose widths hold by construction, use _unchecked_piece and
+_unchecked_pwafn. prune_empty keeps a subset of a checked function's
+pieces; pwa_algebra's operators and the document reader are the others.
 """
 
 from __future__ import annotations
@@ -69,6 +74,13 @@ class AffinePiece:
             raise DimensionError(
                 f"matrix has {self.M.rows} rows but offset has dim {self.b.dim}"
             )
+
+
+def _unchecked_piece(polyhedron: Polyhedron, M: Mat, b: ColVec) -> AffinePiece:
+    """AffinePiece(polyhedron, M, b) without its checks: M is b.dim x polyhedron.dim."""
+    piece = object.__new__(AffinePiece)
+    piece.__dict__.update(polyhedron=polyhedron, M=M, b=b)
+    return piece
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,17 @@ class PwaFn:
         )
 
 
+def _unchecked_pwafn(
+    in_dim: int, out_dim: int, pieces: tuple[AffinePiece, ...], univalence: str, claimed=False
+) -> PwaFn:
+    """PwaFn(...) without its checks: dims >= 0, a known status, and a tuple
+    of pieces, each over in_dim with out_dim rows."""
+    fn = object.__new__(PwaFn)
+    fn.in_dim, fn.out_dim, fn.pieces = in_dim, out_dim, pieces
+    fn.univalence, fn.claimed = univalence, claimed
+    return fn
+
+
 def evaluate(fn: PwaFn, x: ColVec) -> Optional[ColVec]:
     """Apply the first piece whose polyhedron contains x; None if none does."""
     if x.dim != fn.in_dim:
@@ -201,9 +224,13 @@ class _EmptyCores:
     exactly, so any polyhedron holding every constraint of a core is
     empty, whatever else it holds. Each core is filed under its largest
     key, so a set of keys scans only the cores filed under its own keys.
+    values lists the constraint values in key order; each key's integer
+    row (_int_row) is made once, when a certificate first uses it.
     """
 
-    def __init__(self):
+    def __init__(self, values: list[tuple]):
+        self.values = values
+        self.rows: dict[int, tuple[int, list[int]]] = {}
         self.filed: dict[int, list[frozenset[int]]] = {}
 
     def cover(self, keys: set[int]) -> bool:
@@ -211,11 +238,16 @@ class _EmptyCores:
         filed = self.filed
         return any(core <= keys for key in keys if key in filed for core in filed[key])
 
-    def add(self, keys: tuple[int, ...], region: Polyhedron, certificate: tuple[int, ...]) -> None:
-        """File the core of region's certificate; keys are region's
-        constraints as keys, in order. Raises RuntimeError, and files
-        nothing, when the certificate does not check."""
-        core = frozenset(keys[i] for i in lp._farkas_support(region, certificate))
+    def add(self, keys: tuple[int, ...], certificate: tuple[int, ...]) -> None:
+        """File the core of the certificate of the polyhedron whose
+        constraints, in order, have these keys. Raises RuntimeError, and
+        files nothing, when the certificate does not check."""
+        rows = self.rows
+        for key in keys:
+            if key not in rows:
+                rows[key] = _int_row(self.values[key])
+        support = lp._checked_support([rows[key] for key in keys], certificate)
+        core = frozenset(keys[i] for i in support)
         self.filed.setdefault(max(core), []).append(core)
 
 
@@ -340,7 +372,7 @@ def _check_pair(
     )
     search = lp._off_target_search(region, rows)
     if isinstance(search, lp.Infeasible):
-        cores.add(region_keys, region, search.certificate)
+        cores.add(region_keys, search.certificate)
         return None
     for r, point in zip(unpinned, search):
         if point is not None:
@@ -378,8 +410,8 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     cleared; the violation itself is only returned.
     """
     keys, number = _value_keys(fn)
-    cores = _EmptyCores()
     facets = _FacetEqualities(fn, number)
+    cores = _EmptyCores(facets.values)
     found: Optional[UnivalenceViolation] = None
     for i, j in itertools.combinations(range(len(fn.pieces)), 2):
         found = _check_pair(fn, i, j, keys, cores, facets)
@@ -471,13 +503,9 @@ def prune_empty(fn: PwaFn) -> PwaFn:
     anything, and the two pieces of a violation both contain its witness,
     so neither is dropped and a "refuted" function stays refuted.
     """
-    return PwaFn(
-        fn.in_dim,
-        fn.out_dim,
-        itertools.compress(fn.pieces, _live(fn)),
-        univalence=fn.univalence,
-        claimed=fn.claimed,
-    )
+    kept = tuple(itertools.compress(fn.pieces, _live(fn)))
+    # fn's pieces passed PwaFn's checks when fn was built.
+    return _unchecked_pwafn(fn.in_dim, fn.out_dim, kept, fn.univalence, fn.claimed)
 
 
 def count_regions(fn: PwaFn) -> int:

@@ -16,6 +16,13 @@ All three preserve univalence (the theorem behind the network compiler),
 so the result is "verified" exactly when every input is (the ReLU always
 is), and "unchecked" otherwise; no LP is run. A "verified" read from a
 document is only a claim (PwaFn.claimed) and is not carried.
+
+Every value these operators build skips its constructor's checks (the
+_unchecked_* builders of numeric, polyhedra and pwa): each entry is a
+Fraction computed from checked inputs, and each width follows from the
+dimension check at the top of the call. compose scales every operand
+to integers once (see numeric): each f piece's constraint and map rows
+once per call, each g piece's map columns and offset once per g piece.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .numeric import ColVec, DimensionError, Mat, mat_mul, mat_vec_mul, vec_add
-from .polyhedra import LinearConstraint, Polyhedron
-from .pwa import UNCHECKED, VERIFIED, AffinePiece, PwaFn
+from .numeric import ColVec, DimensionError, Mat, mat_mul, mat_vec_mul, scaled_ints, vec_add
+from .numeric import _int_dot, _unchecked_mat, _unchecked_vec
+from .polyhedra import Polyhedron, _unchecked_constraint, _unchecked_polyhedron
+from .pwa import UNCHECKED, VERIFIED, AffinePiece, PwaFn, _unchecked_piece, _unchecked_pwafn
 
 
 def compose_polyhedron(p_g: Polyhedron, m_g: Mat, b_g: ColVec, p_f: Polyhedron) -> Polyhedron:
@@ -45,12 +53,12 @@ def compose_polyhedron(p_g: Polyhedron, m_g: Mat, b_g: ColVec, p_f: Polyhedron) 
         raise DimensionError(
             f"map into dim {m_g.rows} against target polyhedron of dim {p_f.dim}"
         )
-    c = Mat((lc.c.entries for lc in p_f.constraints), cols=p_f.dim)
+    c = _unchecked_mat(tuple(lc.c.entries for lc in p_f.constraints), p_f.dim)
     pulled = tuple(
-        LinearConstraint(ColVec(row), lc.b - shift)
+        _unchecked_constraint(_unchecked_vec(row), lc.b - shift)
         for lc, row, shift in zip(p_f.constraints, mat_mul(c, m_g).entries, mat_vec_mul(c, b_g))
     )
-    return Polyhedron(p_g.dim, p_g.constraints + pulled)
+    return _unchecked_polyhedron(p_g.dim, p_g.constraints + pulled)
 
 
 def compose_affine(m_f: Mat, b_f: ColVec, m_g: Mat, b_g: ColVec) -> tuple[Mat, ColVec]:
@@ -75,13 +83,28 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
         raise DimensionError(
             f"compose of function on dim {f.in_dim} after function onto dim {g.out_dim}"
         )
+    dim = g.in_dim
+    # Each f piece's constraint rows and map rows as scaled_ints gives them.
+    f_lcs = [[scaled_ints(lc.c.entries) for lc in fp.polyhedron.constraints] for fp in f.pieces]
+    f_rows = [[*map(scaled_ints, fp.M.entries)] for fp in f.pieces]
     pieces = []
     for gp in g.pieces:
-        for fp in f.pieces:
-            poly = compose_polyhedron(gp.polyhedron, gp.M, gp.b, fp.polyhedron)
-            m, b = compose_affine(fp.M, fp.b, gp.M, gp.b)
-            pieces.append(AffinePiece(poly, m, b))
-    return PwaFn(g.in_dim, f.out_dim, pieces, univalence=_carried(f, g))
+        columns = [*map(scaled_ints, zip(*gp.M.entries))] if f.in_dim else [(1, [])] * dim
+        offset = scaled_ints(gp.b.entries)
+
+        def times(row):
+            return tuple([_int_dot(*row, *col) for col in columns])
+
+        for fp, lc_rows, m_rows in zip(f.pieces, f_lcs, f_rows):
+            pulled = tuple(
+                _unchecked_constraint(_unchecked_vec(times(row)), lc.b - _int_dot(*row, *offset))
+                for lc, row in zip(fp.polyhedron.constraints, lc_rows)
+            )
+            poly = _unchecked_polyhedron(dim, gp.polyhedron.constraints + pulled)
+            m = _unchecked_mat(tuple(map(times, m_rows)), dim)
+            b = tuple([_int_dot(*row, *offset) + a for row, a in zip(m_rows, fp.b.entries)])
+            pieces.append(_unchecked_piece(poly, m, _unchecked_vec(b)))
+    return _unchecked_pwafn(dim, f.out_dim, tuple(pieces), _carried(f, g))
 
 
 def compose_relu(n: int, g: PwaFn) -> PwaFn:
@@ -96,22 +119,24 @@ def compose_relu(n: int, g: PwaFn) -> PwaFn:
     """
     if g.out_dim != n:
         raise DimensionError(f"compose of function on dim {n} after function onto dim {g.out_dim}")
-    zero_row = (Fraction(0),) * g.in_dim
+    zero = Fraction(0)
+    zero_row = (zero,) * g.in_dim
     pieces = []
     for gp in g.pieces:
         units = [
             (
-                (LinearConstraint(ColVec(row), -b), zero_row, 0),
-                (LinearConstraint(ColVec(-a for a in row), b), row, b),
+                (_unchecked_constraint(_unchecked_vec(row), -b), zero_row, zero),
+                (_unchecked_constraint(_unchecked_vec(tuple([-a for a in row])), b), row, b),
             )
             for row, b in zip(gp.M.entries, gp.b)
         ]
         # product varies its last argument fastest, so unit 0 goes last.
         for pattern in product(*reversed(units)):
             lcs, rows, offsets = zip(*reversed(pattern)) if pattern else ((), (), ())
-            poly = Polyhedron(g.in_dim, gp.polyhedron.constraints + lcs)
-            pieces.append(AffinePiece(poly, Mat(rows, cols=g.in_dim), ColVec(offsets)))
-    return PwaFn(g.in_dim, n, pieces, univalence=_carried(g))
+            poly = _unchecked_polyhedron(g.in_dim, gp.polyhedron.constraints + lcs)
+            m = _unchecked_mat(rows, g.in_dim)
+            pieces.append(_unchecked_piece(poly, m, _unchecked_vec(offsets)))
+    return _unchecked_pwafn(g.in_dim, n, tuple(pieces), _carried(g))
 
 
 def _padded(piece: AffinePiece, before: int, after: int):
@@ -119,7 +144,7 @@ def _padded(piece: AffinePiece, before: int, after: int):
     `after` zeros behind each row, and its offset entries."""
     lead, trail = (Fraction(0),) * before, (Fraction(0),) * after
     constraints = tuple(
-        LinearConstraint(ColVec(lead + lc.c.entries + trail), lc.b)
+        _unchecked_constraint(_unchecked_vec(lead + lc.c.entries + trail), lc.b)
         for lc in piece.polyhedron.constraints
     )
     return constraints, tuple(lead + row + trail for row in piece.M.entries), piece.b.entries
@@ -144,6 +169,7 @@ def concat(f: PwaFn, g: PwaFn) -> PwaFn:
     for gp in g.pieces:
         g_lcs, g_rows, g_b = _padded(gp, f.in_dim, 0)
         for f_lcs, f_rows, f_b in tops:
-            poly = Polyhedron(dim, f_lcs + g_lcs)
-            pieces.append(AffinePiece(poly, Mat(f_rows + g_rows, cols=dim), ColVec(f_b + g_b)))
-    return PwaFn(dim, f.out_dim + g.out_dim, pieces, univalence=_carried(f, g))
+            poly = _unchecked_polyhedron(dim, f_lcs + g_lcs)
+            m = _unchecked_mat(f_rows + g_rows, dim)
+            pieces.append(_unchecked_piece(poly, m, _unchecked_vec(f_b + g_b)))
+    return _unchecked_pwafn(dim, f.out_dim + g.out_dim, tuple(pieces), _carried(f, g))

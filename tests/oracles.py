@@ -18,9 +18,14 @@ built with the library's own operators. relu_1d is two literal affine
 pieces meeting at zero, and check_univalence earns its "verified" tag;
 stacked_relu(n) folds n copies together with concat. Neither goes
 through compose_relu, which builds every ReLU the library compiles, so
-they are its reference. right_fold_transform keeps the network
-compiler's earlier composition order, last layer first, with every ReLU
-as stacked_relu, as the reference for the forward fold.
+they are its reference. pairwise_compose is compose as it was before
+it scaled each operand once per call, one compose_polyhedron and one
+compose_affine per pair of pieces. right_fold_transform keeps the
+network compiler's earlier composition order, last layer first, with
+every ReLU as stacked_relu and every step a pairwise_compose, as the
+reference for the forward fold. checked_copy rebuilds a function
+through the public constructors, the reference for the library's
+unchecked builders.
 plain_check_univalence is the univalence checker's pair loop as it was
 before it reused certified empty cores: every pair with different maps
 gets its own LPs, through the library's off_target_points.
@@ -34,7 +39,7 @@ from itertools import combinations
 
 from pwanet import lp
 from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer
-from pwanet.numeric import ColVec, Mat, format_scalar
+from pwanet.numeric import ColVec, DimensionError, Mat, format_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, intersect
 from pwanet.pwa import (
     REFUTED,
@@ -46,7 +51,7 @@ from pwanet.pwa import (
     check_univalence,
     identity_pwaf,
 )
-from pwanet.pwa_algebra import compose, concat
+from pwanet.pwa_algebra import _carried, compose_affine, compose_polyhedron, concat
 
 
 def dot(v, w) -> Fraction:
@@ -149,6 +154,48 @@ def stacked_relu(n: int) -> PwaFn:
     return fn
 
 
+def pairwise_compose(f: PwaFn, g: PwaFn) -> PwaFn:
+    """compose as it was before it scaled each operand once per call:
+    compose_polyhedron and compose_affine on every (f piece, g piece)
+    pair, and the checked constructors for each piece and the function."""
+    if g.out_dim != f.in_dim:
+        raise DimensionError(
+            f"compose of function on dim {f.in_dim} after function onto dim {g.out_dim}"
+        )
+    pieces = []
+    for gp in g.pieces:
+        for fp in f.pieces:
+            poly = compose_polyhedron(gp.polyhedron, gp.M, gp.b, fp.polyhedron)
+            m, b = compose_affine(fp.M, fp.b, gp.M, gp.b)
+            pieces.append(AffinePiece(poly, m, b))
+    return PwaFn(g.in_dim, f.out_dim, pieces, univalence=_carried(f, g))
+
+
+def checked_copy(fn: PwaFn) -> PwaFn:
+    """fn rebuilt through the public constructors, every entry coerced
+    and every width checked again."""
+    return PwaFn(
+        fn.in_dim,
+        fn.out_dim,
+        [
+            AffinePiece(
+                Polyhedron(
+                    piece.polyhedron.dim,
+                    [
+                        LinearConstraint(ColVec(list(lc.c.entries)), lc.b)
+                        for lc in piece.polyhedron.constraints
+                    ],
+                ),
+                Mat([list(row) for row in piece.M.entries], cols=piece.M.cols),
+                ColVec(list(piece.b.entries)),
+            )
+            for piece in fn.pieces
+        ],
+        univalence=fn.univalence,
+        claimed=fn.claimed,
+    )
+
+
 def right_fold_transform(net: Network) -> PwaFn | None:
     """network.transform as it composed before the forward fold.
 
@@ -164,7 +211,9 @@ def right_fold_transform(net: Network) -> PwaFn | None:
         return None
     fn = identity_pwaf(net.layers[end].dim)
     for layer in reversed(net.layers[:end]):
-        fn = compose(fn, stacked_relu(layer.dim) if isinstance(layer, ReluLayer) else layer.fn)
+        fn = pairwise_compose(
+            fn, stacked_relu(layer.dim) if isinstance(layer, ReluLayer) else layer.fn
+        )
     return fn
 
 

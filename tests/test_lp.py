@@ -437,20 +437,20 @@ class TestFarkasCertificates:
     """Every Infeasible outcome carries multipliers that prove emptiness.
 
     The checker is oracles.farkas_refutes, raw Fraction sums that share no
-    code with the simplex. lp._farkas_support, the library's own check,
+    code with the simplex. lp._checked_support, the library's own check,
     must agree on every certificate and on its mutants.
     """
 
     def check(self, poly, multipliers):
         assert farkas_refutes(poly, multipliers)
-        support = lp._farkas_support(poly, multipliers)
+        support = lp._checked_support(_int_rows(poly.constraints), multipliers)
         assert support == [i for i, y in enumerate(multipliers) if y > 0]
         mutants = list(_mutants(poly, multipliers))
         assert mutants
         for bad_poly, bad in mutants:
             assert not farkas_refutes(bad_poly, bad)
             with pytest.raises(RuntimeError):
-                lp._farkas_support(bad_poly, bad)
+                lp._checked_support(_int_rows(bad_poly.constraints), bad)
 
     @staticmethod
     def infeasible_builds(monkeypatch, run):
@@ -526,7 +526,7 @@ class TestFarkasCertificates:
 
     def test_wrong_length_is_refused(self):
         with pytest.raises(RuntimeError):
-            lp._farkas_support(contradiction(), (1,))
+            lp._checked_support(_int_rows(contradiction().constraints), (1,))
         assert not farkas_refutes(contradiction(), (1,))
 
 

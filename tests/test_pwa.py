@@ -760,20 +760,25 @@ class TestEmptyCores:
             AffinePiece(Polyhedron(1, (_halfspace([-1], 0),)), Mat([[2]]), ColVec([0])),
         ))
 
+    @staticmethod
+    def keyed_as_4_and_7(fn):
+        """_EmptyCores over values where keys 4 and 7 are fn's two
+        constraints, and no other key is ever read."""
+        values = [()] * 8
+        values[4], values[7] = pwa._value_keys(fn)[1]
+        return pwa._EmptyCores(values)
+
     def test_a_checked_certificate_files_its_core(self):
-        fn = self.disjoint_pieces()
-        region = intersect(fn.pieces[0].polyhedron, fn.pieces[1].polyhedron)
-        cores = pwa._EmptyCores()
-        cores.add((4, 7), region, (1, 1))
+        cores = self.keyed_as_4_and_7(self.disjoint_pieces())
+        cores.add((4, 7), (1, 1))
         assert cores.filed == {7: [frozenset({4, 7})]}
         assert cores.cover({4, 7, 9}) and not cores.cover({4, 9})
 
     def test_a_corrupted_multiplier_raises_and_files_nothing(self, monkeypatch):
         fn = self.disjoint_pieces()
-        region = intersect(fn.pieces[0].polyhedron, fn.pieces[1].polyhedron)
-        cores = pwa._EmptyCores()
+        cores = self.keyed_as_4_and_7(fn)
         with pytest.raises(RuntimeError):
-            cores.add((4, 7), region, (2, 1))
+            cores.add((4, 7), (2, 1))
         assert cores.filed == {}
 
         class Corrupted(lp._Simplex):
