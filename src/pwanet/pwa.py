@@ -20,7 +20,10 @@ later pair whose overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
-no LP either. Only a univalent function is independent of piece order.
+no LP either. A pair that still needs an LP extends its first piece's
+tableau by the constraints of the second that it lacks; only the pair
+that disagrees is searched again from scratch, for its witness. Only a
+univalent function is independent of piece order.
 
 The public constructors check every width; the library's own builders,
 whose widths hold by construction, use _unchecked_piece and
@@ -217,6 +220,30 @@ def _int_row(value: tuple) -> tuple[int, list[int]]:
     return den, [n * (den // d) for n, d in value]
 
 
+class _IntRows(dict):
+    """Each constraint key's integer row (_int_row), made when the key is
+    first read. values lists the constraint values in key order.
+
+    One table serves a whole check: the cores' certificates, the facet
+    bases and the pair tableaus read the same rows.
+    """
+
+    def __init__(self, values: list[tuple]):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, key: int) -> tuple[int, list[int]]:
+        row = self[key] = _int_row(self.values[key])
+        return row
+
+
+def _satisfied(rows, keys, point: tuple[int, list[int]]) -> bool:
+    """Does point, as scaled_ints gives it, satisfy the constraint of
+    every key? rows maps each key to its integer row."""
+    den, ints = point
+    return all(sum(map(mul, rows[k][1], ints)) <= rows[k][1][-1] * den for k in keys)
+
+
 class _EmptyCores:
     """Sets of constraint keys (see _value_keys) with no common point.
 
@@ -224,13 +251,11 @@ class _EmptyCores:
     exactly, so any polyhedron holding every constraint of a core is
     empty, whatever else it holds. Each core is filed under its largest
     key, so a set of keys scans only the cores filed under its own keys.
-    values lists the constraint values in key order; each key's integer
-    row (_int_row) is made once, when a certificate first uses it.
+    rows is the check's _IntRows table.
     """
 
-    def __init__(self, values: list[tuple]):
-        self.values = values
-        self.rows: dict[int, tuple[int, list[int]]] = {}
+    def __init__(self, rows: _IntRows):
+        self.rows = rows
         self.filed: dict[int, list[frozenset[int]]] = {}
 
     def cover(self, keys: set[int]) -> bool:
@@ -243,9 +268,6 @@ class _EmptyCores:
         constraints, in order, have these keys. Raises RuntimeError, and
         files nothing, when the certificate does not check."""
         rows = self.rows
-        for key in keys:
-            if key not in rows:
-                rows[key] = _int_row(self.values[key])
         support = lp._checked_support([rows[key] for key in keys], certificate)
         core = frozenset(keys[i] for i in support)
         self.filed.setdefault(max(core), []).append(core)
@@ -262,17 +284,18 @@ class _FacetEqualities:
     (c, b) of those equalities gives d.x = t on the overlap, with no LP,
     whether the overlap is empty or not.
 
-    number is _value_keys' numbering. The negation of each key is looked
-    up once, when an overlap first holds it. The span test runs on
-    integer rows, each scaled by the lcm of its denominators: a positive
-    scale changes no span. Each piece's map rows are scaled once, and
-    each set of facets is put in echelon form once.
+    number is _value_keys' numbering and rows the check's _IntRows table.
+    The negation of each key is looked up once, when an overlap first
+    holds it. The span test runs on integer rows, each scaled by the lcm
+    of its denominators: a positive scale changes no span. Each piece's
+    map rows are scaled once, and each set of facets is put in echelon
+    form once.
     """
 
-    def __init__(self, fn: PwaFn, number: dict[tuple, int]):
+    def __init__(self, fn: PwaFn, number: dict[tuple, int], rows: _IntRows):
         self.fn = fn
         self.number = number
-        self.values = list(number)
+        self.rows = rows
         self.negation: dict[int, int] = {}
         self.maps: dict[int, list[tuple[int, list[int]]]] = {}
         self.bases: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
@@ -281,7 +304,7 @@ class _FacetEqualities:
         """The key of the exact negation of key's constraint, or -1."""
         negation = self.negation.get(key)
         if negation is None:
-            value = tuple([(-n, d) for n, d in self.values[key]])
+            value = tuple([(-n, d) for n, d in self.rows.values[key]])
             negation = self.negation[key] = self.number.get(value, -1)
         return negation
 
@@ -302,7 +325,7 @@ class _FacetEqualities:
         if basis is None:
             basis = self.bases[facets] = []
             for key in facets:
-                row = _reduced(basis, _int_row(self.values[key])[1])
+                row = _reduced(basis, self.rows[key][1])
                 pivot = next((k for k, a in enumerate(row) if a), None)
                 if pivot is not None:
                     basis.append((pivot, row))
@@ -337,21 +360,48 @@ def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
     return row
 
 
-def _check_pair(
-    fn: PwaFn,
-    i: int,
-    j: int,
-    keys: list[tuple[int, ...]],
-    cores: _EmptyCores,
-    facets: _FacetEqualities,
-) -> Optional[UnivalenceViolation]:
+class _PairScan:
+    """What check_univalence keeps from pair to pair.
+
+    keys and the _IntRows table rows come from _value_keys; cores and
+    facets are the scan's _EmptyCores and _FacetEqualities. tableau is
+    one piece's: the rows of its distinct keys, held, in order, after
+    phase 1. It is built when a pair (i, j) first needs an LP and
+    replaced when the outer index moves on.
+    """
+
+    def __init__(self, fn: PwaFn):
+        self.in_dim = fn.in_dim
+        self.keys, number = _value_keys(fn)
+        self.rows = _IntRows(list(number))
+        self.cores = _EmptyCores(self.rows)
+        self.facets = _FacetEqualities(fn, number, self.rows)
+        self.piece = -1
+        self.held: tuple[int, ...] = ()
+        self.tableau: Optional[lp._Simplex] = None
+
+    def tableau_of(self, i: int) -> lp._Simplex:
+        """Piece i's tableau. An infeasible one files its core, which
+        covers every later pair of piece i."""
+        if self.piece != i:
+            held = tuple(dict.fromkeys(self.keys[i]))
+            tableau = lp._Simplex.empty(self.in_dim)
+            if held:
+                tableau = tableau.extended([self.rows[k] for k in held])
+            if not tableau.feasible:
+                self.cores.add(held, tableau.farkas)
+            self.piece, self.held, self.tableau = i, held, tableau
+        return self.tableau
+
+
+def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
-    keys holds every piece's constraint keys. An overlap that holds one
-    of the cores is empty and needs no LP, nor does a pair whose every
-    row the overlap's facet equalities pin. Otherwise the unpinned rows
-    go to one phase 1 and its LPs; an overlap that phase 1 finds empty
-    files its certified core.
+    An overlap that holds one of the scan's cores, or whose facet
+    equalities pin every row, needs no LP. Otherwise piece i's tableau,
+    extended by the keys of piece j it lacks, decides the overlap, as
+    check_univalence describes; only a pair with a row off target is
+    searched again from scratch, on intersect(pi, pj), for its witness.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
@@ -359,32 +409,54 @@ def _check_pair(
         # Identical maps agree everywhere, overlap or not.
         return None
     region = intersect(pi.polyhedron, pj.polyhedron)
-    region_keys = keys[i] + keys[j]
-    overlap = set(region_keys)
-    if cores.cover(overlap):
+    own = set(scan.keys[i])
+    overlap = own.union(scan.keys[j])
+    if scan.cores.cover(overlap):
         return None
-    unpinned = facets.unpinned(i, j, overlap)
+    unpinned = scan.facets.unpinned(i, j, overlap)
     if not unpinned:
         return None
-    rows = (
+    tableau = scan.tableau_of(i)
+    if not tableau.feasible:
+        # Piece i is empty, and tableau_of has filed its core.
+        return None
+    new = tuple(key for key in dict.fromkeys(scan.keys[j]) if key not in own)
+    if new:
+        tableau = tableau.extended([scan.rows[key] for key in new])
+        if not tableau.feasible:
+            scan.cores.add(scan.held + new, tableau.farkas)
+            return None
+    if not _satisfied(scan.rows, overlap, scaled_ints(tableau.point().entries)):
+        raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
+    diffs = [
         (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
         for r in unpinned
+    ]
+    # Optima and unboundedness do not depend on the basis a maximization
+    # starts from, so each row's verdict is the plain scan's.
+    off = next(
+        (
+            r
+            for r, (d, t) in zip(unpinned, diffs)
+            if lp._off_target(region, tableau, d, t) is not None
+        ),
+        None,
     )
-    search = lp._off_target_search(region, rows)
-    if isinstance(search, lp.Infeasible):
-        cores.add(region_keys, search.certificate)
+    if off is None:
         return None
-    for r, point in zip(unpinned, search):
-        if point is not None:
-            return UnivalenceViolation(i, j, r, point)
-    return None
+    search = lp._off_target_search(region, diffs)
+    points = () if isinstance(search, lp.Infeasible) else search
+    found = next(((r, point) for r, point in zip(unpinned, points) if point is not None), None)
+    if found is None or found[0] != off:
+        raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
+    return UnivalenceViolation(i, j, *found)
 
 
 def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     """Decide whether all overlapping pieces of fn agree on their overlaps.
 
     Every unordered pair of pieces is examined in order; pairs with
-    identical maps agree and need no LP. Otherwise, after one phase 1 over
+    identical maps agree and need no LP. Otherwise, after phase 1 over
     the pair's intersection, two exact linear programs per output row
     decide whether the row difference is pinned to the offset difference.
     The scan stops at the first violation in pair order (then row order)
@@ -401,20 +473,26 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     lie in the exact rational span of their (c, b) holds on all of the
     overlap, empty or not, and needs no LP; a pair whose every row is
     pinned is skipped, and only the other rows go to the LPs, in order.
-    Pinned rows never have an off-target point and skipped pairs are
-    empty or agree, so the verdict is that of the plain scan, and a
-    witness still comes from a from-scratch simplex on its pair's own
-    intersection.
 
-    fn.univalence is set to the verdict's status and fn.claimed is
-    cleared; the violation itself is only returned.
+    Phase 1 is warm: while i is the outer index, piece i's tableau is
+    kept, and pair (i, j) extends it by the constraints of piece j that
+    it lacks, by value. An empty overlap is certified by its Farkas
+    multipliers, a non-empty one by its basic point, checked exactly
+    against every constraint; either check failing raises RuntimeError.
+    Each row's LPs reach the optima a from-scratch tableau would, so
+    the decisions are the plain scan's. A witness comes from a
+    from-scratch simplex on its pair's own intersection, which is run
+    only for the pair that disagrees, and must agree on the row.
+
+    Pinned rows never have an off-target point and skipped pairs are
+    empty or agree, so the verdict, down to the witness, is that of the
+    plain scan. fn.univalence is set to the verdict's status and
+    fn.claimed is cleared; the violation itself is only returned.
     """
-    keys, number = _value_keys(fn)
-    facets = _FacetEqualities(fn, number)
-    cores = _EmptyCores(facets.values)
+    scan = _PairScan(fn)
     found: Optional[UnivalenceViolation] = None
     for i, j in itertools.combinations(range(len(fn.pieces)), 2):
-        found = _check_pair(fn, i, j, keys, cores, facets)
+        found = _check_pair(fn, i, j, scan)
         if found is not None:
             break
     fn.claimed = False
@@ -446,11 +524,6 @@ def _live(fn: PwaFn) -> list[bool]:
     """
     keys, number = _value_keys(fn)
     rows = [_int_row(value) for value in number]
-
-    def satisfied(path, witness):
-        den, ints = witness
-        return all(sum(map(mul, rows[k][1], ints)) <= rows[k][1][-1] * den for k in path)
-
     # A node is (children, pieces ending here, its constraint's key);
     # children are keyed by that key.
     root = ({}, [], None)
@@ -477,7 +550,7 @@ def _live(fn: PwaFn) -> list[bool]:
                 (child,) = child[0].values()
                 step.append(child[2])
             path = prefix + tuple(step)
-            if satisfied(step, witness):
+            if _satisfied(rows, step, witness):
                 stack.append((child, path, tableau, witness))
                 continue
             below = tableau.extended([rows[k] for k in path[tableau.m:]])
@@ -485,7 +558,7 @@ def _live(fn: PwaFn) -> list[bool]:
                 lp._checked_support([rows[k] for k in path], below.farkas)
                 continue
             point = scaled_ints(below.point().entries)
-            if not satisfied(path, point):
+            if not _satisfied(rows, path, point):
                 raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
             stack.append((child, path, below, point))
     return live

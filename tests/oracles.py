@@ -109,6 +109,19 @@ def _plain_check_pair(fn: PwaFn, i: int, j: int) -> UnivalenceViolation | None:
     return None
 
 
+def cold_witness(fn: PwaFn, i: int, j: int, r: int) -> ColVec | None:
+    """Row r's point of a from-scratch off_target_points over the overlap
+    of pieces i and j, with every row of their map difference in order."""
+    pi = fn.pieces[i]
+    pj = fn.pieces[j]
+    rows = [
+        (ColVec(a - b for a, b in zip(pi.M.entries[k], pj.M.entries[k])), pj.b[k] - pi.b[k])
+        for k in range(fn.out_dim)
+    ]
+    points = list(lp.off_target_points(intersect(pi.polyhedron, pj.polyhedron), rows))
+    return points[r] if points else None
+
+
 def plain_check_univalence(fn: PwaFn):
     """check_univalence with LPs on every pair whose maps differ."""
     found = None

@@ -40,7 +40,13 @@ from genutil import (
     restricted_affine,
     univalent_fn,
 )
-from oracles import _plain_check_pair, farkas_refutes, plain_check_univalence, relu_1d
+from oracles import (
+    _plain_check_pair,
+    cold_witness,
+    farkas_refutes,
+    plain_check_univalence,
+    relu_1d,
+)
 
 
 def two_conflicting_pieces():
@@ -744,7 +750,7 @@ class TestEmptyCores:
                 refuted += isinstance(self.check(_moved(fn, k)), UnivalenceViolation)
         assert refuted > 20
 
-    @pytest.mark.parametrize("shape, plain, scan", [((2, 3, 3, 2), 91, 36), ((2, 4, 4), 300, 74)])
+    @pytest.mark.parametrize("shape, plain, scan", [((2, 3, 3, 2), 91, 44), ((2, 4, 4), 300, 94)])
     def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, scan):
         fn = prune_empty(transform(dense_network(random.Random(1), shape)))
         runs = TestLivePieces.phase_1_runs
@@ -766,7 +772,7 @@ class TestEmptyCores:
         constraints, and no other key is ever read."""
         values = [()] * 8
         values[4], values[7] = pwa._value_keys(fn)[1]
-        return pwa._EmptyCores(values)
+        return pwa._EmptyCores(pwa._IntRows(values))
 
     def test_a_checked_certificate_files_its_core(self):
         cores = self.keyed_as_4_and_7(self.disjoint_pieces())
@@ -781,15 +787,30 @@ class TestEmptyCores:
             cores.add((4, 7), (2, 1))
         assert cores.filed == {}
 
-        class Corrupted(lp._Simplex):
-            def __init__(self, poly):
-                super().__init__(poly)
-                if not self.feasible:
-                    self.farkas = (self.farkas[0] + 1,) + self.farkas[1:]
+        # The scan files the cores of the tableaus it extends.
+        extended = lp._Simplex.extended
+        corrupted = []
 
-        monkeypatch.setattr(lp, "_Simplex", Corrupted)
+        def corrupt(self, rows):
+            below = extended(self, rows)
+            if not below.feasible:
+                below.farkas = (below.farkas[0] + 1,) + below.farkas[1:]
+                corrupted.append(below)
+            return below
+
+        made = []
+
+        class Recorded(pwa._EmptyCores):
+            def __init__(self, rows):
+                super().__init__(rows)
+                made.append(self)
+
+        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
+        monkeypatch.setattr(pwa, "_EmptyCores", Recorded)
         with pytest.raises(RuntimeError):
             check_univalence(fn)
+        assert len(corrupted) == 1
+        assert [cores.filed for cores in made] == [{}]
 
 
 @st.composite
@@ -928,7 +949,197 @@ class TestFacetEqualities:
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, check_univalence, fn) == 0
         assert check_univalence(fn) == Univalent()
-        # Its active offset moved by 1: the row is no longer pinned.
+        # Its active offset moved by 1: the row is no longer pinned. Piece
+        # 0's tableau, its extension by piece 1's row, and the from-scratch
+        # simplex that finds the witness.
         moved = _moved(fn, 1)
-        assert runs(monkeypatch, check_univalence, moved) == 1
+        assert runs(monkeypatch, check_univalence, moved) == 3
         assert check_univalence(moved) == UnivalenceViolation(0, 1, 0, ColVec([0]))
+
+
+@st.composite
+def _warm_pair_fns(draw):
+    """Functions on R^1 or R^2 onto R^1 or R^2 for the warm pair scan.
+
+    Two disjoint pieces with different maps, x_0 <= -1 and -x_0 <= 0,
+    are among the first, so their pair files an empty core early. An
+    empty piece, x_0 <= -2 and -x_0 <= -1, sits at a drawn place, the
+    first one included. The other pieces take up to four constraints
+    from a small pool, so pieces share constraints by value, an overlap
+    holds the same constraint twice, and a piece may repeat one of its
+    own; any constraint may be an equal copy. Maps come from a pool of
+    at most three. Half the functions then have one offset moved, so a
+    violation may follow the empty-core pairs.
+    """
+    dim = draw(st.integers(1, 2))
+    out = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    row = st.lists(small, min_size=dim, max_size=dim)
+    pool = draw(st.lists(st.builds(_halfspace, row, small), min_size=1, max_size=5))
+    offset = st.lists(small, min_size=out, max_size=out)
+    maps = draw(st.lists(
+        st.tuples(st.lists(row, min_size=out, max_size=out), offset), min_size=1, max_size=3
+    ))
+    axis = [1] + [0] * (dim - 1)
+    minus = [-a for a in axis]
+    shape = []
+    for _ in range(draw(st.integers(1, 6))):
+        m, b = draw(st.sampled_from(maps))
+        shape.append((tuple(draw(st.lists(st.sampled_from(pool), max_size=4))), m, b))
+    shape[:0] = [((_halfspace(axis, -1),), [axis] * out, [0] * out),
+                 ((_halfspace(minus, 0),), [axis] * out, [1] * out)]
+    m, b = draw(st.sampled_from(maps))
+    empty = ((_halfspace(axis, -2), _halfspace(minus, -1)), m, b)
+    shape.insert(draw(st.integers(0, len(shape))), empty)
+    pieces = [
+        AffinePiece(
+            Polyhedron(dim, tuple(_copy(lc) if draw(st.booleans()) else lc for lc in lcs)),
+            Mat(m, cols=dim),
+            ColVec(b),
+        )
+        for lcs, m, b in shape
+    ]
+    fn = PwaFn(dim, out, pieces)
+    if draw(st.booleans()):
+        fn = _moved(fn, draw(st.integers(0, len(pieces) - 1)))
+    return fn
+
+
+class TestWarmPairs:
+    """check_univalence decides a pair on piece i's tableau, extended by
+    the constraints of piece j it lacks, and runs a from-scratch simplex
+    only for the witness of the pair that disagrees.
+
+    The oracle is the plain pair loop, with a cold phase 1 and LPs on
+    every pair whose maps differ; the verdict, down to the pair, row and
+    witness, must be its, and the witness that of a from-scratch
+    off_target_points over the pair's own intersection.
+    """
+
+    @staticmethod
+    def check(fn):
+        expected = plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        found = check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        assert found == expected
+        if isinstance(found, UnivalenceViolation):
+            i, j, r = found.piece_i, found.piece_j, found.row
+            assert cold_witness(fn, i, j, r) == found.witness
+        return found
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+    @given(_warm_pair_fns())
+    def test_drawn_function_matches_the_plain_loop(self, fn):
+        self.check(fn)
+
+    def test_moved_compiles_match_the_plain_loop(self):
+        fns = [
+            transform(random_network(random.Random(seed), max_pieces=16, max_dim=3, max_depth=3))
+            for seed in range(4430, 4436)
+        ]
+        fns.append(prune_empty(transform(dense_network(random.Random(1), (2, 3, 2)))))
+        refuted = 0
+        for fn in fns:
+            self.check(fn)
+            for k in range(len(fn.pieces)):
+                refuted += isinstance(self.check(_moved(fn, k)), UnivalenceViolation)
+        assert refuted > 20
+
+    @staticmethod
+    def pair_steps(monkeypatch, fn):
+        """check_univalence on fn: the number of rows of each extension
+        and each core filed, in order."""
+        steps = []
+        extended = lp._Simplex.extended
+        add = pwa._EmptyCores.add
+
+        def recorded(self, rows):
+            steps.append(("extended", len(rows)))
+            return extended(self, rows)
+
+        def filed(self, keys, certificate):
+            steps.append(("core", keys))
+            add(self, keys, certificate)
+
+        monkeypatch.setattr(lp._Simplex, "extended", recorded)
+        monkeypatch.setattr(pwa._EmptyCores, "add", filed)
+        verdict = check_univalence(fn)
+        monkeypatch.undo()
+        return verdict, steps
+
+    def test_an_overlap_extends_by_the_rows_it_lacks(self, monkeypatch):
+        # Piece 0 repeats x <= 2; piece 1 shares x >= 1 with it by value.
+        le_2, ge_1, le_0 = _X_LE_2, _X_GE_1, _halfspace([1], 0)
+        fn = PwaFn(1, 1, (
+            AffinePiece(Polyhedron(1, (le_2, ge_1, _copy(le_2))), Mat([[1]]), ColVec([0])),
+            AffinePiece(Polyhedron(1, (_copy(ge_1), le_0, le_0)), Mat([[2]]), ColVec([0])),
+        ))
+        verdict, steps = self.pair_steps(monkeypatch, fn)
+        assert verdict == Univalent()
+        # Keys 0 (x <= 2) and 1 (x >= 1), then key 2 (x <= 0), whose
+        # certificate needs only x >= 1 and x <= 0.
+        assert steps == [("extended", 2), ("extended", 1), ("core", (0, 1, 2))]
+        assert self.check(_moved(fn, 1)) == Univalent()
+
+    def test_an_empty_piece_files_its_own_core(self, monkeypatch):
+        empty = (_halfspace([1], -2), _halfspace([-1], -1))
+        fn = PwaFn(1, 1, (
+            AffinePiece(Polyhedron(1, empty), Mat([[3]]), ColVec([0])),
+            AffinePiece(Polyhedron(1, (_halfspace([2], 0),)), Mat([[1]]), ColVec([0])),
+            AffinePiece(Polyhedron(1, (_halfspace([-1], 0),)), Mat([[2]]), ColVec([0])),
+        ))
+        verdict, steps = self.pair_steps(monkeypatch, fn)
+        assert verdict == Univalent()
+        # Piece 0's tableau is empty and its core covers pair (0, 2).
+        # Pieces 1 and 2 meet at 0, where x and 2x agree; 2x <= 0 is no
+        # exact negation of -x <= 0, so the row goes to the LPs.
+        assert steps == [("extended", 2), ("core", (0, 1)), ("extended", 1), ("extended", 1)]
+        moved = _moved(fn, 2)
+        assert self.check(moved) == UnivalenceViolation(1, 2, 0, ColVec([0]))
+
+    def test_a_violation_on_r0_is_found(self):
+        # The witness is the empty point, a ColVec of length 0.
+        zero = Mat([[]], cols=0)
+        fn = PwaFn(0, 1, (
+            AffinePiece(full_space(0), zero, ColVec([0])),
+            AffinePiece(Polyhedron(0, (_halfspace([], 0),)), zero, ColVec([1])),
+        ))
+        assert self.check(fn) == UnivalenceViolation(0, 1, 0, ColVec([]))
+
+    @staticmethod
+    def violation_after_a_core():
+        """Two disjoint pieces, then 1 <= x <= 5, whose 3x disagrees with
+        the second piece's 2x; its overlap with the first is empty too."""
+        return PwaFn(1, 1, TestEmptyCores.disjoint_pieces().pieces + (
+            AffinePiece(
+                Polyhedron(1, (_halfspace([-1], -1), _halfspace([1], 5))), Mat([[3]]), ColVec([0])
+            ),
+        ))
+
+    def test_a_corrupted_point_raises(self, monkeypatch):
+        fn = self.violation_after_a_core()
+        found = self.check(fn)
+        assert (found.piece_i, found.piece_j, found.row) == (1, 2, 0)
+        extended = lp._Simplex.extended
+
+        def corrupt(self, rows):
+            below = extended(self, rows)
+            if below.feasible:
+                outside = ColVec(a + 1000 for a in below.point())
+                below.point = lambda: outside
+            return below
+
+        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
+        with pytest.raises(RuntimeError, match="basic point"):
+            check_univalence(fn)
+
+    @pytest.mark.parametrize("cold", ["empty", "on target"])
+    def test_a_cold_search_that_disagrees_raises(self, monkeypatch, cold):
+        fn = self.violation_after_a_core()
+
+        def search(poly, rows):
+            rows = list(rows)
+            return lp.Infeasible() if cold == "empty" else iter([None] * len(rows))
+
+        monkeypatch.setattr(lp, "_off_target_search", search)
+        with pytest.raises(RuntimeError, match="disagree"):
+            check_univalence(fn)
