@@ -28,7 +28,7 @@ the one phase-1 routine drives those out. A caller that holds the
 tableau of a prefix of a polyhedron's rows, as pwa's trie walk does,
 pays only for the rows past it; extension copies, so the prefix's
 tableau can be extended again. maximize returns an LpOutcome, and
-point() reads the current basic solution, so a feasible point costs
+point() reads the basic point phase 1 kept, so a feasible point costs
 phase 1 alone. off_target_points starts every objective from a copy of
 the one feasible tableau, which is the tableau a fresh solve would
 reach, since phase 1 is deterministic.
@@ -43,10 +43,16 @@ i scales that constraint; so y_i is minus the objective row's entry in
 that slack column. This holds for an extended tableau too, whose rows
 are combinations of the constraints, and the certificate covers every
 row appended so far. Infeasible carries the certificate, out of
-equality and repr, and _checked_support checks it exactly, with integer
-sums, before a caller relies on its support. Unboundedness is reported as soon
-as an improving column has no blocking row; no ray certificate is
-produced, and Optimal carries no dual.
+equality and repr. Unboundedness is reported as soon as an improving
+column has no blocking row; no ray certificate is produced, and Optimal
+carries no dual.
+
+Every phase 1, of a build or an extension, certifies its verdict
+before it returns, against the rows the tableau keeps: an empty
+verdict's multipliers pass _checked_support's exact integer sums, and
+their support is kept as the core; a non-empty verdict's basic point,
+kept as (den, ints), satisfies every row. A failed check raises
+RuntimeError, so no caller reads an unchecked verdict.
 """
 
 from __future__ import annotations
@@ -54,17 +60,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Union
+from operator import mul
+from typing import Iterable, Iterator, Sequence, Union
 
 from .numeric import (
     ColVec,
     DimensionError,
     ScalarLike,
+    _unchecked_vec,
     as_scalar,
     scaled_ints,
     vec_scale,
 )
-from .polyhedra import LinearConstraint, Polyhedron
+from .polyhedra import Polyhedron
 
 MAX = "max"
 MIN = "min"
@@ -127,12 +135,14 @@ class _Simplex:
     A build is the empty tableau on R^n, which has no rows and the origin
     as its basic point, extended by the polyhedron's rows; extended()
     appends rows to a feasible tableau the same way, through the one
-    phase 1 of _phase_1.
+    phase 1 of _phase_1. `rows` keeps every constraint appended so far,
+    as (den, ints) in order.
 
     `feasible` says whether phase 1 found a basic feasible solution; only
     then are the artificials gone and maximize, point and extended
-    meaningful. Otherwise `farkas` holds the multipliers of
-    Infeasible.certificate, one per row appended so far. Rows are
+    meaningful, and `witness` is the checked basic point as (den, ints).
+    Otherwise `farkas` holds the multipliers of Infeasible.certificate,
+    one per row, and `core` the indices of the rows they use. Rows are
     replaced, never changed in place, so copy() is shallow, and a tableau
     that has been extended is left as it was.
     """
@@ -151,10 +161,12 @@ class _Simplex:
         tableau.ncols = 2 * n
         tableau.T = []
         tableau.basis = []
+        tableau.rows = ()
         tableau.feasible = True
+        tableau.witness = (1, [0] * n)
         return tableau
 
-    def extended(self, rows: list[tuple[int, list[int]]]) -> _Simplex:
+    def extended(self, rows: Sequence[tuple[int, list[int]]]) -> _Simplex:
         """A new tableau: this feasible one with rows appended, after phase
         1. Each row is (den, ints) as scaled_ints gives for a constraint's
         coefficients followed by its bound."""
@@ -162,7 +174,7 @@ class _Simplex:
         other._phase_1(rows)
         return other
 
-    def _phase_1(self, rows: list[tuple[int, list[int]]]) -> None:
+    def _phase_1(self, rows: Sequence[tuple[int, list[int]]]) -> None:
         """Append rows, as in extended, to this feasible tableau; run phase 1.
 
         Each new constraint gets the next slack column and is reduced
@@ -209,6 +221,7 @@ class _Simplex:
                 self.basis.append(old + i)
             self.T.append(row)
         self.m += len(rows)
+        self.rows += tuple(rows)
         obj = [0] * struct_cols + [-1] * n_art + [0, 1]
         self._canonicalize(obj)
         if not self._run(obj):
@@ -219,6 +232,7 @@ class _Simplex:
             # The certificate of the module docstring, scaled by the
             # objective row's positive denominator.
             self.farkas = tuple(-obj[2 * n + i] for i in range(self.m))
+            self.core = _checked_support(self.rows, self.farkas)
             return
         # Drive leftover artificials out of the basis. Their value is zero,
         # so these pivots are degenerate and keep the solution feasible.
@@ -240,6 +254,9 @@ class _Simplex:
         if n_art:
             self.T = [row[:struct_cols] + row[-1:] for row in self.T]
         self.ncols = struct_cols
+        self.witness = self._basic_point()
+        if not _satisfies(self.witness, self.rows):
+            raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
 
     def copy(self) -> _Simplex:
         other = object.__new__(_Simplex)
@@ -301,12 +318,21 @@ class _Simplex:
                 return False
             self._pivot(best_row, enter, obj)
 
+    def _basic_point(self) -> tuple[int, list[int]]:
+        """The current basic solution in the free variables, as (den, ints), den > 0."""
+        n = self.n
+        free = [(row, j) for row, j in zip(self.T, self.basis) if j < 2 * n]
+        den = lcm(*(row[j] for row, j in free))
+        parts = [0] * (2 * n)
+        for row, j in free:
+            parts[j] = row[-1] * (den // row[j])
+        ints = [a - b for a, b in zip(parts[:n], parts[n:])]
+        g = gcd(den, *ints)
+        return den // g, [a // g for a in ints]
+
     def point(self) -> ColVec:
-        """The current basic solution, in the free variables."""
-        vals = [Fraction(0)] * self.ncols
-        for row, j in zip(self.T, self.basis):
-            vals[j] = Fraction(row[-1], row[j])
-        return ColVec(vals[k] - vals[self.n + k] for k in range(self.n))
+        """The basic point that phase 1 found and checked."""
+        return _as_vec(self.witness)
 
     def maximize(self, objective: ColVec) -> LpOutcome:
         if not self.feasible:
@@ -320,7 +346,18 @@ class _Simplex:
         self._canonicalize(obj)
         if not self._run(obj):
             return Unbounded()
-        return Optimal(Fraction(-obj[-2], obj[-1]), self.point())
+        return Optimal(Fraction(-obj[-2], obj[-1]), _as_vec(self._basic_point()))
+
+
+def _as_vec(point: tuple[int, list[int]]) -> ColVec:
+    den, ints = point
+    return _unchecked_vec(tuple(Fraction(a, den) for a in ints))
+
+
+def _satisfies(point: tuple[int, list[int]], rows: Iterable[tuple[int, list[int]]]) -> bool:
+    """Does point, as (den, ints) with den > 0, satisfy every row (den, ints)?"""
+    den, ints = point
+    return all(sum(map(mul, row, ints)) <= row[-1] * den for _, row in rows)
 
 
 def solve(poly: Polyhedron, objective: ColVec, sense: str = MAX) -> LpOutcome:
@@ -363,14 +400,6 @@ def off_target_points(
     feasible tableau phase 1 leaves. An empty poly yields nothing: every
     row holds vacuously.
     """
-    search = _off_target_search(poly, rows)
-    return iter(()) if isinstance(search, Infeasible) else search
-
-
-def _off_target_search(
-    poly: Polyhedron, rows: Iterable[tuple[ColVec, ScalarLike]]
-) -> Infeasible | Iterator[ColVec | None]:
-    """off_target_points, but an empty poly gives its Infeasible outcome."""
     rows = list(rows)
     for functional, _ in rows:
         if functional.dim != poly.dim:
@@ -379,14 +408,13 @@ def _off_target_search(
             )
     simplex = _Simplex(poly)
     if not simplex.feasible:
-        return Infeasible(simplex.farkas)
-    return (
-        _off_target(poly, simplex, functional, as_scalar(target))
-        for functional, target in rows
-    )
+        return iter(())
+    return (_off_target(simplex, functional, as_scalar(target)) for functional, target in rows)
 
 
-def _checked_support(rows: list[tuple[int, list[int]]], certificate: tuple[int, ...]) -> list[int]:
+def _checked_support(
+    rows: Sequence[tuple[int, list[int]]], certificate: tuple[int, ...]
+) -> list[int]:
     """The indices of the constraints with a positive multiplier, once the
     certificate is checked exactly against the constraints c_i.x <= b_i,
     each given as (den, ints) with ints = den * (c_i, b_i): one y_i >= 0
@@ -410,20 +438,18 @@ def _checked_support(rows: list[tuple[int, list[int]]], certificate: tuple[int, 
     raise RuntimeError("Farkas multipliers do not refute the polyhedron")
 
 
-def _off_target(
-    poly: Polyhedron, simplex: _Simplex, functional: ColVec, goal: Fraction
-) -> ColVec | None:
+def _off_target(simplex: _Simplex, functional: ColVec, goal: Fraction) -> ColVec | None:
     if not any(functional.entries):
         return None if goal == 0 else simplex.point()
     for sense, sign in ((MAX, 1), (MIN, -1)):
         outcome = simplex.copy().maximize(vec_scale(sign, functional))
         if isinstance(outcome, Unbounded):
-            # sign * functional.x >= sign * goal + 1
-            cut = LinearConstraint(vec_scale(-sign, functional), -(sign * goal + 1))
-            point = feasible_point(Polyhedron(poly.dim, poly.constraints + (cut,)))
-            if point is None:
+            # sign * functional.x >= sign * goal + 1, after the same rows
+            cut = scaled_ints(vec_scale(-sign, functional).entries + (-(sign * goal + 1),))
+            past = _Simplex.empty(simplex.n).extended(simplex.rows + (cut,))
+            if not past.feasible:
                 raise RuntimeError(f"unbounded {sense} but no point past {goal}")
-            return point
+            return past.point()
         if sign * outcome.value != goal:
             return outcome.witness
     return None

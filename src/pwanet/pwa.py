@@ -14,9 +14,9 @@ check_univalence decides it exactly, via linear programs over the
 pairwise intersections, as "verified" or "refuted"; the refutation comes
 back to the caller with a concrete witness point, and only its status is
 kept on the function. check_univalence ignores any existing status and
-rescans the pairs. An overlap found empty leaves a Farkas certificate,
-which lp checks exactly; the constraints it uses form a core, and a
-later pair whose overlap holds a whole core is empty without an LP.
+rescans the pairs. lp certifies every phase 1. An overlap found empty
+leaves a core, the constraints its checked Farkas certificate uses, and
+a later pair whose overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
 from typing import Optional, Union
 
 from . import lp
@@ -224,8 +223,8 @@ class _IntRows(dict):
     """Each constraint key's integer row (_int_row), made when the key is
     first read. values lists the constraint values in key order.
 
-    One table serves a whole check: the cores' certificates, the facet
-    bases and the pair tableaus read the same rows.
+    One table serves a whole check: the facet bases and the pair
+    tableaus read the same rows.
     """
 
     def __init__(self, values: list[tuple]):
@@ -237,13 +236,6 @@ class _IntRows(dict):
         return row
 
 
-def _satisfied(rows, keys, point: tuple[int, list[int]]) -> bool:
-    """Does point, as scaled_ints gives it, satisfy the constraint of
-    every key? rows maps each key to its integer row."""
-    den, ints = point
-    return all(sum(map(mul, rows[k][1], ints)) <= rows[k][1][-1] * den for k in keys)
-
-
 class _EmptyCores:
     """Sets of constraint keys (see _value_keys) with no common point.
 
@@ -251,11 +243,9 @@ class _EmptyCores:
     exactly, so any polyhedron holding every constraint of a core is
     empty, whatever else it holds. Each core is filed under its largest
     key, so a set of keys scans only the cores filed under its own keys.
-    rows is the check's _IntRows table.
     """
 
-    def __init__(self, rows: _IntRows):
-        self.rows = rows
+    def __init__(self):
         self.filed: dict[int, list[frozenset[int]]] = {}
 
     def cover(self, keys: set[int]) -> bool:
@@ -263,12 +253,9 @@ class _EmptyCores:
         filed = self.filed
         return any(core <= keys for key in keys if key in filed for core in filed[key])
 
-    def add(self, keys: tuple[int, ...], certificate: tuple[int, ...]) -> None:
-        """File the core of the certificate of the polyhedron whose
-        constraints, in order, have these keys. Raises RuntimeError, and
-        files nothing, when the certificate does not check."""
-        rows = self.rows
-        support = lp._checked_support([rows[key] for key in keys], certificate)
+    def add(self, keys: tuple[int, ...], support: list[int]) -> None:
+        """File the core of an infeasible tableau whose rows, in order,
+        have these keys: support is its checked core, as row indices."""
         core = frozenset(keys[i] for i in support)
         self.filed.setdefault(max(core), []).append(core)
 
@@ -374,7 +361,7 @@ class _PairScan:
         self.in_dim = fn.in_dim
         self.keys, number = _value_keys(fn)
         self.rows = _IntRows(list(number))
-        self.cores = _EmptyCores(self.rows)
+        self.cores = _EmptyCores()
         self.facets = _FacetEqualities(fn, number, self.rows)
         self.piece = -1
         self.held: tuple[int, ...] = ()
@@ -389,7 +376,7 @@ class _PairScan:
             if held:
                 tableau = tableau.extended([self.rows[k] for k in held])
             if not tableau.feasible:
-                self.cores.add(held, tableau.farkas)
+                self.cores.add(held, tableau.core)
             self.piece, self.held, self.tableau = i, held, tableau
         return self.tableau
 
@@ -408,7 +395,6 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     if pi.M == pj.M and pi.b == pj.b:
         # Identical maps agree everywhere, overlap or not.
         return None
-    region = intersect(pi.polyhedron, pj.polyhedron)
     own = set(scan.keys[i])
     overlap = own.union(scan.keys[j])
     if scan.cores.cover(overlap):
@@ -424,10 +410,8 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     if new:
         tableau = tableau.extended([scan.rows[key] for key in new])
         if not tableau.feasible:
-            scan.cores.add(scan.held + new, tableau.farkas)
+            scan.cores.add(scan.held + new, tableau.core)
             return None
-    if not _satisfied(scan.rows, overlap, scaled_ints(tableau.point().entries)):
-        raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
     diffs = [
         (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
         for r in unpinned
@@ -438,14 +422,13 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
         (
             r
             for r, (d, t) in zip(unpinned, diffs)
-            if lp._off_target(region, tableau, d, t) is not None
+            if lp._off_target(tableau, d, t) is not None
         ),
         None,
     )
     if off is None:
         return None
-    search = lp._off_target_search(region, diffs)
-    points = () if isinstance(search, lp.Infeasible) else search
+    points = lp.off_target_points(intersect(pi.polyhedron, pj.polyhedron), diffs)
     found = next(((r, point) for r, point in zip(unpinned, points) if point is not None), None)
     if found is None or found[0] != off:
         raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
@@ -476,12 +459,10 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
 
     Phase 1 is warm: while i is the outer index, piece i's tableau is
     kept, and pair (i, j) extends it by the constraints of piece j that
-    it lacks, by value. An empty overlap is certified by its Farkas
-    multipliers, a non-empty one by its basic point, checked exactly
-    against every constraint; either check failing raises RuntimeError.
-    Each row's LPs reach the optima a from-scratch tableau would, so
-    the decisions are the plain scan's. A witness comes from a
-    from-scratch simplex on its pair's own intersection, which is run
+    it lacks, by value; lp certifies each phase 1 before its verdict is
+    read. Each row's LPs reach the optima a from-scratch tableau would,
+    so the decisions are the plain scan's. A witness comes from a
+    from-scratch simplex on its pair's own intersection, which is built
     only for the pair that disagrees, and must agree on the row.
 
     Pinned rows never have an off-target point and skipped pairs are
@@ -507,20 +488,18 @@ def _live(fn: PwaFn) -> list[bool]:
     so a prefix that several pieces share is one node, and its emptiness
     is decided once. Each distinct constraint is scaled once to an integer
     row (den, ints), which serves both the witness tests and the tableaus.
-    The walk starts at the root, all of R^in_dim, with the empty tableau
-    and its basic point, the origin, as witness. A child whose new
-    constraints the witness satisfies is non-empty and keeps the witness
-    and the tableau it came from. Any other child extends that tableau,
+    The walk starts at the root, all of R^in_dim, with the empty tableau,
+    whose basic point, the origin, is the witness. A child whose new
+    constraints a tableau's witness satisfies is non-empty and keeps that
+    tableau. Any other child extends that tableau,
     the nearest feasible one above it, by the constraints added since,
     and runs one phase 1; siblings share the parent's tableau, which
     extension leaves as it was. A chain of nodes where no piece ends and
     nothing branches is one step, so pieces that share no first
     constraint cost at most one phase 1 each.
 
-    Only booleans leave the walk, and each is certified exactly: a
-    non-empty verdict's basic point satisfies every constraint of its
-    prefix, and an empty verdict's Farkas multipliers refute the prefix's
-    rows. Either check failing raises RuntimeError.
+    Only booleans leave the walk, and lp has certified each phase 1
+    behind them against its prefix's rows.
     """
     keys, number = _value_keys(fn)
     rows = [_int_row(value) for value in number]
@@ -536,12 +515,11 @@ def _live(fn: PwaFn) -> list[bool]:
             node = child
         node[1].append(i)
     live = [False] * len(fn.pieces)
-    # (node, its prefix as keys, the nearest feasible tableau at or above
-    # it, which holds the first tableau.m keys of the prefix, and that
-    # tableau's basic point as scaled_ints gives it)
-    stack = [(root, (), lp._Simplex.empty(fn.in_dim), (1, [0] * fn.in_dim))]
+    # (node, its prefix as keys, and the nearest feasible tableau at or
+    # above it, which holds the first tableau.m keys of the prefix)
+    stack = [(root, (), lp._Simplex.empty(fn.in_dim))]
     while stack:
-        (children, ends, _), prefix, tableau, witness = stack.pop()
+        (children, ends, _), prefix, tableau = stack.pop()
         for i in ends:
             live[i] = True
         for child in children.values():
@@ -550,17 +528,12 @@ def _live(fn: PwaFn) -> list[bool]:
                 (child,) = child[0].values()
                 step.append(child[2])
             path = prefix + tuple(step)
-            if _satisfied(rows, step, witness):
-                stack.append((child, path, tableau, witness))
+            if lp._satisfies(tableau.witness, [rows[k] for k in step]):
+                stack.append((child, path, tableau))
                 continue
             below = tableau.extended([rows[k] for k in path[tableau.m:]])
-            if not below.feasible:
-                lp._checked_support([rows[k] for k in path], below.farkas)
-                continue
-            point = scaled_ints(below.point().entries)
-            if not _satisfied(rows, path, point):
-                raise RuntimeError("a feasible tableau's basic point leaves its polyhedron")
-            stack.append((child, path, below, point))
+            if below.feasible:
+                stack.append((child, path, below))
     return live
 
 
@@ -570,7 +543,7 @@ def prune_empty(fn: PwaFn) -> PwaFn:
     Emptiness is decided once per shared constraint prefix: a prefix that
     contains its parent prefix's witness point needs no LP, any other
     extends the nearest feasible ancestor's tableau by its new rows, and
-    every verdict is certified exactly (see _live). The result is that of
+    every phase 1 is certified inside lp. The result is that of
     testing every piece on its own.
     The univalence status stays valid: an empty piece never overlaps
     anything, and the two pieces of a violation both contain its witness,

@@ -11,6 +11,7 @@ import json
 import random
 from fractions import Fraction
 
+from pwanet import lp
 from pwanet.numeric import ColVec, Mat
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import AffinePiece, PwaFn, linear_pwaf
@@ -117,6 +118,34 @@ def dense_network(rng: random.Random, widths: tuple[int, ...]) -> Network:
         layers.append(nn_relu(fan_out))
     layers.append(OutputLayer(widths[-1]))
     return Network(widths[0], widths[-1], tuple(layers))
+
+
+def corrupt_phase_1(monkeypatch, fault: str) -> list:
+    """Corrupt every verdict that a phase 1 of lp._Simplex goes on to
+    check, inside _phase_1 and before its check runs: with fault
+    "multiplier", an infeasible tableau's Farkas multipliers get their
+    first entry raised by one; with "point", a feasible tableau's basic
+    point moves by 1000 in every coordinate. Returns the list of verdicts
+    corrupted so far."""
+    corrupted = []
+    if fault == "multiplier":
+        checked_support = lp._checked_support
+
+        def corrupt(rows, certificate):
+            corrupted.append(certificate)
+            return checked_support(rows, (certificate[0] + 1,) + certificate[1:])
+
+        monkeypatch.setattr(lp, "_checked_support", corrupt)
+    else:
+        basic_point = lp._Simplex._basic_point
+
+        def corrupt(self):
+            den, ints = basic_point(self)
+            corrupted.append((den, ints))
+            return den, [a + 1000 * den for a in ints]
+
+        monkeypatch.setattr(lp._Simplex, "_basic_point", corrupt)
+    return corrupted
 
 
 def single_piece(poly: Polyhedron, m: Mat | None = None) -> PwaFn:

@@ -26,7 +26,7 @@ from pwanet.network import transform
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
 from pwanet.pwa import AffinePiece, PwaFn, check_univalence, prune_empty
 
-from genutil import box_polyhedron, dense_network, point, random_network
+from genutil import box_polyhedron, corrupt_phase_1, dense_network, point, random_network
 from oracles import farkas_refutes, vertex_optimum
 
 
@@ -199,9 +199,12 @@ class TestIsConstantOn:
 
     def test_unbounded_side_without_a_point_past_the_target_raises(self, monkeypatch):
         # Unreachable with a correct simplex; it must fail loudly, not pass.
-        monkeypatch.setattr(lp, "feasible_point", lambda poly: None)
+        # -x is unbounded above on R^1, so the point comes from the phase 1
+        # of x <= -1, which the fault moves to 999.
+        corrupted = corrupt_phase_1(monkeypatch, "point")
         with pytest.raises(RuntimeError):
-            next(off_target_points(full_space(1), ((ColVec([1]), 0),)))
+            next(off_target_points(full_space(1), ((ColVec([-1]), 0),)))
+        assert len(corrupted) == 2  # R^1 itself, whose point needs no row
 
 
 class TestOffTargetPoints:
@@ -541,8 +544,9 @@ def _state(simplex):
         simplex.basis,
         simplex.ncols,
         simplex.m,
+        simplex.rows,
         simplex.feasible,
-        getattr(simplex, "farkas", None),
+        simplex.witness if simplex.feasible else simplex.farkas,
     )
 
 
@@ -592,10 +596,15 @@ class TestWarmExtension:
         for stop, tableau in steps:
             prefix = Polyhedron(poly.dim, poly.constraints[:stop])
             assert tableau.m == stop
+            # The rows a tableau certifies against are its polyhedron's,
+            # scaled, in order, whether extended or built cold.
+            assert tableau.rows == tuple(_int_rows(prefix.constraints))
+            assert lp._Simplex(prefix).rows == tableau.rows
             if tableau.feasible:
                 assert contains(prefix, tableau.point())
             else:
                 assert farkas_refutes(prefix, tableau.farkas)
+                assert tableau.core == [i for i, y in enumerate(tableau.farkas) if y]
         feasible = steps[-1][1].feasible
         assert feasible == (feasible_point(poly) is not None)
         return feasible
@@ -618,6 +627,7 @@ class TestWarmExtension:
             cold = lp._Simplex(poly)
             warm = lp._Simplex.empty(poly.dim).extended(_int_rows(poly.constraints))
             assert _state(warm) == _state(cold)
+            assert cold.rows == tuple(_int_rows(poly.constraints))
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
     @given(_split_chains())
@@ -654,3 +664,27 @@ class TestWarmExtension:
             assert _state(parent.extended(rows)) == _state(second)
             extended += bool(rows)
         assert extended > 100
+
+
+class TestCertifiedPhase1:
+    """Each phase 1 checks its own verdict before any caller reads it:
+    an empty one its Farkas multipliers, a non-empty one its basic point,
+    against every row. Cold builds are checked like extensions."""
+
+    @pytest.mark.parametrize("fault", ["multiplier", "point"])
+    @pytest.mark.parametrize("entry", ["solve", "is_empty", "feasible_point", "off_target_points"])
+    def test_a_corrupted_cold_build_raises(self, monkeypatch, entry, fault):
+        # contradiction() is empty, with multipliers (1, 1); phase 1 finds
+        # the point 0 of unit_interval(), which the fault moves past x <= 1.
+        poly = contradiction() if fault == "multiplier" else unit_interval()
+        call = {
+            "solve": lambda: solve(poly, ColVec([1])),
+            "is_empty": lambda: is_empty(poly),
+            "feasible_point": lambda: feasible_point(poly),
+            "off_target_points": lambda: off_target_points(poly, ((ColVec([1]), 0),)),
+        }[entry]
+        call()  # without the fault, the verdict checks
+        corrupted = corrupt_phase_1(monkeypatch, fault)
+        with pytest.raises(RuntimeError):
+            call()
+        assert len(corrupted) == 1

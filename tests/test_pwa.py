@@ -33,6 +33,7 @@ from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 from genutil import (
     box_polyhedron,
     colvec_of,
+    corrupt_phase_1,
     dense_network,
     mat_of,
     point,
@@ -349,12 +350,13 @@ class TestIdenticalMapPairs:
     def test_identical_maps_are_skipped_before_any_lp(self, monkeypatch):
         fn = relu_into_relu()
         calls = []
+        cover = pwa._EmptyCores.cover
 
-        def counted(p1, p2):
+        def counted(self, keys):
             calls.append(1)
-            return intersect(p1, p2)
+            return cover(self, keys)
 
-        monkeypatch.setattr(pwa, "intersect", counted)
+        monkeypatch.setattr(pwa._EmptyCores, "cover", counted)
         assert check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces)) == Univalent()
         assert len(calls) == 45 - 21
 
@@ -622,23 +624,9 @@ class TestLivePieces:
     def test_a_corrupted_extension_raises(self, monkeypatch, call, fault):
         # In "shared prefixes", x <= 2 and x >= 1 needs a phase 1 that finds
         # a point, and x <= 2, x <= 0 and x >= 1 one that finds none.
-        extended = lp._Simplex.extended
-        corrupted = []
-
-        def corrupt(self, rows):
-            below = extended(self, rows)
-            if fault == "multiplier" and not below.feasible:
-                below.farkas = (below.farkas[0] + 1,) + below.farkas[1:]
-                corrupted.append(below)
-            if fault == "point" and below.feasible:
-                outside = ColVec(a + 1000 for a in below.point())
-                below.point = lambda: outside
-                corrupted.append(below)
-            return below
-
         fn = _LIVE_CASES["shared prefixes"]
         call(fn)  # without the fault, every verdict checks
-        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
+        corrupted = corrupt_phase_1(monkeypatch, fault)
         with pytest.raises(RuntimeError):
             call(fn)
         assert len(corrupted) == 1
@@ -767,45 +755,36 @@ class TestEmptyCores:
         ))
 
     @staticmethod
-    def keyed_as_4_and_7(fn):
-        """_EmptyCores over values where keys 4 and 7 are fn's two
-        constraints, and no other key is ever read."""
-        values = [()] * 8
-        values[4], values[7] = pwa._value_keys(fn)[1]
-        return pwa._EmptyCores(pwa._IntRows(values))
+    def overlap_tableau(fn):
+        """The tableau of fn's two constraints, extended in order."""
+        rows = [pwa._int_row(value) for value in pwa._value_keys(fn)[1]]
+        return lp._Simplex.empty(fn.in_dim).extended(rows)
 
     def test_a_checked_certificate_files_its_core(self):
-        cores = self.keyed_as_4_and_7(self.disjoint_pieces())
-        cores.add((4, 7), (1, 1))
+        # Keys 4 and 7 stand for the two rows of the tableau, in order.
+        tableau = self.overlap_tableau(self.disjoint_pieces())
+        assert not tableau.feasible and tableau.core == [0, 1]
+        cores = pwa._EmptyCores()
+        cores.add((4, 7), tableau.core)
         assert cores.filed == {7: [frozenset({4, 7})]}
         assert cores.cover({4, 7, 9}) and not cores.cover({4, 9})
 
     def test_a_corrupted_multiplier_raises_and_files_nothing(self, monkeypatch):
         fn = self.disjoint_pieces()
-        cores = self.keyed_as_4_and_7(fn)
+        corrupted = corrupt_phase_1(monkeypatch, "multiplier")
         with pytest.raises(RuntimeError):
-            cores.add((4, 7), (2, 1))
-        assert cores.filed == {}
+            self.overlap_tableau(fn)
+        assert len(corrupted) == 1
+        corrupted.clear()
 
         # The scan files the cores of the tableaus it extends.
-        extended = lp._Simplex.extended
-        corrupted = []
-
-        def corrupt(self, rows):
-            below = extended(self, rows)
-            if not below.feasible:
-                below.farkas = (below.farkas[0] + 1,) + below.farkas[1:]
-                corrupted.append(below)
-            return below
-
         made = []
 
         class Recorded(pwa._EmptyCores):
-            def __init__(self, rows):
-                super().__init__(rows)
+            def __init__(self):
+                super().__init__()
                 made.append(self)
 
-        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
         monkeypatch.setattr(pwa, "_EmptyCores", Recorded)
         with pytest.raises(RuntimeError):
             check_univalence(fn)
@@ -1119,16 +1098,7 @@ class TestWarmPairs:
         fn = self.violation_after_a_core()
         found = self.check(fn)
         assert (found.piece_i, found.piece_j, found.row) == (1, 2, 0)
-        extended = lp._Simplex.extended
-
-        def corrupt(self, rows):
-            below = extended(self, rows)
-            if below.feasible:
-                outside = ColVec(a + 1000 for a in below.point())
-                below.point = lambda: outside
-            return below
-
-        monkeypatch.setattr(lp._Simplex, "extended", corrupt)
+        corrupt_phase_1(monkeypatch, "point")
         with pytest.raises(RuntimeError, match="basic point"):
             check_univalence(fn)
 
@@ -1138,8 +1108,8 @@ class TestWarmPairs:
 
         def search(poly, rows):
             rows = list(rows)
-            return lp.Infeasible() if cold == "empty" else iter([None] * len(rows))
+            return iter(()) if cold == "empty" else iter([None] * len(rows))
 
-        monkeypatch.setattr(lp, "_off_target_search", search)
+        monkeypatch.setattr(lp, "off_target_points", search)
         with pytest.raises(RuntimeError, match="disagree"):
             check_univalence(fn)
