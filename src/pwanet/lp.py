@@ -57,7 +57,6 @@ RuntimeError, so no caller reads an unchecked verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -67,6 +66,7 @@ from .numeric import (
     ColVec,
     DimensionError,
     ScalarLike,
+    _Frozen,
     _unchecked_vec,
     as_scalar,
     scaled_ints,
@@ -78,30 +78,33 @@ MAX = "max"
 MIN = "min"
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(_Frozen):
     """The optimum is attained: its value and a point attaining it."""
 
-    value: Fraction
-    witness: ColVec
+    __match_args__ = ("value", "witness")
+
+    def __init__(self, value: Fraction, witness: ColVec):
+        self.__dict__.update(value=value, witness=witness)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(_Frozen):
     """The polyhedron is empty.
 
     certificate holds Farkas multipliers, one nonnegative int per
     constraint c_i.x <= b_i in order, with sum y_i c_i = 0 and
     sum y_i b_i < 0; no point can satisfy that nonnegative combination.
-    It is left out of equality and repr, so outcomes compare and print as
-    they did without it.
+    It is left out of equality, hash and repr, so outcomes compare and
+    print as they did without it.
     """
 
-    certificate: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    __match_args__ = ("certificate",)
+    _compared = ()
+
+    def __init__(self, certificate: tuple[int, ...] = ()):
+        self.__dict__.update(certificate=certificate)
 
 
-@dataclass(frozen=True)
-class Unbounded:
+class Unbounded(_Frozen):
     """Feasible, but the objective is unbounded in the requested sense."""
 
 

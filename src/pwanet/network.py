@@ -24,10 +24,9 @@ MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union, get_args
 
-from .numeric import ColVec, DimensionError, Mat
+from .numeric import ColVec, DimensionError, Mat, _Frozen
 from .pwa import PwaFn, evaluate, identity_pwaf, linear_pwaf
 from .pwa_algebra import _carried, compose, compose_relu
 
@@ -36,11 +35,13 @@ MAX_PIECES = 4096
 MAX_RATIONALS = 2**21
 
 
-@dataclass(frozen=True)
-class OutputLayer:
+class OutputLayer(_Frozen):
     """Terminates the network and passes its input through unchanged."""
 
-    dim: int
+    __match_args__ = ("dim",)
+
+    def __init__(self, dim: int):
+        self.__dict__.update(dim=dim)
 
     @property
     def in_dim(self) -> int:
@@ -51,11 +52,13 @@ class OutputLayer:
         return self.dim
 
 
-@dataclass(frozen=True)
-class PwaLayer:
+class PwaLayer(_Frozen):
     """A layer whose function is piecewise-affine, hence compilable."""
 
-    fn: PwaFn
+    __match_args__ = ("fn",)
+
+    def __init__(self, fn: PwaFn):
+        self.__dict__.update(fn=fn)
 
     @property
     def in_dim(self) -> int:
@@ -66,15 +69,15 @@ class PwaLayer:
         return self.fn.out_dim
 
 
-@dataclass(frozen=True)
-class ReluLayer:
+class ReluLayer(_Frozen):
     """Componentwise max(0, x) on R^dim, known by its width alone."""
 
-    dim: int
+    __match_args__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int):
+        if dim < 0:
             raise DimensionError("relu layer dimension must be nonnegative")
+        self.__dict__.update(dim=dim)
 
     @property
     def in_dim(self) -> int:
@@ -85,21 +88,22 @@ class ReluLayer:
         return self.dim
 
 
-@dataclass(frozen=True)
-class PlainLayer:
+class PlainLayer(_Frozen):
     """An opaque host function: evaluable, but not compilable."""
 
-    fn: Callable[[ColVec], ColVec]
-    in_dim: int
-    out_dim: int
+    __match_args__ = ("fn", "in_dim", "out_dim")
+
+    def __init__(self, fn: Callable[[ColVec], ColVec], in_dim: int, out_dim: int):
+        self.__dict__.update(fn=fn, in_dim=in_dim, out_dim=out_dim)
 
 
-@dataclass(frozen=True)
-class UnknownLayer:
+class UnknownLayer(_Frozen):
     """A layer known only by its dimensions: neither evaluable nor compilable."""
 
-    in_dim: int
-    out_dim: int
+    __match_args__ = ("in_dim", "out_dim")
+
+    def __init__(self, in_dim: int, out_dim: int):
+        self.__dict__.update(in_dim=in_dim, out_dim=out_dim)
 
 
 Layer = Union[OutputLayer, PwaLayer, ReluLayer, PlainLayer, UnknownLayer]
@@ -108,8 +112,7 @@ _LAYERS = get_args(Layer)
 _COMPILABLE = (PwaLayer, ReluLayer)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Frozen):
     """A layer chain from R^input_dim to R^output_dim, checked when built.
 
     Each layer must consume exactly what the previous one produced, the
@@ -119,15 +122,13 @@ class Network:
     layer raises TypeError, so every Network in hand is well-formed.
     """
 
-    input_dim: int
-    output_dim: int
-    layers: tuple[Layer, ...]
+    __match_args__ = ("input_dim", "output_dim", "layers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        current = self.input_dim
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
+    def __init__(self, input_dim: int, output_dim: int, layers: tuple[Layer, ...]):
+        layers = tuple(layers)
+        current = input_dim
+        last = len(layers) - 1
+        for i, layer in enumerate(layers):
             if not isinstance(layer, _LAYERS):
                 raise TypeError(f"not a layer: {layer!r}")
             if layer.in_dim != current:
@@ -137,14 +138,16 @@ class Network:
             if isinstance(layer, OutputLayer):
                 if i != last:
                     raise DimensionError(f"layer {i}: output layer before the end of the network")
-                if layer.dim != self.output_dim:
+                if layer.dim != output_dim:
                     raise DimensionError(
                         f"layer {i}: output layer has dim {layer.dim}, "
-                        f"network declares {self.output_dim}"
+                        f"network declares {output_dim}"
                     )
-                return
+                break
             current = layer.out_dim
-        raise DimensionError("network has no output layer")
+        else:
+            raise DimensionError("network has no output layer")
+        self.__dict__.update(input_dim=input_dim, output_dim=output_dim, layers=layers)
 
 
 def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:

@@ -17,6 +17,13 @@ build their results with the private _unchecked_mat and _unchecked_vec,
 which skip the constructors' checks: each entry is a Fraction made from
 checked operands, and each width is read off their checked shapes.
 
+The library's record types (lp's outcomes, constraints and polyhedra,
+affine pieces and univalence verdicts, layers and networks) are plain
+classes on the private base _Frozen, written by hand like ColVec and
+Mat rather than generated by dataclasses: importing dataclasses loads
+inspect, ast, dis and tokenize, and each generated class execs its
+methods, a cost every process that imports pwanet would pay.
+
 Writing a rational as text can fail even when computing it did not:
 CPython refuses to convert an int past its digit limit (4300 by default)
 to a string. format_scalar raises ScalarTooLong then.
@@ -100,6 +107,60 @@ def format_scalar(value: ScalarLike) -> str:
         raise ScalarTooLong(
             f"a rational has more than {sys.get_int_max_str_digits()} digits to write"
         ) from None
+
+
+class _Frozen:
+    """Base of the immutable record types: equality, hash, repr, no assignment.
+
+    A subclass names its fields, in order, in __match_args__, which
+    pattern matching reads too, and its __init__ checks its arguments and
+    stores them with self.__dict__.update(...), as the private unchecked
+    builders do. Two records are equal when their classes are the same
+    and their fields in _compared, all of __match_args__ unless the class
+    names fewer, are equal; hash agrees with that, and repr reads
+    Name(field=value, ...) over the same fields. Assigning or deleting an
+    attribute raises dataclasses.FrozenInstanceError, as it did when
+    these types were frozen dataclasses; dataclasses is imported only
+    then. Pickling and copying fill the instance dict directly, so they
+    work unchanged. dataclasses.fields, replace, asdict and is_dataclass
+    do not apply.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls.__match_args__
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._compared])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = self.__dict__
+        body = ", ".join(f"{name}={fields[name]!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class ColVec:

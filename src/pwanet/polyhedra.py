@@ -13,23 +13,20 @@ Fractions from checked values, in widths the builder has matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import ColVec, DimensionError, as_scalar, dot
+from .numeric import ColVec, DimensionError, _Frozen, as_scalar, dot
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(_Frozen):
     """The closed halfspace c.x <= b."""
 
-    c: ColVec
-    b: Fraction
+    __match_args__ = ("c", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.c, ColVec):
+    def __init__(self, c: ColVec, b: Fraction):
+        if not isinstance(c, ColVec):
             raise TypeError("constraint coefficients must be a ColVec")
-        object.__setattr__(self, "b", as_scalar(self.b))
+        self.__dict__.update(c=c, b=as_scalar(b))
 
     @property
     def dim(self) -> int:
@@ -43,22 +40,19 @@ def _unchecked_constraint(c: ColVec, b: Fraction) -> LinearConstraint:
     return lc
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(_Frozen):
     """Intersection of finitely many closed halfspaces of a fixed dimension."""
 
-    dim: int
-    constraints: tuple[LinearConstraint, ...] = ()
+    __match_args__ = ("dim", "constraints")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, constraints: tuple[LinearConstraint, ...] = ()):
+        if dim < 0:
             raise DimensionError("polyhedron dimension must be nonnegative")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for lc in self.constraints:
-            if lc.dim != self.dim:
-                raise DimensionError(
-                    f"constraint of dim {lc.dim} in polyhedron of dim {self.dim}"
-                )
+        constraints = tuple(constraints)
+        for lc in constraints:
+            if lc.dim != dim:
+                raise DimensionError(f"constraint of dim {lc.dim} in polyhedron of dim {dim}")
+        self.__dict__.update(dim=dim, constraints=constraints)
 
 
 def _unchecked_polyhedron(dim: int, constraints: tuple[LinearConstraint, ...]) -> Polyhedron:

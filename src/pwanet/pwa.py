@@ -34,7 +34,6 @@ pieces; pwa_algebra's operators and the document reader are the others.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Union
 
@@ -43,6 +42,7 @@ from .numeric import (
     ColVec,
     DimensionError,
     Mat,
+    _Frozen,
     identity,
     mat_vec_mul,
     scaled_ints,
@@ -58,24 +58,19 @@ REFUTED = "refuted"
 _STATUSES = (UNCHECKED, VERIFIED, REFUTED)
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(_Frozen):
     """The map x -> Mx + b restricted to a polyhedron."""
 
-    polyhedron: Polyhedron
-    M: Mat
-    b: ColVec
+    __match_args__ = ("polyhedron", "M", "b")
 
-    def __post_init__(self):
-        if self.M.cols != self.polyhedron.dim:
+    def __init__(self, polyhedron: Polyhedron, M: Mat, b: ColVec):
+        if M.cols != polyhedron.dim:
             raise DimensionError(
-                f"matrix has {self.M.cols} columns on a polyhedron of dim "
-                f"{self.polyhedron.dim}"
+                f"matrix has {M.cols} columns on a polyhedron of dim {polyhedron.dim}"
             )
-        if self.M.rows != self.b.dim:
-            raise DimensionError(
-                f"matrix has {self.M.rows} rows but offset has dim {self.b.dim}"
-            )
+        if M.rows != b.dim:
+            raise DimensionError(f"matrix has {M.rows} rows but offset has dim {b.dim}")
+        self.__dict__.update(polyhedron=polyhedron, M=M, b=b)
 
 
 def _unchecked_piece(polyhedron: Polyhedron, M: Mat, b: ColVec) -> AffinePiece:
@@ -85,19 +80,17 @@ def _unchecked_piece(polyhedron: Polyhedron, M: Mat, b: ColVec) -> AffinePiece:
     return piece
 
 
-@dataclass(frozen=True)
-class Univalent:
+class Univalent(_Frozen):
     """All overlapping pieces agree wherever they overlap."""
 
 
-@dataclass(frozen=True)
-class UnivalenceViolation:
+class UnivalenceViolation(_Frozen):
     """Two pieces disagree: at `witness`, row `row` of their maps differs."""
 
-    piece_i: int
-    piece_j: int
-    row: int
-    witness: ColVec
+    __match_args__ = ("piece_i", "piece_j", "row", "witness")
+
+    def __init__(self, piece_i: int, piece_j: int, row: int, witness: ColVec):
+        self.__dict__.update(piece_i=piece_i, piece_j=piece_j, row=row, witness=witness)
 
 
 UnivalenceVerdict = Union[Univalent, UnivalenceViolation]

@@ -29,16 +29,28 @@ unchecked builders.
 plain_check_univalence is the univalence checker's pair loop as it was
 before it reused certified empty cores: every pair with different maps
 gets its own LPs, through the library's off_target_points.
+DATACLASS_TWINS holds, for each of the library's record types, the
+@dataclass(frozen=True) it was declared as before the types were written
+by hand: the same name and fields, made by dataclasses.make_dataclass
+without the constructors' checks.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from pwanet import lp
-from pwanet.network import Network, OutputLayer, PwaLayer, ReluLayer
+from pwanet.network import (
+    Network,
+    OutputLayer,
+    PlainLayer,
+    PwaLayer,
+    ReluLayer,
+    UnknownLayer,
+)
 from pwanet.numeric import ColVec, DimensionError, Mat, format_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron, intersect
 from pwanet.pwa import (
@@ -207,6 +219,31 @@ def checked_copy(fn: PwaFn) -> PwaFn:
         univalence=fn.univalence,
         claimed=fn.claimed,
     )
+
+
+# Each record type's fields, in order, as its dataclass declared them; a
+# field with a default, or kept out of equality and repr, gives its Field.
+_DATACLASS_FIELDS = {
+    lp.Optimal: ("value", "witness"),
+    lp.Infeasible: (("certificate", tuple, field(default=(), compare=False, repr=False)),),
+    lp.Unbounded: (),
+    LinearConstraint: ("c", "b"),
+    Polyhedron: ("dim", ("constraints", tuple, field(default=()))),
+    AffinePiece: ("polyhedron", "M", "b"),
+    Univalent: (),
+    UnivalenceViolation: ("piece_i", "piece_j", "row", "witness"),
+    OutputLayer: ("dim",),
+    PwaLayer: ("fn",),
+    ReluLayer: ("dim",),
+    PlainLayer: ("fn", "in_dim", "out_dim"),
+    UnknownLayer: ("in_dim", "out_dim"),
+    Network: ("input_dim", "output_dim", "layers"),
+}
+
+DATACLASS_TWINS = {
+    cls: make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in _DATACLASS_FIELDS.items()
+}
 
 
 def right_fold_transform(net: Network) -> PwaFn | None:
