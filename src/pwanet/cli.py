@@ -6,7 +6,9 @@ regions, and export an SMT script. Exit codes are stable: 0 success,
 2 parse problem, 3 dimension problem (a layer chain that breaks, which
 building the Network reports, or a point of the wrong width), 4 non-PWA
 layer, 5 univalence violation, 6 result too large (a compile that
-network.oversize refuses, an SMT script that would declare more than
+network.oversize refuses: by the product of the layers' piece counts,
+or under --prune by the live pieces, which the pruned fold checks as
+it grows; an SMT script that would declare more than
 network.MAX_RATIONALS variables, or a rational too long to write as
 text; no output file is written).
 Output is deterministic byte for byte.
@@ -62,13 +64,13 @@ def _cmd_compile(args) -> int:
     if index is not None:
         print(f"error: layer {index}: not piecewise-affine", file=sys.stderr)
         return EXIT_NON_PWA
-    excess = network.oversize(net)
-    if excess is not None:
-        print(f"error: {excess}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    fn = network.transform(net)
-    if args.prune:
-        fn = pwa.prune_empty(fn)
+    if not args.prune:
+        excess = network.oversize(net)
+        if excess is not None:
+            print(f"error: {excess}", file=sys.stderr)
+            return EXIT_TOO_LARGE
+    # The pruned fold checks its own bounds and raises network.TooLarge.
+    fn = network.transform(net, prune=args.prune)
     _write(args.out, formats.serialize_pwa(fn))
     return EXIT_OK
 
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except ScalarTooLong as exc:
+    except (ScalarTooLong, network.TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except OSError as exc:

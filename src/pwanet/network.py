@@ -20,19 +20,29 @@ the tests as the oracle for compose_relu.
 non_pwa_layer names the layer that keeps a network from compiling, and
 oversize says why a network is too large to compile: a piece_product past
 MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
+transform(net, prune=True) is the pruned compile: it folds the same
+layers but keeps only the non-empty pieces after each one, so its work
+follows the live regions, and it applies both bounds to the live count
+instead of the product, raising TooLarge.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Union, get_args
 
-from .numeric import ColVec, DimensionError, Mat, _Frozen
-from .pwa import PwaFn, evaluate, identity_pwaf, linear_pwaf
-from .pwa_algebra import _carried, compose, compose_relu
+from . import lp
+from .numeric import ColVec, DimensionError, Mat, _Frozen, scaled_ints
+from .pwa import PwaFn, _narrowed, _unchecked_pwafn, evaluate, identity_pwaf, linear_pwaf
+from .pwa_algebra import _carried, _composed, _relu_split, compose, compose_relu
 
 MAX_PIECES = 4096
 # A 12-wide ReLU on 12 inputs writes 4,096 * 13 * 24 = 1,277,952 rationals.
 MAX_RATIONALS = 2**21
+
+
+class TooLarge(ValueError):
+    """A pruned compile that passes MAX_PIECES live pieces or MAX_RATIONALS
+    rationals; the message is oversize's."""
 
 
 class OutputLayer(_Frozen):
@@ -181,7 +191,7 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
     return current
 
 
-def transform(net: Network) -> Optional[PwaFn]:
+def transform(net: Network, prune: bool = False) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
     The PWA and ReLU layers before the output marker are composed from the
@@ -200,9 +210,15 @@ def transform(net: Network) -> Optional[PwaFn]:
     input. On the common layers the result evaluates exactly like
     nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
+
+    With prune, the result is prune_empty(transform(net)), built by
+    _pruned_fold, which keeps only the live pieces after every layer and
+    raises TooLarge past the live bounds.
     """
     if non_pwa_layer(net) is not None:
         return None
+    if prune:
+        return _pruned_fold(net)
     dim = net.input_dim
     if len(net.layers) == 1:
         return identity_pwaf(dim)
@@ -214,6 +230,94 @@ def transform(net: Network) -> Optional[PwaFn]:
     for layer in net.layers[1:-1]:
         fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
     return fn
+
+
+def _pruned_fold(net: Network) -> PwaFn:
+    """prune_empty(transform(net)) for an all-PWA net, folded with only
+    the live pieces.
+
+    A piece whose constraints have no common point has none below it
+    either, since every layer only appends constraints; so the fold
+    follows transform's, and drops each piece as soon as it is empty.
+    Each live piece carries its emptiness state, its nearest feasible
+    tableau and the rows added since (pwa._narrowed), and each
+    constraint a layer adds is one _narrowed step from its parent's
+    state. A ReLU layer splits each live piece one unit at a time
+    (pwa_algebra._relu_split), so the parent's witness decides one side
+    of each new hyperplane without an LP, and an empty side is never
+    split further. A PWA layer is composed one live piece at a time
+    (pwa_algebra._composed). The root tableau, on R^input_dim, is built
+    only when some layer adds a row.
+
+    oversize(net, 1) is checked first, and oversize of the live count
+    every time it grows, whatever the layer; past either bound, TooLarge
+    is raised, so the work is bounded by the live pieces and the input.
+    """
+    excess = oversize(net, 1)
+    if excess is not None:
+        raise TooLarge(excess)
+    per_piece = _rationals_per_piece(net)
+    limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
+    dim = net.input_dim
+    layers = net.layers[:-1]
+    root = lp._Simplex.empty(dim) if any(map(_adds_rows, layers)) else None
+    if not layers or isinstance(layers[0], ReluLayer):
+        start = identity_pwaf(dim)
+    else:
+        start = layers[0].fn
+        layers = layers[1:]
+    out_dim, univalence = start.out_dim, _carried(start)
+    pieces, states = [], []
+
+    def keep(piece, state):
+        if state is not None:
+            pieces.append(piece)
+            states.append(state)
+            if len(pieces) > limit:
+                raise TooLarge(oversize(net, len(pieces)))
+
+    for piece in start.pieces:
+        keep(piece, _with_constraints((root, ()), piece.polyhedron.constraints))
+    for layer in layers:
+        g = _unchecked_pwafn(dim, out_dim, tuple(pieces), univalence)
+        parents, pieces, states = states, [], []
+        if isinstance(layer, ReluLayer):
+            for gp, state in zip(g.pieces, parents):
+                # Unit k's inactive row, and its exact negation, the
+                # active row: row_k.x <= -b_k and -row_k.x <= b_k.
+                sides = []
+                for row, b in zip(gp.M.entries, gp.b):
+                    den, ints = scaled_ints(row + (-b,))
+                    sides.append(([(den, ints)], [(den, [-a for a in ints])]))
+
+                def step(state, k, active):
+                    return _narrowed(*state, sides[k][active])
+
+                for piece, below in _relu_split(gp, dim, state, step):
+                    keep(piece, below)
+            out_dim, univalence = layer.dim, _carried(g)
+        else:
+            for gp, state, composed in zip(g.pieces, parents, _composed(layer.fn, g)):
+                held = len(gp.polyhedron.constraints)
+                for piece in composed:
+                    keep(piece, _with_constraints(state, piece.polyhedron.constraints[held:]))
+            out_dim, univalence = layer.out_dim, _carried(layer.fn, g)
+    return _unchecked_pwafn(dim, out_dim, tuple(pieces), univalence)
+
+
+def _with_constraints(state, constraints):
+    """_narrowed's state once constraints are added: each c.x <= b as
+    (den, ints), den * (c, b) in ints. None when they leave it empty."""
+    if not constraints:
+        return state
+    return _narrowed(*state, [scaled_ints(lc.c.entries + (lc.b,)) for lc in constraints])
+
+
+def _adds_rows(layer: Layer) -> bool:
+    """Does composing layer append a constraint to some piece?"""
+    if isinstance(layer, ReluLayer):
+        return layer.dim > 0
+    return any(piece.polyhedron.constraints for piece in layer.fn.pieces)
 
 
 def non_pwa_layer(net: Network) -> Optional[int]:
@@ -250,22 +354,29 @@ def piece_product(net: Network) -> int:
     return product
 
 
-def oversize(net: Network) -> Optional[str]:
-    """Why transform(net) is too large to build and write; None when it fits.
+def oversize(net: Network, pieces: Optional[int] = None) -> Optional[str]:
+    """Why a compile of net into this many pieces is too large to build
+    and write; None when it fits.
 
-    The compile is refused past MAX_PIECES pieces (piece_product), or
-    past MAX_RATIONALS rationals in the written file. Both are read off
-    the layers, so the answer comes before any piece is built.
+    The compile is refused past MAX_PIECES pieces, or past MAX_RATIONALS
+    rationals in the written file. pieces defaults to piece_product(net),
+    the count transform(net) builds, so the answer comes before any piece
+    is built; the pruned fold passes its live count instead.
     """
-    pieces = piece_product(net)
+    if pieces is None:
+        pieces = piece_product(net)
     if pieces > MAX_PIECES:
         return f"the compiled function would have more than {MAX_PIECES} pieces"
-    # Each piece holds one constraint per ReLU unit and one output row,
-    # each of input_dim coefficients and one constant.
-    rows = net.output_dim + sum(layer.dim for layer in net.layers if isinstance(layer, ReluLayer))
-    if pieces * (net.input_dim + 1) * rows > MAX_RATIONALS:
+    if pieces * _rationals_per_piece(net) > MAX_RATIONALS:
         return f"the compiled function would hold more than {MAX_RATIONALS} rationals"
     return None
+
+
+def _rationals_per_piece(net: Network) -> int:
+    """The rationals a compiled piece writes: one constraint per ReLU unit
+    and one output row, each of input_dim coefficients and one constant."""
+    rows = net.output_dim + sum(layer.dim for layer in net.layers if isinstance(layer, ReluLayer))
+    return (net.input_dim + 1) * rows
 
 
 def relu_nd(n: int) -> PwaFn:

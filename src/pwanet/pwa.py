@@ -474,6 +474,25 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     return Univalent() if found is None else found
 
 
+def _narrowed(
+    tableau: lp._Simplex, pending: tuple, new: list[tuple[int, list[int]]]
+) -> Optional[tuple[lp._Simplex, tuple]]:
+    """One emptiness step: a polyhedron with rows new added, or None when
+    they leave it empty.
+
+    A non-empty polyhedron is held as its nearest feasible tableau and
+    the rows added since, all of which that tableau's witness satisfies.
+    If the witness satisfies new too, the polyhedron keeps the tableau
+    and adds new to those rows, with no LP. Otherwise the tableau is
+    extended by every row added since it, and one phase 1, certified
+    inside lp, decides. Rows are (den, ints) as _int_row gives them.
+    """
+    if lp._satisfies(tableau.witness, new):
+        return tableau, pending + tuple(new)
+    below = tableau.extended(pending + tuple(new))
+    return (below, ()) if below.feasible else None
+
+
 def _live(fn: PwaFn) -> list[bool]:
     """For each piece of fn, whether its polyhedron is non-empty.
 
@@ -482,14 +501,16 @@ def _live(fn: PwaFn) -> list[bool]:
     is decided once. Each distinct constraint is scaled once to an integer
     row (den, ints), which serves both the witness tests and the tableaus.
     The walk starts at the root, all of R^in_dim, with the empty tableau,
-    whose basic point, the origin, is the witness. A child whose new
-    constraints a tableau's witness satisfies is non-empty and keeps that
-    tableau. Any other child extends that tableau,
-    the nearest feasible one above it, by the constraints added since,
-    and runs one phase 1; siblings share the parent's tableau, which
-    extension leaves as it was. A chain of nodes where no piece ends and
-    nothing branches is one step, so pieces that share no first
-    constraint cost at most one phase 1 each.
+    whose basic point, the origin, is the witness; a piece without
+    constraints ends at the root and is live, so the root tableau is
+    built only when some piece has a row. Each child is one _narrowed
+    step from its parent: it keeps the parent's tableau when the
+    witness satisfies its new constraints, and otherwise extends the
+    nearest feasible tableau above it by the constraints added since;
+    siblings share the parent's tableau, which extension leaves as it
+    was. A chain of nodes where no piece ends and nothing branches is one
+    step, so pieces that share no first constraint cost at most one
+    phase 1 each.
 
     Only booleans leave the walk, and lp has certified each phase 1
     behind them against its prefix's rows.
@@ -508,25 +529,21 @@ def _live(fn: PwaFn) -> list[bool]:
             node = child
         node[1].append(i)
     live = [False] * len(fn.pieces)
-    # (node, its prefix as keys, and the nearest feasible tableau at or
-    # above it, which holds the first tableau.m keys of the prefix)
-    stack = [(root, (), lp._Simplex.empty(fn.in_dim))]
+    # (node, the nearest feasible tableau at or above it, and the rows
+    # of its prefix added since that tableau)
+    stack = [(root, lp._Simplex.empty(fn.in_dim) if rows else None, ())]
     while stack:
-        (children, ends, _), prefix, tableau = stack.pop()
+        (children, ends, _), tableau, pending = stack.pop()
         for i in ends:
             live[i] = True
         for child in children.values():
-            step = [child[2]]
+            step = [rows[child[2]]]
             while not child[1] and len(child[0]) == 1:
                 (child,) = child[0].values()
-                step.append(child[2])
-            path = prefix + tuple(step)
-            if lp._satisfies(tableau.witness, [rows[k] for k in step]):
-                stack.append((child, path, tableau))
-                continue
-            below = tableau.extended([rows[k] for k in path[tableau.m:]])
-            if below.feasible:
-                stack.append((child, path, below))
+                step.append(rows[child[2]])
+            below = _narrowed(tableau, pending, step)
+            if below is not None:
+                stack.append((child, *below))
     return live
 
 

@@ -1,7 +1,10 @@
 """Composition and concatenation of piecewise-affine functions.
 
 Both operators build one piece per pair of input pieces, so piece counts
-multiply. Empty pairings are kept; prune_empty is a separate pass. The
+multiply. Empty pairings are kept; prune_empty is a separate pass, and
+the pruned compile (network.transform with prune) drops them as they
+come, from compose's per-piece lists (_composed) and from the ReLU's
+depth-first split (_relu_split). The
 pair order is fixed: the inner (or second) argument varies in the outer
 loop, so pieces of compose(f, g) and concat(f, g) are laid out g-piece by
 g-piece with f's pieces cycling fastest.
@@ -28,7 +31,8 @@ once per call, each g piece's map columns and offset once per g piece.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain
+from typing import Iterator
 
 from .numeric import ColVec, DimensionError, Mat, mat_mul, mat_vec_mul, scaled_ints, vec_add
 from .numeric import _int_dot, _unchecked_mat, _unchecked_vec
@@ -83,11 +87,22 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
         raise DimensionError(
             f"compose of function on dim {f.in_dim} after function onto dim {g.out_dim}"
         )
+    pieces = tuple(chain.from_iterable(_composed(f, g)))
+    return _unchecked_pwafn(g.in_dim, f.out_dim, pieces, _carried(f, g))
+
+
+def _composed(f: PwaFn, g: PwaFn) -> Iterator[list[AffinePiece]]:
+    """compose's pieces, one list per g piece in g's order: f after that
+    g piece, f's pieces in order. g.out_dim is f.in_dim.
+
+    Each list holds the g piece's constraints, then those of one f piece
+    pulled back, so a caller that keeps only some g pieces, as the pruned
+    compile does, gets exactly their lists.
+    """
     dim = g.in_dim
     # Each f piece's constraint rows and map rows as scaled_ints gives them.
     f_lcs = [[scaled_ints(lc.c.entries) for lc in fp.polyhedron.constraints] for fp in f.pieces]
     f_rows = [[*map(scaled_ints, fp.M.entries)] for fp in f.pieces]
-    pieces = []
     for gp in g.pieces:
         columns = [*map(scaled_ints, zip(*gp.M.entries))] if f.in_dim else [(1, [])] * dim
         offset = scaled_ints(gp.b.entries)
@@ -95,6 +110,7 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
         def times(row):
             return tuple([_int_dot(*row, *col) for col in columns])
 
+        pieces = []
         for fp, lc_rows, m_rows in zip(f.pieces, f_lcs, f_rows):
             pulled = tuple(
                 _unchecked_constraint(_unchecked_vec(times(row)), lc.b - _int_dot(*row, *offset))
@@ -104,7 +120,7 @@ def compose(f: PwaFn, g: PwaFn) -> PwaFn:
             m = _unchecked_mat(tuple(map(times, m_rows)), dim)
             b = tuple([_int_dot(*row, *offset) + a for row, a in zip(m_rows, fp.b.entries)])
             pieces.append(_unchecked_piece(poly, m, _unchecked_vec(b)))
-    return _unchecked_pwafn(dim, f.out_dim, tuple(pieces), _carried(f, g))
+        yield pieces
 
 
 def compose_relu(n: int, g: PwaFn) -> PwaFn:
@@ -114,29 +130,66 @@ def compose_relu(n: int, g: PwaFn) -> PwaFn:
     fastest, as in n stacked 1-d ReLUs. Unit k appends
     (row k of M).x <= -b_k and zeroes output row k when it is inactive,
     and appends -(row k of M).x <= b_k and keeps row k when it is active:
-    the pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. Verified
-    when g is, since the ReLU itself is univalent.
+    the pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. The
+    patterns come from _relu_split, which keeps every side here and only
+    the non-empty ones in the pruned compile. Verified when g is, since
+    the ReLU itself is univalent.
     """
     if g.out_dim != n:
         raise DimensionError(f"compose of function on dim {n} after function onto dim {g.out_dim}")
+    pieces = tuple(
+        piece for gp in g.pieces for piece, _ in _relu_split(gp, g.in_dim, (), _every_side)
+    )
+    return _unchecked_pwafn(g.in_dim, n, pieces, _carried(g))
+
+
+def _every_side(state, unit: int, active: bool):
+    """compose_relu's step for _relu_split: every side is kept."""
+    return state
+
+
+def _relu_split(gp: AffinePiece, dim: int, state, step) -> Iterator[tuple[AffinePiece, object]]:
+    """The pieces of compose_relu for the g piece gp, over R^dim, in its
+    order, each with its state, except those step drops.
+
+    The sign patterns are split one unit at a time, depth first from
+    unit n-1 down to unit 0, the inactive side before the active one,
+    which lists them with unit 0 fastest. step(state, k, active) is the
+    state once unit k's side is added to a partial pattern with that
+    state, or None to drop the side and every pattern under it. A
+    dropped side is never split further, so the 2^n patterns are listed
+    only when every side is kept, and the stack holds at most one
+    pattern per unit.
+    """
     zero = Fraction(0)
-    zero_row = (zero,) * g.in_dim
-    pieces = []
-    for gp in g.pieces:
-        units = [
-            (
-                (_unchecked_constraint(_unchecked_vec(row), -b), zero_row, zero),
-                (_unchecked_constraint(_unchecked_vec(tuple([-a for a in row])), b), row, b),
-            )
-            for row, b in zip(gp.M.entries, gp.b)
-        ]
-        # product varies its last argument fastest, so unit 0 goes last.
-        for pattern in product(*reversed(units)):
-            lcs, rows, offsets = zip(*reversed(pattern)) if pattern else ((), (), ())
-            poly = _unchecked_polyhedron(g.in_dim, gp.polyhedron.constraints + lcs)
-            m = _unchecked_mat(rows, g.in_dim)
-            pieces.append(_unchecked_piece(poly, m, _unchecked_vec(offsets)))
-    return _unchecked_pwafn(g.in_dim, n, tuple(pieces), _carried(g))
+    zero_row = (zero,) * dim
+    units = [
+        (
+            (_unchecked_constraint(_unchecked_vec(row), -b), zero_row, zero),
+            (_unchecked_constraint(_unchecked_vec(tuple([-a for a in row])), b), row, b),
+        )
+        for row, b in zip(gp.M.entries, gp.b)
+    ]
+    # (units left to split, the sides chosen for the units above them,
+    # unit k first, and their state)
+    stack = [(len(units), (), state)]
+    while stack:
+        k, pattern, state = stack.pop()
+        # Go down the inactive sides, leaving each active side on the stack.
+        while k:
+            k -= 1
+            inactive, active = units[k]
+            below = step(state, k, True)
+            if below is not None:
+                stack.append((k, (active,) + pattern, below))
+            state = step(state, k, False)
+            if state is None:
+                break
+            pattern = (inactive,) + pattern
+        else:
+            lcs, rows, offsets = zip(*pattern) if pattern else ((), (), ())
+            poly = _unchecked_polyhedron(dim, gp.polyhedron.constraints + lcs)
+            yield _unchecked_piece(poly, _unchecked_mat(rows, dim), _unchecked_vec(offsets)), state
 
 
 def _padded(piece: AffinePiece, before: int, after: int):

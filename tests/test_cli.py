@@ -3,6 +3,7 @@
 import json
 import sys
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -42,6 +43,22 @@ ONE_EMPTY_PIECE_NET = """{
   ]
 }"""
 
+
+# A 1-d input fed to 13 ReLUs of x, x - 1, ..., x - 12: 14 live pieces.
+STAIRCASE_13 = json.dumps(
+    {
+        "input_dim": 1,
+        "output_dim": 13,
+        "layers": [
+            {"kind": "linear", "weights": [["1"]] * 13, "bias": [str(-k) for k in range(13)]},
+            {"kind": "relu", "dim": 13},
+            {"kind": "output"},
+        ],
+    }
+)
+# Taken from prune_empty(transform(net)) before compile --prune folded
+# layer by layer.
+STAIRCASE_13_PRUNED_SHA256 = "cdc5b21a5ad8fdf0ee9c41c068dd78e916bbe1e572f23f544d8ccaf9506fc825"
 
 def relu_net(dim: int) -> str:
     """A network that is one ReLU of the given width."""
@@ -206,6 +223,43 @@ class TestCompile:
         assert not out.exists()
         assert main(["eval", "--network", net, "--point", "1,2"]) == 3
         assert capsys.readouterr().err == f"error: input of dim 2 into network on dim {dim}\n"
+
+    @pytest.mark.parametrize("dim", [10**9, 10**18])
+    def test_huge_relu_width_ends_at_once_under_prune(self, tmp_path, capsys, dim):
+        # One piece of a pruned compile would already pass MAX_RATIONALS.
+        net = write(tmp_path, "net.json", relu_net(dim))
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out), "--prune"]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error: the compiled function would hold more than {MAX_RATIONALS} rationals\n"
+        assert not out.exists()
+
+    def test_prune_bounds_the_live_pieces_not_the_product(self, tmp_path, capsys):
+        # 2^13 = 8,192 pieces, of which 14 are live; the pruned file is the
+        # one prune_empty(transform(net)) writes.
+        net = write(tmp_path, "net.json", STAIRCASE_13)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", net, "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
+        assert not out.exists()
+        assert main(["compile", "--network", net, "--out", str(out), "--prune"]) == 0
+        assert sha256(out.read_bytes()).hexdigest() == STAIRCASE_13_PRUNED_SHA256
+        assert main(["regions", "--pwa", str(out)]) == 0
+        assert capsys.readouterr() == ("14\n", "")
+
+    def test_prune_refuses_past_a_smaller_live_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(network, "MAX_PIECES", 14)
+        stair = write(tmp_path, "stair.json", STAIRCASE_13)
+        out = tmp_path / "fn.json"
+        assert main(["compile", "--network", stair, "--out", str(out), "--prune"]) == 0
+        assert len(parse_pwa(out.read_text(encoding="utf-8")).pieces) == 14
+        # A 4-d ReLU on its input: all 16 orthants are live.
+        wide = write(tmp_path, "wide.json", relu_net(4))
+        refused = tmp_path / "refused.json"
+        assert main(["compile", "--network", wide, "--out", str(refused), "--prune"]) == 6
+        assert capsys.readouterr() == ("", "error: the compiled function would have more than 14 pieces\n")
+        assert not refused.exists()
 
     def test_piece_product_past_the_bound_exits_6_with_one_line(self, tmp_path, capsys):
         # 2^7 * 2^6 = 8,192 pieces, though neither ReLU alone passes 4,096.
@@ -431,6 +485,16 @@ class TestRegions:
         fn = write(tmp_path, "relu.json", serialize_pwa(relu_nd(2)))
         assert main(["regions", "--pwa", fn]) == 0
         assert capsys.readouterr().out == "4\n"
+
+    def test_pieces_without_constraints_need_no_tableau(self, tmp_path, capsys):
+        # A root tableau on R^(10^12) would hold 10^12 zeros.
+        piece = {"constraints": [], "M": [], "b": []}
+        doc = {"in_dim": 10**12, "out_dim": 0, "univalence": "unchecked", "pieces": [piece] * 2}
+        fn = write(tmp_path, "fn.json", json.dumps(doc))
+        assert main(["regions", "--pwa", fn]) == 0
+        assert capsys.readouterr() == ("2\n", "")
+        assert main(["check", "--pwa", fn]) == 0
+        assert capsys.readouterr() == ("univalent\n", "")
 
     def test_contradictory_piece_is_not_counted(self, tmp_path, capsys):
         net = write(tmp_path, "net.json", ONE_EMPTY_PIECE_NET)

@@ -1,14 +1,21 @@
 """Layer chains: the chain check at construction, evaluation, ReLU, and compilation."""
 
+import importlib.util
 import random
+from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwanet.formats import parse_pwa, serialize_pwa
+from pwanet import network
+from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, DimensionError, Mat
-from pwanet.polyhedra import LinearConstraint
+from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import (
+    AffinePiece,
     UNCHECKED,
     VERIFIED,
     PwaFn,
@@ -22,6 +29,7 @@ from pwanet.network import (
     MAX_PIECES,
     MAX_RATIONALS,
     Network,
+    TooLarge,
     OutputLayer,
     PlainLayer,
     PwaLayer,
@@ -467,3 +475,177 @@ class TestOversize:
         for n, expected in ((20, None), (21, self.RATIONALS)):
             layers = (nn_linear(Mat([[1] * n] * 12), ColVec([0] * 12)), nn_relu(12))
             assert oversize(Network(n, 12, layers + (OutputLayer(12),))) == expected
+
+    def test_a_given_piece_count_replaces_the_product(self):
+        net = Network(13, 13, (nn_relu(13), OutputLayer(13)))
+        assert oversize(net, 1) is None
+        assert oversize(net, MAX_PIECES) is None
+        assert oversize(net, MAX_PIECES + 1) == self.PIECES
+        # (20 + 1) * (20 + 20) = 840 rationals a piece: 2,496 pieces fit.
+        net = Network(20, 20, (nn_relu(20), OutputLayer(20)))
+        assert oversize(net, 2496) is None
+        assert oversize(net, 2497) == self.RATIONALS
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _corpus_networks():
+    """Every shape of the benchmark corpus, at run seeds 1 to 3."""
+    spec = importlib.util.spec_from_file_location("corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    shapes = sorted({shape for shapes in corpus.SHAPES.values() for shape in shapes})
+    return [
+        pytest.param(
+            parse_network(corpus.network_document(corpus.relabelled_layers(shape, seed))),
+            id=f"{corpus.shape_name(shape)}-seed{seed}",
+        )
+        for shape in shapes
+        for seed in (1, 2, 3)
+    ]
+
+
+@st.composite
+def _fold_chains(draw):
+    """Layer chains for the pruned fold: a random_network chain, maybe
+    behind a leading ReLU or PWA layer, then drawn layers: zero-width
+    ones, linear layers with all-zero or duplicated rows, ReLUs, and PWA
+    layers of one or several pieces, some claimed verified. The unpruned
+    compile has at most 256 pieces, so the oracle stays cheap."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def pwa_layer(in_dim, out_dim):
+        if out_dim is None and rng.random() < 0.5:
+            fn = univalent_fn(rng, in_dim, max_pieces=4)
+        else:
+            out_dim = rng.randint(1, 2) if out_dim is None else out_dim
+            fns = [restricted_affine(rng, in_dim, out_dim) for _ in range(rng.randint(1, 3))]
+            fn = PwaFn(in_dim, out_dim, [p for fn in fns for p in fn.pieces])
+        if draw(st.booleans()):
+            fn = PwaFn(in_dim, fn.out_dim, fn.pieces, univalence=VERIFIED, claimed=True)
+        return PwaLayer(fn)
+
+    base = random_network(rng, max_pieces=16, max_dim=3, max_depth=3)
+    dim = current = base.input_dim
+    layers = list(base.layers[:-1])
+    pieces = piece_product(base)
+    lead = draw(st.sampled_from(("none", "relu", "pwa")))
+    if lead == "relu" and pieces << dim <= 64:
+        layers.insert(0, nn_relu(dim))
+        pieces <<= dim
+    elif lead == "pwa":
+        layers.insert(0, pwa_layer(dim, dim))
+        pieces *= len(layers[0].fn.pieces)
+    current = base.output_dim
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "from zero", "flat rows", "twin rows", "pwa", "relu")))
+        if kind == "zero":
+            layers.append(nn_linear(Mat([], cols=current), ColVec([])))
+            current = 0
+        elif kind == "from zero" and current == 0:
+            out = rng.randint(1, 2)
+            layers.append(nn_linear(Mat([[]] * out, cols=0), colvec_of(rng, out)))
+            current = out
+        elif kind in ("flat rows", "twin rows"):
+            out = rng.randint(1, 3)
+            m = mat_of(rng, out, current).entries
+            row = (Fraction(0),) * current if kind == "flat rows" else m[0]
+            m = (row,) + m[1:]
+            if out > 1 and kind == "twin rows":
+                m = m[:-1] + (row,)
+            layers.append(nn_linear(Mat(m, cols=current), colvec_of(rng, out)))
+            current = out
+        elif kind == "pwa":
+            layer = pwa_layer(current, None)
+            if pieces * len(layer.fn.pieces) <= 256:
+                layers.append(layer)
+                pieces *= len(layer.fn.pieces)
+                current = layer.out_dim
+        elif pieces << current <= 256:
+            layers.append(nn_relu(current))
+            pieces <<= current
+    return Network(dim, current, tuple(layers) + (OutputLayer(current),))
+
+
+class TestPrunedFold:
+    """transform(net, prune=True) folds forward keeping only live pieces;
+    the oracle is prune_empty(transform(net)), byte for byte."""
+
+    @staticmethod
+    def assert_same(net):
+        pruned = transform(net, prune=True)
+        expected = prune_empty(transform(net))
+        assert serialize_pwa(pruned) == serialize_pwa(expected)
+        assert pruned.pieces == expected.pieces
+        assert (pruned.univalence, pruned.claimed) == (expected.univalence, expected.claimed)
+        return pruned
+
+    @pytest.mark.parametrize("net", _corpus_networks())
+    def test_benchmark_corpus(self, net):
+        self.assert_same(net)
+
+    @pytest.mark.parametrize("widths", [(3, 4, 4, 2), (2, 5, 5)])
+    def test_dense_networks(self, widths):
+        fn = self.assert_same(dense_network(random.Random(1), widths))
+        assert len(fn.pieces) == {(3, 4, 4, 2): 87, (2, 5, 5): 51}[widths]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=timedelta(seconds=10))
+    @given(_fold_chains())
+    def test_drawn_chains(self, net):
+        self.assert_same(net)
+
+    def test_edge_chains(self):
+        rng = random.Random(6620)
+        claimed = PwaFn(2, 2, identity_pwaf(2).pieces, univalence=VERIFIED, claimed=True)
+        nets = [
+            Network(3, 3, (OutputLayer(3),)),
+            Network(0, 0, (nn_relu(0), OutputLayer(0))),
+            Network(3, 3, (nn_relu(3), nn_relu(3), OutputLayer(3))),
+            Network(2, 2, (PwaLayer(PwaFn(2, 2, ())), nn_relu(2), OutputLayer(2))),
+            Network(2, 2, (PwaLayer(claimed), nn_relu(2), OutputLayer(2))),
+            Network(2, 1, (PwaLayer(restricted_affine(rng, 2, 1)), OutputLayer(1))),
+        ]
+        for net in nets:
+            self.assert_same(net)
+
+    def test_a_function_without_rows_builds_no_root_tableau(self):
+        # Two unconstrained pieces on R^(10^12): a root tableau would hold
+        # 10^12 zeros.
+        dim = 10**12
+        piece = AffinePiece(Polyhedron(dim), Mat([], cols=dim), ColVec([]))
+        net = Network(dim, 0, (PwaLayer(PwaFn(dim, 0, (piece, piece))), OutputLayer(0)))
+        assert transform(net, prune=True).pieces == (piece, piece)
+
+    def test_past_the_live_bound_raises_as_it_grows(self, monkeypatch):
+        built = []
+        split = network._relu_split
+
+        def counted(*args):
+            for item in split(*args):
+                built.append(item)
+                yield item
+
+        monkeypatch.setattr(network, "_relu_split", counted)
+        # 2^30 orthants, each of 31 * 60 rationals: the 1,128th passes
+        # MAX_RATIONALS.
+        with pytest.raises(TooLarge, match=f"^the compiled function would hold more than {MAX_RATIONALS} rationals$"):
+            transform(Network(30, 30, (nn_relu(30), OutputLayer(30))), prune=True)
+        assert len(built) == MAX_RATIONALS // (31 * 60) + 1
+        built.clear()
+        with pytest.raises(TooLarge, match=f"^the compiled function would have more than {MAX_PIECES} pieces$"):
+            transform(Network(13, 13, (nn_relu(13), OutputLayer(13))), prune=True)
+        assert len(built) == MAX_PIECES + 1
+
+    @pytest.mark.parametrize("dim", [10**9, 10**18])
+    def test_a_huge_leading_relu_is_refused_before_the_fold(self, monkeypatch, dim):
+        def refuse(n):
+            raise AssertionError(f"built the identity on dim {n}")
+
+        monkeypatch.setattr(network, "identity_pwaf", refuse)
+        with pytest.raises(TooLarge, match=f"^the compiled function would hold more than {MAX_RATIONALS} rationals$"):
+            transform(Network(dim, dim, (nn_relu(dim), OutputLayer(dim))), prune=True)
+
+    def test_a_non_pwa_network_gives_none(self):
+        net = Network(2, 2, (nn_relu(2), UnknownLayer(2, 2), OutputLayer(2)))
+        assert transform(net, prune=True) is None

@@ -573,6 +573,19 @@ class TestLivePieces:
         ))
         assert self.phase_1_runs(monkeypatch, count_regions, copied) == 62
 
+    @pytest.mark.parametrize(
+        "widths, trie_runs, fold_runs, live",
+        [((2, 3, 3, 2), 62, 64, 14), ((3, 4, 4, 2), 263, 270, 87)],
+        ids=["2-3-3-2", "3-4-4-2"],
+    )
+    def test_phase_1_runs_of_the_pruned_fold(self, monkeypatch, widths, trie_runs, fold_runs, live):
+        # The fold decides each piece from its parent's state, layer by
+        # layer, instead of walking the unpruned function's trie.
+        net = dense_network(random.Random(1), widths)
+        assert self.phase_1_runs(monkeypatch, prune_empty, transform(net)) == trie_runs
+        assert self.phase_1_runs(monkeypatch, lambda n: transform(n, prune=True), net) == fold_runs
+        assert len(transform(net, prune=True).pieces) == live
+
     def test_no_shared_first_constraint_costs_at_most_one_run_per_piece(self, monkeypatch):
         rng = random.Random(4407)
         prefixes = [

@@ -1,7 +1,7 @@
 """The library's own builders store what the checked constructors would.
 
-compose, compose_relu, concat, prune_empty, parse_pwa and the products
-build their values without re-running the public constructors' checks.
+compose, compose_relu, concat, prune_empty, the pruned fold of
+transform, parse_pwa and the products build their values without re-running the public constructors' checks.
 Each value they return is rebuilt here through those constructors
 (oracles.checked_copy) and must be equal, and every entry must be a
 Fraction in a tuple: 0 == Fraction(0) and str(0) == "0", so equality and
@@ -61,14 +61,16 @@ def assert_built_as_checked(fn):
         assert_fractions(piece.b.entries)
 
 
+def _networks():
+    """The benchmark's shapes and seeded random networks."""
+    nets = [dense_network(random.Random(1), shape) for shape in BENCHMARK_SHAPES]
+    nets += [random_network(random.Random(seed), max_pieces=32, max_dim=4) for seed in range(30)]
+    return nets
+
+
 def _compiles():
-    """Compiles of the benchmark's shapes and of seeded random networks."""
-    fns = [transform(dense_network(random.Random(1), shape)) for shape in BENCHMARK_SHAPES]
-    fns += [
-        transform(random_network(random.Random(seed), max_pieces=32, max_dim=4))
-        for seed in range(30)
-    ]
-    return fns
+    """Compiles of _networks."""
+    return [transform(net) for net in _networks()]
 
 
 class TestTrustedBuilders:
@@ -80,6 +82,10 @@ class TestTrustedBuilders:
         for fn in compiles:
             assert_built_as_checked(fn)
             assert_built_as_checked(prune_empty(fn))
+
+    def test_pruned_fold(self):
+        for net in _networks():
+            assert_built_as_checked(transform(net, prune=True))
 
     def test_parse_pwa(self, compiles):
         for fn in compiles:
