@@ -20,10 +20,14 @@ a later pair whose overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
-no LP either. A pair that still needs an LP extends its first piece's
-tableau by the constraints of the second that it lacks; only the pair
-that disagrees is searched again from scratch, for its witness. Only a
-univalent function is independent of piece order.
+no LP either. Equalities that leave only a point or a line, their hull,
+decide the pair with no LP at all: the overlap's rows bound the line to
+an interval, an empty one files the core of a Farkas certificate that
+lp checks, and a point of a non-empty one is checked against every row.
+Any other pair extends its first piece's tableau by the constraints of
+the second that it lacks; only the pair that disagrees is searched
+again from scratch, for its witness. Only a univalent function is
+independent of piece order.
 
 The public constructors check every width; the library's own builders,
 whose widths hold by construction, use _unchecked_piece and
@@ -34,7 +38,9 @@ pieces; pwa_algebra's operators and the document reader are the others.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Union
 
 from . import lp
@@ -254,7 +260,8 @@ class _EmptyCores:
 
 
 class _FacetEqualities:
-    """The facet equalities of overlaps, and the map rows they pin.
+    """The facet equalities of overlaps, the map rows they pin, and the
+    point or line they leave.
 
     A constraint c.x <= b of an overlap whose exact negation
     -c.x <= -b is in the same overlap makes c.x = b hold on all of it.
@@ -269,7 +276,7 @@ class _FacetEqualities:
     holds it. The span test runs on integer rows, each scaled by the lcm
     of its denominators: a positive scale changes no span. Each piece's
     map rows are scaled once, and each set of facets is put in echelon
-    form once.
+    form, and its hull (_hull) found, once.
     """
 
     def __init__(self, fn: PwaFn, number: dict[tuple, int], rows: _IntRows):
@@ -278,7 +285,7 @@ class _FacetEqualities:
         self.rows = rows
         self.negation: dict[int, int] = {}
         self.maps: dict[int, list[tuple[int, list[int]]]] = {}
-        self.bases: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+        self.bases: dict[tuple[int, ...], tuple[list, Optional[tuple]]] = {}
 
     def _negation(self, key: int) -> int:
         """The key of the exact negation of key's constraint, or -1."""
@@ -298,36 +305,54 @@ class _FacetEqualities:
             ]
         return rows
 
-    def _basis(self, facets: tuple[int, ...]) -> list[tuple[int, list[int]]]:
-        """The facets' (c, b) rows in echelon form: (pivot, row) pairs,
-        each row nonzero at its pivot and 0 at every earlier pivot."""
-        basis = self.bases.get(facets)
-        if basis is None:
-            basis = self.bases[facets] = []
-            for key in facets:
-                row = _reduced(basis, self.rows[key][1])
-                pivot = next((k for k, a in enumerate(row) if a), None)
-                if pivot is not None:
-                    basis.append((pivot, row))
-        return basis
-
-    def unpinned(self, i: int, j: int, overlap: set[int]) -> list[int]:
-        """The rows of pieces i and j, in order, that the facet equalities
-        of their overlap, whose constraint keys are overlap, do not pin."""
+    def of(self, overlap: set[int]) -> tuple[int, ...]:
+        """The facets of an overlap, whose constraint keys are overlap: the
+        smaller key of each constraint and negation it holds, in order."""
         facets = []
         for key in overlap:
             negation = self._negation(key)
             if key < negation and negation in overlap:
                 facets.append(key)
-        if not facets:
-            # A zero row needs no LP either, but the search costs it none.
-            return list(range(self.fn.out_dim))
-        basis = self._basis(tuple(sorted(facets)))
-        return [
-            r
-            for r, ((di, xi), (dj, xj)) in enumerate(zip(self._map(i), self._map(j)))
-            if any(_reduced(basis, [a * dj - b * di for a, b in zip(xi, xj)]))
-        ]
+        return tuple(sorted(facets))
+
+    def basis(self, facets: tuple[int, ...]) -> tuple[list, Optional[tuple]]:
+        """The facets' (c, b) rows in echelon form, and their _hull.
+
+        The basis is (pivot, row) pairs, each row nonzero at its pivot and
+        0 at every earlier pivot. A row is a combination of the facets'
+        integer rows, followed by a tail of its coefficients, one per
+        facet, so a reduction against the basis also says which facets it
+        took (_PairScan.file_core). Reducing a row without a tail reads
+        the (c, b) part alone.
+        """
+        entry = self.bases.get(facets)
+        if entry is None:
+            n = self.fn.in_dim
+            basis = []
+            for k, key in enumerate(facets):
+                tag = [0] * len(facets)
+                tag[k] = 1
+                row = _reduced(basis, self.rows[key][1] + tag)
+                # The tag keeps a nonzero entry; a pivot in it marks a
+                # facet in the span of the earlier ones.
+                pivot = next(p for p, a in enumerate(row) if a)
+                if pivot <= n:
+                    basis.append((pivot, row))
+            entry = self.bases[facets] = (basis, _hull(n, basis))
+        return entry
+
+    def diff(self, i: int, j: int, r: int) -> list[int]:
+        """Row r of piece i's map less piece j's, as the ints of (d, t),
+        d.x = t where the two agree, times a positive int."""
+        (di, xi), (dj, xj) = self._map(i)[r], self._map(j)[r]
+        return [a * dj - b * di for a, b in zip(xi, xj)]
+
+    def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
+        """The rows of pieces i and j, in order, that the facet equalities
+        of their overlap, these facets, do not pin; with no facets, the
+        rows where their maps differ."""
+        basis = self.basis(facets)[0]
+        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)))]
 
 
 def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
@@ -338,6 +363,42 @@ def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
         if f:
             row = lp._scaled(row, base[pivot], f, base)
     return row
+
+
+def _hull(n: int, basis: list[tuple[int, list[int]]]) -> Optional[tuple]:
+    """The point or line in R^n where the facets of an echelon basis
+    hold, as (den, point, direction), or None.
+
+    None when the facets contradict each other, a pivot on the bound
+    (0 = b), or leave more than a line: fewer than n - 1 rows. Otherwise
+    point / den is on the hull, ints over den > 0, and direction is None
+    for a point or the ints of the line's direction. Each row is reduced
+    by the rows after it, so that it is nonzero at no other pivot, and
+    then fixes its pivot's coordinate from the one free coordinate, which
+    is 0 at the point and den along the direction.
+    """
+    if len(basis) < n - 1 or any(pivot == n for pivot, _ in basis):
+        return None
+    rows = [(pivot, _reduced(basis[k + 1 :], row)) for k, (pivot, row) in enumerate(basis)]
+    den = lcm(*(row[pivot] for pivot, row in rows))
+    point = [0] * n
+    for pivot, row in rows:
+        point[pivot] = row[n] * (den // row[pivot])
+    if len(rows) == n:
+        return den, point, None
+    free = (set(range(n)) - {pivot for pivot, _ in rows}).pop()
+    direction = [0] * n
+    direction[free] = den
+    for pivot, row in rows:
+        direction[pivot] = -row[free] * (den // row[pivot])
+    return den, point, direction
+
+
+def _at(ints: list[int], point: tuple[int, list[int]]) -> int:
+    """den * (c.x - b) for the row ints = (c, b) at x = xs / den, point
+    (den, xs): positive exactly where x breaks c.x <= b."""
+    den, xs = point
+    return sum(map(mul, ints, xs)) - ints[-1] * den
 
 
 class _PairScan:
@@ -351,6 +412,7 @@ class _PairScan:
     """
 
     def __init__(self, fn: PwaFn):
+        self.fn = fn
         self.in_dim = fn.in_dim
         self.keys, number = _value_keys(fn)
         self.rows = _IntRows(list(number))
@@ -373,15 +435,124 @@ class _PairScan:
             self.piece, self.held, self.tableau = i, held, tableau
         return self.tableau
 
+    def tableau_off(self, i: int, j: int, own: set[int], unpinned: list[int]) -> Optional[int]:
+        """The first unpinned row of pieces i and j off target on their
+        overlap, or None, by LPs on piece i's tableau extended by the keys
+        of piece j it lacks, own being piece i's; an empty extension files
+        its core."""
+        tableau = self.tableau_of(i)
+        if not tableau.feasible:
+            # Piece i is empty, and tableau_of has filed its core.
+            return None
+        new = tuple(key for key in dict.fromkeys(self.keys[j]) if key not in own)
+        if new:
+            tableau = tableau.extended([self.rows[key] for key in new])
+            if not tableau.feasible:
+                self.cores.add(self.held + new, tableau.core)
+                return None
+        diffs = _diffs(self.fn.pieces[i], self.fn.pieces[j], unpinned)
+        # Optima and unboundedness do not depend on the basis a
+        # maximization starts from, so each row's verdict is the plain
+        # scan's.
+        return next(
+            (r for r, (d, t) in zip(unpinned, diffs) if lp._off_target(tableau, d, t) is not None),
+            None,
+        )
+
+    def hull_off(
+        self, i: int, j: int, overlap: set[int], facets: tuple[int, ...], unpinned: list[int]
+    ) -> Optional[int]:
+        """The first unpinned row of pieces i and j off target on their
+        overlap, or None, when its facets have a _hull: no simplex.
+
+        On the line (point + s * direction) / den, the row c.x <= b reads
+        a * s <= -_at(row, point), a = c.direction: a bound on s, or none
+        when the row is constant there. An empty interval, or a constant
+        row that fails, files a core (file_core). Otherwise an end of the
+        interval, or the hull's point, must satisfy every row. A single
+        point decides each row by its value; on a longer segment the
+        first unpinned row is off, as check_univalence explains.
+        """
+        basis, (den, point, direction) = self.facets.basis(facets)
+        rows = [self.rows[key] for key in overlap]
+        # The tightest bound on each side: (b, a, key) for a * s <= b.
+        above = below = None
+        for key, (_, ints) in zip(overlap, rows):
+            b = -_at(ints, (den, point))
+            a = sum(map(mul, ints, direction)) if direction else 0
+            if a > 0:
+                if above is None or b * above[1] < above[0] * a:
+                    above = (b, a, key)
+            elif a < 0:
+                if below is None or b * below[1] > below[0] * a:
+                    below = (b, a, key)
+            elif b < 0:
+                return self.file_core(basis, facets, [(key, 1)])
+        width = 1
+        if above and below:
+            width = below[0] * above[1] - above[0] * below[1]
+            if width < 0:
+                return self.file_core(basis, facets, [(above[2], -below[1]), (below[2], above[1])])
+        if above or below:
+            b, a, _ = above or below
+            sign = 1 if a > 0 else -1
+            inside = (sign * den * a, [sign * (x * a + b * v) for x, v in zip(point, direction)])
+        else:
+            inside = (den, point)
+        if not lp._satisfies(inside, rows):
+            raise RuntimeError("a hull point leaves its pair's overlap")
+        if direction and width:
+            return unpinned[0]
+        return next((r for r in unpinned if _at(self.facets.diff(i, j, r), inside)), None)
+
+    def file_core(
+        self, basis: list[tuple[int, list[int]]], facets: tuple[int, ...], combination: list
+    ) -> None:
+        """File the core of an overlap that a hull proves empty.
+
+        combination lists (key, z), z > 0 ints, whose rows sum to one
+        that, less some facets' rows, reads 0 <= negative. Reducing the
+        sum against the basis, with a tail for the facets and an entry
+        for its own scale, finds those facets: each goes onto its
+        constraint or onto its exact negation, by sign. lp checks the
+        certificate before its support is filed.
+        """
+        n = self.in_dim
+        total = [0] * (n + 1)
+        for key, z in combination:
+            total = [a + z * c for a, c in zip(total, self.rows[key][1])]
+        row = _reduced(basis, total + [0] * len(facets) + [1])
+        sign = 1 if row[-1] > 0 else -1
+        keys = [key for key, _ in combination]
+        weights = [sign * row[-1] * z for _, z in combination]
+        for key, g in zip(facets, row[n + 1 : -1]):
+            if g:
+                keys.append(key if sign * g > 0 else self.facets._negation(key))
+                weights.append(abs(g))
+        rows = [self.rows[key] for key in keys]
+        # Multipliers on the integer rows, each den times its constraint.
+        certificate = tuple(y * den for y, (den, _) in zip(weights, rows))
+        self.cores.add(tuple(keys), lp._checked_support(rows, certificate))
+
+
+def _diffs(pi: AffinePiece, pj: AffinePiece, rows: list[int]) -> list[tuple[ColVec, Fraction]]:
+    """(functional, target) of each of these rows: pi's map less pj's."""
+    return [
+        (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
+        for r in rows
+    ]
+
 
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
     An overlap that holds one of the scan's cores, or whose facet
-    equalities pin every row, needs no LP. Otherwise piece i's tableau,
-    extended by the keys of piece j it lacks, decides the overlap, as
-    check_univalence describes; only a pair with a row off target is
-    searched again from scratch, on intersect(pi, pj), for its witness.
+    equalities pin every row, needs no LP, nor does one whose facets
+    leave a point or a line (_PairScan.hull_off). Otherwise piece i's
+    tableau, extended by the keys of piece j it lacks, decides the
+    overlap, as check_univalence describes. Only a pair with a row off
+    target is searched again from scratch, on intersect(pi, pj), for its
+    witness.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
@@ -392,35 +563,17 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     overlap = own.union(scan.keys[j])
     if scan.cores.cover(overlap):
         return None
-    unpinned = scan.facets.unpinned(i, j, overlap)
+    facets = scan.facets.of(overlap)
+    unpinned = scan.facets.unpinned(i, j, facets)
     if not unpinned:
         return None
-    tableau = scan.tableau_of(i)
-    if not tableau.feasible:
-        # Piece i is empty, and tableau_of has filed its core.
-        return None
-    new = tuple(key for key in dict.fromkeys(scan.keys[j]) if key not in own)
-    if new:
-        tableau = tableau.extended([scan.rows[key] for key in new])
-        if not tableau.feasible:
-            scan.cores.add(scan.held + new, tableau.core)
-            return None
-    diffs = [
-        (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
-        for r in unpinned
-    ]
-    # Optima and unboundedness do not depend on the basis a maximization
-    # starts from, so each row's verdict is the plain scan's.
-    off = next(
-        (
-            r
-            for r, (d, t) in zip(unpinned, diffs)
-            if lp._off_target(tableau, d, t) is not None
-        ),
-        None,
-    )
+    if scan.facets.basis(facets)[1] is not None:
+        off = scan.hull_off(i, j, overlap, facets, unpinned)
+    else:
+        off = scan.tableau_off(i, j, own, unpinned)
     if off is None:
         return None
+    diffs = _diffs(pi, pj, unpinned)
     points = lp.off_target_points(intersect(pi.polyhedron, pj.polyhedron), diffs)
     found = next(((r, point) for r, point in zip(unpinned, points) if point is not None), None)
     if found is None or found[0] != off:
@@ -450,6 +603,20 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     overlap, empty or not, and needs no LP; a pair whose every row is
     pinned is skipped, and only the other rows go to the LPs, in order.
 
+    Where the overlap's facet equalities are consistent and leave a
+    point or a line (normals of rank n - 1 or more, on R^n; on R^0 and
+    R^1 no facet is needed), the pair needs no simplex. On a line, each
+    of the overlap's rows either bounds the position along it or is
+    constant there. An empty interval, or a constant row that fails,
+    gives a Farkas certificate from one or two rows plus the facets'
+    multipliers, each on the facet's constraint or on its exact negation
+    by sign; lp checks it, and its support, at most n + 1 constraints, is
+    filed as a core. Otherwise a point of the overlap is checked against
+    all of its rows. A single point decides each row by its value there;
+    on a longer segment the first row the facets leave is off target,
+    since an affine row constant on a segment of the line is constant on
+    the line, where only a row in the facets' span is.
+
     Phase 1 is warm: while i is the outer index, piece i's tableau is
     kept, and pair (i, j) extends it by the constraints of piece j that
     it lacks, by value; lp certifies each phase 1 before its verdict is
@@ -460,8 +627,10 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
 
     Pinned rows never have an off-target point and skipped pairs are
     empty or agree, so the verdict, down to the witness, is that of the
-    plain scan. fn.univalence is set to the verdict's status and
-    fn.claimed is cleared; the violation itself is only returned.
+    plain scan; a pair that a hull finds off target takes its witness
+    from the same from-scratch simplex. fn.univalence is set to the
+    verdict's status and fn.claimed is cleared; the violation itself is
+    only returned.
     """
     scan = _PairScan(fn)
     found: Optional[UnivalenceViolation] = None

@@ -1,5 +1,6 @@
 """PWA functions: evaluation, domains, univalence, pruning."""
 
+import json
 import random
 from datetime import timedelta
 from fractions import Fraction
@@ -27,7 +28,7 @@ from pwanet.pwa import (
     prune_empty,
 )
 from pwanet import lp, pwa
-from pwanet.formats import serialize_pwa
+from pwanet.formats import parse_network, serialize_pwa
 from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
 from genutil import (
@@ -751,8 +752,14 @@ class TestEmptyCores:
                 refuted += isinstance(self.check(_moved(fn, k)), UnivalenceViolation)
         assert refuted > 20
 
-    @pytest.mark.parametrize("shape, plain, scan", [((2, 3, 3, 2), 91, 44), ((2, 4, 4), 300, 94)])
+    @pytest.mark.parametrize(
+        "shape, plain, scan",
+        [((2, 3, 3, 2), 91, 0), ((2, 4, 4), 300, 0), ((3, 3, 2), 38, 16)],
+        ids=["2-3-3-2", "2-4-4", "3-3-2"],
+    )
     def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, scan):
+        # On R^2 every pair that the cores and facet pins leave has facets
+        # of rank 1, a line, and is decided on it; on R^3 some are not.
         fn = prune_empty(transform(dense_network(random.Random(1), shape)))
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, plain_check_univalence, fn) == plain
@@ -790,7 +797,8 @@ class TestEmptyCores:
         assert len(corrupted) == 1
         corrupted.clear()
 
-        # The scan files the cores of the tableaus it extends.
+        # The scan files the core of the overlap that its hull, the line
+        # R^1, proves empty.
         made = []
 
         class Recorded(pwa._EmptyCores):
@@ -899,8 +907,8 @@ class TestFacetEqualities:
         seen = []
         unpinned = pwa._FacetEqualities.unpinned
 
-        def recording(self, i, j, overlap):
-            left = unpinned(self, i, j, overlap)
+        def recording(self, i, j, facets):
+            left = unpinned(self, i, j, facets)
             seen.append((i, j, left))
             return left
 
@@ -915,8 +923,8 @@ class TestFacetEqualities:
             for seed in range(4420, 4430)
         ]
         fns += [
-            prune_empty(transform(dense_network(random.Random(1), shape)))
-            for shape in ((2, 3, 3, 2), (2, 4, 4))
+            prune_empty(transform(dense_network(random.Random(seed), shape)))
+            for seed, shape in ((1, (2, 3, 3, 2)), (1, (2, 4, 4)), (2, (2, 4, 4)))
         ]
         fns += [_moved(fn, k) for fn in list(fns) for k in range(len(fn.pieces))]
         whole = rows_pinned = 0
@@ -941,11 +949,11 @@ class TestFacetEqualities:
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, check_univalence, fn) == 0
         assert check_univalence(fn) == Univalent()
-        # Its active offset moved by 1: the row is no longer pinned. Piece
-        # 0's tableau, its extension by piece 1's row, and the from-scratch
-        # simplex that finds the witness.
+        # Its active offset moved by 1: the row is no longer pinned. The
+        # facet x = 0 leaves the point 0, where the maps differ, so the
+        # one simplex is the from-scratch one that finds the witness.
         moved = _moved(fn, 1)
-        assert runs(monkeypatch, check_univalence, moved) == 3
+        assert runs(monkeypatch, check_univalence, moved) == 1
         assert check_univalence(moved) == UnivalenceViolation(0, 1, 0, ColVec([0]))
 
 
@@ -1058,33 +1066,74 @@ class TestWarmPairs:
         monkeypatch.undo()
         return verdict, steps
 
-    def test_an_overlap_extends_by_the_rows_it_lacks(self, monkeypatch):
-        # Piece 0 repeats x <= 2; piece 1 shares x >= 1 with it by value.
-        le_2, ge_1, le_0 = _X_LE_2, _X_GE_1, _halfspace([1], 0)
-        fn = PwaFn(1, 1, (
-            AffinePiece(Polyhedron(1, (le_2, ge_1, _copy(le_2))), Mat([[1]]), ColVec([0])),
-            AffinePiece(Polyhedron(1, (_copy(ge_1), le_0, le_0)), Mat([[2]]), ColVec([0])),
+    @staticmethod
+    def on_axis(dim, pieces):
+        """A function on R^dim onto R^1 whose constraints and maps read x_0
+        alone: pieces are (constraints as (a, b) for a * x_0 <= b, slope)."""
+        pad = [0] * (dim - 1)
+        return PwaFn(dim, 1, (
+            AffinePiece(
+                Polyhedron(dim, tuple(_halfspace([a] + pad, b) for a, b in lcs)),
+                Mat([[slope] + pad]),
+                ColVec([0]),
+            )
+            for lcs, slope in pieces
         ))
+
+    @classmethod
+    def lacking(cls, dim):
+        """Piece 0 repeats x_0 <= 2; piece 1 shares x_0 >= 1 with it, by
+        value, and adds x_0 <= 0 twice."""
+        return cls.on_axis(dim, [
+            (((1, 2), (-1, -1), (1, 2)), 1),
+            (((-1, -1), (1, 0), (1, 0)), 2),
+        ])
+
+    def test_an_overlap_extends_by_the_rows_it_lacks(self, monkeypatch):
+        # On R^2, with no facet, the overlap has no hull and takes the
+        # simplex. Keys 0 (x_0 <= 2) and 1 (x_0 >= 1), then key 2
+        # (x_0 <= 0), whose certificate needs only x_0 >= 1 and x_0 <= 0.
+        fn = self.lacking(2)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
-        # Keys 0 (x <= 2) and 1 (x >= 1), then key 2 (x <= 0), whose
-        # certificate needs only x >= 1 and x <= 0.
         assert steps == [("extended", 2), ("extended", 1), ("core", (0, 1, 2))]
         assert self.check(_moved(fn, 1)) == Univalent()
 
-    def test_an_empty_piece_files_its_own_core(self, monkeypatch):
-        empty = (_halfspace([1], -2), _halfspace([-1], -1))
-        fn = PwaFn(1, 1, (
-            AffinePiece(Polyhedron(1, empty), Mat([[3]]), ColVec([0])),
-            AffinePiece(Polyhedron(1, (_halfspace([2], 0),)), Mat([[1]]), ColVec([0])),
-            AffinePiece(Polyhedron(1, (_halfspace([-1], 0),)), Mat([[2]]), ColVec([0])),
-        ))
+    def test_on_the_line_the_hull_files_the_core(self, monkeypatch):
+        # On R^1 the hull is the whole line: x <= 0 (key 2) bounds it from
+        # above and x >= 1 (key 1) from below, past it. No tableau.
+        fn = self.lacking(1)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
-        # Piece 0's tableau is empty and its core covers pair (0, 2).
-        # Pieces 1 and 2 meet at 0, where x and 2x agree; 2x <= 0 is no
-        # exact negation of -x <= 0, so the row goes to the LPs.
+        assert steps == [("core", (2, 1))]
+        assert self.check(_moved(fn, 1)) == Univalent()
+
+    @classmethod
+    def after_an_empty_piece(cls, dim):
+        """An empty piece, x_0 <= -2 and x_0 >= 1, then 2 x_0 <= 0 and
+        x_0 >= 0, whose maps x_0 and 2 x_0 agree where they meet; 2 x_0 <= 0
+        is no exact negation of -x_0 <= 0, so they share no facet."""
+        return cls.on_axis(dim, [(((1, -2), (-1, -1)), 3), (((2, 0),), 1), (((-1, 0),), 2)])
+
+    def test_an_empty_piece_files_its_own_core(self, monkeypatch):
+        fn = self.after_an_empty_piece(2)
+        verdict, steps = self.pair_steps(monkeypatch, fn)
+        assert verdict == Univalent()
+        # On R^2 no pair has a hull. Piece 0's tableau is empty and its
+        # core covers pair (0, 2). Pieces 1 and 2 meet on x_0 = 0, where
+        # their maps agree, so the row goes to the LPs.
         assert steps == [("extended", 2), ("core", (0, 1)), ("extended", 1), ("extended", 1)]
+        moved = _moved(fn, 2)
+        assert self.check(moved) == UnivalenceViolation(1, 2, 0, ColVec([0, 0]))
+
+    def test_on_the_line_an_empty_piece_files_a_hull_core(self, monkeypatch):
+        fn = self.after_an_empty_piece(1)
+        verdict, steps = self.pair_steps(monkeypatch, fn)
+        assert verdict == Univalent()
+        # On R^1, x <= -2 and x >= 1 cross: pair (0, 1) files their core,
+        # which covers pair (0, 2). Pieces 1 and 2 meet at the one point
+        # 0, where x and 2x agree, and no core is filed.
+        assert steps == [("core", (0, 1))]
         moved = _moved(fn, 2)
         assert self.check(moved) == UnivalenceViolation(1, 2, 0, ColVec([0]))
 
@@ -1126,3 +1175,297 @@ class TestWarmPairs:
         monkeypatch.setattr(lp, "off_target_points", search)
         with pytest.raises(RuntimeError, match="disagree"):
             check_univalence(fn)
+
+
+@st.composite
+def _hull_fns(draw):
+    """Functions on R^0 to R^3 whose overlaps' facet equalities often
+    leave a point or a line.
+
+    Planes c.x = b are drawn, dim - 1 of them or one, then up to three
+    in all: a new one, an earlier one times 2 or 3, a new normal through
+    an earlier bound, or an earlier normal with its bound moved by 1,
+    which contradicts it where both are facets. A zero normal gives
+    0 <= b. Each piece takes, per plane, c.x <= b, its exact negation
+    -c.x <= -b, now and then 2 times the negation, or neither. Two
+    pieces on opposite sides share the facet c.x = b; with the doubled
+    side they meet on the plane with no facet, so a line of other
+    facets crosses it at a single point. Up to two halfspaces from a
+    pool follow, which make the overlap on a line a ray, a segment, a
+    point or nothing. Maps start from one drawn map and, past a plane,
+    output row r adds mu * (c.x - b), so two pieces agree on the planes
+    between them; a third of the pieces take a slope of their own. Most
+    bounds are 0, so many overlaps meet at the origin, where the maps
+    share their offset. Half the functions then have one offset moved.
+    """
+    dim = draw(st.integers(0, 3))
+    out = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    normal = st.lists(small, min_size=dim, max_size=dim)
+    bound = st.sampled_from((0, 0, 1, -1))
+    planes = [(draw(normal), draw(bound)) for _ in range(max(dim - 1, 1))]
+    for _ in range(draw(st.integers(0, 3 - len(planes)))):
+        c, b = draw(st.sampled_from(planes))
+        k = draw(st.integers(2, 3))
+        planes.append(draw(st.sampled_from([
+            (draw(normal), draw(bound)), ([k * a for a in c], k * b), (draw(normal), b), (c, b + 1)
+        ])))
+    pool = draw(st.lists(st.builds(_halfspace, normal, bound), max_size=4))
+    mus = [draw(st.lists(small, min_size=out, max_size=out)) for _ in planes]
+    m0 = draw(st.lists(normal, min_size=out, max_size=out))
+    b0 = draw(st.lists(bound, min_size=out, max_size=out))
+    pieces = []
+    for _ in range(draw(st.integers(2, 6))):
+        lcs, m, b = [], [list(r) for r in m0], list(b0)
+        for (c, t), mu in zip(planes, mus):
+            # c.x <= b, its negation, neither, or 2 times the negation
+            k = draw(st.sampled_from((1, -1) * 3 + (0, -2, -2)))
+            if k:
+                lcs.append(_halfspace([k * a for a in c], k * t))
+            if k < 0:
+                for r in range(out):
+                    m[r] = [a + mu[r] * ck for a, ck in zip(m[r], c)]
+                    b[r] -= mu[r] * t
+        if pool:
+            lcs += draw(st.lists(st.sampled_from(pool), max_size=2))
+        if draw(st.integers(0, 2)) == 0:
+            m = draw(st.lists(normal, min_size=out, max_size=out))
+        pieces.append(AffinePiece(
+            Polyhedron(dim, tuple(_copy(lc) if draw(st.booleans()) else lc for lc in lcs)),
+            Mat(m, cols=dim),
+            ColVec(b),
+        ))
+    fn = PwaFn(dim, out, pieces)
+    if draw(st.booleans()):
+        fn = _moved(fn, draw(st.integers(0, len(pieces) - 1)))
+    return fn
+
+
+def _constraint(den, ints):
+    """The constraint of an integer row (den, ints), as lp keeps it."""
+    return LinearConstraint(
+        ColVec(Fraction(a, den) for a in ints[:-1]), Fraction(ints[-1], den)
+    )
+
+
+class TestFacetHulls:
+    """check_univalence decides a pair with no simplex when the facet
+    equalities of its overlap leave a point or a line.
+
+    The oracle is the plain pair loop, with LPs on every pair whose maps
+    differ; the verdict, down to the pair, row and witness, must be its.
+    Every certificate a hull files must refute its constraints and stop
+    refuting them when any one multiplier is dropped.
+    """
+
+    @staticmethod
+    def scanned(fn):
+        """check_univalence on a copy of fn: its verdict, each hull
+        decision ("empty", "agree" or "off") and each pair the simplex
+        decided, and the (dim, rows, certificate) of each core a hull
+        filed."""
+        decided, certificates, filing = [], [], []
+        hull_off = pwa._PairScan.hull_off
+        tableau_off = pwa._PairScan.tableau_off
+        file_core = pwa._PairScan.file_core
+        checked_support = lp._checked_support
+
+        def on_hull(self, *args):
+            filed = len(certificates)
+            off = hull_off(self, *args)
+            empty = len(certificates) > filed
+            decided.append("empty" if empty else "agree" if off is None else "off")
+            return off
+
+        def on_tableau(self, *args):
+            decided.append("simplex")
+            return tableau_off(self, *args)
+
+        def filed(self, *args):
+            filing.append(self.in_dim)
+            try:
+                return file_core(self, *args)
+            finally:
+                filing.pop()
+
+        def checked(rows, certificate):
+            support = checked_support(rows, certificate)
+            if filing:
+                certificates.append((filing[-1], rows, certificate))
+            return support
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pwa._PairScan, "hull_off", on_hull)
+            patch.setattr(pwa._PairScan, "tableau_off", on_tableau)
+            patch.setattr(pwa._PairScan, "file_core", filed)
+            patch.setattr(lp, "_checked_support", checked)
+            verdict = check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        return verdict, decided, certificates
+
+    def check(self, fn):
+        expected = plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        verdict, decided, certificates = self.scanned(fn)
+        assert verdict == expected
+        for dim, rows, certificate in certificates:
+            poly = Polyhedron(dim, tuple(_constraint(den, ints) for den, ints in rows))
+            assert len(certificate) <= dim + 1
+            assert farkas_refutes(poly, certificate)
+            for k in range(len(certificate)):
+                dropped = certificate[:k] + (0,) + certificate[k + 1 :]
+                assert not farkas_refutes(poly, dropped)
+        return decided
+
+    def test_drawn_functions_match_the_plain_loop(self):
+        decided = []
+
+        @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
+        @given(_hull_fns())
+        def drawn(fn):
+            decided.extend(self.check(fn))
+
+        drawn()
+        # Over the drawn corpus, the hull finds empty overlaps, points
+        # where the maps agree and overlaps where they do not, and the
+        # simplex still decides some pairs.
+        assert all(decided.count(kind) for kind in ("empty", "agree", "off", "simplex"))
+
+    @staticmethod
+    def tilted_pieces():
+        """On R^2, y <= 0 with x + y <= -1, and y >= 0 with x >= 0, with
+        different maps: the facet y = 0 leaves the x axis, where x <= -1
+        and x >= 0 leave nothing."""
+        return PwaFn(2, 1, (
+            AffinePiece(
+                Polyhedron(2, (_halfspace([0, 1], 0), _halfspace([1, 1], -1))),
+                Mat([[1, 0]]),
+                ColVec([0]),
+            ),
+            AffinePiece(
+                Polyhedron(2, (_halfspace([0, -1], 0), _halfspace([-1, 0], 0))),
+                Mat([[2, 0]]),
+                ColVec([0]),
+            ),
+        ))
+
+    def test_an_empty_line_files_a_certificate_on_a_facet(self):
+        verdict, decided, certificates = self.scanned(self.tilted_pieces())
+        assert (verdict, decided) == (Univalent(), ["empty"])
+        # (x + y <= -1) + (-x <= 0) + (-y <= 0) reads 0 <= -1: the facet
+        # y = 0 enters on its negation's side.
+        ((dim, rows, certificate),) = certificates
+        assert [_constraint(*row) for row in rows] == [
+            _halfspace([1, 1], -1), _halfspace([-1, 0], 0), _halfspace([0, -1], 0)
+        ]
+        assert certificate == (1, 1, 1)
+        self.check(self.tilted_pieces())
+
+    @staticmethod
+    def recorded_cores(monkeypatch):
+        """The _EmptyCores that scans make from now on."""
+        made = []
+
+        class Recorded(pwa._EmptyCores):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(pwa, "_EmptyCores", Recorded)
+        return made
+
+    def test_a_corrupted_hull_certificate_raises_and_files_nothing(self, monkeypatch):
+        made = self.recorded_cores(monkeypatch)
+        corrupted = corrupt_phase_1(monkeypatch, "multiplier")
+        with pytest.raises(RuntimeError, match="do not refute"):
+            check_univalence(self.tilted_pieces())
+        assert corrupted == [(1, 1, 1)]
+        assert [cores.filed for cores in made] == [{}]
+
+    def test_a_hull_point_outside_its_overlap_raises_and_files_nothing(self, monkeypatch):
+        # Two pieces on -1 <= x <= 1 with maps x and 2x: the overlap is a
+        # segment of the line R^1. With every bound read 1 too loose, its
+        # end is 2, outside the overlap.
+        fn = TestWarmPairs.on_axis(1, [(((1, 1), (-1, 1)), 1), (((1, 1), (-1, 1)), 2)])
+        assert self.scanned(fn)[:2] == (UnivalenceViolation(0, 1, 0, ColVec([-1])), ["off"])
+        made = self.recorded_cores(monkeypatch)
+        at = pwa._at
+        monkeypatch.setattr(pwa, "_at", lambda ints, point: at(ints, point) - point[0])
+        with pytest.raises(RuntimeError, match="hull point"):
+            check_univalence(fn)
+        assert [cores.filed for cores in made] == [{}]
+
+    @pytest.mark.parametrize(
+        "fn, decided, verdict",
+        [
+            # On R^0 the hull is the one point, where offsets 0 and 1 differ.
+            (PwaFn(0, 1, (
+                AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([0])),
+                AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([1])),
+            )), ["off"], UnivalenceViolation(0, 1, 0, ColVec([]))),
+            # y = 0 and y = 1 are parallel facets that contradict each
+            # other: no hull, and the simplex finds the overlap empty.
+            (PwaFn(2, 1, (
+                AffinePiece(
+                    Polyhedron(2, (_halfspace([0, 1], 0), _halfspace([0, 1], 1))),
+                    Mat([[1, 0]]), ColVec([0]),
+                ),
+                AffinePiece(
+                    Polyhedron(2, (_halfspace([0, -1], 0), _halfspace([0, -1], -1))),
+                    Mat([[2, 0]]), ColVec([0]),
+                ),
+            )), ["simplex"], Univalent()),
+            # y = 0 leaves the x axis, and x >= 0 a ray on it, where x and
+            # 2x differ past 0.
+            (PwaFn(2, 1, (
+                AffinePiece(Polyhedron(2, (_halfspace([0, 1], 0),)), Mat([[1, 0]]), ColVec([0])),
+                AffinePiece(
+                    Polyhedron(2, (_halfspace([0, -1], 0), _halfspace([-1, 0], 0))),
+                    Mat([[2, 0]]), ColVec([0]),
+                ),
+            )), ["off"], UnivalenceViolation(0, 1, 0, ColVec([1, 0]))),
+            # On R^3, y = 0 and z = 0 leave the x axis, where x <= 0 and
+            # 2x >= 0 meet at the origin; x and 2x agree there.
+            (PwaFn(3, 1, (
+                AffinePiece(
+                    Polyhedron(3, (
+                        _halfspace([0, 1, 0], 0), _halfspace([0, 0, 1], 0), _halfspace([1, 0, 0], 0)
+                    )),
+                    Mat([[1, 0, 0]]), ColVec([0]),
+                ),
+                AffinePiece(
+                    Polyhedron(3, (
+                        _halfspace([0, -1, 0], 0), _halfspace([0, 0, -1], 0),
+                        _halfspace([-2, 0, 0], 0),
+                    )),
+                    Mat([[2, 0, 0]]), ColVec([0]),
+                ),
+            )), ["agree"], Univalent()),
+        ],
+        ids=["R^0 point", "contradicting facets", "ray", "point on a line in R^3"],
+    )
+    def test_named_overlaps(self, fn, decided, verdict):
+        assert self.scanned(fn)[:2] == (verdict, decided)
+        assert self.check(fn) == decided
+
+    def test_a_3_input_compile_keeps_the_simplex(self):
+        # The 3-input network of the CI console step: on R^3 some overlaps
+        # keep a plane, and the simplex decides those.
+        fn = transform(parse_network(json.dumps({
+            "input_dim": 3, "output_dim": 2, "layers": [
+                {"kind": "linear", "weights": [["0", "-1", "1"], ["-2", "-2", "2"], ["-2", "0", "2"]],
+                 "bias": ["-1", "1", "-1"]},
+                {"kind": "relu", "dim": 3},
+                {"kind": "linear", "weights": [["-2", "-2", "1"], ["1", "-2", "-1"]], "bias": ["-1", "1"]},
+                {"kind": "relu", "dim": 2},
+                {"kind": "output"},
+            ],
+        })), prune=True)
+        assert len(fn.pieces) == 22
+        decided = self.check(fn)
+        assert {kind: decided.count(kind) for kind in set(decided)} == {
+            "simplex": 44, "agree": 22, "empty": 7
+        }
+        moved = _moved(fn, 6)
+        self.check(moved)
+        assert check_univalence(moved) == UnivalenceViolation(
+            6, 7, 0, ColVec([0, Fraction(3, 2), 1])
+        )
