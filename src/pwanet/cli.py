@@ -64,12 +64,7 @@ def _cmd_compile(args) -> int:
     if index is not None:
         print(f"error: layer {index}: not piecewise-affine", file=sys.stderr)
         return EXIT_NON_PWA
-    if not args.prune:
-        excess = network.oversize(net)
-        if excess is not None:
-            print(f"error: {excess}", file=sys.stderr)
-            return EXIT_TOO_LARGE
-    # The pruned fold checks its own bounds and raises network.TooLarge.
+    # transform checks its own bounds and raises network.TooLarge.
     fn = network.transform(net, prune=args.prune)
     _write(args.out, formats.serialize_pwa(fn))
     return EXIT_OK

@@ -23,7 +23,7 @@ MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
 transform(net, prune=True) is the pruned compile: it folds the same
 layers but keeps only the non-empty pieces after each one, so its work
 follows the live regions, and it applies both bounds to the live count
-instead of the product, raising TooLarge.
+instead of the product. Either compile raises TooLarge past a bound.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ MAX_RATIONALS = 2**21
 
 
 class TooLarge(ValueError):
-    """A pruned compile that passes MAX_PIECES live pieces or MAX_RATIONALS
+    """A compile, plain or pruned, past MAX_PIECES pieces or MAX_RATIONALS
     rationals; the message is oversize's."""
 
 
@@ -211,12 +211,16 @@ def transform(net: Network, prune: bool = False) -> Optional[PwaFn]:
     nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
 
+    Past oversize(net), TooLarge is raised before any piece is built.
     With prune, the result is prune_empty(transform(net)), built by
-    _pruned_fold, which keeps only the live pieces after every layer and
-    raises TooLarge past the live bounds.
+    _pruned_fold, which keeps only the live pieces after every layer;
+    the bound is then oversize(net, 1) and oversize of the live count.
     """
     if non_pwa_layer(net) is not None:
         return None
+    excess = oversize(net, 1 if prune else None)
+    if excess is not None:
+        raise TooLarge(excess)
     if prune:
         return _pruned_fold(net)
     dim = net.input_dim
@@ -249,13 +253,10 @@ def _pruned_fold(net: Network) -> PwaFn:
     (pwa_algebra._composed). The root tableau, on R^input_dim, is built
     only when some layer adds a row.
 
-    oversize(net, 1) is checked first, and oversize of the live count
-    every time it grows, whatever the layer; past either bound, TooLarge
-    is raised, so the work is bounded by the live pieces and the input.
+    oversize of the live count is checked every time it grows, whatever
+    the layer; past either bound, TooLarge is raised, so the work is
+    bounded by the live pieces and the input.
     """
-    excess = oversize(net, 1)
-    if excess is not None:
-        raise TooLarge(excess)
     per_piece = _rationals_per_piece(net)
     limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
     dim = net.input_dim

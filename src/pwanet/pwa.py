@@ -14,7 +14,10 @@ check_univalence decides it exactly, via linear programs over the
 pairwise intersections, as "verified" or "refuted"; the refutation comes
 back to the caller with a concrete witness point, and only its status is
 kept on the function. check_univalence ignores any existing status and
-rescans the pairs. lp certifies every phase 1. An overlap found empty
+rescans the pairs. Each check numbers the function's distinct
+constraints and scales each once to an integer row, and compares two
+pieces' maps on their rows scaled the same way: identical maps agree
+and need nothing more. lp certifies every phase 1. An overlap found empty
 leaves a core, the constraints its checked Farkas certificate uses, and
 a later pair whose overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
@@ -186,53 +189,34 @@ def linear_pwaf(m: Mat, b: ColVec) -> PwaFn:
     return PwaFn(m.cols, m.rows, (piece,), univalence=VERIFIED)
 
 
-def _value_keys(fn: PwaFn) -> tuple[list[tuple[int, ...]], dict[tuple, int]]:
+def _value_keys(
+    fn: PwaFn,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, list[int]]], dict[tuple, int]]:
     """For each piece of fn, its constraints as ints: equal constraints,
     by value, get equal ints, numbered in order of first appearance.
-    Also that numbering, from each distinct value to its int, in order.
+    Also each number's integer row (den, ints), as scaled_ints gives it
+    for (c, b), and the numbering, from each (den, *ints) to its int.
 
-    A value is the (numerator, denominator) pair of every coefficient
-    and of the bound, a tuple of ints that hashes without Fraction
-    arithmetic. Pieces share constraint objects, so each object is read
-    once.
+    den is the lcm of the reduced denominators, so equal values give
+    equal rows and a row hashes without Fraction arithmetic. Pieces share
+    constraint objects, so each object is scaled once.
     """
     number: dict[tuple, int] = {}
     key_of: dict[int, int] = {}
     keys = []
+    rows = []
     for piece in fn.pieces:
         row = []
         for lc in piece.polyhedron.constraints:
             key = key_of.get(id(lc))
             if key is None:
-                value = tuple([(a.numerator, a.denominator) for a in lc.c.entries + (lc.b,)])
-                key = key_of[id(lc)] = number.setdefault(value, len(number))
+                den, ints = scaled_ints(lc.c.entries + (lc.b,))
+                key = key_of[id(lc)] = number.setdefault((den, *ints), len(number))
+                if key == len(rows):
+                    rows.append((den, ints))
             row.append(key)
         keys.append(tuple(row))
-    return keys, number
-
-
-def _int_row(value: tuple) -> tuple[int, list[int]]:
-    """A constraint value of _value_keys as scaled_ints gives it: (den,
-    ints), den the lcm of the denominators and ints = den * value."""
-    den = lcm(*(d for _, d in value))
-    return den, [n * (den // d) for n, d in value]
-
-
-class _IntRows(dict):
-    """Each constraint key's integer row (_int_row), made when the key is
-    first read. values lists the constraint values in key order.
-
-    One table serves a whole check: the facet bases and the pair
-    tableaus read the same rows.
-    """
-
-    def __init__(self, values: list[tuple]):
-        super().__init__()
-        self.values = values
-
-    def __missing__(self, key: int) -> tuple[int, list[int]]:
-        row = self[key] = _int_row(self.values[key])
-        return row
+    return keys, rows, number
 
 
 class _EmptyCores:
@@ -257,102 +241,6 @@ class _EmptyCores:
         have these keys: support is its checked core, as row indices."""
         core = frozenset(keys[i] for i in support)
         self.filed.setdefault(max(core), []).append(core)
-
-
-class _FacetEqualities:
-    """The facet equalities of overlaps, the map rows they pin, and the
-    point or line they leave.
-
-    A constraint c.x <= b of an overlap whose exact negation
-    -c.x <= -b is in the same overlap makes c.x = b hold on all of it.
-    compose_relu writes the hyperplane of a flipping unit as such a pair,
-    one side in each of the two pieces it separates, and their maps
-    differ by multiples of it. A row (d, t) in the rational span of the
-    (c, b) of those equalities gives d.x = t on the overlap, with no LP,
-    whether the overlap is empty or not.
-
-    number is _value_keys' numbering and rows the check's _IntRows table.
-    The negation of each key is looked up once, when an overlap first
-    holds it. The span test runs on integer rows, each scaled by the lcm
-    of its denominators: a positive scale changes no span. Each piece's
-    map rows are scaled once, and each set of facets is put in echelon
-    form, and its hull (_hull) found, once.
-    """
-
-    def __init__(self, fn: PwaFn, number: dict[tuple, int], rows: _IntRows):
-        self.fn = fn
-        self.number = number
-        self.rows = rows
-        self.negation: dict[int, int] = {}
-        self.maps: dict[int, list[tuple[int, list[int]]]] = {}
-        self.bases: dict[tuple[int, ...], tuple[list, Optional[tuple]]] = {}
-
-    def _negation(self, key: int) -> int:
-        """The key of the exact negation of key's constraint, or -1."""
-        negation = self.negation.get(key)
-        if negation is None:
-            value = tuple([(-n, d) for n, d in self.rows.values[key]])
-            negation = self.negation[key] = self.number.get(value, -1)
-        return negation
-
-    def _map(self, i: int) -> list[tuple[int, list[int]]]:
-        """Piece i's rows (M[r], -b[r]) as (lcm of denominators, ints)."""
-        rows = self.maps.get(i)
-        if rows is None:
-            piece = self.fn.pieces[i]
-            rows = self.maps[i] = [
-                scaled_ints(row + (-b,)) for row, b in zip(piece.M.entries, piece.b)
-            ]
-        return rows
-
-    def of(self, overlap: set[int]) -> tuple[int, ...]:
-        """The facets of an overlap, whose constraint keys are overlap: the
-        smaller key of each constraint and negation it holds, in order."""
-        facets = []
-        for key in overlap:
-            negation = self._negation(key)
-            if key < negation and negation in overlap:
-                facets.append(key)
-        return tuple(sorted(facets))
-
-    def basis(self, facets: tuple[int, ...]) -> tuple[list, Optional[tuple]]:
-        """The facets' (c, b) rows in echelon form, and their _hull.
-
-        The basis is (pivot, row) pairs, each row nonzero at its pivot and
-        0 at every earlier pivot. A row is a combination of the facets'
-        integer rows, followed by a tail of its coefficients, one per
-        facet, so a reduction against the basis also says which facets it
-        took (_PairScan.file_core). Reducing a row without a tail reads
-        the (c, b) part alone.
-        """
-        entry = self.bases.get(facets)
-        if entry is None:
-            n = self.fn.in_dim
-            basis = []
-            for k, key in enumerate(facets):
-                tag = [0] * len(facets)
-                tag[k] = 1
-                row = _reduced(basis, self.rows[key][1] + tag)
-                # The tag keeps a nonzero entry; a pivot in it marks a
-                # facet in the span of the earlier ones.
-                pivot = next(p for p, a in enumerate(row) if a)
-                if pivot <= n:
-                    basis.append((pivot, row))
-            entry = self.bases[facets] = (basis, _hull(n, basis))
-        return entry
-
-    def diff(self, i: int, j: int, r: int) -> list[int]:
-        """Row r of piece i's map less piece j's, as the ints of (d, t),
-        d.x = t where the two agree, times a positive int."""
-        (di, xi), (dj, xj) = self._map(i)[r], self._map(j)[r]
-        return [a * dj - b * di for a, b in zip(xi, xj)]
-
-    def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
-        """The rows of pieces i and j, in order, that the facet equalities
-        of their overlap, these facets, do not pin; with no facets, the
-        rows where their maps differ."""
-        basis = self.basis(facets)[0]
-        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)))]
 
 
 def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
@@ -402,25 +290,107 @@ def _at(ints: list[int], point: tuple[int, list[int]]) -> int:
 
 
 class _PairScan:
-    """What check_univalence keeps from pair to pair.
+    """What check_univalence keeps from pair to pair: one table per check.
 
-    keys and the _IntRows table rows come from _value_keys; cores and
-    facets are the scan's _EmptyCores and _FacetEqualities. tableau is
-    one piece's: the rows of its distinct keys, held, in order, after
-    phase 1. It is built when a pair (i, j) first needs an LP and
-    replaced when the outer index moves on.
+    keys, the integer rows and their numbering come from _value_keys;
+    cores are the scan's _EmptyCores. tableau is one piece's: the rows of
+    its distinct keys, held, in order, after phase 1. It is built when a
+    pair (i, j) first needs an LP and replaced when the outer index moves
+    on.
+
+    The scan also finds the facet equalities of overlaps, the map rows
+    they pin, and the point or line they leave. A constraint c.x <= b of
+    an overlap whose exact negation -c.x <= -b is in the same overlap
+    makes c.x = b hold on all of it. compose_relu writes the hyperplane
+    of a flipping unit as such a pair, one side in each of the two pieces
+    it separates, and their maps differ by multiples of it. A row (d, t)
+    in the rational span of the (c, b) of those equalities gives d.x = t
+    on the overlap, with no LP, whether the overlap is empty or not.
+    The negation of each key is looked up once, when an overlap first
+    holds it. The span test runs on the integer rows: a positive scale
+    changes no span. Each piece's map rows are scaled once, and each set
+    of facets is put in echelon form, and its hull (_hull) found, once.
     """
 
     def __init__(self, fn: PwaFn):
         self.fn = fn
         self.in_dim = fn.in_dim
-        self.keys, number = _value_keys(fn)
-        self.rows = _IntRows(list(number))
+        self.keys, self.rows, self.number = _value_keys(fn)
         self.cores = _EmptyCores()
-        self.facets = _FacetEqualities(fn, number, self.rows)
+        self.negations: dict[int, int] = {}
+        self.maps: dict[int, list[tuple[int, list[int]]]] = {}
+        self.bases: dict[tuple[int, ...], tuple[list, Optional[tuple]]] = {}
         self.piece = -1
         self.held: tuple[int, ...] = ()
         self.tableau: Optional[lp._Simplex] = None
+
+    def negation(self, key: int) -> int:
+        """The key of the exact negation of key's constraint, or -1."""
+        negation = self.negations.get(key)
+        if negation is None:
+            den, ints = self.rows[key]
+            negation = self.negations[key] = self.number.get((den, *(-a for a in ints)), -1)
+        return negation
+
+    def map(self, i: int) -> list[tuple[int, list[int]]]:
+        """Piece i's rows (M[r], -b[r]) as scaled_ints gives them: equal
+        maps, by value, give equal lists."""
+        rows = self.maps.get(i)
+        if rows is None:
+            piece = self.fn.pieces[i]
+            rows = self.maps[i] = [
+                scaled_ints(row + (-b,)) for row, b in zip(piece.M.entries, piece.b)
+            ]
+        return rows
+
+    def of(self, overlap: set[int]) -> tuple[int, ...]:
+        """The facets of an overlap, whose constraint keys are overlap: the
+        smaller key of each constraint and negation it holds, in order."""
+        facets = []
+        for key in overlap:
+            negation = self.negation(key)
+            if key < negation and negation in overlap:
+                facets.append(key)
+        return tuple(sorted(facets))
+
+    def basis(self, facets: tuple[int, ...]) -> tuple[list, Optional[tuple]]:
+        """The facets' (c, b) rows in echelon form, and their _hull.
+
+        The basis is (pivot, row) pairs, each row nonzero at its pivot and
+        0 at every earlier pivot. A row is a combination of the facets'
+        integer rows, followed by a tail of its coefficients, one per
+        facet, so a reduction against the basis also says which facets it
+        took (file_core). Reducing a row without a tail reads the (c, b)
+        part alone.
+        """
+        entry = self.bases.get(facets)
+        if entry is None:
+            n = self.in_dim
+            basis = []
+            for k, key in enumerate(facets):
+                tag = [0] * len(facets)
+                tag[k] = 1
+                row = _reduced(basis, self.rows[key][1] + tag)
+                # The tag keeps a nonzero entry; a pivot in it marks a
+                # facet in the span of the earlier ones.
+                pivot = next(p for p, a in enumerate(row) if a)
+                if pivot <= n:
+                    basis.append((pivot, row))
+            entry = self.bases[facets] = (basis, _hull(n, basis))
+        return entry
+
+    def diff(self, i: int, j: int, r: int) -> list[int]:
+        """Row r of piece i's map less piece j's, as the ints of (d, t),
+        d.x = t where the two agree, times a positive int."""
+        (di, xi), (dj, xj) = self.map(i)[r], self.map(j)[r]
+        return [a * dj - b * di for a, b in zip(xi, xj)]
+
+    def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
+        """The rows of pieces i and j, in order, that the facet equalities
+        of their overlap, these facets, do not pin; with no facets, the
+        rows where their maps differ."""
+        basis = self.basis(facets)[0]
+        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)))]
 
     def tableau_of(self, i: int) -> lp._Simplex:
         """Piece i's tableau. An infeasible one files its core, which
@@ -473,7 +443,7 @@ class _PairScan:
         point decides each row by its value; on a longer segment the
         first unpinned row is off, as check_univalence explains.
         """
-        basis, (den, point, direction) = self.facets.basis(facets)
+        basis, (den, point, direction) = self.basis(facets)
         rows = [self.rows[key] for key in overlap]
         # The tightest bound on each side: (b, a, key) for a * s <= b.
         above = below = None
@@ -503,7 +473,7 @@ class _PairScan:
             raise RuntimeError("a hull point leaves its pair's overlap")
         if direction and width:
             return unpinned[0]
-        return next((r for r in unpinned if _at(self.facets.diff(i, j, r), inside)), None)
+        return next((r for r in unpinned if _at(self.diff(i, j, r), inside)), None)
 
     def file_core(
         self, basis: list[tuple[int, list[int]]], facets: tuple[int, ...], combination: list
@@ -527,7 +497,7 @@ class _PairScan:
         weights = [sign * row[-1] * z for _, z in combination]
         for key, g in zip(facets, row[n + 1 : -1]):
             if g:
-                keys.append(key if sign * g > 0 else self.facets._negation(key))
+                keys.append(key if sign * g > 0 else self.negation(key))
                 weights.append(abs(g))
         rows = [self.rows[key] for key in keys]
         # Multipliers on the integer rows, each den times its constraint.
@@ -556,18 +526,18 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
-    if pi.M == pj.M and pi.b == pj.b:
+    if scan.map(i) == scan.map(j):
         # Identical maps agree everywhere, overlap or not.
         return None
     own = set(scan.keys[i])
     overlap = own.union(scan.keys[j])
     if scan.cores.cover(overlap):
         return None
-    facets = scan.facets.of(overlap)
-    unpinned = scan.facets.unpinned(i, j, facets)
+    facets = scan.of(overlap)
+    unpinned = scan.unpinned(i, j, facets)
     if not unpinned:
         return None
-    if scan.facets.basis(facets)[1] is not None:
+    if scan.basis(facets)[1] is not None:
         off = scan.hull_off(i, j, overlap, facets, unpinned)
     else:
         off = scan.tableau_off(i, j, own, unpinned)
@@ -585,7 +555,9 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     """Decide whether all overlapping pieces of fn agree on their overlaps.
 
     Every unordered pair of pieces is examined in order; pairs with
-    identical maps agree and need no LP. Otherwise, after phase 1 over
+    identical maps agree and need no LP. Maps are compared on their rows
+    (M[r], -b[r]) scaled to ints by the lcm of their denominators, which
+    are equal exactly when the maps are equal by value. Otherwise, after phase 1 over
     the pair's intersection, two exact linear programs per output row
     decide whether the row difference is pinned to the offset difference.
     The scan stops at the first violation in pair order (then row order)
@@ -654,7 +626,7 @@ def _narrowed(
     If the witness satisfies new too, the polyhedron keeps the tableau
     and adds new to those rows, with no LP. Otherwise the tableau is
     extended by every row added since it, and one phase 1, certified
-    inside lp, decides. Rows are (den, ints) as _int_row gives them.
+    inside lp, decides. Rows are (den, ints) as _value_keys gives them.
     """
     if lp._satisfies(tableau.witness, new):
         return tableau, pending + tuple(new)
@@ -684,8 +656,7 @@ def _live(fn: PwaFn) -> list[bool]:
     Only booleans leave the walk, and lp has certified each phase 1
     behind them against its prefix's rows.
     """
-    keys, number = _value_keys(fn)
-    rows = [_int_row(value) for value in number]
+    keys, rows, _ = _value_keys(fn)
     # A node is (children, pieces ending here, its constraint's key);
     # children are keyed by that key.
     root = ({}, [], None)

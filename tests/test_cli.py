@@ -318,10 +318,10 @@ class TestCompile:
 
     @pytest.mark.parametrize("dim", [10**9, 10**4000], ids=["1e9", "1e4000"])
     def test_huge_output_only_network_ends_at_once(self, tmp_path, capsys, monkeypatch, dim):
-        def refuse(net):
-            raise AssertionError("transform ran past the size bound")
+        def refuse(n):
+            raise AssertionError(f"built the identity on dim {n}")
 
-        monkeypatch.setattr(network, "transform", refuse)
+        monkeypatch.setattr(network, "identity_pwaf", refuse)
         doc = json.dumps({"input_dim": dim, "output_dim": dim, "layers": [{"kind": "output"}]})
         net = write(tmp_path, "net.json", doc)
         out = tmp_path / "fn.json"

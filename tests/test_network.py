@@ -486,6 +486,14 @@ class TestOversize:
         assert oversize(net, 2496) is None
         assert oversize(net, 2497) == self.RATIONALS
 
+    def test_transform_refuses_before_building_a_piece(self, monkeypatch):
+        def refuse(n, g):
+            raise AssertionError(f"pulled back a ReLU of width {n}")
+
+        monkeypatch.setattr(network, "compose_relu", refuse)
+        with pytest.raises(TooLarge, match=f"^{self.PIECES}$"):
+            transform(Network(30, 30, (nn_relu(30), OutputLayer(30))))
+
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

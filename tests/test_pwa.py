@@ -3,6 +3,7 @@
 import json
 import random
 from datetime import timedelta
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwanet.lp import MAX, MIN, Optimal, solve
-from pwanet.numeric import ColVec, DimensionError, Mat, dot, mat_vec_mul, vec_add, vec_scale
+from pwanet.numeric import (
+    ColVec,
+    DimensionError,
+    Mat,
+    dot,
+    mat_vec_mul,
+    scaled_ints,
+    vec_add,
+    vec_scale,
+)
 from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
 from pwanet.pwa import (
     REFUTED,
@@ -28,7 +38,7 @@ from pwanet.pwa import (
     prune_empty,
 )
 from pwanet import lp, pwa
-from pwanet.formats import parse_network, serialize_pwa
+from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
 from genutil import (
@@ -777,8 +787,7 @@ class TestEmptyCores:
     @staticmethod
     def overlap_tableau(fn):
         """The tableau of fn's two constraints, extended in order."""
-        rows = [pwa._int_row(value) for value in pwa._value_keys(fn)[1]]
-        return lp._Simplex.empty(fn.in_dim).extended(rows)
+        return lp._Simplex.empty(fn.in_dim).extended(pwa._value_keys(fn)[1])
 
     def test_a_checked_certificate_files_its_core(self):
         # Keys 4 and 7 stand for the two rows of the tableau, in order.
@@ -905,14 +914,14 @@ class TestFacetEqualities:
         """check_univalence on fn, recording each pair that reached the
         facet test: (i, j, the rows it left to the LPs)."""
         seen = []
-        unpinned = pwa._FacetEqualities.unpinned
+        unpinned = pwa._PairScan.unpinned
 
         def recording(self, i, j, facets):
             left = unpinned(self, i, j, facets)
             seen.append((i, j, left))
             return left
 
-        monkeypatch.setattr(pwa._FacetEqualities, "unpinned", recording)
+        monkeypatch.setattr(pwa._PairScan, "unpinned", recording)
         check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         monkeypatch.undo()
         return seen
@@ -955,6 +964,195 @@ class TestFacetEqualities:
         moved = _moved(fn, 1)
         assert runs(monkeypatch, check_univalence, moved) == 1
         assert check_univalence(moved) == UnivalenceViolation(0, 1, 0, ColVec([0]))
+
+
+def _oracle_value_keys(fn):
+    """Constraint keys numbered by Fraction value, (c.entries, b), in
+    order of first appearance, and that numbering."""
+    number = {}
+    keys = [
+        tuple(
+            number.setdefault((lc.c.entries, lc.b), len(number))
+            for lc in piece.polyhedron.constraints
+        )
+        for piece in fn.pieces
+    ]
+    return keys, number
+
+
+def _doc_fn(pieces):
+    """parse_pwa of a function on R^1 onto R^1 from (constraints, M, b)
+    written as strings, so each spelling is read as its own object."""
+    return parse_pwa(json.dumps({
+        "in_dim": 1,
+        "out_dim": 1,
+        "univalence": "unchecked",
+        "pieces": [
+            {"constraints": [{"c": c, "b": b} for c, b in lcs], "M": m, "b": offset}
+            for lcs, m, offset in pieces
+        ],
+    }))
+
+
+class TestValueKeys:
+    """_value_keys numbers constraints as the Fraction oracle does, by
+    value and in order of first appearance; row k is scaled_ints of
+    constraint k's (c, b), and (den, *ints) of that row maps back to k.
+    The scan finds a negation by its row, as the oracle by its value.
+    """
+
+    @staticmethod
+    def check(fn):
+        keys, rows, number = pwa._value_keys(fn)
+        expected, values = _oracle_value_keys(fn)
+        assert keys == expected
+        assert len(rows) == len(number) == len(values)
+        scan = pwa._PairScan(fn)
+        for (c, b), k in values.items():
+            den, ints = rows[k]
+            assert rows[k] == scaled_ints(c + (b,))
+            assert number[(den, *ints)] == k
+            assert scan.negation(k) == values.get((tuple(-a for a in c), -b), -1)
+        return keys, rows
+
+    def test_equal_constraints_held_by_distinct_objects_share_a_key(self):
+        pieces = _pieces_over(1, [(_X_LE_0, _X_GE_1), (_copy(_X_GE_1), _copy(_X_LE_0), _X_LE_2)])
+        keys, _ = self.check(PwaFn(1, 1, pieces))
+        assert keys == [(0, 1), (1, 0, 2)]
+
+    def test_spellings_of_one_constraint_share_a_key(self):
+        spellings = [(["0.5"], "1"), (["1/2"], "1.0"), (["2/4"], "2/2")]
+        fn = _doc_fn([([lc], [["0"]], ["0"]) for lc in spellings])
+        assert len({id(piece.polyhedron.constraints[0]) for piece in fn.pieces}) == 3
+        keys, rows = self.check(fn)
+        assert keys == [(0,), (0,), (0,)] and rows == [(2, [1, 2])]
+
+    def test_scaled_copies_stay_distinct(self):
+        pieces = _pieces_over(1, [(_halfspace([1], 1),), (_halfspace([2], 2),)])
+        keys, rows = self.check(PwaFn(1, 1, pieces))
+        assert keys == [(0,), (1,)] and rows == [(1, [1, 1]), (1, [2, 2])]
+
+    def test_negations_over_a_denominator(self):
+        half = Fraction(1, 2)
+        third = Fraction(1, 3)
+        lcs = (
+            _halfspace([half], third),
+            _halfspace([-half], -third),
+            # Not exact negations of the first: scaled, or another bound.
+            _halfspace([-1], -2 * third),
+            _halfspace([-half], -Fraction(1, 4)),
+        )
+        fn = PwaFn(1, 1, _pieces_over(1, [lcs[:2], lcs[2:]]))
+        _, rows = self.check(fn)
+        assert rows[:2] == [(6, [3, 2]), (6, [-3, -2])]
+        scan = pwa._PairScan(fn)
+        assert [scan.negation(k) for k in range(4)] == [1, 0, -1, -1]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=5))
+    @given(st.one_of(_prefix_sharing_fns(), _facet_sharing_fns().map(lambda drawn: drawn[0])))
+    def test_drawn_functions_match_the_oracle(self, fn):
+        self.check(fn)
+
+    def test_generated_functions_match_the_oracle(self):
+        for seed in range(4470, 4480):
+            rng = random.Random(seed)
+            self.check(univalent_fn(rng, rng.randint(1, 3)))
+            net = random_network(rng, max_pieces=16, max_dim=3, max_depth=3)
+            self.check(transform(net))
+
+
+@st.composite
+def _map_sharing_fns(draw):
+    """Functions on R^1 onto R^1 or R^2 whose pieces draw their maps from a
+    pool of at most three, each piece with its own Mat and ColVec objects.
+
+    Entries are -1, 0 or 1 over 1 to 3, so two maps of the pool may
+    differ in an offset's denominator alone, as 1/2 and 1/3 do next to a
+    zero row. Each piece is an interval lo <= x <= hi of small integers,
+    so many pairs overlap and some are disjoint.
+    """
+    out = draw(st.integers(1, 2))
+    entry = st.builds(Fraction, st.integers(-1, 1), st.integers(1, 3))
+    column = st.lists(entry, min_size=out, max_size=out)
+    pool = draw(st.lists(st.tuples(column, column), min_size=1, max_size=3))
+    pieces = []
+    for _ in range(draw(st.integers(2, 6))):
+        m, b = draw(st.sampled_from(pool))
+        lo = draw(st.integers(-2, 1))
+        hi = draw(st.integers(lo - 1, 2))
+        poly = Polyhedron(1, (_halfspace([-1], -lo), _halfspace([1], hi)))
+        pieces.append(AffinePiece(poly, Mat([[a] for a in m], cols=1), ColVec(list(b))))
+    return PwaFn(1, out, pieces)
+
+
+class TestIntegerMapEquality:
+    """_check_pair compares two pieces' maps on the scan's integer rows:
+    maps equal by value, whatever their objects or spellings, are skipped
+    before _EmptyCores.cover, and maps whose rows have equal ints over
+    different denominators are not. Each verdict is the plain scan's,
+    which compares the maps as Fractions.
+    """
+
+    @staticmethod
+    def covered(monkeypatch, fn):
+        """check_univalence on fn, checked against the plain scan, and the
+        number of _EmptyCores.cover calls it made."""
+        calls = []
+        cover = pwa._EmptyCores.cover
+
+        def counted(self, keys):
+            calls.append(keys)
+            return cover(self, keys)
+
+        monkeypatch.setattr(pwa._EmptyCores, "cover", counted)
+        verdict = check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        monkeypatch.undo()
+        assert verdict == plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        return verdict, len(calls)
+
+    def test_spellings_of_one_map_are_skipped(self, monkeypatch):
+        fn = _doc_fn([
+            ([(["1"], "1")], [["0.5"]], ["0"]),
+            ([(["-1"], "0")], [["1/2"]], ["0.0"]),
+        ])
+        pi, pj = fn.pieces
+        assert pi.M is not pj.M and pi.b is not pj.b
+        assert self.covered(monkeypatch, fn) == (Univalent(), 0)
+
+    def test_equal_maps_in_distinct_objects_are_skipped(self, monkeypatch):
+        rng = random.Random(4481)
+        m, b = mat_of(rng, 2, 2), colvec_of(rng, 2)
+        pieces = [
+            AffinePiece(box((-k, -k), (1, 1)), Mat([list(r) for r in m.entries]), ColVec(list(b)))
+            for k in range(3)
+        ]
+        assert self.covered(monkeypatch, PwaFn(2, 2, pieces)) == (Univalent(), 0)
+
+    def test_an_offset_over_another_denominator_is_not_skipped(self, monkeypatch):
+        # Rows (0, -1/2) and (0, -1/3) scale to ints [0, -1] over 2 and 3.
+        fn = _doc_fn([
+            ([(["1"], "1")], [["0"]], ["1/2"]),
+            ([(["-1"], "0")], [["0"]], ["1/3"]),
+        ])
+        assert [pwa._PairScan(fn).map(i) for i in range(2)] == [[(2, [0, -1])], [(3, [0, -1])]]
+        verdict, covers = self.covered(monkeypatch, fn)
+        assert covers == 1
+        assert verdict == UnivalenceViolation(0, 1, 0, ColVec([0]))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=timedelta(seconds=5))
+    @given(_map_sharing_fns())
+    def test_only_pairs_whose_maps_differ_reach_the_cores(self, fn):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            verdict, covers = self.covered(monkeypatch, fn)
+        pairs = list(combinations(range(len(fn.pieces)), 2))
+        if isinstance(verdict, UnivalenceViolation):
+            pairs = pairs[: pairs.index((verdict.piece_i, verdict.piece_j)) + 1]
+        pieces = fn.pieces
+        differ = [
+            (i, j) for i, j in pairs
+            if (pieces[i].M, pieces[i].b) != (pieces[j].M, pieces[j].b)
+        ]
+        assert covers == len(differ)
 
 
 @st.composite
