@@ -10,11 +10,12 @@ their dimensions alone can do neither. Evaluation and compilation both
 treat "no answer" as a missing value rather than an error, mirroring
 partial PWA domains.
 
-A ReLU layer holds only its width: nn_eval takes max(0, x)
-componentwise, and transform pulls the 2^n sign patterns back through the
-prefix directly (pwa_algebra.compose_relu). relu_nd(n), the ReLU as 2^n
-explicit pieces, is that pullback through the identity, and a leading
-ReLU layer compiles to it. The paper stacks two-piece 1-d ReLUs with
+nn_eval runs on integers, through the pieces' cached integer maps that
+evaluate applies too. A ReLU layer holds only its width: nn_eval takes
+max(0, x) componentwise, and transform pulls the 2^n sign patterns back
+through the prefix directly (pwa_algebra.compose_relu). relu_nd(n), the
+ReLU as 2^n explicit pieces, is that pullback through the identity, and
+a leading ReLU layer compiles to it. The paper stacks two-piece 1-d ReLUs with
 concat instead; that construction gives the same bytes and is kept in
 the tests as the oracle for compose_relu.
 non_pwa_layer names the layer that keeps a network from compiling, and
@@ -31,8 +32,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Union, get_args
 
 from . import lp
-from .numeric import ColVec, DimensionError, Mat, _Frozen, scaled_ints
-from .pwa import PwaFn, _narrowed, _unchecked_pwafn, evaluate, identity_pwaf, linear_pwaf
+from .numeric import ColVec, DimensionError, Mat, _Frozen, _unscaled, scaled_ints
+from .polyhedra import contains
+from .pwa import PwaFn, _mapped, _narrowed, _unchecked_pwafn, identity_pwaf, linear_pwaf
 from .pwa_algebra import _carried, _composed, _relu_split, compose, compose_relu
 
 MAX_PIECES = 4096
@@ -168,27 +170,35 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
     The chain was checked when the network was built, so only a point of
     the wrong width, or a host function that breaks its declared output
     width, raises.
+
+    The point travels as (den, ints), as scaled_ints gives it, through
+    pwa._mapped; a linear layer's lone piece needs no containment test.
     """
     if x.dim != net.input_dim:
         raise DimensionError(f"input of dim {x.dim} into network on dim {net.input_dim}")
-    current = x
+    den, ints = scaled_ints(x.entries)
     for layer in net.layers[:-1]:
-        if isinstance(layer, UnknownLayer):
+        if isinstance(layer, ReluLayer):
+            ints = [a if a > 0 else 0 for a in ints]
+        elif isinstance(layer, PwaLayer):
+            pieces = layer.fn.pieces
+            if len(pieces) != 1 or pieces[0].polyhedron.constraints:
+                point = _unscaled(den, ints)
+                pieces = [next((p for p in pieces if contains(p.polyhedron, point)), None)]
+                if pieces[0] is None:
+                    return None
+            den, ints = _mapped(pieces[0], den, ints)
+        elif isinstance(layer, UnknownLayer):
             return None
-        if isinstance(layer, PwaLayer):
-            current = evaluate(layer.fn, current)
-            if current is None:
-                return None
-        elif isinstance(layer, ReluLayer):
-            current = ColVec(max(e, 0) for e in current)
         else:
-            current = layer.fn(current)
+            current = layer.fn(_unscaled(den, ints))
             if current.dim != layer.out_dim:
                 raise DimensionError(
                     f"host function produced dim {current.dim}, layer declares "
                     f"{layer.out_dim}"
                 )
-    return current
+            den, ints = scaled_ints(current.entries)
+    return _unscaled(den, ints)
 
 
 def transform(net: Network, prune: bool = False) -> Optional[PwaFn]:

@@ -16,6 +16,8 @@ normalized intermediate per term, and gives the same exact value. They
 build their results with the private _unchecked_mat and _unchecked_vec,
 which skip the constructors' checks: each entry is a Fraction made from
 checked operands, and each width is read off their checked shapes.
+network.nn_eval carries a point as scaled_ints gives it, (den, ints),
+and _unscaled turns that back into a ColVec.
 
 The library's record types (lp's outcomes, constraints and polyhedra,
 affine pieces and univalence verdicts, layers and networks) are plain
@@ -278,6 +280,11 @@ def scaled_ints(entries: Iterable[Fraction]) -> tuple[int, list[int]]:
     entries = tuple(entries)
     den = lcm(*(e.denominator for e in entries))
     return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _unscaled(den: int, ints: list[int]) -> ColVec:
+    """The ColVec ints / den: scaled_ints undone."""
+    return _unchecked_vec(tuple([Fraction(a, den) for a in ints]))
 
 
 def _int_dot(da: int, a: list[int], db: int, b: list[int]) -> Fraction:

@@ -4,7 +4,8 @@ A PwaFn is an ordered list of pieces, each an affine map x -> Mx + b
 restricted to a polyhedron. Evaluation walks the list and takes the first
 piece containing the input; inputs outside every piece are simply not in
 the domain, so partial functions are legal, as is a function with no
-pieces at all.
+pieces at all. A piece's map is applied on integers (_mapped), on M and
+b over one lcm, cached on the piece where equality and pickling never look.
 
 Nothing forces the pieces of an arbitrary function to agree where they
 overlap. Each function carries a univalence status: "verified" when its
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Union
 
@@ -52,10 +53,10 @@ from .numeric import (
     DimensionError,
     Mat,
     _Frozen,
+    _unscaled,
     identity,
-    mat_vec_mul,
+    mat_vec_mul,  # no longer called here; perfbench's tracer wraps pwa.mat_vec_mul
     scaled_ints,
-    vec_add,
     zeros_vec,
 )
 from .polyhedra import Polyhedron, contains, full_space, intersect
@@ -80,6 +81,27 @@ class AffinePiece(_Frozen):
         if M.rows != b.dim:
             raise DimensionError(f"matrix has {M.rows} rows but offset has dim {b.dim}")
         self.__dict__.update(polyhedron=polyhedron, M=M, b=b)
+
+    def __getstate__(self):
+        """The fields alone: pickle and copy never see the cached _int_map."""
+        return {name: self.__dict__[name] for name in self.__match_args__}
+
+
+def _mapped(piece: AffinePiece, den: int, ints: list[int]) -> tuple[int, list[int]]:
+    """piece's map at ints / den, as scaled_ints gives the image: over the
+    lcm of its reduced denominators, whatever common den the point has.
+    The map is scaled once, M = rows / d and b = offsets / d over one lcm
+    d, and cached on the piece as _int_map, outside its fields."""
+    cached = piece.__dict__.get("_int_map")
+    if cached is None:
+        m, cols = piece.M.rows, piece.M.cols
+        d, flat = scaled_ints(itertools.chain(piece.b.entries, *piece.M.entries))
+        rows = [flat[m + k * cols : m + (k + 1) * cols] for k in range(m)]
+        cached = piece.__dict__["_int_map"] = (d, rows, flat[:m])
+    d, rows, offsets = cached
+    out = [sum(map(mul, row, ints)) + b * den for row, b in zip(rows, offsets)]
+    g = gcd(den * d, *out)
+    return den * d // g, [a // g for a in out]
 
 
 def _unchecked_piece(polyhedron: Polyhedron, M: Mat, b: ColVec) -> AffinePiece:
@@ -170,7 +192,7 @@ def evaluate(fn: PwaFn, x: ColVec) -> Optional[ColVec]:
         raise DimensionError(f"point of dim {x.dim} into function on dim {fn.in_dim}")
     for piece in fn.pieces:
         if contains(piece.polyhedron, x):
-            return vec_add(mat_vec_mul(piece.M, x), piece.b)
+            return _unscaled(*_mapped(piece, *scaled_ints(x.entries)))
     return None
 
 

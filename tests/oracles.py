@@ -3,9 +3,10 @@
 Nothing in here touches the simplex or the library's arithmetic: linear
 systems are solved by direct Gaussian elimination, optima come from
 brute-force vertex enumeration, and dot products, membership and affine
-maps are raw Fraction loops. read_pwa and smt_reference read a PWA
-document and write its SMT script with json and Fraction alone, reading
-and rendering every entry afresh. json_serialize_pwa is the document
+maps are raw Fraction loops. forward is the network's layer-by-layer
+evaluation on those loops, the oracle for nn_eval. read_pwa and
+smt_reference read a PWA document and write its SMT script with json
+and Fraction alone, reading and rendering every entry afresh. json_serialize_pwa is the document
 writer as it was before serialize_pwa laid out its text by hand: the
 whole document built as a dict and handed to json.dumps, with the
 library's format_scalar for each entry.
@@ -360,6 +361,36 @@ def apply_affine(weights: list[list], bias: list, xs: list) -> list[Fraction]:
         sum((Fraction(w) * Fraction(v) for w, v in zip(row, xs)), Fraction(0)) + Fraction(b)
         for row, b in zip(weights, bias)
     ]
+
+
+def forward(net: Network, x: ColVec) -> ColVec | None:
+    """nn_eval as it was before it ran on integer rows: layer by layer
+    on Fractions, each PWA layer through its first piece that contains
+    the point (contains), then apply_affine; each ReLU is relu_reference.
+    The same DimensionError texts for a point of the wrong width and a
+    host function that breaks its width, and None past an unknown layer
+    or outside a PWA layer's domain."""
+    if x.dim != net.input_dim:
+        raise DimensionError(f"input of dim {x.dim} into network on dim {net.input_dim}")
+    current = x
+    for layer in net.layers[:-1]:
+        if isinstance(layer, UnknownLayer):
+            return None
+        if isinstance(layer, PwaLayer):
+            piece = next((p for p in layer.fn.pieces if contains(p.polyhedron, current)), None)
+            if piece is None:
+                return None
+            current = ColVec(apply_affine(piece.M.entries, piece.b.entries, current.entries))
+        elif isinstance(layer, ReluLayer):
+            current = relu_reference(current)
+        else:
+            current = layer.fn(current)
+            if current.dim != layer.out_dim:
+                raise DimensionError(
+                    f"host function produced dim {current.dim}, layer declares "
+                    f"{layer.out_dim}"
+                )
+    return current
 
 
 def read_pwa(text: str) -> tuple[int, int, list]:

@@ -19,7 +19,7 @@ from pwanet.network import nn_eval, relu_nd, transform
 from pwanet.formats import export_smt, parse_pwa, serialize_pwa
 
 from genutil import box_polyhedron, colvec_of, example_network, point, random_network, univalent_fn
-from oracles import parse_sexprs, relu_1d, relu_reference, vertex_optimum
+from oracles import forward, parse_sexprs, relu_1d, relu_reference, vertex_optimum
 
 
 @contextmanager
@@ -46,6 +46,7 @@ def test_01_transform_matches_direct_evaluation(capsys):
             for _ in range(100):
                 x = point(rng, net.input_dim)
                 direct = nn_eval(net, x)
+                assert direct == forward(net, x)
                 collapsed = evaluate(fn, x)
                 if collapsed is None:
                     # Defined through the layers but outside the compiled

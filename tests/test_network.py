@@ -56,7 +56,7 @@ from genutil import (
     restricted_affine,
     univalent_fn,
 )
-from oracles import apply_affine, relu_1d, relu_reference, right_fold_transform
+from oracles import apply_affine, forward, relu_1d, relu_reference, right_fold_transform
 
 def example_oracle(x: ColVec) -> ColVec:
     pre = apply_affine(EXAMPLE_WEIGHTS, EXAMPLE_BIAS, list(x.entries))
@@ -192,7 +192,7 @@ class TestReluLayer:
             fn = relu_nd(n)
             for _ in range(40):
                 x = point(rng, n)
-                assert nn_eval(net, x) == evaluate(fn, x)
+                assert nn_eval(net, x) == evaluate(fn, x) == forward(net, x)
 
 
 class TestRelu1d:
@@ -300,7 +300,7 @@ class TestTransform:
         assert fn is not None
         for _ in range(300):
             x = point(rng, 2)
-            assert evaluate(fn, x) == nn_eval(net, x)
+            assert evaluate(fn, x) == nn_eval(net, x) == forward(net, x)
 
     def test_plain_layer_blocks_compilation(self):
         net = Network(
@@ -335,7 +335,7 @@ class TestTransform:
             assert (fn.in_dim, fn.out_dim) == (net.input_dim, net.output_dim)
             for _ in range(30):
                 x = point(rng, net.input_dim)
-                assert evaluate(fn, x) == nn_eval(net, x)
+                assert evaluate(fn, x) == nn_eval(net, x) == forward(net, x)
 
     def test_compiles_verified_and_the_checker_agrees(self):
         rng = random.Random(6610)
