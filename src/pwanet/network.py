@@ -11,31 +11,35 @@ treat "no answer" as a missing value rather than an error, mirroring
 partial PWA domains.
 
 nn_eval runs on integers, through the pieces' cached integer maps that
-evaluate applies too. A ReLU layer holds only its width: nn_eval takes
+evaluate applies too, and locates x in a multi-piece layer as evaluate
+does (pwa._located). A ReLU layer holds only its width: nn_eval takes
 max(0, x) componentwise, and transform pulls the 2^n sign patterns back
 through the prefix directly (pwa_algebra.compose_relu). relu_nd(n), the
-ReLU as 2^n explicit pieces, is that pullback through the identity, and
-a leading ReLU layer compiles to it. The paper stacks two-piece 1-d ReLUs with
-concat instead; that construction gives the same bytes and is kept in
-the tests as the oracle for compose_relu.
+ReLU as 2^n explicit pieces, is that pullback through the identity. The
+paper stacks two-piece 1-d ReLUs with concat instead; that construction
+gives the same bytes and is kept in the tests as the oracle for
+compose_relu.
 non_pwa_layer names the layer that keeps a network from compiling, and
 oversize says why a network is too large to compile: a piece_product past
 MAX_PIECES, or a compiled file of more than MAX_RATIONALS rationals.
-transform(net, prune=True) is the pruned compile: it folds the same
-layers but keeps only the non-empty pieces after each one, so its work
-follows the live regions, and it applies both bounds to the live count
-instead of the product. Either compile raises TooLarge past a bound.
+transform runs one fold over the layers (_fold), piece by piece, and
+each piece carries a state that a step advances by the constraints each
+layer adds. The plain compile's step keeps every piece. With prune, the
+step keeps only the non-empty ones, so the work follows the live
+regions, and both bounds apply to the live count instead of the
+product. Either compile raises TooLarge past a bound.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional, Union, get_args
 
 from . import lp
 from .numeric import ColVec, DimensionError, Mat, _Frozen, _unscaled, scaled_ints
-from .polyhedra import contains
-from .pwa import PwaFn, _mapped, _narrowed, _unchecked_pwafn, identity_pwaf, linear_pwaf
-from .pwa_algebra import _carried, _composed, _relu_split, compose, compose_relu
+from .pwa import PwaFn, _located, _mapped, _narrowed, _unchecked_pwafn, identity_pwaf, linear_pwaf
+from .pwa_algebra import _carried, _composed, _every_side, _relu_split, compose_relu
+from .pwa_algebra import compose  # no longer called here; perfbench's tracer wraps network.compose
 
 MAX_PIECES = 4096
 # A 12-wide ReLU on 12 inputs writes 4,096 * 13 * 24 = 1,277,952 rationals.
@@ -183,8 +187,7 @@ def nn_eval(net: Network, x: ColVec) -> Optional[ColVec]:
         elif isinstance(layer, PwaLayer):
             pieces = layer.fn.pieces
             if len(pieces) != 1 or pieces[0].polyhedron.constraints:
-                point = _unscaled(den, ints)
-                pieces = [next((p for p in pieces if contains(p.polyhedron, point)), None)]
+                pieces = [_located(pieces, _unscaled(den, ints))]
                 if pieces[0] is None:
                     return None
             den, ints = _mapped(pieces[0], den, ints)
@@ -205,73 +208,61 @@ def transform(net: Network, prune: bool = False) -> Optional[PwaFn]:
     """Collapse an all-PWA network into one PwaFn; None if any layer resists.
 
     The PWA and ReLU layers before the output marker are composed from the
-    first to the last: the fold starts from the first layer's own pieces
-    (relu_nd for a leading ReLU layer), and after layer i the prefix is
-    compose(layer_i, prefix), or compose_relu for a ReLU layer. Pulling a
-    layer back through the identity would copy it unchanged, so no
-    identity seed is built: a wide first layer costs its own size, not the
-    square of its input width. Exact pullbacks are associative, so this
-    gives the same bytes as composing from the last layer back onto the
-    marker's identity, with every ReLU as its 2^n explicit pieces: the
-    same pieces in the same order (first layer's pieces slowest), the same
-    constraints in the same order, the same rationals. Folding forward
-    pulls each layer's constraints back only through the layers before it,
-    never again through the first. An empty chain is the identity on the
+    first to the last by one fold (_fold): after layer i the prefix is
+    compose(layer_i, prefix), or compose_relu for a ReLU layer, built
+    piece by piece. A first PWA layer starts the fold with its own pieces,
+    since pulling it back through the identity would copy it: a wide
+    first layer costs its own size, not the square of its input width.
+    Exact pullbacks are associative, so this gives the same bytes as
+    composing from the last layer back onto the marker's identity, with
+    every ReLU as its 2^n explicit pieces: the same pieces in the same
+    order (first layer's pieces slowest), the same constraints in the
+    same order, the same rationals. An empty chain is the identity on the
     input. On the common layers the result evaluates exactly like
     nn_eval. Every layer that parse_network builds is univalent by
     construction, so its compile is verified too.
 
     Past oversize(net), TooLarge is raised before any piece is built.
-    With prune, the result is prune_empty(transform(net)), built by
-    _pruned_fold, which keeps only the live pieces after every layer;
-    the bound is then oversize(net, 1) and oversize of the live count.
+    With prune, the result is prune_empty(transform(net)): the fold's
+    step drops each piece as soon as it is empty, and the bound is
+    oversize(net, 1) and then oversize of the live count.
     """
     if non_pwa_layer(net) is not None:
         return None
     excess = oversize(net, 1 if prune else None)
     if excess is not None:
         raise TooLarge(excess)
-    if prune:
-        return _pruned_fold(net)
-    dim = net.input_dim
-    if len(net.layers) == 1:
-        return identity_pwaf(dim)
-    first = net.layers[0]
-    if isinstance(first, ReluLayer):
-        fn = relu_nd(dim)
-    else:
-        fn = PwaFn(dim, first.out_dim, first.fn.pieces, univalence=_carried(first.fn))
-    for layer in net.layers[1:-1]:
-        fn = compose_relu(layer.dim, fn) if isinstance(layer, ReluLayer) else compose(layer.fn, fn)
-    return fn
+    return _fold(net, prune)
 
 
-def _pruned_fold(net: Network) -> PwaFn:
-    """prune_empty(transform(net)) for an all-PWA net, folded with only
-    the live pieces.
+def _fold(net: Network, prune: bool) -> PwaFn:
+    """transform(net, prune) for an all-PWA net, one layer at a time.
 
-    A piece whose constraints have no common point has none below it
-    either, since every layer only appends constraints; so the fold
-    follows transform's, and drops each piece as soon as it is empty.
-    Each live piece carries its emptiness state, its nearest feasible
-    tableau and the rows added since (pwa._narrowed), and each
-    constraint a layer adds is one _narrowed step from its parent's
-    state. A ReLU layer splits each live piece one unit at a time
-    (pwa_algebra._relu_split), so the parent's witness decides one side
-    of each new hyperplane without an LP, and an empty side is never
-    split further. A PWA layer is composed one live piece at a time
-    (pwa_algebra._composed). The root tableau, on R^input_dim, is built
-    only when some layer adds a row.
+    The fold starts from the first layer's own pieces, or from the
+    identity for a leading ReLU or an empty chain, and applies each later
+    layer to every piece through pwa_algebra._relu_split or
+    pwa_algebra._composed. Each piece carries a state, and a step maps
+    (state, constraints the layer added) to the new state, or to None to
+    drop the piece. The plain compile's step, _every_side, keeps them all.
 
-    oversize of the live count is checked every time it grows, whatever
-    the layer; past either bound, TooLarge is raised, so the work is
-    bounded by the live pieces and the input.
+    The pruned compile's step is _with_constraints, so a piece's state is
+    its nearest feasible tableau and the rows added since (pwa._narrowed).
+    Every layer only appends constraints, so an empty piece has nothing
+    live below it and goes at once; a ReLU side is decided from the
+    parent's witness without an LP where it can be. The root tableau is
+    built only when some layer adds a row. oversize of the live count is
+    checked every time it grows, so the work is bounded by the live
+    pieces and the input; the plain compile passed oversize(net) instead.
     """
-    per_piece = _rationals_per_piece(net)
-    limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
     dim = net.input_dim
     layers = net.layers[:-1]
-    root = lp._Simplex.empty(dim) if any(map(_adds_rows, layers)) else None
+    if prune:
+        per_piece = _rationals_per_piece(net)
+        limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
+        root = lp._Simplex.empty(dim) if any(map(_adds_rows, layers)) else None
+        step, state = _with_constraints, (root, ())
+    else:
+        step, state, limit = _every_side, (), inf
     if not layers or isinstance(layers[0], ReluLayer):
         start = identity_pwaf(dim)
     else:
@@ -288,22 +279,12 @@ def _pruned_fold(net: Network) -> PwaFn:
                 raise TooLarge(oversize(net, len(pieces)))
 
     for piece in start.pieces:
-        keep(piece, _with_constraints((root, ()), piece.polyhedron.constraints))
+        keep(piece, step(state, piece.polyhedron.constraints))
     for layer in layers:
         g = _unchecked_pwafn(dim, out_dim, tuple(pieces), univalence)
         parents, pieces, states = states, [], []
         if isinstance(layer, ReluLayer):
             for gp, state in zip(g.pieces, parents):
-                # Unit k's inactive row, and its exact negation, the
-                # active row: row_k.x <= -b_k and -row_k.x <= b_k.
-                sides = []
-                for row, b in zip(gp.M.entries, gp.b):
-                    den, ints = scaled_ints(row + (-b,))
-                    sides.append(([(den, ints)], [(den, [-a for a in ints])]))
-
-                def step(state, k, active):
-                    return _narrowed(*state, sides[k][active])
-
                 for piece, below in _relu_split(gp, dim, state, step):
                     keep(piece, below)
             out_dim, univalence = layer.dim, _carried(g)
@@ -311,7 +292,7 @@ def _pruned_fold(net: Network) -> PwaFn:
             for gp, state, composed in zip(g.pieces, parents, _composed(layer.fn, g)):
                 held = len(gp.polyhedron.constraints)
                 for piece in composed:
-                    keep(piece, _with_constraints(state, piece.polyhedron.constraints[held:]))
+                    keep(piece, step(state, piece.polyhedron.constraints[held:]))
             out_dim, univalence = layer.out_dim, _carried(layer.fn, g)
     return _unchecked_pwafn(dim, out_dim, tuple(pieces), univalence)
 

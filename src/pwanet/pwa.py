@@ -190,9 +190,16 @@ def evaluate(fn: PwaFn, x: ColVec) -> Optional[ColVec]:
     """Apply the first piece whose polyhedron contains x; None if none does."""
     if x.dim != fn.in_dim:
         raise DimensionError(f"point of dim {x.dim} into function on dim {fn.in_dim}")
-    for piece in fn.pieces:
+    piece = _located(fn.pieces, x)
+    return None if piece is None else _unscaled(*_mapped(piece, *scaled_ints(x.entries)))
+
+
+def _located(pieces: tuple[AffinePiece, ...], x: ColVec) -> Optional[AffinePiece]:
+    """The first of pieces whose polyhedron contains x; None if none does.
+    evaluate and network.nn_eval both locate x here."""
+    for piece in pieces:
         if contains(piece.polyhedron, x):
-            return _unscaled(*_mapped(piece, *scaled_ints(x.entries)))
+            return piece
     return None
 
 

@@ -1,10 +1,10 @@
 """Composition and concatenation of piecewise-affine functions.
 
 Both operators build one piece per pair of input pieces, so piece counts
-multiply. Empty pairings are kept; prune_empty is a separate pass, and
-the pruned compile (network.transform with prune) drops them as they
-come, from compose's per-piece lists (_composed) and from the ReLU's
-depth-first split (_relu_split). The
+multiply. Empty pairings are kept; prune_empty is a separate pass. The
+network compiler folds its layers through compose's per-piece lists
+(_composed) and the ReLU's depth-first split (_relu_split), one step per
+piece; the pruned compile's step drops the empty ones as they come. The
 pair order is fixed: the inner (or second) argument varies in the outer
 loop, so pieces of compose(f, g) and concat(f, g) are laid out g-piece by
 g-piece with f's pieces cycling fastest.
@@ -131,9 +131,10 @@ def compose_relu(n: int, g: PwaFn) -> PwaFn:
     (row k of M).x <= -b_k and zeroes output row k when it is inactive,
     and appends -(row k of M).x <= b_k and keeps row k when it is active:
     the pullbacks of x_k <= 0 and -x_k <= 0 through x -> Mx + b. The
-    patterns come from _relu_split, which keeps every side here and only
-    the non-empty ones in the pruned compile. Verified when g is, since
-    the ReLU itself is univalent.
+    patterns come from _relu_split, whose step keeps every side here
+    (_every_side, as in the plain compile) and only the non-empty ones in
+    the pruned compile. Verified when g is, since the ReLU itself is
+    univalent.
     """
     if g.out_dim != n:
         raise DimensionError(f"compose of function on dim {n} after function onto dim {g.out_dim}")
@@ -143,8 +144,9 @@ def compose_relu(n: int, g: PwaFn) -> PwaFn:
     return _unchecked_pwafn(g.in_dim, n, pieces, _carried(g))
 
 
-def _every_side(state, unit: int, active: bool):
-    """compose_relu's step for _relu_split: every side is kept."""
+def _every_side(state, constraints: tuple):
+    """The step that keeps every piece, whatever constraints it adds:
+    compose_relu's for _relu_split, and the plain compile's."""
     return state
 
 
@@ -154,12 +156,12 @@ def _relu_split(gp: AffinePiece, dim: int, state, step) -> Iterator[tuple[Affine
 
     The sign patterns are split one unit at a time, depth first from
     unit n-1 down to unit 0, the inactive side before the active one,
-    which lists them with unit 0 fastest. step(state, k, active) is the
-    state once unit k's side is added to a partial pattern with that
-    state, or None to drop the side and every pattern under it. A
-    dropped side is never split further, so the 2^n patterns are listed
-    only when every side is kept, and the stack holds at most one
-    pattern per unit.
+    which lists them with unit 0 fastest. step(state, (constraint,)) is
+    the state once a unit's side, that one constraint, is added to a
+    partial pattern with that state, or None to drop the side and every
+    pattern under it. A dropped side is never split further, so the 2^n
+    patterns are listed only when every side is kept, and the stack
+    holds at most one pattern per unit.
     """
     zero = Fraction(0)
     zero_row = (zero,) * dim
@@ -179,10 +181,10 @@ def _relu_split(gp: AffinePiece, dim: int, state, step) -> Iterator[tuple[Affine
         while k:
             k -= 1
             inactive, active = units[k]
-            below = step(state, k, True)
+            below = step(state, active[:1])
             if below is not None:
                 stack.append((k, (active,) + pattern, below))
-            state = step(state, k, False)
+            state = step(state, inactive[:1])
             if state is None:
                 break
             pattern = (inactive,) + pattern

@@ -386,6 +386,24 @@ class TestTransformEdgeChains:
         assert (fn.in_dim, fn.out_dim, fn.pieces) == (2, 2, ())
 
 
+def _edge_chains():
+    """Chains at the edges of the fold: output only, a zero-width ReLU, a
+    leading ReLU, two ReLUs, a layer without pieces, a claimed layer and
+    a restricted affine layer."""
+    rng = random.Random(6620)
+    claimed = PwaFn(2, 2, identity_pwaf(2).pieces, univalence=VERIFIED, claimed=True)
+    hidden = nn_linear(Mat([[1, -1], [Fraction(1, 2), 1]]), ColVec([-1, Fraction(1, 3)]))
+    return [
+        Network(3, 3, (OutputLayer(3),)),
+        Network(0, 0, (nn_relu(0), OutputLayer(0))),
+        Network(2, 2, (nn_relu(2), hidden, nn_relu(2), OutputLayer(2))),
+        Network(3, 3, (nn_relu(3), nn_relu(3), OutputLayer(3))),
+        Network(2, 2, (PwaLayer(PwaFn(2, 2, ())), nn_relu(2), OutputLayer(2))),
+        Network(2, 2, (PwaLayer(claimed), nn_relu(2), OutputLayer(2))),
+        Network(2, 1, (PwaLayer(restricted_affine(rng, 2, 1)), OutputLayer(1))),
+    ]
+
+
 class TestForwardFoldMatchesRightFold:
     """transform folds first to last; the old last-to-first fold is the oracle."""
 
@@ -422,6 +440,10 @@ class TestForwardFoldMatchesRightFold:
     def test_dense_networks(self, widths):
         net = dense_network(random.Random(6615 + len(widths)), widths)
         self.assert_same_bytes(net, prune=True)
+
+    def test_edge_chains(self):
+        for net in _edge_chains():
+            self.assert_same_bytes(net, prune=True)
 
 
 class TestPieceProduct:
@@ -485,6 +507,20 @@ class TestOversize:
         net = Network(20, 20, (nn_relu(20), OutputLayer(20)))
         assert oversize(net, 2496) is None
         assert oversize(net, 2497) == self.RATIONALS
+
+    def test_the_plain_compile_bounds_the_product_alone(self):
+        # 4,096 pieces of (1 + 1) * (250 + 12) rationals pass MAX_RATIONALS
+        # after the ReLU, but the product is 0: neither compile refuses.
+        layers = (
+            nn_linear(Mat([[1]] * 12), ColVec(range(12))),
+            nn_relu(12),
+            PwaLayer(PwaFn(12, 250, ())),
+            OutputLayer(250),
+        )
+        net = Network(1, 250, layers)
+        for prune in (False, True):
+            fn = transform(net, prune=prune)
+            assert (fn.in_dim, fn.out_dim, fn.pieces) == (1, 250, ())
 
     def test_transform_refuses_before_building_a_piece(self, monkeypatch):
         def refuse(n, g):
@@ -578,12 +614,13 @@ def _fold_chains(draw):
 
 class TestPrunedFold:
     """transform(net, prune=True) folds forward keeping only live pieces;
-    the oracle is prune_empty(transform(net)), byte for byte."""
+    the oracle is prune_empty of the last-to-first fold, byte for byte,
+    since the plain transform runs the same fold."""
 
     @staticmethod
     def assert_same(net):
         pruned = transform(net, prune=True)
-        expected = prune_empty(transform(net))
+        expected = prune_empty(right_fold_transform(net))
         assert serialize_pwa(pruned) == serialize_pwa(expected)
         assert pruned.pieces == expected.pieces
         assert (pruned.univalence, pruned.claimed) == (expected.univalence, expected.claimed)
@@ -604,17 +641,7 @@ class TestPrunedFold:
         self.assert_same(net)
 
     def test_edge_chains(self):
-        rng = random.Random(6620)
-        claimed = PwaFn(2, 2, identity_pwaf(2).pieces, univalence=VERIFIED, claimed=True)
-        nets = [
-            Network(3, 3, (OutputLayer(3),)),
-            Network(0, 0, (nn_relu(0), OutputLayer(0))),
-            Network(3, 3, (nn_relu(3), nn_relu(3), OutputLayer(3))),
-            Network(2, 2, (PwaLayer(PwaFn(2, 2, ())), nn_relu(2), OutputLayer(2))),
-            Network(2, 2, (PwaLayer(claimed), nn_relu(2), OutputLayer(2))),
-            Network(2, 1, (PwaLayer(restricted_affine(rng, 2, 1)), OutputLayer(1))),
-        ]
-        for net in nets:
+        for net in _edge_chains():
             self.assert_same(net)
 
     def test_a_function_without_rows_builds_no_root_tableau(self):
