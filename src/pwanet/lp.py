@@ -29,9 +29,18 @@ tableau of a prefix of a polyhedron's rows, as pwa's trie walk does,
 pays only for the rows past it; extension copies, so the prefix's
 tableau can be extended again. maximize returns an LpOutcome, and
 point() reads the basic point phase 1 kept, so a feasible point costs
-phase 1 alone. off_target_points starts every objective from a copy of
-the one feasible tableau, which is the tableau a fresh solve would
-reach, since phase 1 is deterministic.
+phase 1 alone.
+
+Below the public API everything is an integer row (den, ints): a
+constraint as polyhedra._row gives it, an objective, and a row
+(d, t), ints = den * (d, t), that asks whether d.x = t all over a
+polyhedron. solve and off_target_points convert their Fraction
+arguments once. _off_target decides one such row on a feasible tableau,
+starting each objective from a copy of it, which is the tableau a fresh
+solve would reach, since phase 1 is deterministic; _first_off returns
+the first row of a list that is off target, with its point. pwa's pair
+scan calls it on a warm tableau to decide a pair, and on a fresh one
+for the witness.
 
 An infeasible phase 1 leaves a Farkas certificate: y >= 0, one entry per
 constraint c_i.x <= b_i, with sum y_i c_i = 0 and sum y_i b_i < 0, so no
@@ -67,12 +76,11 @@ from .numeric import (
     DimensionError,
     ScalarLike,
     _Frozen,
-    _unchecked_vec,
+    _unscaled,
     as_scalar,
     scaled_ints,
-    vec_scale,
 )
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _row
 
 MAX = "max"
 MIN = "min"
@@ -152,7 +160,7 @@ class _Simplex:
 
     def __init__(self, poly: Polyhedron):
         self.__dict__.update(self.empty(poly.dim).__dict__)
-        self._phase_1([scaled_ints(lc.c.entries + (lc.b,)) for lc in poly.constraints])
+        self._phase_1([_row(lc) for lc in poly.constraints])
 
     @classmethod
     def empty(cls, n: int) -> _Simplex:
@@ -171,8 +179,7 @@ class _Simplex:
 
     def extended(self, rows: Sequence[tuple[int, list[int]]]) -> _Simplex:
         """A new tableau: this feasible one with rows appended, after phase
-        1. Each row is (den, ints) as scaled_ints gives for a constraint's
-        coefficients followed by its bound."""
+        1. Each row is (den, ints) as polyhedra._row gives it."""
         other = self.copy()
         other._phase_1(rows)
         return other
@@ -335,12 +342,13 @@ class _Simplex:
 
     def point(self) -> ColVec:
         """The basic point that phase 1 found and checked."""
-        return _as_vec(self.witness)
+        return _unscaled(*self.witness)
 
-    def maximize(self, objective: ColVec) -> LpOutcome:
+    def maximize(self, objective: tuple[int, list[int]]) -> LpOutcome:
+        """Maximize c.x for the objective (den, ints), ints = den * c."""
         if not self.feasible:
             return Infeasible(self.farkas)
-        den, ints = scaled_ints(objective.entries)
+        den, ints = objective
         obj = [0] * self.ncols + [0, den]
         for k, c in enumerate(ints):
             if c:
@@ -349,12 +357,7 @@ class _Simplex:
         self._canonicalize(obj)
         if not self._run(obj):
             return Unbounded()
-        return Optimal(Fraction(-obj[-2], obj[-1]), _as_vec(self._basic_point()))
-
-
-def _as_vec(point: tuple[int, list[int]]) -> ColVec:
-    den, ints = point
-    return _unchecked_vec(tuple(Fraction(a, den) for a in ints))
+        return Optimal(Fraction(-obj[-2], obj[-1]), _unscaled(*self._basic_point()))
 
 
 def _satisfies(point: tuple[int, list[int]], rows: Iterable[tuple[int, list[int]]]) -> bool:
@@ -371,10 +374,12 @@ def solve(poly: Polyhedron, objective: ColVec, sense: str = MAX) -> LpOutcome:
         )
     if sense not in (MAX, MIN):
         raise ValueError(f"sense must be {MAX!r} or {MIN!r}, got {sense!r}")
-    if sense == MAX:
-        return _Simplex(poly).maximize(objective)
-    outcome = _Simplex(poly).maximize(vec_scale(-1, objective))
-    return Optimal(-outcome.value, outcome.witness) if isinstance(outcome, Optimal) else outcome
+    sign = 1 if sense == MAX else -1
+    den, ints = scaled_ints(objective.entries)
+    outcome = _Simplex(poly).maximize((den, [sign * a for a in ints]))
+    if isinstance(outcome, Optimal):
+        return Optimal(sign * outcome.value, outcome.witness)
+    return outcome
 
 
 def is_empty(poly: Polyhedron) -> bool:
@@ -398,21 +403,23 @@ def off_target_points(
     A zero functional needs only some point of poly. Otherwise the
     maximum, then the minimum, is compared with the target; on an
     unbounded side the point is one unit past the target. Phase 1 runs
-    once, at the call, as does the check that every functional has the
-    polyhedron's width; every objective starts from a copy of the
-    feasible tableau phase 1 leaves. An empty poly yields nothing: every
+    once, at the call, as do the check that every functional has the
+    polyhedron's width and the conversion of each row to integers;
+    every objective starts from a copy of the feasible tableau phase 1
+    leaves. An empty poly yields nothing: every
     row holds vacuously.
     """
-    rows = list(rows)
-    for functional, _ in rows:
+    ints_rows = []
+    for functional, target in rows:
         if functional.dim != poly.dim:
             raise DimensionError(
                 f"functional of dim {functional.dim} over polyhedron of dim {poly.dim}"
             )
+        ints_rows.append(scaled_ints(functional.entries + (as_scalar(target),)))
     simplex = _Simplex(poly)
     if not simplex.feasible:
         return iter(())
-    return (_off_target(simplex, functional, as_scalar(target)) for functional, target in rows)
+    return (_off_target(simplex, row) for row in ints_rows)
 
 
 def _checked_support(
@@ -441,18 +448,46 @@ def _checked_support(
     raise RuntimeError("Farkas multipliers do not refute the polyhedron")
 
 
-def _off_target(simplex: _Simplex, functional: ColVec, goal: Fraction) -> ColVec | None:
-    if not any(functional.entries):
-        return None if goal == 0 else simplex.point()
+def _off_target(simplex: _Simplex, row: tuple[int, list[int]]) -> ColVec | None:
+    """A point of the feasible tableau's polyhedron where d.x != t, for
+    the row (den, ints), ints = den * (d, t); None when d.x = t all over
+    it.
+
+    A zero d needs only some point. Otherwise the maximum, then the
+    minimum, of d.x is compared with t, each from a copy of the tableau.
+    On an unbounded side the point is one unit past t: phase 1 over the
+    tableau's rows and the cut, written over the lcm of its reduced
+    denominators as polyhedra._row writes a constraint.
+    """
+    den, ints = row
+    d, t = ints[:-1], ints[-1]
+    if not any(d):
+        return None if t == 0 else simplex.point()
     for sense, sign in ((MAX, 1), (MIN, -1)):
-        outcome = simplex.copy().maximize(vec_scale(sign, functional))
+        outcome = simplex.copy().maximize((1, [sign * a for a in d]))
         if isinstance(outcome, Unbounded):
-            # sign * functional.x >= sign * goal + 1, after the same rows
-            cut = scaled_ints(vec_scale(-sign, functional).entries + (-(sign * goal + 1),))
+            # sign * d.x >= sign * t + 1, after the same rows
+            cut = [-sign * a for a in d] + [-sign * t - den]
+            g = gcd(den, *cut)
+            cut = (den // g, [a // g for a in cut])
             past = _Simplex.empty(simplex.n).extended(simplex.rows + (cut,))
             if not past.feasible:
-                raise RuntimeError(f"unbounded {sense} but no point past {goal}")
+                raise RuntimeError(f"unbounded {sense} but no point past {Fraction(t, den)}")
             return past.point()
-        if sign * outcome.value != goal:
+        if sign * outcome.value != t:
             return outcome.witness
+    return None
+
+
+def _first_off(
+    simplex: _Simplex, rows: Iterable[tuple[int, tuple[int, list[int]]]]
+) -> tuple[int, ColVec] | None:
+    """The first (r, row) of rows whose row is off target on the
+    tableau's polyhedron (_off_target), as r and a point where it is off;
+    None when every row holds there, or the polyhedron is empty."""
+    if simplex.feasible:
+        for r, row in rows:
+            point = _off_target(simplex, row)
+            if point is not None:
+                return r, point
     return None

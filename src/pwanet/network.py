@@ -27,7 +27,10 @@ each piece carries a state that a step advances by the constraints each
 layer adds. The plain compile's step keeps every piece. With prune, the
 step keeps only the non-empty ones, so the work follows the live
 regions, and both bounds apply to the live count instead of the
-product. Either compile raises TooLarge past a bound.
+product. Either compile raises TooLarge past a bound. The pruned step
+reads each constraint as its cached integer row (polyhedra._row), so a
+ReLU unit's constraint is scaled once per piece it splits, however
+many partial patterns it is added to.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Callable, Optional, Union, get_args
 
 from . import lp
 from .numeric import ColVec, DimensionError, Mat, _Frozen, _unscaled, scaled_ints
+from .polyhedra import _row
 from .pwa import PwaFn, _located, _mapped, _narrowed, _unchecked_pwafn, identity_pwaf, linear_pwaf
 from .pwa_algebra import _carried, _composed, _every_side, _relu_split, compose_relu
 from .pwa_algebra import compose  # no longer called here; perfbench's tracer wraps network.compose
@@ -51,8 +55,8 @@ class TooLarge(ValueError):
     rationals; the message is oversize's."""
 
 
-class OutputLayer(_Frozen):
-    """Terminates the network and passes its input through unchanged."""
+class _OnWidth(_Frozen):
+    """A layer from R^dim to R^dim, known by its width alone."""
 
     __match_args__ = ("dim",)
 
@@ -66,6 +70,10 @@ class OutputLayer(_Frozen):
     @property
     def out_dim(self) -> int:
         return self.dim
+
+
+class OutputLayer(_OnWidth):
+    """Terminates the network and passes its input through unchanged."""
 
 
 class PwaLayer(_Frozen):
@@ -85,23 +93,13 @@ class PwaLayer(_Frozen):
         return self.fn.out_dim
 
 
-class ReluLayer(_Frozen):
+class ReluLayer(_OnWidth):
     """Componentwise max(0, x) on R^dim, known by its width alone."""
-
-    __match_args__ = ("dim",)
 
     def __init__(self, dim: int):
         if dim < 0:
             raise DimensionError("relu layer dimension must be nonnegative")
-        self.__dict__.update(dim=dim)
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dim
+        super().__init__(dim)
 
 
 class PlainLayer(_Frozen):
@@ -298,11 +296,11 @@ def _fold(net: Network, prune: bool) -> PwaFn:
 
 
 def _with_constraints(state, constraints):
-    """_narrowed's state once constraints are added: each c.x <= b as
-    (den, ints), den * (c, b) in ints. None when they leave it empty."""
+    """_narrowed's state once constraints are added, each as its integer
+    row (polyhedra._row). None when they leave it empty."""
     if not constraints:
         return state
-    return _narrowed(*state, [scaled_ints(lc.c.entries + (lc.b,)) for lc in constraints])
+    return _narrowed(*state, [_row(lc) for lc in constraints])
 
 
 def _adds_rows(layer: Layer) -> bool:

@@ -123,9 +123,11 @@ class _Frozen:
     Name(field=value, ...) over the same fields. Assigning or deleting an
     attribute raises dataclasses.FrozenInstanceError, as it did when
     these types were frozen dataclasses; dataclasses is imported only
-    then. Pickling and copying fill the instance dict directly, so they
-    work unchanged. dataclasses.fields, replace, asdict and is_dataclass
-    do not apply.
+    then. A value may cache a derived form of itself in its instance
+    dict, under a name that is not a field: equality, hash and repr never
+    read it, and __getstate__ leaves it out, so pickling and copying see
+    the fields alone and fill the copy's instance dict directly.
+    dataclasses.fields, replace, asdict and is_dataclass do not apply.
     """
 
     __slots__ = ()
@@ -153,6 +155,12 @@ class _Frozen:
         fields = self.__dict__
         body = ", ".join(f"{name}={fields[name]!r}" for name in self._compared)
         return f"{self.__class__.__qualname__}({body})"
+
+    def __getstate__(self):
+        """The fields by name, or None for a record without fields, as the
+        default state of an instance with an empty dict: no cache."""
+        fields = self.__dict__
+        return {name: fields[name] for name in self.__match_args__} or None
 
     def __setattr__(self, name: str, value) -> None:
         from dataclasses import FrozenInstanceError

@@ -9,13 +9,19 @@ a prefix of another) stay visible.
 intersect, pwa_algebra's operators and the document reader skip these
 checks (_unchecked_constraint, _unchecked_polyhedron): their rows are
 Fractions from checked values, in widths the builder has matched.
+
+Below the public API a constraint is one integer row, _row: (den, ints)
+with ints = den * (c, b) over the lcm of the reduced denominators, as
+scaled_ints gives it, so equal constraints give equal rows. It is made
+once per constraint object and cached on it outside its fields; lp's
+tableaus, pwa's constraint numbering and the pruned compile all read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import ColVec, DimensionError, _Frozen, as_scalar, dot
+from .numeric import ColVec, DimensionError, _Frozen, as_scalar, dot, scaled_ints
 
 
 class LinearConstraint(_Frozen):
@@ -31,6 +37,16 @@ class LinearConstraint(_Frozen):
     @property
     def dim(self) -> int:
         return self.c.dim
+
+
+def _row(lc: LinearConstraint) -> tuple[int, list[int]]:
+    """lc as the integer row (den, ints), ints = den * (c, b): scaled once
+    and cached on lc, where equality, hash, repr and pickling never look.
+    Callers read the row and never change it."""
+    row = lc.__dict__.get("_row")
+    if row is None:
+        row = lc.__dict__["_row"] = scaled_ints(lc.c.entries + (lc.b,))
+    return row
 
 
 def _unchecked_constraint(c: ColVec, b: Fraction) -> LinearConstraint:

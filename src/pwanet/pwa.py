@@ -4,8 +4,10 @@ A PwaFn is an ordered list of pieces, each an affine map x -> Mx + b
 restricted to a polyhedron. Evaluation walks the list and takes the first
 piece containing the input; inputs outside every piece are simply not in
 the domain, so partial functions are legal, as is a function with no
-pieces at all. A piece's map is applied on integers (_mapped), on M and
-b over one lcm, cached on the piece where equality and pickling never look.
+pieces at all. A piece's map is one integer encoding, _int_map: M and b
+over one lcm, made once and cached on the piece where equality and
+pickling never look. evaluate and network.nn_eval apply it (_mapped),
+and check_univalence compares maps and takes row differences on it.
 
 Nothing forces the pieces of an arbitrary function to agree where they
 overlap. Each function carries a univalence status: "verified" when its
@@ -16,11 +18,11 @@ pairwise intersections, as "verified" or "refuted"; the refutation comes
 back to the caller with a concrete witness point, and only its status is
 kept on the function. check_univalence ignores any existing status and
 rescans the pairs. Each check numbers the function's distinct
-constraints and scales each once to an integer row, and compares two
-pieces' maps on their rows scaled the same way: identical maps agree
-and need nothing more. lp certifies every phase 1. An overlap found empty
-leaves a core, the constraints its checked Farkas certificate uses, and
-a later pair whose overlap holds a whole core is empty without an LP.
+constraints by their integer rows (polyhedra._row), and compares two
+pieces' integer maps: identical maps agree and need nothing more. lp
+certifies every phase 1. An overlap found empty leaves a core, the
+constraints its checked Farkas certificate uses, and a later pair whose
+overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
@@ -30,7 +32,8 @@ an interval, an empty one files the core of a Farkas certificate that
 lp checks, and a point of a non-empty one is checked against every row.
 Any other pair extends its first piece's tableau by the constraints of
 the second that it lacks; only the pair that disagrees is searched
-again from scratch, for its witness. Only a univalent function is
+again from scratch, for its witness. Both searches are lp._first_off on
+the pair's integer row differences. Only a univalent function is
 independent of piece order.
 
 The public constructors check every width; the library's own builders,
@@ -42,7 +45,6 @@ pieces; pwa_algebra's operators and the document reader are the others.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Union
@@ -59,7 +61,7 @@ from .numeric import (
     scaled_ints,
     zeros_vec,
 )
-from .polyhedra import Polyhedron, contains, full_space, intersect
+from .polyhedra import Polyhedron, _row, contains, full_space, intersect
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -82,23 +84,25 @@ class AffinePiece(_Frozen):
             raise DimensionError(f"matrix has {M.rows} rows but offset has dim {b.dim}")
         self.__dict__.update(polyhedron=polyhedron, M=M, b=b)
 
-    def __getstate__(self):
-        """The fields alone: pickle and copy never see the cached _int_map."""
-        return {name: self.__dict__[name] for name in self.__match_args__}
 
-
-def _mapped(piece: AffinePiece, den: int, ints: list[int]) -> tuple[int, list[int]]:
-    """piece's map at ints / den, as scaled_ints gives the image: over the
-    lcm of its reduced denominators, whatever common den the point has.
-    The map is scaled once, M = rows / d and b = offsets / d over one lcm
-    d, and cached on the piece as _int_map, outside its fields."""
+def _int_map(piece: AffinePiece) -> tuple[int, list[list[int]], list[int]]:
+    """piece's map as (d, rows, offsets): M = rows / d and b = offsets / d
+    over one lcm d of the reduced denominators, so equal maps give equal
+    triples. Scaled once and cached on the piece, outside its fields;
+    callers read it and never change it."""
     cached = piece.__dict__.get("_int_map")
     if cached is None:
         m, cols = piece.M.rows, piece.M.cols
         d, flat = scaled_ints(itertools.chain(piece.b.entries, *piece.M.entries))
         rows = [flat[m + k * cols : m + (k + 1) * cols] for k in range(m)]
         cached = piece.__dict__["_int_map"] = (d, rows, flat[:m])
-    d, rows, offsets = cached
+    return cached
+
+
+def _mapped(piece: AffinePiece, den: int, ints: list[int]) -> tuple[int, list[int]]:
+    """piece's map at ints / den, as scaled_ints gives the image: over the
+    lcm of its reduced denominators, whatever common den the point has."""
+    d, rows, offsets = _int_map(piece)
     out = [sum(map(mul, row, ints)) + b * den for row, b in zip(rows, offsets)]
     g = gcd(den * d, *out)
     return den * d // g, [a // g for a in out]
@@ -223,12 +227,12 @@ def _value_keys(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, list[int]]], dict[tuple, int]]:
     """For each piece of fn, its constraints as ints: equal constraints,
     by value, get equal ints, numbered in order of first appearance.
-    Also each number's integer row (den, ints), as scaled_ints gives it
-    for (c, b), and the numbering, from each (den, *ints) to its int.
+    Also each number's integer row (den, ints), polyhedra._row, and the
+    numbering, from each (den, *ints) to its int.
 
-    den is the lcm of the reduced denominators, so equal values give
-    equal rows and a row hashes without Fraction arithmetic. Pieces share
-    constraint objects, so each object is scaled once.
+    Equal values give equal rows, so a row hashes without Fraction
+    arithmetic. Pieces share constraint objects, so each object is
+    numbered once.
     """
     number: dict[tuple, int] = {}
     key_of: dict[int, int] = {}
@@ -239,7 +243,7 @@ def _value_keys(
         for lc in piece.polyhedron.constraints:
             key = key_of.get(id(lc))
             if key is None:
-                den, ints = scaled_ints(lc.c.entries + (lc.b,))
+                den, ints = _row(lc)
                 key = key_of[id(lc)] = number.setdefault((den, *ints), len(number))
                 if key == len(rows):
                     rows.append((den, ints))
@@ -337,8 +341,8 @@ class _PairScan:
     on the overlap, with no LP, whether the overlap is empty or not.
     The negation of each key is looked up once, when an overlap first
     holds it. The span test runs on the integer rows: a positive scale
-    changes no span. Each piece's map rows are scaled once, and each set
-    of facets is put in echelon form, and its hull (_hull) found, once.
+    changes no span. Each set of facets is put in echelon form, and its
+    hull (_hull) found, once.
     """
 
     def __init__(self, fn: PwaFn):
@@ -347,7 +351,6 @@ class _PairScan:
         self.keys, self.rows, self.number = _value_keys(fn)
         self.cores = _EmptyCores()
         self.negations: dict[int, int] = {}
-        self.maps: dict[int, list[tuple[int, list[int]]]] = {}
         self.bases: dict[tuple[int, ...], tuple[list, Optional[tuple]]] = {}
         self.piece = -1
         self.held: tuple[int, ...] = ()
@@ -360,17 +363,6 @@ class _PairScan:
             den, ints = self.rows[key]
             negation = self.negations[key] = self.number.get((den, *(-a for a in ints)), -1)
         return negation
-
-    def map(self, i: int) -> list[tuple[int, list[int]]]:
-        """Piece i's rows (M[r], -b[r]) as scaled_ints gives them: equal
-        maps, by value, give equal lists."""
-        rows = self.maps.get(i)
-        if rows is None:
-            piece = self.fn.pieces[i]
-            rows = self.maps[i] = [
-                scaled_ints(row + (-b,)) for row, b in zip(piece.M.entries, piece.b)
-            ]
-        return rows
 
     def of(self, overlap: set[int]) -> tuple[int, ...]:
         """The facets of an overlap, whose constraint keys are overlap: the
@@ -408,18 +400,22 @@ class _PairScan:
             entry = self.bases[facets] = (basis, _hull(n, basis))
         return entry
 
-    def diff(self, i: int, j: int, r: int) -> list[int]:
-        """Row r of piece i's map less piece j's, as the ints of (d, t),
-        d.x = t where the two agree, times a positive int."""
-        (di, xi), (dj, xj) = self.map(i)[r], self.map(j)[r]
-        return [a * dj - b * di for a, b in zip(xi, xj)]
+    def diff(self, i: int, j: int, r: int) -> tuple[int, list[int]]:
+        """Row r of piece i's map less piece j's as the integer row
+        (den, ints), ints = den * (d, t), d.x = t where the two agree;
+        den is di * dj, the two maps' scales (_int_map)."""
+        di, rows_i, offsets_i = _int_map(self.fn.pieces[i])
+        dj, rows_j, offsets_j = _int_map(self.fn.pieces[j])
+        ints = [a * dj - b * di for a, b in zip(rows_i[r], rows_j[r])]
+        ints.append(offsets_j[r] * di - offsets_i[r] * dj)
+        return di * dj, ints
 
     def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
         """The rows of pieces i and j, in order, that the facet equalities
         of their overlap, these facets, do not pin; with no facets, the
         rows where their maps differ."""
         basis = self.basis(facets)[0]
-        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)))]
+        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)[1]))]
 
     def tableau_of(self, i: int) -> lp._Simplex:
         """Piece i's tableau. An infeasible one files its core, which
@@ -449,14 +445,11 @@ class _PairScan:
             if not tableau.feasible:
                 self.cores.add(self.held + new, tableau.core)
                 return None
-        diffs = _diffs(self.fn.pieces[i], self.fn.pieces[j], unpinned)
         # Optima and unboundedness do not depend on the basis a
         # maximization starts from, so each row's verdict is the plain
         # scan's.
-        return next(
-            (r for r, (d, t) in zip(unpinned, diffs) if lp._off_target(tableau, d, t) is not None),
-            None,
-        )
+        found = lp._first_off(tableau, [(r, self.diff(i, j, r)) for r in unpinned])
+        return None if found is None else found[0]
 
     def hull_off(
         self, i: int, j: int, overlap: set[int], facets: tuple[int, ...], unpinned: list[int]
@@ -502,7 +495,7 @@ class _PairScan:
             raise RuntimeError("a hull point leaves its pair's overlap")
         if direction and width:
             return unpinned[0]
-        return next((r for r in unpinned if _at(self.diff(i, j, r), inside)), None)
+        return next((r for r in unpinned if _at(self.diff(i, j, r)[1], inside)), None)
 
     def file_core(
         self, basis: list[tuple[int, list[int]]], facets: tuple[int, ...], combination: list
@@ -534,14 +527,6 @@ class _PairScan:
         self.cores.add(tuple(keys), lp._checked_support(rows, certificate))
 
 
-def _diffs(pi: AffinePiece, pj: AffinePiece, rows: list[int]) -> list[tuple[ColVec, Fraction]]:
-    """(functional, target) of each of these rows: pi's map less pj's."""
-    return [
-        (ColVec(a - b for a, b in zip(pi.M.entries[r], pj.M.entries[r])), pj.b[r] - pi.b[r])
-        for r in rows
-    ]
-
-
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
@@ -551,11 +536,11 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     tableau, extended by the keys of piece j it lacks, decides the
     overlap, as check_univalence describes. Only a pair with a row off
     target is searched again from scratch, on intersect(pi, pj), for its
-    witness.
+    witness; both searches are lp._first_off on the same rows.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
-    if scan.map(i) == scan.map(j):
+    if _int_map(pi) == _int_map(pj):
         # Identical maps agree everywhere, overlap or not.
         return None
     own = set(scan.keys[i])
@@ -572,9 +557,8 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
         off = scan.tableau_off(i, j, own, unpinned)
     if off is None:
         return None
-    diffs = _diffs(pi, pj, unpinned)
-    points = lp.off_target_points(intersect(pi.polyhedron, pj.polyhedron), diffs)
-    found = next(((r, point) for r, point in zip(unpinned, points) if point is not None), None)
+    cold = lp._Simplex(intersect(pi.polyhedron, pj.polyhedron))
+    found = lp._first_off(cold, [(r, scan.diff(i, j, r)) for r in unpinned])
     if found is None or found[0] != off:
         raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
     return UnivalenceViolation(i, j, *found)
@@ -584,11 +568,12 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     """Decide whether all overlapping pieces of fn agree on their overlaps.
 
     Every unordered pair of pieces is examined in order; pairs with
-    identical maps agree and need no LP. Maps are compared on their rows
-    (M[r], -b[r]) scaled to ints by the lcm of their denominators, which
-    are equal exactly when the maps are equal by value. Otherwise, after phase 1 over
-    the pair's intersection, two exact linear programs per output row
-    decide whether the row difference is pinned to the offset difference.
+    identical maps agree and need no LP. Maps are compared on their
+    integer encodings (_int_map), M and b scaled to ints by the lcm of
+    their denominators, which are equal exactly when the maps are equal
+    by value. Otherwise, after phase 1 over the pair's intersection, two
+    exact linear programs per output row decide whether the row
+    difference is pinned to the offset difference.
     The scan stops at the first violation in pair order (then row order)
     and returns it with a witness point lying in both polyhedra.
 
@@ -655,7 +640,7 @@ def _narrowed(
     If the witness satisfies new too, the polyhedron keeps the tableau
     and adds new to those rows, with no LP. Otherwise the tableau is
     extended by every row added since it, and one phase 1, certified
-    inside lp, decides. Rows are (den, ints) as _value_keys gives them.
+    inside lp, decides. Rows are (den, ints) as polyhedra._row gives them.
     """
     if lp._satisfies(tableau.witness, new):
         return tableau, pending + tuple(new)

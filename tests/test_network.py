@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwanet import network
+from pwanet import lp, network, numeric, polyhedra, pwa, pwa_algebra
 from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, DimensionError, Mat
 from pwanet.polyhedra import LinearConstraint, Polyhedron
@@ -643,6 +644,47 @@ class TestPrunedFold:
     def test_edge_chains(self):
         for net in _edge_chains():
             self.assert_same(net)
+
+    # A 1-d staircase of 13 ReLUs, of x, x - 1, ..., x - 12: 14 live pieces.
+    STAIR = Network(1, 13, (
+        nn_linear(Mat([[1]] * 13), ColVec(range(0, -13, -1))), nn_relu(13), OutputLayer(13)
+    ))
+
+    @pytest.mark.parametrize(
+        "net", [STAIR, dense_network(random.Random(1), (3, 4, 4, 2))], ids=["stair", "3-4-4-2"]
+    )
+    def test_each_constraint_object_is_scaled_at_most_once(self, monkeypatch, net):
+        # A scaling of lc.c.entries + (lc.b,) passes the objects of lc's
+        # coefficients and bound, so the ids of its entries name lc; the
+        # scaled entries are kept, so no id is reused.
+        scaled_ints = numeric.scaled_ints
+        scaled, calls = [], Counter()
+
+        def counted(entries):
+            entries = tuple(entries)
+            scaled.append(entries)
+            calls[tuple(map(id, entries))] += 1
+            return scaled_ints(entries)
+
+        for module in (numeric, polyhedra, lp, pwa, pwa_algebra, network):
+            if getattr(module, "scaled_ints", None) is scaled_ints:
+                monkeypatch.setattr(module, "scaled_ints", counted)
+        built = [lc for layer in net.layers if isinstance(layer, PwaLayer)
+                 for piece in layer.fn.pieces for lc in piece.polyhedron.constraints]
+        make = pwa_algebra._unchecked_constraint
+
+        def recorded(c, b):
+            built.append(make(c, b))
+            return built[-1]
+
+        monkeypatch.setattr(pwa_algebra, "_unchecked_constraint", recorded)
+        fn = transform(net, prune=True)
+        monkeypatch.undo()
+        distinct = {id(lc): lc for lc in built}.values()
+        objects = Counter(tuple(map(id, lc.c.entries + (lc.b,))) for lc in distinct)
+        rows = {key: n for key, n in calls.items() if key in objects}
+        assert len(rows) >= len({lc for piece in fn.pieces for lc in piece.polyhedron.constraints})
+        assert all(n <= objects[key] for key, n in rows.items())
 
     def test_a_function_without_rows_builds_no_root_tableau(self):
         # Two unconstrained pieces on R^(10^12): a root tableau would hold

@@ -1129,12 +1129,13 @@ class TestIntegerMapEquality:
         assert self.covered(monkeypatch, PwaFn(2, 2, pieces)) == (Univalent(), 0)
 
     def test_an_offset_over_another_denominator_is_not_skipped(self, monkeypatch):
-        # Rows (0, -1/2) and (0, -1/3) scale to ints [0, -1] over 2 and 3.
+        # Maps 0x + 1/2 and 0x + 1/3 scale to one row [0] and offset [1],
+        # over 2 and over 3.
         fn = _doc_fn([
             ([(["1"], "1")], [["0"]], ["1/2"]),
             ([(["-1"], "0")], [["0"]], ["1/3"]),
         ])
-        assert [pwa._PairScan(fn).map(i) for i in range(2)] == [[(2, [0, -1])], [(3, [0, -1])]]
+        assert [pwa._int_map(p) for p in fn.pieces] == [(2, [[0]], [1]), (3, [[0]], [1])]
         verdict, covers = self.covered(monkeypatch, fn)
         assert covers == 1
         assert verdict == UnivalenceViolation(0, 1, 0, ColVec([0]))
@@ -1364,13 +1365,17 @@ class TestWarmPairs:
 
     @pytest.mark.parametrize("cold", ["empty", "on target"])
     def test_a_cold_search_that_disagrees_raises(self, monkeypatch, cold):
+        # On R^1 every pair is decided on its hull, so lp._first_off runs
+        # only for the witness, on the pair's from-scratch tableau. The
+        # corrupted search finds the overlap empty, or every row on target.
         fn = self.violation_after_a_core()
+        first_off = lp._first_off
+        nowhere = lp._Simplex(Polyhedron(1, (_halfspace([0], -1),)))
 
-        def search(poly, rows):
-            rows = list(rows)
-            return iter(()) if cold == "empty" else iter([None] * len(rows))
+        def search(simplex, rows):
+            return first_off(nowhere, rows) if cold == "empty" else first_off(simplex, [])
 
-        monkeypatch.setattr(lp, "off_target_points", search)
+        monkeypatch.setattr(lp, "_first_off", search)
         with pytest.raises(RuntimeError, match="disagree"):
             check_univalence(fn)
 
