@@ -17,6 +17,7 @@ Output is deterministic byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats, network, pwa
@@ -112,6 +113,8 @@ def _cmd_export_smt(args) -> int:
     return EXIT_OK
 
 
+# Built on the first call and reused: parse_args never changes a parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwanet",

@@ -1,13 +1,19 @@
 """End-to-end command line behavior: outputs, files, and exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
-from pwanet import network
+from pwanet import cli, network
 from pwanet.cli import main
 from pwanet.formats import parse_network, parse_pwa, serialize_pwa
 from pwanet.numeric import ColVec, Mat, parse_scalar
@@ -631,3 +637,116 @@ class TestChainErrors:
         net = write(tmp_path, "net.json", doc)
         assert main(["eval", "--network", net, "--point", "1,2"]) == 3
         assert capsys.readouterr() == ("", line)
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one main call, each stream redirected at that call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_call(argv):
+    """The same call through a parser built for it alone."""
+    built = cli._build_parser.__wrapped__()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_build_parser", lambda: built)
+        return call(argv)
+
+
+class TestReusedParser:
+    """main builds its parser once per process; every call must behave as a fresh one."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        net = write(tmp_path, "net.json", EXAMPLE_NET)
+        return {
+            "net": net,
+            "fn": write(tmp_path, "fn.json", serialize_pwa(network.transform(parse_network(EXAMPLE_NET)))),
+            "bad": write(tmp_path, "bad.json", conflicting_doc()),
+            "out": str(tmp_path / "out.json"),
+        }
+
+    def good_calls(self, files):
+        return [
+            ["check", "--pwa", files["fn"]],
+            ["check", "--pwa", files["bad"]],
+            ["regions", "--pwa", files["fn"]],
+            ["eval", "--network", files["net"], "--point=-1/3,2"],
+            ["eval", "--pwa", files["fn"], "--point", "1,1"],
+            ["compile", "--network", files["net"], "--out", files["out"], "--prune"],
+        ]
+
+    def test_the_same_argv_twice_gives_the_same_result(self, files):
+        for argv in self.good_calls(files):
+            first = call(argv)
+            assert call(argv) == first == fresh_call(argv)
+
+    @pytest.mark.parametrize(
+        "bad_argv, last_line",
+        [
+            (["frobnicate"], "pwanet: error: argument command: invalid choice: 'frobnicate'"),
+            (["check"], "pwanet check: error: the following arguments are required: --pwa"),
+            ([], "pwanet: error: the following arguments are required: command"),
+        ],
+    )
+    def test_a_usage_error_between_good_calls(self, files, bad_argv, last_line):
+        good = ["check", "--pwa", files["bad"]]
+        before = call(good)
+        assert before[0] == 5
+        code, out, err = call(bad_argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: pwanet")
+        assert err.splitlines()[-1].startswith(last_line)
+        assert (code, out, err) == fresh_call(bad_argv)
+        assert call(good) == before
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["eval", "--help"]])
+    def test_help_is_the_same_twice_and_follows_columns(self, monkeypatch, argv):
+        cli._build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = call(argv)
+        assert narrow[0] == 0 and narrow[1].startswith("usage: pwanet")
+        assert call(argv) == narrow == fresh_call(argv)
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = call(argv)
+        assert len(wide[1].splitlines()) < len(narrow[1].splitlines())
+        assert call(argv) == wide == fresh_call(argv)
+
+    def test_the_parser_is_built_once_over_many_calls(self, files, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for argv in 3 * self.good_calls(files) + [["check"], ["--help"]]:
+            call(argv)
+        assert built.count("pwanet") == 1
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = (
+            "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k): built.append(1); init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import pwanet.cli\n"
+            "print(len(built), pwanet.cli._build_parser.cache_info().misses)"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert proc.stdout.split() == ["0", "0"]
