@@ -29,23 +29,21 @@ so documents round-trip byte for byte, but the parsed function marks it as
 claimed: compose and concat do not carry a claimed "verified" into their
 results, and check_univalence never relies on any tag.
 
-Each document is read with one table that lives for that parse call: the
-raw text of a literal maps to its Fraction, a raw row of strings to its
-ColVec, and a constraint's raw text, its c row with its b, to its
-LinearConstraint. Repeated text is parsed once and the pieces share those
-immutable objects; a malformed document fails where, and with the
-message, it would if every entry were read afresh.
+Each document is read with one table (_Reader.known) that maps raw text
+to what it parsed to, so the pieces share those immutable objects.
+parse_pwa finds a repeated constraint, map row or offset in one lookup of
+its raw text; only a miss, or anything malformed, goes to the careful
+item reader, which fails where, and with the message, a reading of every
+entry afresh would, and makes location text only then.
 
-serialize_pwa writes the bytes json.dumps(doc, indent=2) would, plus a
-newline, but lays them out directly: with indent, json uses its slow
-pure-Python encoder. Nothing needs escaping, since the keys are fixed, the
-tag is one of three words and format_scalar writes only digits, "-" and
-"/". Each distinct constraint object and map row is rendered once per
-call, as export_smt renders each distinct constraint once.
-
-The SMT export targets QF_LRA: constants x_0..x_{n-1} and y_0..y_{m-1},
-and per piece one assertion (=> <membership> <output rows>). It contains
-no check-sat, so callers can conjoin their own assertions after it.
+serialize_pwa writes json.dumps(doc, indent=2) plus a newline, laid out
+from templates and precomputed indents (json's indenting encoder is slow
+pure Python; nothing here needs escaping). export_smt writes QF_LRA:
+constants x_0..x_{n-1} and y_0..y_{m-1}, per piece one assertion
+(=> <membership> <output rows>), and no check-sat, so callers can add
+their own; each rational is written from its numerator and denominator.
+Both writers render each distinct constraint object and map row once,
+and raise format_scalar's ScalarTooLong for a rational too long to write.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .numeric import ColVec, Mat, _unchecked_mat, _unchecked_vec, format_scalar, parse_scalar
+from .numeric import ColVec, Mat, _too_long, _unchecked_mat, _unchecked_vec, parse_scalar
 from .polyhedra import LinearConstraint, _unchecked_constraint, _unchecked_polyhedron
-from .pwa import _STATUSES, AffinePiece, PwaFn, _unchecked_piece, _unchecked_pwafn
+from .pwa import _STATUSES, PwaFn, _unchecked_piece, _unchecked_pwafn
 from .network import Network, OutputLayer, UnknownLayer, nn_linear, nn_relu
 
 
@@ -88,76 +86,57 @@ def _nat(value, where) -> int:
 
 
 class _Reader:
-    """One document's parse table: each distinct literal and row is read once.
+    """One document's parse table, known, and the careful reader of its items.
 
-    literals maps a scalar's raw text to its Fraction, and rows maps a raw
-    row (a tuple of strings) to its ColVec, so repeated text yields the very
-    same immutable object. Only values that parsed are stored, and a row's
-    width is checked on every use, so a malformed document fails where and
-    how it would without the table. A row holding something other than
-    strings never parses, so it is never stored; an unhashable one is not
-    even looked up. constraints maps a constraint's raw text, the pair
-    (tuple of c, b), to its LinearConstraint; a pair is stored only once it
-    has parsed, so a hit is a repeat of valid text. The table lives as long
-    as one parse call.
+    known maps a literal's text, a raw row (a tuple) and a constraint's
+    (tuple of c, b) to what they parsed to; no key of one kind equals one of
+    another (JSON has no tuples). Only text that parsed is stored, and a
+    row's width is checked on every use. An index joins a location only
+    when its entry fails.
     """
 
-    __slots__ = ("literals", "rows", "constraints")
+    __slots__ = ("known",)
 
     def __init__(self):
-        self.literals: dict[str, Fraction] = {}
-        self.rows: dict[tuple[str, ...], ColVec] = {}
-        self.constraints: dict[tuple, LinearConstraint] = {}
+        self.known: dict = {}
 
-    def scalar(self, value, where) -> Fraction:
-        q = self.literals.get(value) if isinstance(value, str) else None
+    def scalar(self, value, where, *at) -> Fraction:
+        q = self.known.get(value) if isinstance(value, str) else None
         if q is None:
-            if not isinstance(value, str):
-                raise ParseError(f"{where}: scalars must be strings, got {value!r}")
             try:
-                q = self.literals[value] = parse_scalar(value)
+                if not isinstance(value, str):
+                    raise ValueError(f"scalars must be strings, got {value!r}")
+                q = self.known[value] = parse_scalar(value)
             except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from None
+                raise ParseError(f"{_at(where, at)}: {exc}") from None
         return q
 
-    def vector(self, value, dim, where) -> ColVec:
+    def vector(self, value, dim, where, *at) -> ColVec:
         if not isinstance(value, list):
-            raise ParseError(f"{where}: expected a list")
+            raise ParseError(f"{_at(where, at)}: expected a list")
         key = tuple(value)
         try:
-            vec = self.rows.get(key)
+            vec = self.known.get(key)
         except TypeError:
             vec = None
         if vec is None:
-            vec = _unchecked_vec(
-                tuple([self.scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
-            )
-            self.rows[key] = vec
-        if len(vec) != dim:
-            raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
+            try:
+                entries = tuple([self.known[v] for v in value])
+            except (KeyError, TypeError):
+                entries = tuple([self.scalar(v, where, *at, j) for j, v in enumerate(value)])
+            vec = self.known[key] = _unchecked_vec(entries)
+        if len(value) != dim:
+            raise ParseError(f"{_at(where, at)}: expected {dim} entries, got {len(value)}")
         return vec
 
-    def constraint(self, raw, dim, where, k) -> LinearConstraint:
-        """Constraint k of the piece at where, from its raw {"c": [...], "b": ...}.
-
-        A repeat of a raw text that parsed before is the stored constraint,
-        found before any location string is made; anything else is read
-        afresh, so it fails as a first reading would.
-        """
-        key = None
-        if isinstance(raw, dict) and isinstance(raw.get("c"), list):
-            try:
-                key = tuple(raw["c"]), raw["b"]
-                lc = self.constraints.get(key)
-            except (KeyError, TypeError):
-                key = lc = None
-            if lc is not None:
-                return lc
-        cwhere = f"{where} constraint {k}"
-        c = self.vector(_get(raw, "c", cwhere), dim, f"{cwhere}.c")
-        lc = _unchecked_constraint(c, self.scalar(_get(raw, "b", cwhere), f"{cwhere}.b"))
-        if key is not None:
-            self.constraints[key] = lc
+    def constraint(self, raw, dim, k) -> LinearConstraint:
+        """Constraint k of a piece, read afresh and stored under its raw text."""
+        try:
+            c = self.vector(_get(raw, "c", ""), dim, ".c")
+            lc = _unchecked_constraint(c, self.scalar(_get(raw, "b", ""), ".b"))
+        except ParseError as exc:
+            raise ParseError(f" constraint {k}{exc}") from None
+        self.known[tuple(raw["c"]), raw["b"]] = lc
         return lc
 
     def matrix(self, value, rows, cols, where) -> Mat:
@@ -165,9 +144,14 @@ class _Reader:
             raise ParseError(f"{where}: expected a list of rows")
         if len(value) != rows:
             raise ParseError(f"{where}: expected {rows} rows, got {len(value)}")
-        body = tuple(self.vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value))
+        body = tuple([self.vector(row, cols, where, i).entries for i, row in enumerate(value)])
         # read.vector has checked every row's width against cols.
         return _unchecked_mat(body, cols)
+
+
+def _at(where: str, at: tuple) -> str:
+    """The location where followed by an index in brackets per entry of at."""
+    return where + "".join([f"[{k}]" for k in at])
 
 
 def parse_network(text: str) -> Network:
@@ -224,102 +208,119 @@ def parse_pwa(text: str) -> PwaFn:
     if not isinstance(raw_pieces, list):
         raise ParseError("pieces: expected a list")
     read = _Reader()
+    known = read.known
     pieces = []
     for i, raw in enumerate(raw_pieces):
-        where = f"piece {i}"
-        raw_constraints = _get(raw, "constraints", where)
-        if not isinstance(raw_constraints, list):
-            raise ParseError(f"{where}: constraints must be a list")
-        constraints = tuple(
-            [read.constraint(rc, in_dim, where, k) for k, rc in enumerate(raw_constraints)]
-        )
-        m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
-        b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
-        # The reader has checked every width against in_dim and out_dim.
-        pieces.append(_unchecked_piece(_unchecked_polyhedron(in_dim, constraints), m, b))
+        # An item that repeats text read before is one table lookup; a miss,
+        # or anything malformed, goes to the careful reader, whose errors
+        # are located within the piece and get its number on the way out.
+        try:
+            rcs = _get(raw, "constraints", "")
+            if not isinstance(rcs, list):
+                raise ParseError(": constraints must be a list")
+            cons = []
+            for k, rc in enumerate(rcs):
+                try:
+                    cons.append(known[tuple(c) if type(c := rc["c"]) is list else None, rc["b"]])
+                except (KeyError, TypeError):
+                    cons.append(read.constraint(rc, in_dim, k))
+            rm = _get(raw, "M", "")
+            if not isinstance(rm, list) or len(rm) != out_dim:
+                read.matrix(rm, out_dim, in_dim, ".M")  # raises
+            rows = []
+            for j, r in enumerate(rm):
+                try:
+                    rows.append(known[tuple(r) if type(r) is list and len(r) == in_dim else None])
+                except (KeyError, TypeError):
+                    rows.append(read.vector(r, in_dim, ".M", j))
+            rb = _get(raw, "b", "")
+            try:
+                b = known[tuple(rb) if type(rb) is list and len(rb) == out_dim else None]
+            except (KeyError, TypeError):
+                b = read.vector(rb, out_dim, ".b")
+        except ParseError as exc:
+            raise ParseError(f"piece {i}{exc}") from None
+        m = _unchecked_mat(tuple([r.entries for r in rows]), in_dim)
+        pieces.append(_unchecked_piece(_unchecked_polyhedron(in_dim, tuple(cons)), m, b))
     return _unchecked_pwafn(in_dim, out_dim, tuple(pieces), tag, claimed=True)
 
 
-def _block(open_: str, close: str, items: list[str], depth: int) -> str:
-    """items in a container at depth, laid out as json.dumps(indent=2) does."""
-    if not items:
-        return open_ + close
+def _layout(depth: int, quote: str = "") -> tuple[str, str, str]:
+    """Open, separator and close of json.dumps(indent=2)'s list at depth, items in quote."""
     pad = "\n" + "  " * depth
-    return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
+    return f"[{pad}  {quote}", f"{quote},{pad}  {quote}", f"{quote}{pad}]"
 
 
-def _strings(row, depth: int) -> str:
-    return _block("[", "]", [f'"{format_scalar(a)}"' for a in row], depth)
+_PIECES, _ITEMS = _layout(1), _layout(3)
+_C_ROW, _M_ROW, _OFFSET = _layout(5, '"'), _layout(4, '"'), _layout(3, '"')
+_DOC = '{\n  "in_dim": %d,\n  "out_dim": %d,\n  "univalence": "%s",\n  "pieces": %s\n}\n'
+_PIECE = '{\n      "constraints": %s,\n      "M": %s,\n      "b": %s\n    }'
+_CONSTRAINT = '{\n          "c": %s,\n          "b": "%s"\n        }'
+
+
+def _listed(texts: list[str], layout: tuple[str, str, str]) -> str:
+    """texts as a list laid out by layout."""
+    open_, separator, close = layout
+    return open_ + separator.join(texts) + close if texts else "[]"
 
 
 def serialize_pwa(fn: PwaFn) -> str:
     """The canonical document of fn: json.dumps(doc, indent=2) and a newline.
 
-    Every constraint and map row sits at depth 4, so each distinct
-    constraint object and row is rendered once; fn keeps every one alive,
-    so their ids stay put for the whole call.
+    Each distinct constraint object and map row is rendered once; fn keeps
+    every one alive, so their ids stay put for the whole call.
     """
-    constraints: dict[int, str] = {}
-    rows: dict[int, str] = {}
+    texts: dict[int, str] = {}
 
     def constraint(lc: LinearConstraint) -> str:
-        text = constraints.get(id(lc))
-        if text is None:
-            fields = [f'"c": {_strings(lc.c, 5)}', f'"b": "{format_scalar(lc.b)}"']
-            text = constraints[id(lc)] = _block("{", "}", fields, 4)
+        c = _listed([*map(str, lc.c.entries)], _C_ROW)
+        text = texts[id(lc)] = _CONSTRAINT % (c, lc.b)
         return text
 
-    def row(entries) -> str:
-        text = rows.get(id(entries))
-        if text is None:
-            text = rows[id(entries)] = _strings(entries, 4)
+    def row(entries: tuple[Fraction, ...]) -> str:
+        text = texts[id(entries)] = _listed([*map(str, entries)], _M_ROW)
         return text
 
-    def piece_text(piece: AffinePiece) -> str:
-        cons = _block("[", "]", [*map(constraint, piece.polyhedron.constraints)], 3)
-        m = _block("[", "]", [*map(row, piece.M.entries)], 3)
-        fields = [f'"constraints": {cons}', f'"M": {m}', f'"b": {_strings(piece.b, 3)}']
-        return _block("{", "}", fields, 2)
-
-    fields = [
-        f'"in_dim": {fn.in_dim}',
-        f'"out_dim": {fn.out_dim}',
-        f'"univalence": "{fn.univalence}"',
-        f'"pieces": {_block("[", "]", [*map(piece_text, fn.pieces)], 1)}',
-    ]
-    return _block("{", "}", fields, 0) + "\n"
+    get = texts.get
+    try:
+        pieces = [
+            _PIECE % (
+                _listed([get(id(lc)) or constraint(lc) for lc in p.polyhedron.constraints], _ITEMS),
+                _listed([get(id(r)) or row(r) for r in p.M.entries], _ITEMS),
+                _listed([*map(str, p.b.entries)], _OFFSET),
+            )
+            for p in fn.pieces
+        ]
+    except ValueError:
+        raise _too_long() from None
+    return _DOC % (fn.in_dim, fn.out_dim, fn.univalence, _listed(pieces, _PIECES))
 
 
 def _smt_rat(q: Fraction) -> str:
-    if q.denominator == 1:
-        return format_scalar(q) if q >= 0 else f"(- {format_scalar(-q)})"
-    core = f"(/ {format_scalar(abs(q.numerator))} {format_scalar(q.denominator)})"
-    return core if q > 0 else f"(- {core})"
+    """q as an SMT-LIB term, written from its numerator and denominator."""
+    n, d = str(q.numerator), q.denominator
+    if n[0] == "-":
+        return f"(- {n[1:]})" if d == 1 else f"(- (/ {n[1:]} {d}))"
+    return n if d == 1 else f"(/ {n} {d})"
+
+
+def _smt_join(op: str, unit: str, parts: list[str]) -> str:
+    """(op part ...), with no parts giving unit and one part giving itself."""
+    if len(parts) < 2:
+        return parts[0] if parts else unit
+    return f"({op} " + " ".join(parts) + ")"
 
 
 def _smt_linear(coeffs, constant=None) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        terms.append(f"x_{k}" if c == 1 else f"(* {_smt_rat(c)} x_{k})")
-    if constant is not None and constant != 0:
+    # A reduced q is 1 exactly when its numerator equals its denominator.
+    terms = [
+        f"x_{k}" if q.numerator == q.denominator else f"(* {_smt_rat(q)} x_{k})"
+        for k, q in enumerate(coeffs)
+        if q.numerator
+    ]
+    if constant is not None and constant.numerator:
         terms.append(_smt_rat(constant))
-    if not terms:
-        return "0"
-    if len(terms) == 1:
-        return terms[0]
-    return "(+ " + " ".join(terms) + ")"
-
-
-def _smt_join(op: str, unit: str, parts) -> str:
-    """(op part ...), with no parts giving unit and one part giving itself."""
-    parts = list(parts)
-    if not parts:
-        return unit
-    if len(parts) == 1:
-        return parts[0]
-    return f"({op} " + " ".join(parts) + ")"
+    return _smt_join("+", "0", terms)
 
 
 def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
@@ -329,41 +330,34 @@ def export_smt(fn: PwaFn, assert_domain: bool = False) -> str:
     forces every output row to equal its affine expression. With
     assert_domain, one more assertion places x inside some piece.
     """
-    # Each distinct constraint object, and each distinct (map row, offset)
-    # pair of objects, is written once: the pieces of a parsed function
-    # share theirs, and fn keeps every one alive, so the ids stay put for
-    # the whole call.
-    atoms: dict[int, str] = {}
-    terms: dict[tuple[int, int], str] = {}
+    # Each distinct constraint object, and (map row, offset) pair of objects,
+    # is written once; fn keeps every one alive, so the ids stay put.
+    texts: dict = {}
 
     def atom(lc: LinearConstraint) -> str:
-        text = atoms.get(id(lc))
-        if text is None:
-            text = atoms[id(lc)] = f"(<= {_smt_linear(lc.c.entries)} {_smt_rat(lc.b)})"
+        text = texts[id(lc)] = f"(<= {_smt_linear(lc.c.entries)} {_smt_rat(lc.b)})"
         return text
 
-    def term(row, offset: Fraction) -> str:
-        key = id(row), id(offset)
-        text = terms.get(key)
-        if text is None:
-            text = terms[key] = _smt_linear(row, offset)
+    def term(row: tuple[Fraction, ...], offset: Fraction) -> str:
+        text = texts[id(row), id(offset)] = _smt_linear(row, offset)
         return text
 
-    conditions = [
-        _smt_join("and", "true", map(atom, piece.polyhedron.constraints)) for piece in fn.pieces
-    ]
+    get = texts.get
     lines = ["(set-logic QF_LRA)"]
-    for k in range(fn.in_dim):
-        lines.append(f"(declare-const x_{k} Real)")
-    for r in range(fn.out_dim):
-        lines.append(f"(declare-const y_{r} Real)")
-    for piece, condition in zip(fn.pieces, conditions):
-        rows = _smt_join(
-            "and",
-            "true",
-            (f"(= y_{r} {term(piece.M.entries[r], piece.b[r])})" for r in range(fn.out_dim)),
-        )
-        lines.append(f"(assert (=> {condition} {rows}))")
+    lines += [f"(declare-const x_{k} Real)" for k in range(fn.in_dim)]
+    lines += [f"(declare-const y_{r} Real)" for r in range(fn.out_dim)]
+    conditions = []
+    try:
+        for p in fn.pieces:
+            atoms = [get(id(lc)) or atom(lc) for lc in p.polyhedron.constraints]
+            conditions.append(condition := _smt_join("and", "true", atoms))
+            rows = [
+                f"(= y_{r} {get((id(row), id(q))) or term(row, q)})"
+                for r, (row, q) in enumerate(zip(p.M.entries, p.b.entries))
+            ]
+            lines.append(f"(assert (=> {condition} {_smt_join('and', 'true', rows)}))")
+    except ValueError:
+        raise _too_long() from None
     if assert_domain:
         lines.append(f"(assert {_smt_join('or', 'false', conditions)})")
     return "\n".join(lines) + "\n"

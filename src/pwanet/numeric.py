@@ -66,12 +66,16 @@ def parse_scalar(text: str) -> Fraction:
     with an optional point, or a point and digits) with an optional
     exponent e or E and signed digits, with ASCII whitespace allowed
     around it. Digits are ASCII 0-9 only. Exponents beyond +-4300 are
-    refused as malformed.
+    refused as malformed. An integer or p/q in ASCII digits, with at most
+    a leading "-", is built from two ints without a regex.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a string literal, got {type(text).__name__}")
-    match = _LITERAL.fullmatch(text)
+    num, slash, den = text.partition("/")
     try:
+        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        match = _LITERAL.fullmatch(text)
         if match is None or abs(int(match["exponent"] or 0)) > _MAX_EXPONENT:
             raise ValueError
         return Fraction(text)
@@ -106,9 +110,11 @@ def format_scalar(value: ScalarLike) -> str:
     try:
         return str(q)
     except ValueError:
-        raise ScalarTooLong(
-            f"a rational has more than {sys.get_int_max_str_digits()} digits to write"
-        ) from None
+        raise _too_long() from None
+
+
+def _too_long() -> ScalarTooLong:
+    return ScalarTooLong(f"a rational has more than {sys.get_int_max_str_digits()} digits to write")
 
 
 class _Frozen:

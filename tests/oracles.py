@@ -6,7 +6,13 @@ brute-force vertex enumeration, and dot products, membership and affine
 maps are raw Fraction loops. forward is the network's layer-by-layer
 evaluation on those loops, the oracle for nn_eval. read_pwa and
 smt_reference read a PWA document and write its SMT script with json
-and Fraction alone, reading and rendering every entry afresh. json_serialize_pwa is the document
+and Fraction alone, reading and rendering every entry afresh.
+careful_parse_pwa is parse_pwa as it was before it looked repeated items
+up in its table itself, with its reader: every item of every piece goes
+through a _CarefulReader method, which makes the item's location text
+before it reads it.
+regex_parse_scalar is numeric.parse_scalar as it was before integers and
+p/q in ASCII digits skipped its regex. json_serialize_pwa is the document
 writer as it was before serialize_pwa laid out its text by hand: the
 whole document built as a dict and handed to json.dumps, with the
 library's format_scalar for each entry.
@@ -52,15 +58,35 @@ from pwanet.network import (
     ReluLayer,
     UnknownLayer,
 )
-from pwanet.numeric import ColVec, DimensionError, Mat, format_scalar
-from pwanet.polyhedra import LinearConstraint, Polyhedron, intersect
+from pwanet.formats import ParseError, _get, _load_json, _nat
+from pwanet.numeric import (
+    _LITERAL,
+    _MAX_EXPONENT,
+    ColVec,
+    DimensionError,
+    Mat,
+    _unchecked_mat,
+    _unchecked_vec,
+    format_scalar,
+    parse_scalar,
+)
+from pwanet.polyhedra import (
+    LinearConstraint,
+    Polyhedron,
+    _unchecked_constraint,
+    _unchecked_polyhedron,
+    intersect,
+)
 from pwanet.pwa import (
+    _STATUSES,
     REFUTED,
     VERIFIED,
     AffinePiece,
     PwaFn,
     Univalent,
     UnivalenceViolation,
+    _unchecked_piece,
+    _unchecked_pwafn,
     check_univalence,
     identity_pwaf,
 )
@@ -410,6 +436,130 @@ def read_pwa(text: str) -> tuple[int, int, list]:
         for raw in doc["pieces"]
     ]
     return doc["in_dim"], doc["out_dim"], pieces
+
+
+class _CarefulReader:
+    """One document's parse table: each distinct literal and row is read once.
+
+    literals maps a scalar's raw text to its Fraction, and rows maps a raw
+    row (a tuple of strings) to its ColVec, so repeated text yields the very
+    same immutable object. Only values that parsed are stored, and a row's
+    width is checked on every use, so a malformed document fails where and
+    how it would without the table. A row holding something other than
+    strings never parses, so it is never stored; an unhashable one is not
+    even looked up. constraints maps a constraint's raw text, the pair
+    (tuple of c, b), to its LinearConstraint; a pair is stored only once it
+    has parsed, so a hit is a repeat of valid text. The table lives as long
+    as one parse call.
+    """
+
+    __slots__ = ("literals", "rows", "constraints")
+
+    def __init__(self):
+        self.literals: dict[str, Fraction] = {}
+        self.rows: dict[tuple[str, ...], ColVec] = {}
+        self.constraints: dict[tuple, LinearConstraint] = {}
+
+    def scalar(self, value, where) -> Fraction:
+        q = self.literals.get(value) if isinstance(value, str) else None
+        if q is None:
+            if not isinstance(value, str):
+                raise ParseError(f"{where}: scalars must be strings, got {value!r}")
+            try:
+                q = self.literals[value] = parse_scalar(value)
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+        return q
+
+    def vector(self, value, dim, where) -> ColVec:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list")
+        key = tuple(value)
+        try:
+            vec = self.rows.get(key)
+        except TypeError:
+            vec = None
+        if vec is None:
+            vec = _unchecked_vec(
+                tuple([self.scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
+            )
+            self.rows[key] = vec
+        if len(vec) != dim:
+            raise ParseError(f"{where}: expected {dim} entries, got {len(vec)}")
+        return vec
+
+    def constraint(self, raw, dim, where, k) -> LinearConstraint:
+        """Constraint k of the piece at where, from its raw {"c": [...], "b": ...}.
+
+        A repeat of a raw text that parsed before is the stored constraint,
+        found before any location string is made; anything else is read
+        afresh, so it fails as a first reading would.
+        """
+        key = None
+        if isinstance(raw, dict) and isinstance(raw.get("c"), list):
+            try:
+                key = tuple(raw["c"]), raw["b"]
+                lc = self.constraints.get(key)
+            except (KeyError, TypeError):
+                key = lc = None
+            if lc is not None:
+                return lc
+        cwhere = f"{where} constraint {k}"
+        c = self.vector(_get(raw, "c", cwhere), dim, f"{cwhere}.c")
+        lc = _unchecked_constraint(c, self.scalar(_get(raw, "b", cwhere), f"{cwhere}.b"))
+        if key is not None:
+            self.constraints[key] = lc
+        return lc
+
+    def matrix(self, value, rows, cols, where) -> Mat:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list of rows")
+        if len(value) != rows:
+            raise ParseError(f"{where}: expected {rows} rows, got {len(value)}")
+        body = tuple(self.vector(row, cols, f"{where}[{i}]").entries for i, row in enumerate(value))
+        # read.vector has checked every row's width against cols.
+        return _unchecked_mat(body, cols)
+
+
+def careful_parse_pwa(text: str) -> PwaFn:
+    doc = _load_json(text)
+    in_dim = _nat(_get(doc, "in_dim", "function"), "in_dim")
+    out_dim = _nat(_get(doc, "out_dim", "function"), "out_dim")
+    tag = _get(doc, "univalence", "function")
+    if tag not in _STATUSES:
+        raise ParseError(f"univalence: unknown tag {tag!r}")
+    raw_pieces = _get(doc, "pieces", "function")
+    if not isinstance(raw_pieces, list):
+        raise ParseError("pieces: expected a list")
+    read = _CarefulReader()
+    pieces = []
+    for i, raw in enumerate(raw_pieces):
+        where = f"piece {i}"
+        raw_constraints = _get(raw, "constraints", where)
+        if not isinstance(raw_constraints, list):
+            raise ParseError(f"{where}: constraints must be a list")
+        constraints = tuple(
+            [read.constraint(rc, in_dim, where, k) for k, rc in enumerate(raw_constraints)]
+        )
+        m = read.matrix(_get(raw, "M", where), out_dim, in_dim, f"{where}.M")
+        b = read.vector(_get(raw, "b", where), out_dim, f"{where}.b")
+        # The reader has checked every width against in_dim and out_dim.
+        pieces.append(_unchecked_piece(_unchecked_polyhedron(in_dim, constraints), m, b))
+    return _unchecked_pwafn(in_dim, out_dim, tuple(pieces), tag, claimed=True)
+
+
+def regex_parse_scalar(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a string literal, got {type(text).__name__}")
+    match = _LITERAL.fullmatch(text)
+    try:
+        if match is None or abs(int(match["exponent"] or 0)) > _MAX_EXPONENT:
+            raise ValueError
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"malformed rational literal {text!r}") from None
 
 
 def json_serialize_pwa(fn: PwaFn) -> str:

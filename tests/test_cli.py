@@ -66,6 +66,28 @@ STAIRCASE_13 = json.dumps(
 # layer by layer.
 STAIRCASE_13_PRUNED_SHA256 = "cdc5b21a5ad8fdf0ee9c41c068dd78e916bbe1e572f23f544d8ccaf9506fc825"
 
+# The two-hidden-layer and the 3-input networks of the CI console-script
+# step, with the sha256 of export-smt on their pruned compiles (the second
+# with --assert-domain), as written before export_smt wrote each rational
+# from its numerator and denominator.
+DEEP = (
+    '{"input_dim": 2, "output_dim": 2, "layers": [{"kind": "linear", "weights": '
+    '[["1", "-1"], ["1/2", "1"]], "bias": ["0", "-1"]}, {"kind": "relu", "dim": 2}, '
+    '{"kind": "linear", "weights": [["1", "-2"], ["-1/3", "1"]], "bias": ["1/2", "0"]}, '
+    '{"kind": "relu", "dim": 2}, {"kind": "output"}]}'
+)
+THREE = (
+    '{"input_dim": 3, "output_dim": 2, "layers": [{"kind": "linear", "weights": '
+    '[["0", "-1", "1"], ["-2", "-2", "2"], ["-2", "0", "2"]], "bias": ["-1", "1", "-1"]}, '
+    '{"kind": "relu", "dim": 3}, {"kind": "linear", "weights": [["-2", "-2", "1"], '
+    '["1", "-2", "-1"]], "bias": ["-1", "1"]}, {"kind": "relu", "dim": 2}, {"kind": "output"}]}'
+)
+PRUNED_SMT_SHA256 = {
+    "deep": "9152966d8559a151d6c14009f3c8c89fb1859a7deccb358cbb9db09274f83587",
+    "three": "ea5ef5565985d49d42b65e20fdd1dc159757cc9ba0b576b77967b59fbf8d544c",
+}
+
+
 def relu_net(dim: int) -> str:
     """A network that is one ReLU of the given width."""
     layers = [{"kind": "relu", "dim": dim}, {"kind": "output"}]
@@ -253,6 +275,20 @@ class TestCompile:
         assert sha256(out.read_bytes()).hexdigest() == STAIRCASE_13_PRUNED_SHA256
         assert main(["regions", "--pwa", str(out)]) == 0
         assert capsys.readouterr() == ("14\n", "")
+
+    @pytest.mark.parametrize(
+        "name, doc, switches", [("deep", DEEP, []), ("three", THREE, ["--assert-domain"])]
+    )
+    def test_export_smt_of_a_parsed_pruned_file_is_pinned(self, tmp_path, name, doc, switches):
+        net, pwa, smt = write(tmp_path, "net.json", doc), tmp_path / "fn.json", tmp_path / "fn.smt2"
+        assert main(["compile", "--network", net, "--out", str(pwa), "--prune"]) == 0
+        assert main(["export-smt", "--pwa", str(pwa), "--out", str(smt), *switches]) == 0
+        text = smt.read_text()
+        assert sha256(text.encode()).hexdigest() == PRUNED_SMT_SHA256[name]
+        # Zero coefficients are dropped, and unit ones are the bare variable.
+        assert "(* 0 " not in text and "(* 1 " not in text and " x_0 " in text
+        if name == "deep":
+            assert "(- (/ " in text
 
     def test_prune_refuses_past_a_smaller_live_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(network, "MAX_PIECES", 14)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwanet.cli import main
-from pwanet.numeric import ColVec, DimensionError, Mat, ScalarTooLong
+from pwanet.numeric import ColVec, DimensionError, Mat, ScalarTooLong, format_scalar
 from pwanet.polyhedra import LinearConstraint, Polyhedron
 from pwanet.pwa import (
     REFUTED,
@@ -54,7 +54,14 @@ from genutil import (
     single_piece,
     univalent_fn,
 )
-from oracles import json_serialize_pwa, parse_sexprs, read_pwa, relu_1d, smt_reference
+from oracles import (
+    careful_parse_pwa,
+    json_serialize_pwa,
+    parse_sexprs,
+    read_pwa,
+    relu_1d,
+    smt_reference,
+)
 
 NETWORK_DOC = """{
   "input_dim": 2,
@@ -597,6 +604,14 @@ class TestParseTables:
                 assert [list(row) for row in piece.M.entries] == m
                 assert list(piece.b) == b
 
+    def test_pieces_and_sharing_match_the_careful_reader(self, compiles):
+        for fn in compiles:
+            text = serialize_pwa(fn)
+            assert _read(parse_pwa, text) == _read(careful_parse_pwa, text)
+        # The dense compile reads most of its items from the table.
+        sharing = _read(parse_pwa, text)[1]
+        assert len(set(sharing)) < len(sharing) // 4
+
     @pytest.mark.parametrize("assert_domain", [False, True])
     def test_smt_bytes_match_a_fresh_rendering(self, compiles, assert_domain):
         for fn in compiles:
@@ -873,6 +888,183 @@ class TestParserFuzz:
     def test_valid_documents_write_as_json_dumps(self, doc):
         fn = parse_pwa(json.dumps(doc))
         assert serialize_pwa(fn) == json_serialize_pwa(fn)
+
+
+# A few spellings, so that drawn documents repeat their rows and constraints
+# and parse_pwa reads most items from its table.
+_REPEATS = st.sampled_from(["0", "1", "-1", "1/2", "-0.5"])
+
+
+@st.composite
+def _repeating_docs(draw, scalar=_REPEATS):
+    """A valid PWA document whose pieces take their constraints, map rows and
+    offsets from a small pool, so that most items repeat earlier text."""
+    n, m = draw(_DIMS), draw(_DIMS)
+    rows = draw(st.lists(_scalars(scalar, n), min_size=1, max_size=2))
+    offsets = draw(st.lists(_scalars(scalar, m), min_size=1, max_size=2))
+    bounds = draw(st.lists(scalar, min_size=1, max_size=2))
+
+    def pick(pool):
+        return list(draw(st.sampled_from(pool)))
+
+    def piece():
+        constraints = [
+            {"c": pick(rows), "b": draw(st.sampled_from(bounds))}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return {"constraints": constraints, "M": [pick(rows) for _ in range(m)], "b": pick(offsets)}
+
+    pieces = [piece() for _ in range(draw(st.integers(1, 4)))]
+    return {"in_dim": n, "out_dim": m, "univalence": UNCHECKED, "pieces": pieces}
+
+
+def _read(parse, text):
+    """What parse makes of text: the function with the sharing of its value
+    objects (each as the index of its first appearance), or the error."""
+    try:
+        fn = parse(text)
+    except (ParseError, DimensionError) as exc:
+        return type(exc), str(exc)
+    objects = []
+    for piece in fn.pieces:
+        for lc in piece.polyhedron.constraints:
+            objects += [lc, lc.c, *lc.c.entries, lc.b]
+        objects += [piece.M, *piece.M.entries, *(e for row in piece.M.entries for e in row)]
+        objects += [piece.b, *piece.b.entries]
+    first = {}
+    sharing = [first.setdefault(id(obj), len(first)) for obj in objects]
+    return (fn.in_dim, fn.out_dim, fn.univalence, fn.claimed, fn.pieces), sharing
+
+
+@st.composite
+def _mangled(draw, docs):
+    """A drawn document, its text, with up to two nodes turned into a near
+    miss of text it repeats: a list of strings joined into one string or
+    made the keys of an object, a list one entry short or long or nested
+    one level deeper, or a string made a number."""
+    doc = draw(docs)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_nodes(doc["pieces"], ("pieces",)))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if isinstance(node, list) and all(isinstance(v, str) for v in node):
+            options = ["".join(node), dict.fromkeys(node, 1), node[:-1], node + node[:1], [node]]
+        elif isinstance(node, str):
+            options = [0, float(len(node)), [node]]
+        else:
+            options = [node[:-1] if isinstance(node, list) else node, "".join(map(str, path))]
+        parent[path[-1]] = draw(st.sampled_from(options))
+    return json.dumps(doc)
+
+
+def _doc(n, m, pieces) -> str:
+    """A document of pieces given as (constraints, M, b), each constraint
+    as the text of its c entries and then its b, one character each."""
+    return json.dumps(
+        {
+            "in_dim": n,
+            "out_dim": m,
+            "univalence": UNCHECKED,
+            "pieces": [
+                {"constraints": [{"c": [*cb[:-1]], "b": cb[-1]} for cb in cs], "M": rows, "b": b}
+                for cs, rows, b in pieces
+            ],
+        }
+    )
+
+
+class TestReaderOracle:
+    """parse_pwa reads each document as the careful reader alone does."""
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=timedelta(seconds=5))
+    # Near misses of a row read before at another width, or as a string.
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), (["100"], [["1"]], ["1"])]))
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), (["100"], [["1", "0"]], ["1", "0"])]))
+    @example(_doc(2, 2, [([], [["1", "0"], ["0", "1"]], ["1", "0"]), ([], [["0", "1"]] * 2, "10")]))
+    @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], ["10"], ["1"])]))
+    @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], [{"1": 0, "0": 0}], ["1"])]))
+    @given(
+        _repeating_docs().map(json.dumps)
+        | _mangled(_repeating_docs())
+        | _damaged(_repeating_docs(_REPEATS | _TEXTS))
+        | _damaged(_pwa_docs(scalar=_TEXTS))
+    )
+    def test_pieces_sharing_and_errors_match(self, text):
+        assert _read(parse_pwa, text) == _read(careful_parse_pwa, text)
+
+
+# Scalars a writer must render with care: zero terms are dropped, a unit
+# coefficient is the bare variable, and a negative one is wrapped in (- ...).
+_HOSTILE = st.sampled_from([0, 1, -1, 2, -3, Fraction(-1, 2), Fraction(-27, 10), Fraction(5, 3)])
+_HOSTILE_SCALARS = _HOSTILE.map(Fraction) | st.fractions(-20, 20, max_denominator=12)
+
+
+@st.composite
+def _hostile_fns(draw, least=0):
+    """A function whose pieces share constraint, row and scalar objects,
+    with at least least input and output dims and pieces."""
+    n, m = draw(st.integers(least, 3)), draw(st.integers(least, 3))
+    scalars = draw(st.lists(_HOSTILE_SCALARS, min_size=1, max_size=6))
+
+    def entries(k):
+        return [draw(st.sampled_from(scalars)) for _ in range(k)]
+
+    pool = [
+        LinearConstraint(ColVec(entries(n)), entries(1)[0]) for _ in range(draw(st.integers(1, 3)))
+    ]
+    rows = [tuple(entries(n)) for _ in range(draw(st.integers(1, 3)))]
+    pieces = []
+    for _ in range(draw(st.integers(least, 3))):
+        constraints = draw(st.lists(st.sampled_from(pool), min_size=least, max_size=3))
+        m_rows = [draw(st.sampled_from(rows)) for _ in range(m)]
+        pieces.append(
+            AffinePiece(Polyhedron(n, tuple(constraints)), Mat(m_rows, cols=n), ColVec(entries(m)))
+        )
+    return PwaFn(n, m, tuple(pieces), draw(st.sampled_from([UNCHECKED, VERIFIED, REFUTED])))
+
+
+def _with_huge(fn: PwaFn, where: str, huge: Fraction) -> PwaFn:
+    """fn with huge in piece 0: in a constraint's c or b, or in M or the offset."""
+    first, *rest = fn.pieces
+    cons, m, b = first.polyhedron.constraints, first.M.entries, first.b.entries
+    if where in ("c", "b"):
+        c = (huge, *cons[0].c.entries[1:]) if where == "c" else cons[0].c.entries
+        cons = cons + (LinearConstraint(ColVec(c), huge if where == "b" else Fraction(0)),)
+    elif where == "M":
+        m = ((huge, *m[0][1:]), *m[1:])
+    else:
+        b = (huge, *b[1:])
+    piece = AffinePiece(Polyhedron(fn.in_dim, cons), Mat(m, cols=fn.in_dim), ColVec(b))
+    return PwaFn(fn.in_dim, fn.out_dim, (piece, first, *rest))
+
+
+class TestWritersOnHostileValues:
+    """Both writers match their references on zero, unit and negative values."""
+
+    @_FUZZ
+    @given(_hostile_fns())
+    def test_writers_match_their_references(self, fn):
+        text = json_serialize_pwa(fn)
+        assert serialize_pwa(fn) == text
+        for assert_domain in (False, True):
+            expected = smt_reference(text, assert_domain)
+            assert export_smt(fn, assert_domain) == expected
+            assert export_smt(parse_pwa(text), assert_domain) == expected
+
+    @pytest.mark.parametrize("where", ["c", "b", "M", "offset"])
+    @settings(derandomize=True, database=None, max_examples=25, deadline=timedelta(seconds=5))
+    @given(fn=_hostile_fns(least=1), sign=st.sampled_from([1, -1]), inverse=st.booleans())
+    def test_a_rational_too_long_to_write(self, where, fn, sign, inverse):
+        huge = sign * Fraction(10) ** sys.get_int_max_str_digits()
+        fn = _with_huge(fn, where, 1 / huge if inverse else huge)
+        with pytest.raises(ScalarTooLong) as expected:
+            format_scalar(huge)
+        message = f"^{re.escape(str(expected.value))}$"
+        for write in (json_serialize_pwa, serialize_pwa, export_smt, lambda f: export_smt(f, True)):
+            with pytest.raises(ScalarTooLong, match=message):
+                write(fn)
 
 
 # Literals that parse but whose results may pass the 4,300-digit limit on

@@ -1,10 +1,14 @@
 """Exact scalar parsing and vector/matrix arithmetic."""
 
 import random
+import sys
+from datetime import timedelta
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwanet.numeric import (
     ColVec,
@@ -72,6 +76,30 @@ class TestParseScalar:
     def test_exponent_beyond_the_bound_is_malformed(self, bad):
         with pytest.raises(ValueError, match="malformed rational literal"):
             parse_scalar(bad)
+
+    # Integers and p/q in ASCII digits, with at most a leading "-", skip the
+    # regex; every other text takes it. Both must agree on every text.
+    @settings(derandomize=True, database=None, max_examples=500, deadline=timedelta(seconds=5))
+    @given(
+        st.text("0123456789-+/ ._eE\u0661\uff11\u00b2", max_size=8)
+        | st.builds("{}/{}".format, st.integers(-(10**9), 10**9), st.integers(-3, 10**9))
+        | st.integers(-(10**30), 10**30).map(str)
+    )
+    # A numerator, or a denominator, past the digit limit, and a zero one.
+    @example("1" * (sys.get_int_max_str_digits() + 1))
+    @example("-1" + "0" * sys.get_int_max_str_digits() + "/0")
+    @example("1/" + "1" * (sys.get_int_max_str_digits() + 1))
+    @example("-0/0")
+    @example("00/007")
+    def test_the_literal_fast_path_agrees_with_the_regex(self, text):
+        def outcome(parse):
+            try:
+                q = parse(text)
+            except ValueError as exc:
+                return "error", str(exc)
+            return type(q), q
+
+        assert outcome(parse_scalar) == outcome(oracles.regex_parse_scalar)
 
     def test_format_is_canonical(self):
         assert format_scalar(parse_scalar("0.50")) == "1/2"
