@@ -62,6 +62,28 @@ verdict's multipliers pass _checked_support's exact integer sums, and
 their support is kept as the core; a non-empty verdict's basic point,
 kept as (den, ints), satisfies every row. A failed check raises
 RuntimeError, so no caller reads an unchecked verdict.
+
+Emptiness alone, on R^n with n <= 3, needs no tableau. _LowDim keeps a
+witness of its rows, as a feasible tableau does, and has _Simplex's
+extension interface. A new row h that the witness violates is decided on
+h's hyperplane: the rows with h added have a point exactly when they
+have one there, since the witness lies strictly on the other side.
+Eliminating one coordinate of the hyperplane, in integers, leaves n - 1
+coordinates: an interval of bounds on a line for n = 2 (_interval,
+which pwa's pair scan also uses on its lines), the same step one
+dimension down for n = 3, and a sign test for n = 1 (Seidel, "Small-
+dimensional linear programming and convex hulls made easy", 1991,
+without the random order). An empty verdict lifts the multipliers of at
+most n + 1 rows back through the eliminations; the hyperplane's own
+multiplier is positive for the same reason. Its verdicts are certified
+as a phase 1's are: the multipliers pass _checked_support and their
+support is the core, and a new witness satisfies every row. The
+recursion is the same in every dimension, but its cost grows like m^n
+in the worst case (m^3 on R^3; without _interval's single pass over a
+line it would be m^4), where the simplex stays polynomial in practice,
+so _root gives R^n with n >= 4 the simplex's empty tableau instead. pwa's
+trie walk and network's pruned fold start from _root; every LP with an
+objective, and the pair scan's tableaus, keep the simplex.
 """
 
 from __future__ import annotations
@@ -358,6 +380,187 @@ class _Simplex:
         if not self._run(obj):
             return Unbounded()
         return Optimal(Fraction(-obj[-2], obj[-1]), _unscaled(*self._basic_point()))
+
+
+class _LowDim:
+    """Emptiness on R^n decided on the violated row's hyperplane; _root
+    gives it R^0 to R^3.
+
+    The interface is _Simplex's for extension: empty(n), extended(rows),
+    feasible, witness, farkas, core and rows, each as there. A feasible
+    one keeps the checked witness of its rows; extended appends each new
+    row that the witness satisfies with no work, and decides a row h it
+    violates on h's hyperplane (_on_hyperplane). Every verdict is
+    checked as a phase 1's is: a new witness against every row, and
+    multipliers by _checked_support.
+    """
+
+    @classmethod
+    def empty(cls, n: int) -> _LowDim:
+        """R^n with no rows: feasible, and its witness is the origin."""
+        decider = object.__new__(cls)
+        decider.n = n
+        decider.rows = ()
+        decider.feasible = True
+        decider.witness = (1, [0] * n)
+        return decider
+
+    def extended(self, rows: Sequence[tuple[int, list[int]]]) -> _LowDim:
+        """A new decider: this feasible one with rows appended. Each row is
+        (den, ints) as polyhedra._row gives it."""
+        other = object.__new__(_LowDim)
+        other.n = self.n
+        other.rows = self.rows + tuple(rows)
+        ints_rows = [ints for _, ints in other.rows]
+        feasible, found = _advanced(self.n, ints_rows, self.witness, len(self.rows))
+        other.feasible = feasible
+        if not feasible:
+            # found weights the integer rows; the certificate weights the
+            # constraints, each its integer row over its den.
+            certificate = [y * den for y, (den, _) in zip(found, other.rows)]
+            g = gcd(*certificate)
+            other.farkas = tuple(y // g for y in certificate)
+            other.core = _checked_support(other.rows, other.farkas)
+        else:
+            if found is not self.witness and not _satisfies(found, other.rows):
+                raise RuntimeError("a point found on a hyperplane leaves its polyhedron")
+            other.witness = found
+        return other
+
+
+_Decider = Union[_LowDim, _Simplex]
+
+
+def _root(n: int) -> _Decider:
+    """The emptiness decider of R^n with no rows, which pwa's trie walk
+    and network's pruned fold extend: _LowDim for n <= 3, else the
+    simplex's empty tableau.
+
+    The cutoff 3 is a safety choice, not a measured crossover. _LowDim's
+    worst case grows like m^n in m rows: on R^3 it still beat the simplex
+    on 300 rows ordered so that each cuts the last witness, but on R^12
+    36 rows took it seconds against the simplex's milliseconds. Where
+    between them the simplex starts to win was not measured.
+    """
+    return _LowDim.empty(n) if n <= 3 else _Simplex.empty(n)
+
+
+def _advanced(
+    n: int, rows: list[list[int]], point: tuple[int, list[int]], start: int
+) -> tuple[bool, object]:
+    """(True, a point satisfying every row) or (False, multipliers), from
+    point, which satisfies rows[:start]; each row is n + 1 ints, c then b,
+    for c.x <= b, and a point is (den, ints). The multipliers are one
+    int y_i >= 0 per row, with sum y_i c_i = 0 and sum y_i b_i < 0.
+
+    Rows are taken in order; each that the point violates moves it onto
+    that row's hyperplane, or ends the walk empty.
+    """
+    den, x = point
+    for i in range(start, len(rows)):
+        h = rows[i]
+        if sum(map(mul, h, x)) <= h[-1] * den:
+            continue
+        feasible, found = _on_hyperplane(n, rows[:i], h)
+        if not feasible:
+            return False, found + [0] * (len(rows) - i - 1)
+        point = found
+        den, x = point
+    return True, point
+
+
+def _on_hyperplane(n: int, rows: list[list[int]], h: list[int]) -> tuple[bool, object]:
+    """rows and h as in _advanced, where some point satisfies rows and
+    violates h: (True, a point of h's hyperplane c.x = b that satisfies
+    rows) or (False, multipliers for rows and then h).
+
+    rows with h added have a point exactly when they have one on the
+    hyperplane: the segment from a point of theirs to the one past h
+    crosses it. There, h's first nonzero coefficient a_k, of sign s,
+    gives x_k; each row r becomes |a_k| r - s r_k h, which is zero at
+    k and, on the hyperplane, |a_k| times r. The n - 1 remaining
+    coordinates are decided at once when one is left (_on_line), and
+    otherwise by _advanced from the origin. Multipliers
+    y of the reduced rows weigh row r by |a_k| y_r and h by
+    -s sum y_r r_k, which is positive: the combination is positive at
+    the point past h, where each r is at most its bound. A zero h is
+    0 <= b with b < 0, its own certificate.
+    """
+    k = next((j for j in range(n) if h[j]), None)
+    if k is None:
+        return False, [0] * len(rows) + [1]
+    a = h[k]
+    s = 1 if a > 0 else -1
+    p = s * a
+    reduced = []
+    for r in rows:
+        f = s * r[k]
+        row = [p * c - f * e for c, e in zip(r, h)]
+        del row[k]
+        reduced.append(row)
+    if n == 2:
+        feasible, found = _on_line(reduced)
+    else:
+        feasible, found = _advanced(n - 1, reduced, (1, [0] * (n - 1)), 0)
+    if not feasible:
+        mu = -s * sum(y * r[k] for y, r in zip(found, rows))
+        return False, [p * y for y in found] + [mu]
+    # x_k = (b - sum of a_j x_j, j != k) / a_k, over the point's den.
+    den, x = found
+    x_k = h[-1] * den - sum(map(mul, h[:k] + h[k + 1 : n], x))
+    x = [a * c for c in x]
+    x.insert(k, x_k)
+    den *= a
+    if den < 0:
+        den, x = -den, [-c for c in x]
+    g = gcd(den, *x)
+    return True, (den // g, [c // g for c in x])
+
+
+def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
+    """_advanced on a line, rows c t <= d, from 0 at once: 0 when it lies
+    between the bounds that _interval finds, else the nearer bound, as
+    (den, [t]) with a den that may be negative. Only lines left by an
+    elimination come here; a decider on R^1 walks its new rows from its
+    witness with _advanced, one hyperplane solve per violated row."""
+    feasible, found = _interval(rows)
+    if not feasible:
+        y = [0] * len(rows)
+        for i, z in found:
+            y[i] = z
+        return False, y
+    for i in found:
+        if i is not None and rows[i][1] < 0:
+            # t = d / c, over a den that _on_hyperplane's lift makes
+            # positive.
+            c, d = rows[i]
+            g = gcd(c, d)
+            return True, (c // g, [d // g])
+    return True, (1, [0])
+
+
+def _interval(rows: Sequence[Sequence[int]]) -> tuple[bool, object]:
+    """The bounds that rows (c, d), for c t <= d, put on a line.
+
+    (True, (lo, hi)): the indices of the greatest lower and the least
+    upper bound, each None where no row bounds that side; a tie goes to
+    the first row. (False, [(i, z), ...]): ints z > 0 that weigh rows to
+    0 <= negative, a constant row that fails or else the upper and the
+    lower bound that cross.
+    """
+    lo = hi = None
+    for i, (c, d) in enumerate(rows):
+        if c > 0:
+            if hi is None or d * cu < du * c:
+                hi, cu, du = i, c, d
+        elif c < 0:
+            if lo is None or d * cl > dl * c:
+                lo, cl, dl = i, c, d
+        elif d < 0:
+            return False, [(i, 1)]
+    if lo is not None and hi is not None and cu * dl < cl * du:
+        return False, [(hi, -cl), (lo, cu)]
+    return True, (lo, hi)
 
 
 def _satisfies(point: tuple[int, list[int]], rows: Iterable[tuple[int, list[int]]]) -> bool:

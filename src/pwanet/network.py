@@ -244,20 +244,22 @@ def _fold(net: Network, prune: bool) -> PwaFn:
     drop the piece. The plain compile's step, _every_side, keeps them all.
 
     The pruned compile's step is _with_constraints, so a piece's state is
-    its nearest feasible tableau and the rows added since (pwa._narrowed).
-    Every layer only appends constraints, so an empty piece has nothing
-    live below it and goes at once; a ReLU side is decided from the
-    parent's witness without an LP where it can be. The root tableau is
-    built only when some layer adds a row. oversize of the live count is
-    checked every time it grows, so the work is bounded by the live
-    pieces and the input; the plain compile passed oversize(net) instead.
+    its nearest feasible decider and the rows added since (pwa._narrowed):
+    on R^1 to R^3 the hyperplane decider, from R^4 on a simplex tableau,
+    as lp._root gives them. Every layer only appends constraints, so an
+    empty piece has nothing live below it and goes at once; a ReLU side
+    is decided from the parent's witness with no work where it can be.
+    The root decider is built only when some layer adds a row. oversize
+    of the live count is checked every time it grows, so the work is
+    bounded by the live pieces and the input; the plain compile passed
+    oversize(net) instead.
     """
     dim = net.input_dim
     layers = net.layers[:-1]
     if prune:
         per_piece = _rationals_per_piece(net)
         limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
-        root = lp._Simplex.empty(dim) if any(map(_adds_rows, layers)) else None
+        root = lp._root(dim) if any(map(_adds_rows, layers)) else None
         step, state = _with_constraints, (root, ())
     else:
         step, state, limit = _every_side, (), inf

@@ -459,34 +459,33 @@ class _PairScan:
 
         On the line (point + s * direction) / den, the row c.x <= b reads
         a * s <= -_at(row, point), a = c.direction: a bound on s, or none
-        when the row is constant there. An empty interval, or a constant
-        row that fails, files a core (file_core). Otherwise an end of the
-        interval, or the hull's point, must satisfy every row. A single
-        point decides each row by its value; on a longer segment the
-        first unpinned row is off, as check_univalence explains.
+        when the row is constant there. lp._interval, which also decides
+        lp._LowDim's lines, finds the tightest bounds; an empty interval,
+        or a constant row that fails, files a core (file_core). Otherwise
+        an end of the interval, or the hull's point, must satisfy every
+        row. A single point decides each row by its value; on a longer
+        segment the first unpinned row is off, as check_univalence
+        explains.
         """
         basis, (den, point, direction) = self.basis(facets)
-        rows = [self.rows[key] for key in overlap]
-        # The tightest bound on each side: (b, a, key) for a * s <= b.
-        above = below = None
-        for key, (_, ints) in zip(overlap, rows):
-            b = -_at(ints, (den, point))
-            a = sum(map(mul, ints, direction)) if direction else 0
-            if a > 0:
-                if above is None or b * above[1] < above[0] * a:
-                    above = (b, a, key)
-            elif a < 0:
-                if below is None or b * below[1] > below[0] * a:
-                    below = (b, a, key)
-            elif b < 0:
-                return self.file_core(basis, facets, [(key, 1)])
+        keys = list(overlap)
+        rows = [self.rows[key] for key in keys]
+        # Each row as (a, b), for a * s <= b.
+        line = [
+            (sum(map(mul, ints, direction)) if direction else 0, -_at(ints, (den, point)))
+            for _, ints in rows
+        ]
+        feasible, found = lp._interval(line)
+        if not feasible:
+            return self.file_core(basis, facets, [(keys[i], z) for i, z in found])
+        lo, hi = found
         width = 1
-        if above and below:
-            width = below[0] * above[1] - above[0] * below[1]
-            if width < 0:
-                return self.file_core(basis, facets, [(above[2], -below[1]), (below[2], above[1])])
-        if above or below:
-            b, a, _ = above or below
+        if lo is not None and hi is not None:
+            (al, bl), (ah, bh) = line[lo], line[hi]
+            width = bl * ah - bh * al
+        end = hi if hi is not None else lo
+        if end is not None:
+            a, b = line[end]
             sign = 1 if a > 0 else -1
             inside = (sign * den * a, [sign * (x * a + b * v) for x, v in zip(point, direction)])
         else:
@@ -630,21 +629,22 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
 
 
 def _narrowed(
-    tableau: lp._Simplex, pending: tuple, new: list[tuple[int, list[int]]]
-) -> Optional[tuple[lp._Simplex, tuple]]:
+    decider: lp._Decider, pending: tuple, new: list[tuple[int, list[int]]]
+) -> Optional[tuple[lp._Decider, tuple]]:
     """One emptiness step: a polyhedron with rows new added, or None when
     they leave it empty.
 
-    A non-empty polyhedron is held as its nearest feasible tableau and
-    the rows added since, all of which that tableau's witness satisfies.
-    If the witness satisfies new too, the polyhedron keeps the tableau
-    and adds new to those rows, with no LP. Otherwise the tableau is
-    extended by every row added since it, and one phase 1, certified
-    inside lp, decides. Rows are (den, ints) as polyhedra._row gives them.
+    A non-empty polyhedron is held as its nearest feasible decider, of
+    the kind lp._root gives, and the rows added since, all of which that
+    decider's witness satisfies. If the witness satisfies new too, the
+    polyhedron keeps the decider and adds new to those rows, with no
+    work. Otherwise the decider is extended by every row added since it,
+    and its verdict, certified inside lp, decides. Rows are (den, ints)
+    as polyhedra._row gives them.
     """
-    if lp._satisfies(tableau.witness, new):
-        return tableau, pending + tuple(new)
-    below = tableau.extended(pending + tuple(new))
+    if lp._satisfies(decider.witness, new):
+        return decider, pending + tuple(new)
+    below = decider.extended(pending + tuple(new))
     return (below, ()) if below.feasible else None
 
 
@@ -654,20 +654,22 @@ def _live(fn: PwaFn) -> list[bool]:
     The pieces' constraint tuples go into a trie keyed by constraint value,
     so a prefix that several pieces share is one node, and its emptiness
     is decided once. Each distinct constraint is scaled once to an integer
-    row (den, ints), which serves both the witness tests and the tableaus.
-    The walk starts at the root, all of R^in_dim, with the empty tableau,
-    whose basic point, the origin, is the witness; a piece without
-    constraints ends at the root and is live, so the root tableau is
+    row (den, ints), which serves both the witness tests and the deciders.
+    The walk starts at the root, all of R^in_dim, with lp._root: on R^0
+    to R^3 the hyperplane decider (lp._LowDim), from R^4 on the empty
+    tableau. Either one's witness is the origin; a piece without
+    constraints ends at the root and is live, so the root decider is
     built only when some piece has a row. Each child is one _narrowed
-    step from its parent: it keeps the parent's tableau when the
+    step from its parent: it keeps the parent's decider when the
     witness satisfies its new constraints, and otherwise extends the
-    nearest feasible tableau above it by the constraints added since;
-    siblings share the parent's tableau, which extension leaves as it
+    nearest feasible decider above it by the constraints added since;
+    siblings share the parent's decider, which extension leaves as it
     was. A chain of nodes where no piece ends and nothing branches is one
     step, so pieces that share no first constraint cost at most one
-    phase 1 each.
+    extension each: one phase 1 on a tableau, and on R^1 to R^3 as many
+    hyperplane solves as the step has rows that the witness violates.
 
-    Only booleans leave the walk, and lp has certified each phase 1
+    Only booleans leave the walk, and lp has certified each verdict
     behind them against its prefix's rows.
     """
     keys, rows, _ = _value_keys(fn)
@@ -683,11 +685,11 @@ def _live(fn: PwaFn) -> list[bool]:
             node = child
         node[1].append(i)
     live = [False] * len(fn.pieces)
-    # (node, the nearest feasible tableau at or above it, and the rows
-    # of its prefix added since that tableau)
-    stack = [(root, lp._Simplex.empty(fn.in_dim) if rows else None, ())]
+    # (node, the nearest feasible decider at or above it, and the rows
+    # of its prefix added since that decider)
+    stack = [(root, lp._root(fn.in_dim) if rows else None, ())]
     while stack:
-        (children, ends, _), tableau, pending = stack.pop()
+        (children, ends, _), decider, pending = stack.pop()
         for i in ends:
             live[i] = True
         for child in children.values():
@@ -695,7 +697,7 @@ def _live(fn: PwaFn) -> list[bool]:
             while not child[1] and len(child[0]) == 1:
                 (child,) = child[0].values()
                 step.append(rows[child[2]])
-            below = _narrowed(tableau, pending, step)
+            below = _narrowed(decider, pending, step)
             if below is not None:
                 stack.append((child, *below))
     return live
@@ -704,10 +706,11 @@ def _live(fn: PwaFn) -> list[bool]:
 def prune_empty(fn: PwaFn) -> PwaFn:
     """Drop pieces whose polyhedra are empty; order and semantics survive.
 
-    Emptiness is decided once per shared constraint prefix: a prefix that
-    contains its parent prefix's witness point needs no LP, any other
-    extends the nearest feasible ancestor's tableau by its new rows, and
-    every phase 1 is certified inside lp. The result is that of
+    Emptiness is decided once per shared constraint prefix (_live): a
+    prefix that contains its parent prefix's witness point needs no
+    work, any other extends the nearest feasible ancestor's decider by
+    its new rows, on R^1 to R^3 by hyperplane solves and from R^4 on by
+    a phase 1, and lp certifies every verdict. The result is that of
     testing every piece on its own.
     The univalence status stays valid: an empty piece never overlaps
     anything, and the two pieces of a violation both contain its witness,
@@ -722,7 +725,7 @@ def count_regions(fn: PwaFn) -> int:
     """Number of pieces whose polyhedron is non-empty.
 
     Decided like prune_empty: once per shared constraint prefix, reusing
-    the parent prefix's witness point where it fits and its nearest
-    feasible ancestor's tableau where it does not.
+    the parent prefix's witness point where it fits and extending its
+    nearest feasible ancestor's decider where it does not.
     """
     return sum(_live(fn))

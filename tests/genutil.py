@@ -121,12 +121,13 @@ def dense_network(rng: random.Random, widths: tuple[int, ...]) -> Network:
 
 
 def corrupt_phase_1(monkeypatch, fault: str) -> list:
-    """Corrupt every verdict that a phase 1 of lp._Simplex goes on to
-    check, inside _phase_1 and before its check runs: with fault
-    "multiplier", an infeasible tableau's Farkas multipliers get their
-    first entry raised by one; with "point", a feasible tableau's basic
-    point moves by 1000 in every coordinate. Returns the list of verdicts
-    corrupted so far."""
+    """Corrupt verdicts inside lp before their checks run. With fault
+    "multiplier", every certificate that lp._checked_support checks, from
+    either decider (a phase 1 of lp._Simplex or lp._LowDim), gets its
+    first entry raised by one; with "point", only lp._Simplex's basic
+    point moves, by 1000 in every coordinate (corrupt_hyperplane_point
+    does the same for lp._LowDim). Returns the list of verdicts corrupted
+    so far."""
     corrupted = []
     if fault == "multiplier":
         checked_support = lp._checked_support
@@ -145,6 +146,25 @@ def corrupt_phase_1(monkeypatch, fault: str) -> list:
             return den, [a + 1000 * den for a in ints]
 
         monkeypatch.setattr(lp._Simplex, "_basic_point", corrupt)
+    return corrupted
+
+
+def corrupt_hyperplane_point(monkeypatch) -> list:
+    """Corrupt every point that lp._on_hyperplane finds, on the way to a
+    verdict of lp._LowDim that goes on to be checked: it moves by 1000 in
+    every coordinate. Returns the list of points corrupted so far."""
+    corrupted = []
+    on_hyperplane = lp._on_hyperplane
+
+    def corrupt(n, rows, h):
+        feasible, found = on_hyperplane(n, rows, h)
+        if feasible:
+            corrupted.append(found)
+            den, ints = found
+            found = den, [a + 1000 * den for a in ints]
+        return feasible, found
+
+    monkeypatch.setattr(lp, "_on_hyperplane", corrupt)
     return corrupted
 
 

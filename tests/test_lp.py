@@ -21,9 +21,11 @@ from pwanet.lp import (
     off_target_points,
     solve,
 )
-from pwanet.numeric import ColVec, DimensionError, dot, scaled_ints, vec_scale, zeros_vec
+from pwanet.numeric import (
+    ColVec, DimensionError, _unscaled, dot, scaled_ints, vec_scale, zeros_vec
+)
 from pwanet.network import transform
-from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
+from pwanet.polyhedra import LinearConstraint, Polyhedron, _row, contains, full_space, intersect
 from pwanet.pwa import AffinePiece, PwaFn, check_univalence, prune_empty
 
 from genutil import box_polyhedron, corrupt_phase_1, dense_network, point, random_network
@@ -688,3 +690,106 @@ class TestCertifiedPhase1:
         with pytest.raises(RuntimeError):
             call()
         assert len(corrupted) == 1
+
+
+@st.composite
+def _low_dim_chains(draw):
+    """A polyhedron in R^0..R^3 and a cut into its constraints.
+
+    Each constraint is drawn fresh, as a zero row, or from an earlier one:
+    repeated, as its exact negation (so the two leave a hyperplane, and
+    two such pairs a segment or a point), as a parallel row offset by g
+    in -2..2 (a strip for g > 0, nothing for g < 0), or scaled by a
+    positive rational. Few rows leave the region unbounded.
+    """
+    dim = draw(st.integers(0, 3))
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    fresh = st.builds(
+        lambda c, b: LinearConstraint(ColVec(c), b),
+        st.lists(scalar, min_size=dim, max_size=dim),
+        scalar,
+    )
+    constraints = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 5)) if constraints else draw(st.integers(0, 1))
+        if kind == 0:
+            constraints.append(draw(fresh))
+            continue
+        if kind == 1:
+            constraints.append(LinearConstraint(zeros_vec(dim), draw(scalar)))
+            continue
+        lc = draw(st.sampled_from(constraints))
+        if kind == 2:
+            constraints.append(lc)
+        elif kind == 3:
+            constraints.append(LinearConstraint(vec_scale(-1, lc.c), -lc.b))
+        elif kind == 4:
+            offset = draw(st.integers(-2, 2))
+            constraints.append(LinearConstraint(vec_scale(-1, lc.c), -lc.b + offset))
+        else:
+            k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+            constraints.append(LinearConstraint(vec_scale(k, lc.c), k * lc.b))
+    cut = draw(st.integers(0, len(constraints)))
+    return Polyhedron(dim, tuple(constraints)), cut
+
+
+class TestLowDim:
+    """The hyperplane decider gives the simplex's verdict on R^0..R^3, with
+    a point that every row holds, or multipliers of at most n + 1 rows
+    that the independent oracle accepts and _checked_support refuses once
+    one of them is zeroed or changed."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5))
+    @given(_low_dim_chains())
+    def test_drawn_verdicts_match_the_simplex(self, chain):
+        poly, cut = chain
+        rows = [_row(lc) for lc in poly.constraints]
+        decider = lp._LowDim.empty(poly.dim).extended(rows[:cut])
+        checked = Polyhedron(poly.dim, poly.constraints[:cut])
+        if decider.feasible:
+            decider = decider.extended(rows[cut:])
+            checked = poly
+        assert decider.rows == tuple(rows[: len(checked.constraints)])
+        assert decider.feasible == lp._Simplex(checked).feasible
+        if decider.feasible:
+            assert contains(checked, _unscaled(*decider.witness))
+            return
+        multipliers = decider.farkas
+        assert farkas_refutes(checked, multipliers)
+        assert decider.core == [i for i, y in enumerate(multipliers) if y]
+        assert len(decider.core) <= poly.dim + 1
+        # A lone zero row 0 <= b, b < 0, refutes at any positive weight,
+        # so a weight raised by one is a mutant only beside another row.
+        changes = [lambda y: 0, lambda y: -y]
+        if len(decider.core) > 1:
+            changes.append(lambda y: y + 1)
+        for i in decider.core:
+            for change in changes:
+                mutant = list(multipliers)
+                mutant[i] = change(mutant[i])
+                with pytest.raises(RuntimeError):
+                    lp._checked_support(decider.rows, tuple(mutant))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_line_is_decided_in_one_pass(self, monkeypatch, n):
+        # Lower bounds that tighten one by one, on each coordinate in turn,
+        # each cut the witness before them: the walk's worst order. A line
+        # left by the eliminations is bounded in one lp._interval pass,
+        # never walked row by row, which would cost a factor of m more.
+        rng = random.Random(7)
+        rows = []
+        for k in range(1, 25):
+            c = [rng.randint(-1, 1) for _ in range(n)]
+            c[k % n] = -(k + 1)
+            rows.append((1, c + [-k * k]))
+        solved = []
+        on_hyperplane = lp._on_hyperplane
+
+        def counted(m, rows, h):
+            solved.append(m)
+            return on_hyperplane(m, rows, h)
+
+        monkeypatch.setattr(lp, "_on_hyperplane", counted)
+        decider = lp._LowDim.empty(n).extended(rows)
+        assert decider.feasible and lp._Simplex.empty(n).extended(rows).feasible
+        assert set(solved) == set(range(2, n + 1))

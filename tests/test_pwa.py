@@ -15,6 +15,7 @@ from pwanet.numeric import (
     ColVec,
     DimensionError,
     Mat,
+    _unscaled,
     dot,
     mat_vec_mul,
     scaled_ints,
@@ -44,6 +45,7 @@ from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 from genutil import (
     box_polyhedron,
     colvec_of,
+    corrupt_hyperplane_point,
     corrupt_phase_1,
     dense_network,
     mat_of,
@@ -494,7 +496,9 @@ _LIVE_CASES = {
 
 @st.composite
 def _prefix_sharing_fns(draw):
-    """Functions on R^0..R^2 whose pieces often share constraint prefixes.
+    """Functions on R^0..R^4 whose pieces often share constraint prefixes,
+    on both sides of lp._root's cutoff between the hyperplane decider and
+    the simplex.
 
     Constraints come from a small pool, so some pieces repeat each other's
     first constraints; a piece may also start with a prefix of an earlier
@@ -502,7 +506,7 @@ def _prefix_sharing_fns(draw):
     copy rather than the pool's object. Small bounds make many prefixes
     empty.
     """
-    dim = draw(st.integers(0, 2))
+    dim = draw(st.integers(0, 4))
     small = st.integers(-2, 2)
     pool = draw(st.lists(
         st.builds(_halfspace, st.lists(small, min_size=dim, max_size=dim), small),
@@ -556,45 +560,72 @@ class TestLivePieces:
         self.check(fn)
 
     @staticmethod
-    def phase_1_runs(monkeypatch, call, fn):
-        """Runs of the one phase-1 routine, from a build or an extension."""
-        runs = []
-        phase_1 = lp._Simplex._phase_1
+    def runs(monkeypatch, call, arg, dim):
+        """(phase-1 runs, hyperplane solves) that call(arg) makes on R^dim.
 
-        def counted(self, rows):
-            runs.append(rows)
+        A phase 1 is a run of the simplex's one routine, from a build or an
+        extension; a hyperplane solve is one row of R^dim that a low-dim
+        decider's witness violates, not the solves one dimension down
+        inside it.
+        """
+        phase_1s, solves = [], []
+        phase_1 = lp._Simplex._phase_1
+        on_hyperplane = lp._on_hyperplane
+
+        def counted_phase_1(self, rows):
+            phase_1s.append(rows)
             phase_1(self, rows)
 
-        monkeypatch.setattr(lp._Simplex, "_phase_1", counted)
-        call(fn)
+        def counted_solve(n, rows, h):
+            if n == dim:
+                solves.append(h)
+            return on_hyperplane(n, rows, h)
+
+        monkeypatch.setattr(lp._Simplex, "_phase_1", counted_phase_1)
+        monkeypatch.setattr(lp, "_on_hyperplane", counted_solve)
+        call(arg)
         monkeypatch.undo()
-        return len(runs)
+        return len(phase_1s), len(solves)
+
+    @classmethod
+    def phase_1_runs(cls, monkeypatch, call, fn):
+        """Runs of the one phase-1 routine that call(fn) makes."""
+        return cls.runs(monkeypatch, call, fn, fn.in_dim)[0]
 
     def test_phase_1_runs_on_a_seeded_compile(self, monkeypatch):
+        # On R^2 no phase 1 runs: every violated row is one hyperplane solve.
         fn = transform(dense_network(random.Random(1), (2, 3, 3, 2)))
         assert len(fn.pieces) == 256
-        assert self.phase_1_runs(monkeypatch, prune_empty, fn) == 62
-        assert self.phase_1_runs(monkeypatch, count_regions, fn) == 62
+        assert self.runs(monkeypatch, prune_empty, fn, 2) == (0, 62)
+        assert self.runs(monkeypatch, count_regions, fn, 2) == (0, 62)
         assert count_regions(fn) == 14
         # Prefixes are shared by value: equal copies of every constraint
-        # cost the same runs as the objects compose_relu shares.
+        # cost the same solves as the objects compose_relu shares.
         copied = PwaFn(fn.in_dim, fn.out_dim, (
             AffinePiece(Polyhedron(2, tuple(map(_copy, p.polyhedron.constraints))), p.M, p.b)
             for p in fn.pieces
         ))
-        assert self.phase_1_runs(monkeypatch, count_regions, copied) == 62
+        assert self.runs(monkeypatch, count_regions, copied, 2) == (0, 62)
 
     @pytest.mark.parametrize(
         "widths, trie_runs, fold_runs, live",
-        [((2, 3, 3, 2), 62, 64, 14), ((3, 4, 4, 2), 263, 270, 87)],
-        ids=["2-3-3-2", "3-4-4-2"],
+        [
+            ((2, 3, 3, 2), (0, 62), (0, 64), 14),
+            ((3, 4, 4, 2), (0, 263), (0, 270), 87),
+            # On R^4 the simplex decides, with the phase-1 runs it made
+            # before R^1 to R^3 had the hyperplane decider.
+            ((4, 3, 3, 2), (111, 0), (126, 0), 60),
+        ],
+        ids=["2-3-3-2", "3-4-4-2", "4-3-3-2"],
     )
     def test_phase_1_runs_of_the_pruned_fold(self, monkeypatch, widths, trie_runs, fold_runs, live):
         # The fold decides each piece from its parent's state, layer by
         # layer, instead of walking the unpruned function's trie.
         net = dense_network(random.Random(1), widths)
-        assert self.phase_1_runs(monkeypatch, prune_empty, transform(net)) == trie_runs
-        assert self.phase_1_runs(monkeypatch, lambda n: transform(n, prune=True), net) == fold_runs
+        dim = widths[0]
+        assert self.runs(monkeypatch, prune_empty, transform(net), dim) == trie_runs
+        fold = self.runs(monkeypatch, lambda n: transform(n, prune=True), net, dim)
+        assert fold == fold_runs
         assert len(transform(net, prune=True).pieces) == live
 
     def test_no_shared_first_constraint_costs_at_most_one_run_per_piece(self, monkeypatch):
@@ -603,15 +634,17 @@ class TestLivePieces:
             (_halfspace([1, 0], k),) + box_polyhedron(rng, 2).constraints for k in range(-6, 6)
         ]
         fn = PwaFn(2, 1, _pieces_over(2, prefixes))
-        runs = self.phase_1_runs(monkeypatch, count_regions, fn)
-        assert runs <= len(fn.pieces)
-        assert runs == 11  # one of the twelve pieces holds the origin
+        extensions = self.warm_steps(monkeypatch, count_regions, fn)
+        assert len(extensions) <= len(fn.pieces)
+        assert len(extensions) == 11  # one of the twelve pieces holds the origin
+        # Each extension solves once per row its witness violates.
+        assert self.runs(monkeypatch, count_regions, fn, 2) == (0, 24)
         self.check(fn)
 
     @staticmethod
     def warm_steps(monkeypatch, call, fn):
-        """(prefix polyhedron, tableau) of each extension call makes."""
-        extended = lp._Simplex.extended
+        """(prefix polyhedron, decider) of each extension call makes."""
+        extended = lp._LowDim.extended
         prefixes = {}
         steps = []
 
@@ -624,7 +657,7 @@ class TestLivePieces:
             steps.append((Polyhedron(fn.in_dim, prefix), below))
             return below
 
-        monkeypatch.setattr(lp._Simplex, "extended", recorded)
+        monkeypatch.setattr(lp._LowDim, "extended", recorded)
         call(fn)
         monkeypatch.undo()
         return steps
@@ -634,26 +667,48 @@ class TestLivePieces:
         fns += list(_LIVE_CASES.values())
         outcomes = []
         for fn in fns:
-            for prefix, tableau in self.warm_steps(monkeypatch, prune_empty, fn):
-                assert tableau.m == len(prefix.constraints)
-                if tableau.feasible:
-                    assert contains(prefix, tableau.point())
+            for prefix, decider in self.warm_steps(monkeypatch, prune_empty, fn):
+                assert len(decider.rows) == len(prefix.constraints)
+                if decider.feasible:
+                    assert contains(prefix, _unscaled(*decider.witness))
                 else:
-                    assert farkas_refutes(prefix, tableau.farkas)
-                outcomes.append(tableau.feasible)
+                    assert farkas_refutes(prefix, decider.farkas)
+                outcomes.append(decider.feasible)
         assert outcomes.count(True) > 10 and outcomes.count(False) > 10
 
     @pytest.mark.parametrize("call", [prune_empty, count_regions])
     @pytest.mark.parametrize("fault", ["multiplier", "point"])
     def test_a_corrupted_extension_raises(self, monkeypatch, call, fault):
-        # In "shared prefixes", x <= 2 and x >= 1 needs a phase 1 that finds
-        # a point, and x <= 2, x <= 0 and x >= 1 one that finds none.
+        # In "shared prefixes", x <= 2 and x >= 1 needs a hyperplane solve
+        # that finds a point, and x <= 2, x <= 0 and x >= 1 one that finds
+        # none.
         fn = _LIVE_CASES["shared prefixes"]
         call(fn)  # without the fault, every verdict checks
-        corrupted = corrupt_phase_1(monkeypatch, fault)
+        if fault == "point":
+            corrupted = corrupt_hyperplane_point(monkeypatch)
+        else:
+            corrupted = corrupt_phase_1(monkeypatch, fault)
         with pytest.raises(RuntimeError):
             call(fn)
         assert len(corrupted) == 1
+
+    def test_a_hostile_12_input_function_keeps_the_simplex(self, monkeypatch):
+        # The hyperplane recursion grows like m^n: on R^12 with 36 rows it
+        # takes seconds where the simplex takes milliseconds, so count_regions
+        # on a crafted 12-input file must take the simplex.
+        rng = random.Random(3312)
+        prefixes = []
+        for _ in range(2):
+            inside = [rng.randint(2, 5) for _ in range(12)]
+            rows = []
+            for _ in range(36):
+                c = [rng.randint(-3, 3) for _ in range(12)]
+                rows.append(_halfspace(c, dot(ColVec(c), ColVec(inside)) + rng.randint(0, 2)))
+            prefixes.append(tuple(rows))
+        fn = PwaFn(12, 1, _pieces_over(12, prefixes))
+        phase_1s, solves = self.runs(monkeypatch, count_regions, fn, 12)
+        assert phase_1s > 0 and solves == 0
+        assert count_regions(fn) == 2
 
 
 def _moved(fn, k):
