@@ -68,12 +68,12 @@ witness of its rows, as a feasible tableau does, and has _Simplex's
 extension interface. A new row h that the witness violates is decided on
 h's hyperplane: the rows with h added have a point exactly when they
 have one there, since the witness lies strictly on the other side.
-Eliminating one coordinate of the hyperplane, in integers, leaves n - 1
-coordinates: an interval of bounds on a line for n = 2 (_interval,
-which pwa's pair scan also uses on its lines), the same step one
-dimension down for n = 3, and a sign test for n = 1 (Seidel, "Small-
-dimensional linear programming and convex hulls made easy", 1991,
-without the random order). An empty verdict lifts the multipliers of at
+Eliminating one coordinate of the hyperplane, in integers (_Flat),
+leaves n - 1 coordinates: an interval of bounds on a line for n = 2
+(_interval, which pwa's pair scan also uses on its lines), the same
+step one dimension down for n = 3, and a sign test for n = 1 (Seidel,
+"Small-dimensional linear programming and convex hulls made easy",
+1991, without the random order). An empty verdict lifts the multipliers of at
 most n + 1 rows back through the eliminations; the hyperplane's own
 multiplier is positive for the same reason. Its verdicts are certified
 as a phase 1's are: the multipliers pass _checked_support and their
@@ -83,7 +83,9 @@ in the worst case (m^3 on R^3; without _interval's single pass over a
 line it would be m^4), where the simplex stays polynomial in practice,
 so _root gives R^n with n >= 4 the simplex's empty tableau instead. pwa's
 trie walk and network's pruned fold start from _root; every LP with an
-objective, and the pair scan's tableaus, keep the simplex.
+objective, and the pair scan's tableaus, keep the simplex. _Flat, the
+one elimination, also serves pwa's pair scan on the flat of an
+overlap's facet equalities.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numeric import (
     ColVec,
@@ -476,45 +478,107 @@ def _on_hyperplane(n: int, rows: list[list[int]], h: list[int]) -> tuple[bool, o
 
     rows with h added have a point exactly when they have one on the
     hyperplane: the segment from a point of theirs to the one past h
-    crosses it. There, h's first nonzero coefficient a_k, of sign s,
-    gives x_k; each row r becomes |a_k| r - s r_k h, which is zero at
-    k and, on the hyperplane, |a_k| times r. The n - 1 remaining
-    coordinates are decided at once when one is left (_on_line), and
-    otherwise by _advanced from the origin. Multipliers
-    y of the reduced rows weigh row r by |a_k| y_r and h by
-    -s sum y_r r_k, which is positive: the combination is positive at
-    the point past h, where each r is at most its bound. A zero h is
+    crosses it. There, _Flat([h]) writes each row on the n - 1
+    coordinates h leaves, decided at once when one is left (_on_line),
+    else by _advanced from the origin, and lifts a point or multipliers
+    back. h's weight is positive: the combination is positive at the
+    point past h, where each row is at most its bound. A zero h is
     0 <= b with b < 0, its own certificate.
     """
-    k = next((j for j in range(n) if h[j]), None)
-    if k is None:
+    flat = _Flat([h])
+    if not flat.kept:
         return False, [0] * len(rows) + [1]
-    a = h[k]
-    s = 1 if a > 0 else -1
-    p = s * a
-    reduced = []
-    for r in rows:
-        f = s * r[k]
-        row = [p * c - f * e for c, e in zip(r, h)]
-        del row[k]
-        reduced.append(row)
+    reduced = flat.restricted(rows)
     if n == 2:
         feasible, found = _on_line(reduced)
     else:
         feasible, found = _advanced(n - 1, reduced, (1, [0] * (n - 1)), 0)
-    if not feasible:
-        mu = -s * sum(y * r[k] for y, r in zip(found, rows))
-        return False, [p * y for y in found] + [mu]
-    # x_k = (b - sum of a_j x_j, j != k) / a_k, over the point's den.
-    den, x = found
-    x_k = h[-1] * den - sum(map(mul, h[:k] + h[k + 1 : n], x))
-    x = [a * c for c in x]
-    x.insert(k, x_k)
-    den *= a
-    if den < 0:
-        den, x = -den, [-c for c in x]
-    g = gcd(den, *x)
-    return True, (den // g, [c // g for c in x])
+    return (True, flat.point(found)) if feasible else (False, flat.weights(rows, found))
+
+
+class _Flat:
+    """The flat where integer planes c.x = b meet, each n + 1 ints, c then
+    b, written on the coordinates left once each plane's first nonzero
+    coordinate is eliminated.
+
+    Each plane is written on the flat of those kept before it, as h. If
+    its c is zero there it is left out, and `consistent` turns False if
+    its b is not; `kept` indexes the planes kept, which are independent.
+    Else its first nonzero coordinate k, h_k of sign s and size p, is
+    eliminated: a row r becomes (p r - s r_k h) / q less entry k, q the
+    previous plane's p (1 for the first), which on the new flat is p / q
+    times the row before: a row written on the flat is the last p times
+    the row.
+    The division is exact (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968): each entry is, up to
+    sign, a minor of the planes and the row, within their Hadamard bound.
+    """
+
+    __slots__ = ("planes", "kept", "levels", "consistent")
+
+    def __init__(self, planes: Sequence[list[int]]):
+        self.planes, self.kept, self.levels, self.consistent = [], [], [], True
+        for i, plane in enumerate(planes):
+            h = self.restricted([plane])[0] if self.levels else plane
+            for k, a in enumerate(h):
+                if a:
+                    break
+            if k == len(h) - 1:
+                # c is zero here: the plane reads 0 = a.
+                self.consistent = self.consistent and not a
+                continue
+            self.planes.append(plane)
+            self.kept.append(i)
+            q = self.levels[-1][2] if self.levels else 1
+            self.levels.append((k, 1 if a > 0 else -1, abs(a), q, h))
+
+    def restricted(self, rows: list[list[int]], depth: Optional[int] = None) -> list[list[int]]:
+        """Each row, n + 1 ints c then b, written on the flat, or on that
+        of the first depth planes kept: the ints of the coordinates left,
+        then the bound. With no plane to eliminate, rows itself."""
+        for k, s, p, q, h in self.levels if depth is None else self.levels[:depth]:
+            out = []
+            for r in rows:
+                f = s * r[k]
+                row = [p * c - f * e for c, e in zip(r, h)] if f else [p * c for c in r]
+                del row[k]
+                out.append(row)
+            rows = out if q == 1 else [[a // q for a in row] for row in out]
+        return rows
+
+    def point(self, point: tuple[int, list[int]]) -> tuple[int, list[int]]:
+        """The point of the flat whose coordinates left are point, (den,
+        ints) with den != 0, in R^n as (den, ints), den > 0, in lowest
+        terms. Each eliminated coordinate comes from its plane:
+        x_k = (b - sum of h_j x_j, j != k) / h_k."""
+        den, x = point
+        for k, _, _, _, h in reversed(self.levels):
+            x_k = h[-1] * den - sum(map(mul, h, x[:k] + [0] + x[k:]))
+            x = [h[k] * c for c in x]
+            x.insert(k, x_k)
+            den *= h[k]
+        if den < 0:
+            den, x = -den, [-c for c in x]
+        g = gcd(den, *x)
+        return (den // g, [c // g for c in x]) if g > 1 else (den, x)
+
+    def weights(self, rows: Sequence[list[int]], y: Sequence[int]) -> list[int]:
+        """Multipliers for rows and then for the planes kept, from y >= 0,
+        one per row written on the flat, that weigh those to 0 <=
+        negative: the result does the same to rows, each by y times one
+        positive factor, and planes, of either sign; with no plane kept,
+        y itself. Back through plane j, the weights w of rows and later
+        planes, written on the flat before j, become p w, and plane j's is
+        -s sum w r_k, which cancels entry k: the sum is q times the old."""
+        w, at = y, rows
+        for j in range(len(self.levels) - 1, -1, -1):
+            k, s, p, _, _ = self.levels[j]
+            mu = -s * sum(a * r[k] for a, r in zip(w, self.restricted(at, j) if j else at) if a)
+            w = [p * a for a in w]
+            w.insert(len(rows), mu)
+            if j:
+                at = [*rows, self.planes[j], *at[len(rows) :]]
+        return w
 
 
 def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
@@ -531,11 +595,9 @@ def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
         return False, y
     for i in found:
         if i is not None and rows[i][1] < 0:
-            # t = d / c, over a den that _on_hyperplane's lift makes
-            # positive.
+            # t = d / c; _on_hyperplane's lift makes the den positive.
             c, d = rows[i]
-            g = gcd(c, d)
-            return True, (c // g, [d // g])
+            return True, (c, [d])
     return True, (1, [0])
 
 

@@ -26,10 +26,11 @@ overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
-no LP either. Equalities that leave only a point or a line, their hull,
-decide the pair with no LP at all: the overlap's rows bound the line to
-an interval, an empty one files the core of a Farkas certificate that
-lp checks, and a point of a non-empty one is checked against every row.
+no LP either: it is zero on their flat (lp._Flat). Equalities that
+leave only a point or a line decide the pair with no LP at all: the
+overlap's rows bound the line to an interval, an empty one files the
+core of a Farkas certificate that the flat lifts and lp checks, and a
+point of a non-empty one is checked against every row.
 Any other pair extends its first piece's tableau by the constraints of
 the second that it lacks; only the pair that disagrees is searched
 again from scratch, for its witness. Both searches are lp._first_off on
@@ -45,7 +46,7 @@ pieces; pwa_algebra's operators and the document reader are the others.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Union
 
@@ -276,52 +277,6 @@ class _EmptyCores:
         self.filed.setdefault(max(core), []).append(core)
 
 
-def _reduced(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
-    """row less a combination of an echelon basis, then scaled: all zero
-    exactly when row lies in the basis's span."""
-    for pivot, base in basis:
-        f = row[pivot]
-        if f:
-            row = lp._scaled(row, base[pivot], f, base)
-    return row
-
-
-def _hull(n: int, basis: list[tuple[int, list[int]]]) -> Optional[tuple]:
-    """The point or line in R^n where the facets of an echelon basis
-    hold, as (den, point, direction), or None.
-
-    None when the facets contradict each other, a pivot on the bound
-    (0 = b), or leave more than a line: fewer than n - 1 rows. Otherwise
-    point / den is on the hull, ints over den > 0, and direction is None
-    for a point or the ints of the line's direction. Each row is reduced
-    by the rows after it, so that it is nonzero at no other pivot, and
-    then fixes its pivot's coordinate from the one free coordinate, which
-    is 0 at the point and den along the direction.
-    """
-    if len(basis) < n - 1 or any(pivot == n for pivot, _ in basis):
-        return None
-    rows = [(pivot, _reduced(basis[k + 1 :], row)) for k, (pivot, row) in enumerate(basis)]
-    den = lcm(*(row[pivot] for pivot, row in rows))
-    point = [0] * n
-    for pivot, row in rows:
-        point[pivot] = row[n] * (den // row[pivot])
-    if len(rows) == n:
-        return den, point, None
-    free = (set(range(n)) - {pivot for pivot, _ in rows}).pop()
-    direction = [0] * n
-    direction[free] = den
-    for pivot, row in rows:
-        direction[pivot] = -row[free] * (den // row[pivot])
-    return den, point, direction
-
-
-def _at(ints: list[int], point: tuple[int, list[int]]) -> int:
-    """den * (c.x - b) for the row ints = (c, b) at x = xs / den, point
-    (den, xs): positive exactly where x breaks c.x <= b."""
-    den, xs = point
-    return sum(map(mul, ints, xs)) - ints[-1] * den
-
-
 class _PairScan:
     """What check_univalence keeps from pair to pair: one table per check.
 
@@ -340,9 +295,10 @@ class _PairScan:
     in the rational span of the (c, b) of those equalities gives d.x = t
     on the overlap, with no LP, whether the overlap is empty or not.
     The negation of each key is looked up once, when an overlap first
-    holds it. The span test runs on the integer rows: a positive scale
-    changes no span. Each set of facets is put in echelon form, and its
-    hull (_hull) found, once.
+    holds it. The span test runs on the integer rows, on the facets'
+    lp._Flat, the elimination lp._LowDim decides hyperplanes with: a row
+    is in the span when it is zero on the flat, or only its d when the
+    facets contradict each other, whose span holds (0, 1) too.
     """
 
     def __init__(self, fn: PwaFn):
@@ -351,7 +307,7 @@ class _PairScan:
         self.keys, self.rows, self.number = _value_keys(fn)
         self.cores = _EmptyCores()
         self.negations: dict[int, int] = {}
-        self.bases: dict[tuple[int, ...], tuple[list, Optional[tuple]]] = {}
+        self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, tuple[int, int]]]] = {}
         self.piece = -1
         self.held: tuple[int, ...] = ()
         self.tableau: Optional[lp._Simplex] = None
@@ -367,55 +323,44 @@ class _PairScan:
     def of(self, overlap: set[int]) -> tuple[int, ...]:
         """The facets of an overlap, whose constraint keys are overlap: the
         smaller key of each constraint and negation it holds, in order."""
-        facets = []
+        negations, facets = self.negations, []
         for key in overlap:
-            negation = self.negation(key)
+            negation = negations.get(key)
+            if negation is None:
+                negation = self.negation(key)
             if key < negation and negation in overlap:
                 facets.append(key)
         return tuple(sorted(facets))
 
-    def basis(self, facets: tuple[int, ...]) -> tuple[list, Optional[tuple]]:
-        """The facets' (c, b) rows in echelon form, and their _hull.
-
-        The basis is (pivot, row) pairs, each row nonzero at its pivot and
-        0 at every earlier pivot. A row is a combination of the facets'
-        integer rows, followed by a tail of its coefficients, one per
-        facet, so a reduction against the basis also says which facets it
-        took (file_core). Reducing a row without a tail reads the (c, b)
-        part alone.
-        """
-        entry = self.bases.get(facets)
+    def flat(self, facets: tuple[int, ...]) -> tuple[lp._Flat, dict[int, tuple[int, int]]]:
+        """The lp._Flat of the facets' (c, b) rows, built once per set of
+        facets, and hull_off's rows written on it so far, by key."""
+        entry = self.flats.get(facets)
         if entry is None:
-            n = self.in_dim
-            basis = []
-            for k, key in enumerate(facets):
-                tag = [0] * len(facets)
-                tag[k] = 1
-                row = _reduced(basis, self.rows[key][1] + tag)
-                # The tag keeps a nonzero entry; a pivot in it marks a
-                # facet in the span of the earlier ones.
-                pivot = next(p for p, a in enumerate(row) if a)
-                if pivot <= n:
-                    basis.append((pivot, row))
-            entry = self.bases[facets] = (basis, _hull(n, basis))
+            entry = self.flats[facets] = (lp._Flat([self.rows[key][1] for key in facets]), {})
         return entry
 
-    def diff(self, i: int, j: int, r: int) -> tuple[int, list[int]]:
-        """Row r of piece i's map less piece j's as the integer row
-        (den, ints), ints = den * (d, t), d.x = t where the two agree;
-        den is di * dj, the two maps' scales (_int_map)."""
+    def diffs(self, i: int, j: int) -> tuple[int, list[list[int]]]:
+        """Each row of piece i's map less piece j's as ints = den * (d, t),
+        d.x = t where the two agree, over one den, di * dj, the two maps'
+        scales (_int_map): (den, ints) is an integer row."""
         di, rows_i, offsets_i = _int_map(self.fn.pieces[i])
         dj, rows_j, offsets_j = _int_map(self.fn.pieces[j])
-        ints = [a * dj - b * di for a, b in zip(rows_i[r], rows_j[r])]
-        ints.append(offsets_j[r] * di - offsets_i[r] * dj)
-        return di * dj, ints
+        return di * dj, [
+            [a * dj - b * di for a, b in zip(row_i, row_j)] + [bj * di - bi * dj]
+            for row_i, row_j, bi, bj in zip(rows_i, rows_j, offsets_i, offsets_j)
+        ]
 
     def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
         """The rows of pieces i and j, in order, that the facet equalities
-        of their overlap, these facets, do not pin; with no facets, the
-        rows where their maps differ."""
-        basis = self.basis(facets)[0]
-        return [r for r in range(self.fn.out_dim) if any(_reduced(basis, self.diff(i, j, r)[1]))]
+        of their overlap, these facets, do not pin: whose difference is
+        not zero on the facets' flat, or, if they contradict each other,
+        whose d is not."""
+        flat = self.flat(facets)[0]
+        rows = flat.restricted(self.diffs(i, j)[1])
+        if not flat.consistent:
+            rows = [row[:-1] for row in rows]
+        return [r for r, row in enumerate(rows) if any(row)]
 
     def tableau_of(self, i: int) -> lp._Simplex:
         """Piece i's tableau. An infeasible one files its core, which
@@ -448,82 +393,67 @@ class _PairScan:
         # Optima and unboundedness do not depend on the basis a
         # maximization starts from, so each row's verdict is the plain
         # scan's.
-        found = lp._first_off(tableau, [(r, self.diff(i, j, r)) for r in unpinned])
+        den, diffs = self.diffs(i, j)
+        found = lp._first_off(tableau, [(r, (den, diffs[r])) for r in unpinned])
         return None if found is None else found[0]
 
     def hull_off(
         self, i: int, j: int, overlap: set[int], facets: tuple[int, ...], unpinned: list[int]
     ) -> Optional[int]:
         """The first unpinned row of pieces i and j off target on their
-        overlap, or None, when its facets have a _hull: no simplex.
+        overlap, or None, when its facets leave a point or a line: no
+        simplex.
 
-        On the line (point + s * direction) / den, the row c.x <= b reads
-        a * s <= -_at(row, point), a = c.direction: a bound on s, or none
-        when the row is constant there. lp._interval, which also decides
-        lp._LowDim's lines, finds the tightest bounds; an empty interval,
-        or a constant row that fails, files a core (file_core). Otherwise
-        an end of the interval, or the hull's point, must satisfy every
-        row. A single point decides each row by its value; on a longer
-        segment the first unpinned row is off, as check_univalence
-        explains.
+        Written on the facets' flat, once per key, each row is c t <= d
+        in the coordinate t the flat leaves (c = 0 on a point). The
+        tightest bounds come from lp._interval, as on lp._LowDim's lines.
+        An empty interval, or a constant row that fails, weighs one or
+        two rows; the flat's weights add the facets, each on its
+        constraint or its exact negation by sign, and lp checks the
+        certificate before its support is filed as a core. Otherwise
+        _Flat.point lifts t = d / c at an end, or t = 0, which must
+        satisfy every row. A single point decides each row by its value;
+        on a longer segment the first unpinned row is off.
         """
-        basis, (den, point, direction) = self.basis(facets)
+        flat, written = self.flat(facets)
+        new = list(overlap.difference(written))
+        if new:
+            rows = flat.restricted([self.rows[key][1] for key in new])
+            written.update(zip(new, [(row[0] if len(row) > 1 else 0, row[-1]) for row in rows]))
         keys = list(overlap)
-        rows = [self.rows[key] for key in keys]
-        # Each row as (a, b), for a * s <= b.
-        line = [
-            (sum(map(mul, ints, direction)) if direction else 0, -_at(ints, (den, point)))
-            for _, ints in rows
-        ]
+        line = [written[key] for key in keys]
         feasible, found = lp._interval(line)
         if not feasible:
-            return self.file_core(basis, facets, [(keys[i], z) for i, z in found])
+            used = [keys[k] for k, _ in found]
+            m = len(used)
+            weights = flat.weights([self.rows[key][1] for key in used], [z for _, z in found])
+            for k, w in zip(flat.kept, weights[m:]):
+                if w:
+                    used.append(facets[k] if w > 0 else self.negation(facets[k]))
+            weights = weights[:m] + [abs(w) for w in weights[m:] if w]
+            rows = [self.rows[key] for key in used]
+            # Multipliers on the integer rows, each den times its constraint.
+            certificate = tuple(y * d for y, (d, _) in zip(weights, rows))
+            self.cores.add(tuple(used), lp._checked_support(rows, certificate))
+            return None
         lo, hi = found
         width = 1
         if lo is not None and hi is not None:
-            (al, bl), (ah, bh) = line[lo], line[hi]
-            width = bl * ah - bh * al
+            (cl, dl), (ch, dh) = line[lo], line[hi]
+            width = dl * ch - dh * cl
         end = hi if hi is not None else lo
-        if end is not None:
-            a, b = line[end]
-            sign = 1 if a > 0 else -1
-            inside = (sign * den * a, [sign * (x * a + b * v) for x, v in zip(point, direction)])
-        else:
-            inside = (den, point)
-        if not lp._satisfies(inside, rows):
+        left = self.in_dim - len(flat.kept)
+        inside = flat.point((1, [0] * left) if end is None else (line[end][0], [line[end][1]]))
+        if not lp._satisfies(inside, [self.rows[key] for key in keys]):
             raise RuntimeError("a hull point leaves its pair's overlap")
-        if direction and width:
+        if left and width:
             return unpinned[0]
-        return next((r for r in unpinned if _at(self.diff(i, j, r)[1], inside)), None)
-
-    def file_core(
-        self, basis: list[tuple[int, list[int]]], facets: tuple[int, ...], combination: list
-    ) -> None:
-        """File the core of an overlap that a hull proves empty.
-
-        combination lists (key, z), z > 0 ints, whose rows sum to one
-        that, less some facets' rows, reads 0 <= negative. Reducing the
-        sum against the basis, with a tail for the facets and an entry
-        for its own scale, finds those facets: each goes onto its
-        constraint or onto its exact negation, by sign. lp checks the
-        certificate before its support is filed.
-        """
-        n = self.in_dim
-        total = [0] * (n + 1)
-        for key, z in combination:
-            total = [a + z * c for a, c in zip(total, self.rows[key][1])]
-        row = _reduced(basis, total + [0] * len(facets) + [1])
-        sign = 1 if row[-1] > 0 else -1
-        keys = [key for key, _ in combination]
-        weights = [sign * row[-1] * z for _, z in combination]
-        for key, g in zip(facets, row[n + 1 : -1]):
-            if g:
-                keys.append(key if sign * g > 0 else self.negation(key))
-                weights.append(abs(g))
-        rows = [self.rows[key] for key in keys]
-        # Multipliers on the integer rows, each den times its constraint.
-        certificate = tuple(y * den for y, (den, _) in zip(weights, rows))
-        self.cores.add(tuple(keys), lp._checked_support(rows, certificate))
+        den, xs = inside
+        diffs = self.diffs(i, j)[1]
+        # A row d.x = t is off target at the point where d.x != t.
+        return next(
+            (r for r in unpinned if sum(map(mul, diffs[r], xs)) != diffs[r][-1] * den), None
+        )
 
 
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
@@ -550,14 +480,16 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     unpinned = scan.unpinned(i, j, facets)
     if not unpinned:
         return None
-    if scan.basis(facets)[1] is not None:
+    flat = scan.flat(facets)[0]
+    if flat.consistent and len(flat.kept) >= fn.in_dim - 1:
         off = scan.hull_off(i, j, overlap, facets, unpinned)
     else:
         off = scan.tableau_off(i, j, own, unpinned)
     if off is None:
         return None
     cold = lp._Simplex(intersect(pi.polyhedron, pj.polyhedron))
-    found = lp._first_off(cold, [(r, scan.diff(i, j, r)) for r in unpinned])
+    den, diffs = scan.diffs(i, j)
+    found = lp._first_off(cold, [(r, (den, diffs[r])) for r in unpinned])
     if found is None or found[0] != off:
         raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
     return UnivalenceViolation(i, j, *found)
@@ -587,20 +519,22 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     lie in the exact rational span of their (c, b) holds on all of the
     overlap, empty or not, and needs no LP; a pair whose every row is
     pinned is skipped, and only the other rows go to the LPs, in order.
+    A row is in the span when it is zero on their flat (lp._Flat).
 
     Where the overlap's facet equalities are consistent and leave a
     point or a line (normals of rank n - 1 or more, on R^n; on R^0 and
     R^1 no facet is needed), the pair needs no simplex. On a line, each
     of the overlap's rows either bounds the position along it or is
     constant there. An empty interval, or a constant row that fails,
-    gives a Farkas certificate from one or two rows plus the facets'
-    multipliers, each on the facet's constraint or on its exact negation
-    by sign; lp checks it, and its support, at most n + 1 constraints, is
-    filed as a core. Otherwise a point of the overlap is checked against
-    all of its rows. A single point decides each row by its value there;
-    on a longer segment the first row the facets leave is off target,
-    since an affine row constant on a segment of the line is constant on
-    the line, where only a row in the facets' span is.
+    gives a Farkas certificate from one or two rows, and the flat lifts
+    it to the facets' multipliers, each on the facet's constraint or on
+    its exact negation by sign; lp checks it, and its support, at most
+    n + 1 constraints, is filed as a core. Otherwise a point of the
+    overlap, lifted from the line, is checked against all of its rows.
+    A single point decides each row by its value there; on a longer
+    segment the first row the facets leave is off target, since an
+    affine row constant on a segment of the line is constant on the
+    line, where only a row in the facets' span is.
 
     Phase 1 is warm: while i is the outer index, piece i's tableau is
     kept, and pair (i, j) extends it by the constraints of piece j that

@@ -7,9 +7,11 @@ denominators bounded by 100) to keep the exact arithmetic quick.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from pwanet import lp
 from pwanet.numeric import ColVec, Mat
@@ -18,6 +20,17 @@ from pwanet.pwa import AffinePiece, PwaFn, linear_pwaf
 from pwanet.network import Network, OutputLayer, nn_linear, nn_relu, transform
 
 from oracles import stacked_relu
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_corpus():
+    """The benchmark's corpus module, perfbench/corpus.py."""
+    spec = importlib.util.spec_from_file_location("corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
 
 
 EXAMPLE_WEIGHTS = [["2.7", "0"], ["1", "0.01"]]

@@ -6,7 +6,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwanet import lp
@@ -29,7 +29,7 @@ from pwanet.polyhedra import LinearConstraint, Polyhedron, _row, contains, full_
 from pwanet.pwa import AffinePiece, PwaFn, check_univalence, prune_empty
 
 from genutil import box_polyhedron, corrupt_phase_1, dense_network, point, random_network
-from oracles import farkas_refutes, vertex_optimum
+from oracles import farkas_refutes, gauss_solve, vertex_optimum
 
 
 def unit_interval():
@@ -793,3 +793,99 @@ class TestLowDim:
         decider = lp._LowDim.empty(n).extended(rows)
         assert decider.feasible and lp._Simplex.empty(n).extended(rows).feasible
         assert set(solved) == set(range(2, n + 1))
+
+
+@st.composite
+def _flats(draw):
+    """Independent planes c.x = b on R^0 to R^6, from none to n of them,
+    rows, and a point (den, ints) on the coordinates the planes leave,
+    all with small entries. Two more rows refute each other on the flat:
+    r and -r plus a combination of the planes, with the bound lowered by
+    delta, so y = (a, a) weighs them to 0 <= -delta times a factor."""
+    n = draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+    row = st.lists(small, min_size=n + 1, max_size=n + 1)
+    k = draw(st.integers(0, n))
+    planes = draw(st.lists(row, min_size=k, max_size=k))
+    # Independent normals have a nonsingular Gram matrix.
+    gram = [[sum(a * b for a, b in zip(p[:-1], q[:-1])) for q in planes] for p in planes]
+    assume(gauss_solve(gram, [0] * len(planes)) is not None)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    left = n - len(planes)
+    point = (draw(st.integers(1, 4)), draw(st.lists(small, min_size=left, max_size=left)))
+    r = draw(row)
+    other = [-a for a in r]
+    for plane in planes:
+        lam = draw(small)
+        other = [a + lam * e for a, e in zip(other, plane)]
+    other[-1] -= draw(st.integers(1, 3))
+    return planes, rows, point, [r, other], draw(st.integers(1, 3))
+
+
+def _sign(a):
+    return (a > 0) - (a < 0)
+
+
+def _excess(r, point):
+    """c.x - b for the row r = (c, b) at the point (den, ints)."""
+    den, x = point
+    return Fraction(sum(c * xi for c, xi in zip(r, x)), den) - r[-1]
+
+
+class TestFlat:
+    """lp._Flat writes rows on the flat of independent planes and lifts
+    points and multipliers back, with every division exact."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5))
+    @given(_flats())
+    def test_drawn_flats(self, drawn):
+        planes, rows, point, refuting, a = drawn
+        flat = lp._Flat(planes)
+        assert (flat.kept, flat.consistent) == (list(range(len(planes))), True)
+        den, x = flat.point(point)
+        assert den > 0
+        # The lifted point lies on every plane.
+        for plane in planes:
+            assert sum(c * xi for c, xi in zip(plane, x)) == plane[-1] * den
+        # Each row has, at the lifted point, the sign of its row on the
+        # flat at point.
+        for r, w in zip(rows, flat.restricted(rows)):
+            assert _sign(_excess(r, (den, x))) == _sign(_excess(w, point))
+        # On the flat of the first j planes, a row is written as the last
+        # pivot's size p times the row, as an affine function of the
+        # coordinates left: exact only if every division was. No entry
+        # passes the Hadamard bound of the planes and the row.
+        n = len(rows[0]) - 1
+        for j in range(len(planes) + 1):
+            below = lp._Flat(planes[:j])
+            p = below.levels[-1][2] if j else 1
+            base = below.point((1, [0] * (n - j)))
+            units = [below.point((1, [int(m == k) for m in range(n - j)])) for k in range(n - j)]
+            for r, w in zip(rows + planes, flat.restricted(rows + planes, j)):
+                assert -w[-1] == p * _excess(r, base)
+                for k, unit in enumerate(units):
+                    assert w[k] == p * (_excess(r, unit) - _excess(r, base))
+                bound = 1
+                for v in planes[:j] + [r]:
+                    bound *= sum(e * e for e in v)
+                assert all(e * e <= bound for e in w)
+        # Multipliers that refute the two rows on the flat lift to ones
+        # that refute the rows and the planes, each plane on its side.
+        y = [a, a]
+        written = flat.restricted(refuting)
+        combined = [a * (e + f) for e, f in zip(*written)]
+        assert not any(combined[:-1]) and combined[-1] < 0
+        weights = flat.weights(refuting, y)
+        assert all(w > 0 for w in weights[:2])
+        sides = [plane if w >= 0 else [-e for e in plane] for plane, w in zip(planes, weights[2:])]
+        lp._checked_support(
+            [(1, r) for r in refuting + sides], tuple(abs(w) for w in weights)
+        )
+
+    def test_planes_in_the_span_of_earlier_ones_are_left_out(self):
+        # x + y = 1, then 2x + 2y = 2, which holds on it, then y = 0, then
+        # x = 2, which contradicts the point (1, 0).
+        flat = lp._Flat([[1, 1, 1], [2, 2, 2], [0, 1, 0], [1, 0, 2]])
+        assert (flat.kept, flat.consistent) == ([0, 2], False)
+        assert flat.point((1, [])) == (1, [1, 0])
+        assert lp._Flat([[1, 1, 1], [2, 2, 2]]).consistent

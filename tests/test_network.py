@@ -1,11 +1,9 @@
 """Layer chains: the chain check at construction, evaluation, ReLU, and compilation."""
 
-import importlib.util
 import random
 from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +50,7 @@ from genutil import (
     dense_network,
     example_network,
     mat_of,
+    perfbench_corpus,
     point,
     random_network,
     restricted_affine,
@@ -532,14 +531,9 @@ class TestOversize:
             transform(Network(30, 30, (nn_relu(30), OutputLayer(30))))
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
 def _corpus_networks():
     """Every shape of the benchmark corpus, at run seeds 1 to 3."""
-    spec = importlib.util.spec_from_file_location("corpus", PERFBENCH / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
+    corpus = perfbench_corpus()
     shapes = sorted({shape for shapes in corpus.SHAPES.values() for shape in shapes})
     return [
         pytest.param(

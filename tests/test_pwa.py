@@ -2,6 +2,7 @@
 
 import json
 import random
+from hashlib import sha256
 from datetime import timedelta
 from itertools import combinations
 from fractions import Fraction
@@ -49,6 +50,7 @@ from genutil import (
     corrupt_phase_1,
     dense_network,
     mat_of,
+    perfbench_corpus,
     point,
     random_network,
     restricted_affine,
@@ -1525,12 +1527,16 @@ class TestFacetHulls:
         decided, certificates, filing = [], [], []
         hull_off = pwa._PairScan.hull_off
         tableau_off = pwa._PairScan.tableau_off
-        file_core = pwa._PairScan.file_core
         checked_support = lp._checked_support
 
         def on_hull(self, *args):
+            # A certificate checked inside hull_off is the hull's.
             filed = len(certificates)
-            off = hull_off(self, *args)
+            filing.append(self.in_dim)
+            try:
+                off = hull_off(self, *args)
+            finally:
+                filing.pop()
             empty = len(certificates) > filed
             decided.append("empty" if empty else "agree" if off is None else "off")
             return off
@@ -1538,13 +1544,6 @@ class TestFacetHulls:
         def on_tableau(self, *args):
             decided.append("simplex")
             return tableau_off(self, *args)
-
-        def filed(self, *args):
-            filing.append(self.in_dim)
-            try:
-                return file_core(self, *args)
-            finally:
-                filing.pop()
 
         def checked(rows, certificate):
             support = checked_support(rows, certificate)
@@ -1555,7 +1554,6 @@ class TestFacetHulls:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pwa._PairScan, "hull_off", on_hull)
             patch.setattr(pwa._PairScan, "tableau_off", on_tableau)
-            patch.setattr(pwa._PairScan, "file_core", filed)
             patch.setattr(lp, "_checked_support", checked)
             verdict = check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         return verdict, decided, certificates
@@ -1640,16 +1638,62 @@ class TestFacetHulls:
 
     def test_a_hull_point_outside_its_overlap_raises_and_files_nothing(self, monkeypatch):
         # Two pieces on -1 <= x <= 1 with maps x and 2x: the overlap is a
-        # segment of the line R^1. With every bound read 1 too loose, its
-        # end is 2, outside the overlap.
+        # segment of the line R^1. With every point _Flat.point lifts
+        # moved by 1, the segment's end x = 1 comes back as 2, outside
+        # the overlap.
         fn = TestWarmPairs.on_axis(1, [(((1, 1), (-1, 1)), 1), (((1, 1), (-1, 1)), 2)])
         assert self.scanned(fn)[:2] == (UnivalenceViolation(0, 1, 0, ColVec([-1])), ["off"])
         made = self.recorded_cores(monkeypatch)
-        at = pwa._at
-        monkeypatch.setattr(pwa, "_at", lambda ints, point: at(ints, point) - point[0])
+        lifted = lp._Flat.point
+
+        def moved(self, point):
+            den, ints = lifted(self, point)
+            return den, [a + den for a in ints]
+
+        monkeypatch.setattr(lp._Flat, "point", moved)
         with pytest.raises(RuntimeError, match="hull point"):
             check_univalence(fn)
         assert [cores.filed for cores in made] == [{}]
+
+    def test_eleven_facets_on_r12_leave_a_line_decided_without_a_simplex(self, monkeypatch):
+        # Eleven planes c.x = b through x0, each with c_0 = c_1, so all
+        # hold on the line x0 + t (1, -1, 0, ..., 0). On it, piece 0's
+        # last row reads x_0 <= x0_0 - 1, tilted by the rows of planes 0
+        # and 1, and piece 1's x_0 >= x0_0: the overlap is empty, and its
+        # certificate takes both planes.
+        rng = random.Random(12)
+        x0 = [rng.randint(-3, 3) for _ in range(12)]
+        planes = []
+        for _ in range(11):
+            c = [rng.randint(-3, 3) for _ in range(12)]
+            c[1] = c[0]
+            planes.append((c, sum(a * b for a, b in zip(c, x0))))
+        (c0, b0), (c1, b1) = planes[:2]
+        tilted = [int(k == 0) + a - b for k, (a, b) in enumerate(zip(c0, c1))]
+        first = [_halfspace(c, b) for c, b in planes]
+        first.append(_halfspace(tilted, x0[0] - 1 + b0 - b1))
+        second = [_halfspace([-a for a in c], -b) for c, b in planes]
+        second.append(_halfspace([-1] + [0] * 11, -x0[0]))
+        fn = PwaFn(12, 1, (
+            AffinePiece(Polyhedron(12, tuple(first)), Mat([[0] * 12]), ColVec([0])),
+            AffinePiece(Polyhedron(12, tuple(second)), Mat([[0, 1] + [0] * 10]), ColVec([0])),
+        ))
+        written = []
+        restricted = lp._Flat.restricted
+
+        def recorded(self, rows, depth=None):
+            rows = restricted(self, rows, depth)
+            written.extend(e for row in rows for e in row)
+            return rows
+
+        monkeypatch.setattr(lp._Flat, "restricted", recorded)
+        runs = TestLivePieces.phase_1_runs
+        assert runs(monkeypatch, check_univalence, fn) == 0
+        verdict, decided, ((dim, rows, certificate),) = self.scanned(fn)
+        assert (verdict, decided) == (Univalent(), ["empty"])
+        assert len(certificate) == 4
+        assert max(abs(e) for e in written).bit_length() < 64
+        self.check(fn)
 
     @pytest.mark.parametrize(
         "fn, decided, verdict",
@@ -1726,4 +1770,52 @@ class TestFacetHulls:
         self.check(moved)
         assert check_univalence(moved) == UnivalenceViolation(
             6, 7, 0, ColVec([0, Fraction(3, 2), 1])
+        )
+
+
+class TestCorpusChecks:
+    """check_univalence on the benchmark's check corpus and three larger
+    pruned shapes, at run seeds 1 and 2, each with its refuted variant
+    (perfbench/corpus.py): the verdicts, the cores the scan files, in
+    order, and its phase-1 runs are pinned as one sha256."""
+
+    SHAPES = [(2, 4, 4), (3, 4, 4, 2), (4, 3, 3, 2)]
+
+    @staticmethod
+    def documents():
+        corpus = perfbench_corpus()
+        for shape in corpus.SHAPES["check"] + TestCorpusChecks.SHAPES:
+            for seed in (1, 2):
+                net = parse_network(corpus.network_document(corpus.relabelled_layers(shape, seed)))
+                text = serialize_pwa(transform(net, prune=True))
+                yield text
+                yield corpus.refuted_document(text)
+
+    def test_verdicts_cores_and_phase_1s_are_pinned(self, monkeypatch):
+        documents = list(self.documents())
+        cores, phase_1s = [], []
+        add = pwa._EmptyCores.add
+        phase_1 = lp._Simplex._phase_1
+
+        def filed(self, keys, support):
+            cores.append(sorted({keys[i] for i in support}))
+            add(self, keys, support)
+
+        def counted(self, rows):
+            phase_1s.append(len(rows))
+            phase_1(self, rows)
+
+        monkeypatch.setattr(pwa._EmptyCores, "add", filed)
+        monkeypatch.setattr(lp._Simplex, "_phase_1", counted)
+        lines, totals = [], [0, 0]
+        for text in documents:
+            verdict = check_univalence(parse_pwa(text))
+            lines.append(f"{verdict!r} {cores} {len(phase_1s)}")
+            totals = [totals[0] + len(cores), totals[1] + len(phase_1s)]
+            cores.clear()
+            phase_1s.clear()
+        assert totals == [1166, 1648]
+        # Recorded with the echelon basis that the facet flats replaced.
+        assert sha256("\n".join(lines).encode()).hexdigest() == (
+            "34d7d4c71a5a4d7a025d4639097b76d6e45c9be5901d3efeb51344da88a227fc"
         )
