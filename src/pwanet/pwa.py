@@ -26,11 +26,13 @@ overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
-no LP either: it is zero on their flat (lp._Flat). Equalities that
+no LP either: it is zero on their flat (lp._Flat). Each pair's row
+differences are built once and written on that flat. Equalities that
 leave only a point or a line decide the pair with no LP at all: the
 overlap's rows bound the line to an interval, an empty one files the
-core of a Farkas certificate that the flat lifts and lp checks, and a
-point of a non-empty one is checked against every row.
+core of a Farkas certificate that the flat lifts and lp checks, a point
+of a non-empty one is checked against every row, and the rows written
+on the flat decide where they are off target.
 Any other pair extends its first piece's tableau by the constraints of
 the second that it lacks; only the pair that disagrees is searched
 again from scratch, for its witness. Both searches are lp._first_off on
@@ -295,10 +297,12 @@ class _PairScan:
     in the rational span of the (c, b) of those equalities gives d.x = t
     on the overlap, with no LP, whether the overlap is empty or not.
     The negation of each key is looked up once, when an overlap first
-    holds it. The span test runs on the integer rows, on the facets'
-    lp._Flat, the elimination lp._LowDim decides hyperplanes with: a row
-    is in the span when it is zero on the flat, or only its d when the
-    facets contradict each other, whose span holds (0, 1) too.
+    holds it. _check_pair builds a pair's row differences once (diffs)
+    and writes them on the facets' lp._Flat, the elimination lp._LowDim
+    decides hyperplanes with: a row is in the span when it is zero on
+    the flat, or only its d when the facets contradict each other, whose
+    span holds (0, 1) too. The rows left go to hull_off as written on
+    the flat, and to tableau_off and the witness search as integer rows.
     """
 
     def __init__(self, fn: PwaFn):
@@ -334,7 +338,7 @@ class _PairScan:
 
     def flat(self, facets: tuple[int, ...]) -> tuple[lp._Flat, dict[int, tuple[int, int]]]:
         """The lp._Flat of the facets' (c, b) rows, built once per set of
-        facets, and hull_off's rows written on it so far, by key."""
+        facets, and the constraints hull_off has written on it, by key."""
         entry = self.flats.get(facets)
         if entry is None:
             entry = self.flats[facets] = (lp._Flat([self.rows[key][1] for key in facets]), {})
@@ -351,20 +355,13 @@ class _PairScan:
             for row_i, row_j, bi, bj in zip(rows_i, rows_j, offsets_i, offsets_j)
         ]
 
-    def unpinned(self, i: int, j: int, facets: tuple[int, ...]) -> list[int]:
-        """The rows of pieces i and j, in order, that the facet equalities
-        of their overlap, these facets, do not pin: whose difference is
-        not zero on the facets' flat, or, if they contradict each other,
-        whose d is not."""
-        flat = self.flat(facets)[0]
-        rows = flat.restricted(self.diffs(i, j)[1])
-        if not flat.consistent:
-            rows = [row[:-1] for row in rows]
-        return [r for r, row in enumerate(rows) if any(row)]
-
-    def tableau_of(self, i: int) -> lp._Simplex:
-        """Piece i's tableau. An infeasible one files its core, which
-        covers every later pair of piece i."""
+    def tableau_off(self, i: int, j: int, own: set[int], rows: list[tuple]) -> Optional[int]:
+        """The first of rows, (r, (den, row difference)) for the rows of
+        pieces i and j left to the deciders, off target on their overlap,
+        or None, by LPs on piece i's tableau extended by the keys of piece
+        j it lacks, own being piece i's. An infeasible tableau of piece i
+        files its core, which covers every later pair of piece i, and an
+        empty extension files its own."""
         if self.piece != i:
             held = tuple(dict.fromkeys(self.keys[i]))
             tableau = lp._Simplex.empty(self.in_dim)
@@ -373,16 +370,9 @@ class _PairScan:
             if not tableau.feasible:
                 self.cores.add(held, tableau.core)
             self.piece, self.held, self.tableau = i, held, tableau
-        return self.tableau
-
-    def tableau_off(self, i: int, j: int, own: set[int], unpinned: list[int]) -> Optional[int]:
-        """The first unpinned row of pieces i and j off target on their
-        overlap, or None, by LPs on piece i's tableau extended by the keys
-        of piece j it lacks, own being piece i's; an empty extension files
-        its core."""
-        tableau = self.tableau_of(i)
+        tableau = self.tableau
         if not tableau.feasible:
-            # Piece i is empty, and tableau_of has filed its core.
+            # Piece i is empty, and its core is filed.
             return None
         new = tuple(key for key in dict.fromkeys(self.keys[j]) if key not in own)
         if new:
@@ -393,18 +383,18 @@ class _PairScan:
         # Optima and unboundedness do not depend on the basis a
         # maximization starts from, so each row's verdict is the plain
         # scan's.
-        den, diffs = self.diffs(i, j)
-        found = lp._first_off(tableau, [(r, (den, diffs[r])) for r in unpinned])
+        found = lp._first_off(tableau, rows)
         return None if found is None else found[0]
 
     def hull_off(
-        self, i: int, j: int, overlap: set[int], facets: tuple[int, ...], unpinned: list[int]
+        self, overlap: set[int], facets: tuple[int, ...], on_flat: list[tuple[int, list[int]]]
     ) -> Optional[int]:
-        """The first unpinned row of pieces i and j off target on their
+        """The first of on_flat, (r, row difference written on the facets'
+        flat) for the rows left to the deciders, off target on the
         overlap, or None, when its facets leave a point or a line: no
         simplex.
 
-        Written on the facets' flat, once per key, each row is c t <= d
+        Written on the flat, once per key, each constraint is c t <= d
         in the coordinate t the flat leaves (c = 0 on a point). The
         tightest bounds come from lp._interval, as on lp._LowDim's lines.
         An empty interval, or a constant row that fails, weighs one or
@@ -412,8 +402,11 @@ class _PairScan:
         constraint or its exact negation by sign, and lp checks the
         certificate before its support is filed as a core. Otherwise
         _Flat.point lifts t = d / c at an end, or t = 0, which must
-        satisfy every row. A single point decides each row by its value;
-        on a longer segment the first unpinned row is off.
+        satisfy every constraint. The flat writes each row as a positive
+        multiple of itself, so a row a t = b is off target at t = d / c
+        exactly when a d != b c. On a segment of zero width that decides
+        each row; on a point every row given is off, and on a longer
+        segment the first is.
         """
         flat, written = self.flat(facets)
         new = list(overlap.difference(written))
@@ -446,26 +439,27 @@ class _PairScan:
         inside = flat.point((1, [0] * left) if end is None else (line[end][0], [line[end][1]]))
         if not lp._satisfies(inside, [self.rows[key] for key in keys]):
             raise RuntimeError("a hull point leaves its pair's overlap")
-        if left and width:
-            return unpinned[0]
-        den, xs = inside
-        diffs = self.diffs(i, j)[1]
-        # A row d.x = t is off target at the point where d.x != t.
-        return next(
-            (r for r in unpinned if sum(map(mul, diffs[r], xs)) != diffs[r][-1] * den), None
-        )
+        if not left or width:
+            return on_flat[0][0]
+        c, d = line[end]
+        return next((r for r, (a, b) in on_flat if a * d != b * c), None)
 
 
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
-    An overlap that holds one of the scan's cores, or whose facet
-    equalities pin every row, needs no LP, nor does one whose facets
-    leave a point or a line (_PairScan.hull_off). Otherwise piece i's
-    tableau, extended by the keys of piece j it lacks, decides the
-    overlap, as check_univalence describes. Only a pair with a row off
-    target is searched again from scratch, on intersect(pi, pj), for its
-    witness; both searches are lp._first_off on the same rows.
+    An overlap that holds one of the scan's cores needs no LP. Otherwise
+    the pair's row differences are built once (_PairScan.diffs) and
+    written on the flat of the overlap's facet equalities: a row is
+    pinned when it is zero there, or only its d when the facets
+    contradict each other, and a pair whose every row is pinned needs no
+    LP either. When the facets leave a point or a line, the rows written
+    on the flat decide the pair with no simplex (_PairScan.hull_off).
+    Otherwise piece i's tableau, extended by the keys of piece j it
+    lacks, decides the overlap, as check_univalence describes. Only a
+    pair with a row off target is searched again from scratch, on
+    intersect(pi, pj), for its witness; both searches are lp._first_off
+    on the same rows.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
@@ -477,19 +471,22 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     if scan.cores.cover(overlap):
         return None
     facets = scan.of(overlap)
-    unpinned = scan.unpinned(i, j, facets)
-    if not unpinned:
-        return None
     flat = scan.flat(facets)[0]
+    den, diffs = scan.diffs(i, j)
+    # Contradicting facets span (0, 1) too, so only a row's d counts.
+    cut = None if flat.consistent else -1
+    on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row[:cut])]
+    if not on_flat:
+        return None
+    rows = [(r, (den, diffs[r])) for r, _ in on_flat]
     if flat.consistent and len(flat.kept) >= fn.in_dim - 1:
-        off = scan.hull_off(i, j, overlap, facets, unpinned)
+        off = scan.hull_off(overlap, facets, on_flat)
     else:
-        off = scan.tableau_off(i, j, own, unpinned)
+        off = scan.tableau_off(i, j, own, rows)
     if off is None:
         return None
     cold = lp._Simplex(intersect(pi.polyhedron, pj.polyhedron))
-    den, diffs = scan.diffs(i, j)
-    found = lp._first_off(cold, [(r, (den, diffs[r])) for r in unpinned])
+    found = lp._first_off(cold, rows)
     if found is None or found[0] != off:
         raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
     return UnivalenceViolation(i, j, *found)
@@ -531,10 +528,12 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     its exact negation by sign; lp checks it, and its support, at most
     n + 1 constraints, is filed as a core. Otherwise a point of the
     overlap, lifted from the line, is checked against all of its rows.
-    A single point decides each row by its value there; on a longer
-    segment the first row the facets leave is off target, since an
-    affine row constant on a segment of the line is constant on the
-    line, where only a row in the facets' span is.
+    Each pair's row differences are built once and written on the flat,
+    each as a positive multiple of itself, so a single point decides
+    each row by its value there, read on the flat. On a point flat and
+    on a longer segment the first row the facets leave is off target,
+    since an affine row constant on a segment of the line is constant
+    on the line, where only a row in the facets' span is.
 
     Phase 1 is warm: while i is the outer index, piece i's tableau is
     kept, and pair (i, j) extends it by the constraints of piece j that

@@ -969,16 +969,34 @@ class TestFacetEqualities:
     @staticmethod
     def pinned(monkeypatch, fn):
         """check_univalence on fn, recording each pair that reached the
-        facet test: (i, j, the rows it left to the LPs)."""
-        seen = []
-        unpinned = pwa._PairScan.unpinned
+        facet test, _PairScan.of: (i, j, the rows it left to the
+        deciders, as hull_off or tableau_off took them; none if neither
+        ran)."""
+        seen, pair = [], []
+        check_pair, of = pwa._check_pair, pwa._PairScan.of
 
-        def recording(self, i, j, facets):
-            left = unpinned(self, i, j, facets)
-            seen.append((i, j, left))
-            return left
+        def checking(fn, i, j, scan):
+            pair[:] = [i, j]
+            return check_pair(fn, i, j, scan)
 
-        monkeypatch.setattr(pwa._PairScan, "unpinned", recording)
+        def reached(self, overlap):
+            seen.append((*pair, []))
+            return of(self, overlap)
+
+        def deciding(name):
+            decide = getattr(pwa._PairScan, name)
+
+            def decided(self, *args):
+                # The last argument is the rows left, each (r, row).
+                seen[-1][2].extend(r for r, _ in args[-1])
+                return decide(self, *args)
+
+            monkeypatch.setattr(pwa._PairScan, name, decided)
+
+        monkeypatch.setattr(pwa, "_check_pair", checking)
+        monkeypatch.setattr(pwa._PairScan, "of", reached)
+        deciding("hull_off")
+        deciding("tableau_off")
         check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         monkeypatch.undo()
         return seen
@@ -1741,8 +1759,24 @@ class TestFacetHulls:
                     Mat([[2, 0, 0]]), ColVec([0]),
                 ),
             )), ["agree"], Univalent()),
+            # y = 0 leaves the x axis, where 2x <= 6 and -3x <= -9 meet
+            # at x = 3: row 0, x against 2x - 3, agrees there, and row 1,
+            # x against 0, does not.
+            (PwaFn(2, 2, (
+                AffinePiece(
+                    Polyhedron(2, (_halfspace([0, 1], 0), _halfspace([2, 0], 6))),
+                    Mat([[1, 0], [1, 0]]), ColVec([0, 0]),
+                ),
+                AffinePiece(
+                    Polyhedron(2, (_halfspace([0, -1], 0), _halfspace([-3, 0], -9))),
+                    Mat([[2, 0], [0, 0]]), ColVec([-3, 0]),
+                ),
+            )), ["off"], UnivalenceViolation(0, 1, 1, ColVec([3, 0]))),
         ],
-        ids=["R^0 point", "contradicting facets", "ray", "point on a line in R^3"],
+        ids=[
+            "R^0 point", "contradicting facets", "ray", "point on a line in R^3",
+            "zero-width line with scaled ends",
+        ],
     )
     def test_named_overlaps(self, fn, decided, verdict):
         assert self.scanned(fn)[:2] == (verdict, decided)
@@ -1819,3 +1853,36 @@ class TestCorpusChecks:
         assert sha256("\n".join(lines).encode()).hexdigest() == (
             "34d7d4c71a5a4d7a025d4639097b76d6e45c9be5901d3efeb51344da88a227fc"
         )
+
+    def test_each_pair_builds_its_row_differences_once(self, monkeypatch):
+        # The benchmark's check corpus at run seeds 1 and 2, each with its
+        # refuted variant: every pair that reaches the facet test builds
+        # its row differences once, and no other pair builds them.
+        corpus = perfbench_corpus()
+        documents = []
+        for shape in corpus.SHAPES["check"]:
+            for seed in (1, 2):
+                net = parse_network(corpus.network_document(corpus.relabelled_layers(shape, seed)))
+                text = serialize_pwa(transform(net, prune=True))
+                documents += [text, corpus.refuted_document(text)]
+        pair, reached, built = [], [], []
+        check_pair, of, diffs = pwa._check_pair, pwa._PairScan.of, pwa._PairScan.diffs
+
+        def checking(fn, i, j, scan):
+            pair[:] = [i, j]
+            return check_pair(fn, i, j, scan)
+
+        def reaching(self, overlap):
+            reached.append(tuple(pair))
+            return of(self, overlap)
+
+        def building(self, i, j):
+            built.append((i, j))
+            return diffs(self, i, j)
+
+        monkeypatch.setattr(pwa, "_check_pair", checking)
+        monkeypatch.setattr(pwa._PairScan, "of", reaching)
+        monkeypatch.setattr(pwa._PairScan, "diffs", building)
+        for text in documents:
+            check_univalence(parse_pwa(text))
+        assert reached and built == reached
