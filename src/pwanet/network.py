@@ -28,6 +28,7 @@ layer adds. The plain compile's step keeps every piece. With prune, the
 step keeps only the non-empty ones, so the work follows the live
 regions, and both bounds apply to the live count instead of the
 product. Either compile raises TooLarge past a bound. The pruned step
+is pwa._narrowed, which owns the deciders and the integer rows: it
 reads each constraint as its cached integer row (polyhedra._row), so a
 ReLU unit's constraint is scaled once per piece it splits, however
 many partial patterns it is added to.
@@ -38,9 +39,7 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional, Union, get_args
 
-from . import lp
 from .numeric import ColVec, DimensionError, Mat, _Frozen, _unscaled, scaled_ints
-from .polyhedra import _row
 from .pwa import PwaFn, _located, _mapped, _narrowed, _unchecked_pwafn, identity_pwaf, linear_pwaf
 from .pwa_algebra import _carried, _composed, _every_side, _relu_split, compose_relu
 from .pwa_algebra import compose  # no longer called here; perfbench's tracer wraps network.compose
@@ -243,24 +242,23 @@ def _fold(net: Network, prune: bool) -> PwaFn:
     (state, constraints the layer added) to the new state, or to None to
     drop the piece. The plain compile's step, _every_side, keeps them all.
 
-    The pruned compile's step is _with_constraints, so a piece's state is
-    its nearest feasible decider and the rows added since (pwa._narrowed):
-    on R^1 to R^3 the hyperplane decider, from R^4 on a simplex tableau,
-    as lp._root gives them. Every layer only appends constraints, so an
-    empty piece has nothing live below it and goes at once; a ReLU side
-    is decided from the parent's witness with no work where it can be.
-    The root decider is built only when some layer adds a row. oversize
-    of the live count is checked every time it grows, so the work is
-    bounded by the live pieces and the input; the plain compile passed
-    oversize(net) instead.
+    The pruned compile's step is pwa._narrowed, the emptiness step that
+    prune_empty's walk takes too, so a piece's state is its nearest
+    feasible decider and the rows added since: on R^1 to R^3 the
+    hyperplane decider, from R^4 on a simplex tableau, as lp._root gives
+    them, and (None, ()) before a piece has a row. Every layer only
+    appends constraints, so an empty piece has nothing live below it and
+    goes at once; a ReLU side is decided from the parent's witness with
+    no work where it can be. oversize of the live count is checked every
+    time it grows, so the work is bounded by the live pieces and the
+    input; the plain compile passed oversize(net) instead.
     """
     dim = net.input_dim
     layers = net.layers[:-1]
     if prune:
         per_piece = _rationals_per_piece(net)
         limit = min(MAX_PIECES, MAX_RATIONALS // per_piece) if per_piece else MAX_PIECES
-        root = lp._root(dim) if any(map(_adds_rows, layers)) else None
-        step, state = _with_constraints, (root, ())
+        step, state = _narrowed, (None, ())
     else:
         step, state, limit = _every_side, (), inf
     if not layers or isinstance(layers[0], ReluLayer):
@@ -295,21 +293,6 @@ def _fold(net: Network, prune: bool) -> PwaFn:
                     keep(piece, step(state, piece.polyhedron.constraints[held:]))
             out_dim, univalence = layer.out_dim, _carried(layer.fn, g)
     return _unchecked_pwafn(dim, out_dim, tuple(pieces), univalence)
-
-
-def _with_constraints(state, constraints):
-    """_narrowed's state once constraints are added, each as its integer
-    row (polyhedra._row). None when they leave it empty."""
-    if not constraints:
-        return state
-    return _narrowed(*state, [_row(lc) for lc in constraints])
-
-
-def _adds_rows(layer: Layer) -> bool:
-    """Does composing layer append a constraint to some piece?"""
-    if isinstance(layer, ReluLayer):
-        return layer.dim > 0
-    return any(piece.polyhedron.constraints for piece in layer.fn.pieces)
 
 
 def non_pwa_layer(net: Network) -> Optional[int]:

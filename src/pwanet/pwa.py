@@ -39,6 +39,12 @@ again from scratch, for its witness. Both searches are lp._first_off on
 the pair's integer row differences. Only a univalent function is
 independent of piece order.
 
+prune_empty and count_regions walk the pieces' shared constraint
+prefixes, and the pruned compile (network._fold) its layers, by one
+emptiness step, _narrowed: it holds a polyhedron as its nearest
+feasible decider and the rows added since, and its first rows build
+lp._root.
+
 The public constructors check every width; the library's own builders,
 whose widths hold by construction, use _unchecked_piece and
 _unchecked_pwafn. prune_empty keeps a subset of a checked function's
@@ -50,7 +56,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from operator import mul
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import lp
 from .numeric import (
@@ -64,7 +70,7 @@ from .numeric import (
     scaled_ints,
     zeros_vec,
 )
-from .polyhedra import Polyhedron, _row, contains, full_space, intersect
+from .polyhedra import LinearConstraint, Polyhedron, _row, contains, full_space, intersect
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -282,7 +288,8 @@ class _EmptyCores:
 class _PairScan:
     """What check_univalence keeps from pair to pair: one table per check.
 
-    keys, the integer rows and their numbering come from _value_keys;
+    keys and the integer rows come from _value_keys, and negations, built
+    once from its numbering, hold each key's exact negation, or -1;
     cores are the scan's _EmptyCores. tableau is one piece's: the rows of
     its distinct keys, held, in order, after phase 1. It is built when a
     pair (i, j) first needs an LP and replaced when the outer index moves
@@ -296,45 +303,30 @@ class _PairScan:
     it separates, and their maps differ by multiples of it. A row (d, t)
     in the rational span of the (c, b) of those equalities gives d.x = t
     on the overlap, with no LP, whether the overlap is empty or not.
-    The negation of each key is looked up once, when an overlap first
-    holds it. _check_pair builds a pair's row differences once (diffs)
-    and writes them on the facets' lp._Flat, the elimination lp._LowDim
-    decides hyperplanes with: a row is in the span when it is zero on
-    the flat, or only its d when the facets contradict each other, whose
-    span holds (0, 1) too. The rows left go to hull_off as written on
+    _check_pair builds a pair's row differences once (diffs) and writes
+    them on the facets' lp._Flat, the elimination lp._LowDim decides
+    hyperplanes with: a row is in the span when it is zero on the flat,
+    or only its d when the facets contradict each other, whose span
+    holds (0, 1) too. The rows left go to hull_off as written on
     the flat, and to tableau_off and the witness search as integer rows.
     """
 
     def __init__(self, fn: PwaFn):
         self.fn = fn
         self.in_dim = fn.in_dim
-        self.keys, self.rows, self.number = _value_keys(fn)
+        self.keys, self.rows, number = _value_keys(fn)
+        self.negations = [number.get((den, *(-a for a in ints)), -1) for den, ints in self.rows]
         self.cores = _EmptyCores()
-        self.negations: dict[int, int] = {}
         self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, tuple[int, int]]]] = {}
         self.piece = -1
         self.held: tuple[int, ...] = ()
         self.tableau: Optional[lp._Simplex] = None
 
-    def negation(self, key: int) -> int:
-        """The key of the exact negation of key's constraint, or -1."""
-        negation = self.negations.get(key)
-        if negation is None:
-            den, ints = self.rows[key]
-            negation = self.negations[key] = self.number.get((den, *(-a for a in ints)), -1)
-        return negation
-
     def of(self, overlap: set[int]) -> tuple[int, ...]:
         """The facets of an overlap, whose constraint keys are overlap: the
         smaller key of each constraint and negation it holds, in order."""
-        negations, facets = self.negations, []
-        for key in overlap:
-            negation = negations.get(key)
-            if negation is None:
-                negation = self.negation(key)
-            if key < negation and negation in overlap:
-                facets.append(key)
-        return tuple(sorted(facets))
+        negations = self.negations
+        return tuple(sorted(k for k in overlap if k < negations[k] and negations[k] in overlap))
 
     def flat(self, facets: tuple[int, ...]) -> tuple[lp._Flat, dict[int, tuple[int, int]]]:
         """The lp._Flat of the facets' (c, b) rows, built once per set of
@@ -422,7 +414,7 @@ class _PairScan:
             weights = flat.weights([self.rows[key][1] for key in used], [z for _, z in found])
             for k, w in zip(flat.kept, weights[m:]):
                 if w:
-                    used.append(facets[k] if w > 0 else self.negation(facets[k]))
+                    used.append(facets[k] if w > 0 else self.negations[facets[k]])
             weights = weights[:m] + [abs(w) for w in weights[m:] if w]
             rows = [self.rows[key] for key in used]
             # Multipliers on the integer rows, each den times its constraint.
@@ -562,22 +554,32 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
 
 
 def _narrowed(
-    decider: lp._Decider, pending: tuple, new: list[tuple[int, list[int]]]
+    state: tuple, constraints: Sequence[LinearConstraint]
 ) -> Optional[tuple[lp._Decider, tuple]]:
-    """One emptiness step: a polyhedron with rows new added, or None when
-    they leave it empty.
+    """One emptiness step: a polyhedron with constraints added, or None
+    when they leave it empty. The pruned compile (network._fold) takes it
+    as its step, and _live walks its trie with it.
 
     A non-empty polyhedron is held as its nearest feasible decider, of
     the kind lp._root gives, and the rows added since, all of which that
-    decider's witness satisfies. If the witness satisfies new too, the
-    polyhedron keeps the decider and adds new to those rows, with no
-    work. Otherwise the decider is extended by every row added since it,
-    and its verdict, certified inside lp, decides. Rows are (den, ints)
-    as polyhedra._row gives them.
+    decider's witness satisfies; (None, ()) is R^n before any row, whose
+    first rows build lp._root of their width, so a polyhedron without
+    rows builds no decider. Each constraint is read as its integer row
+    (den, ints), polyhedra._row. If the witness satisfies the new rows
+    too, the polyhedron keeps the decider and adds them to those rows,
+    with no work. Otherwise the decider is extended by every row added
+    since it, and its verdict, certified inside lp, decides. No
+    constraints leave state as it is.
     """
+    if not constraints:
+        return state
+    decider, pending = state
+    new = tuple(map(_row, constraints))
+    if decider is None:
+        decider = lp._root(len(new[0][1]) - 1)
     if lp._satisfies(decider.witness, new):
-        return decider, pending + tuple(new)
-    below = decider.extended(pending + tuple(new))
+        return decider, pending + new
+    below = decider.extended(pending + new)
     return (below, ()) if below.feasible else None
 
 
@@ -586,62 +588,64 @@ def _live(fn: PwaFn) -> list[bool]:
 
     The pieces' constraint tuples go into a trie keyed by constraint value,
     so a prefix that several pieces share is one node, and its emptiness
-    is decided once. Each distinct constraint is scaled once to an integer
-    row (den, ints), which serves both the witness tests and the deciders.
-    The walk starts at the root, all of R^in_dim, with lp._root: on R^0
-    to R^3 the hyperplane decider (lp._LowDim), from R^4 on the empty
-    tableau. Either one's witness is the origin; a piece without
-    constraints ends at the root and is live, so the root decider is
-    built only when some piece has a row. Each child is one _narrowed
-    step from its parent: it keeps the parent's decider when the
-    witness satisfies its new constraints, and otherwise extends the
-    nearest feasible decider above it by the constraints added since;
-    siblings share the parent's decider, which extension leaves as it
-    was. A chain of nodes where no piece ends and nothing branches is one
-    step, so pieces that share no first constraint cost at most one
-    extension each: one phase 1 on a tableau, and on R^1 to R^3 as many
-    hyperplane solves as the step has rows that the witness violates.
+    is decided once. Each node holds one constraint object for its key,
+    whose integer row (polyhedra._row) is scaled once and serves both the
+    witness tests and the deciders. The walk starts at the root, all of
+    R^in_dim, as (None, ()), and each child is one _narrowed step from
+    its parent: the first rows build lp._root, on R^0 to R^3 the
+    hyperplane decider (lp._LowDim), from R^4 on the empty tableau, both
+    with the origin as witness, so a piece without constraints ends at
+    the root and is live with no decider built. A child keeps the
+    parent's decider when the witness satisfies its new constraints, and
+    otherwise extends the nearest feasible decider above it by the
+    constraints added since; siblings share the parent's decider, which
+    extension leaves as it was, and the root's children each build an
+    equal root decider of their own. A chain of nodes where no piece ends and
+    nothing branches is one step, so pieces that share no first
+    constraint cost at most one extension each: one phase 1 on a
+    tableau, and on R^1 to R^3 as many hyperplane solves as the step has
+    rows that the witness violates.
 
     Only booleans leave the walk, and lp has certified each verdict
     behind them against its prefix's rows.
     """
-    keys, rows, _ = _value_keys(fn)
-    # A node is (children, pieces ending here, its constraint's key);
+    keys, _, _ = _value_keys(fn)
+    # A node is (children, pieces ending here, a constraint of its key);
     # children are keyed by that key.
     root = ({}, [], None)
-    for i, piece_keys in enumerate(keys):
+    for i, (piece, piece_keys) in enumerate(zip(fn.pieces, keys)):
         node = root
-        for key in piece_keys:
+        for key, lc in zip(piece_keys, piece.polyhedron.constraints):
             child = node[0].get(key)
             if child is None:
-                child = node[0][key] = ({}, [], key)
+                child = node[0][key] = ({}, [], lc)
             node = child
         node[1].append(i)
     live = [False] * len(fn.pieces)
-    # (node, the nearest feasible decider at or above it, and the rows
-    # of its prefix added since that decider)
-    stack = [(root, lp._root(fn.in_dim) if rows else None, ())]
+    # (node, _narrowed's state at it)
+    stack = [(root, (None, ()))]
     while stack:
-        (children, ends, _), decider, pending = stack.pop()
+        (children, ends, _), state = stack.pop()
         for i in ends:
             live[i] = True
         for child in children.values():
-            step = [rows[child[2]]]
+            step = [child[2]]
             while not child[1] and len(child[0]) == 1:
                 (child,) = child[0].values()
-                step.append(rows[child[2]])
-            below = _narrowed(decider, pending, step)
+                step.append(child[2])
+            below = _narrowed(state, step)
             if below is not None:
-                stack.append((child, *below))
+                stack.append((child, below))
     return live
 
 
 def prune_empty(fn: PwaFn) -> PwaFn:
     """Drop pieces whose polyhedra are empty; order and semantics survive.
 
-    Emptiness is decided once per shared constraint prefix (_live): a
-    prefix that contains its parent prefix's witness point needs no
-    work, any other extends the nearest feasible ancestor's decider by
+    Emptiness is decided once per shared constraint prefix (_live), by
+    one _narrowed step from its parent prefix, the step the pruned
+    compile takes too: a prefix that contains its parent prefix's
+    witness point needs no work, any other extends the nearest feasible ancestor's decider by
     its new rows, on R^1 to R^3 by hyperplane solves and from R^4 on by
     a phase 1, and lp certifies every verdict. The result is that of
     testing every piece on its own.

@@ -23,7 +23,7 @@ from pwanet.numeric import (
     vec_add,
     vec_scale,
 )
-from pwanet.polyhedra import LinearConstraint, Polyhedron, contains, full_space, intersect
+from pwanet.polyhedra import LinearConstraint, Polyhedron, _row, contains, full_space, intersect
 from pwanet.pwa import (
     REFUTED,
     UNCHECKED,
@@ -713,6 +713,77 @@ class TestLivePieces:
         assert count_regions(fn) == 2
 
 
+def _axis(dim, k, sign, b):
+    """sign * x_k <= b on R^dim."""
+    return _halfspace([sign if i == k else 0 for i in range(dim)], b)
+
+
+@pytest.mark.parametrize("dim, kind", [(2, lp._LowDim), (4, lp._Simplex)])
+class TestNarrowed:
+    """pwa._narrowed, the one emptiness step of the pruned compile and of
+    the trie walk, on both sides of lp._root's cutoff: the hyperplane
+    decider on R^2, the simplex on R^4. (None, ()) is R^n before any row;
+    the first rows build the root decider of their width, and a step
+    whose rows the witness satisfies does no work.
+    """
+
+    @staticmethod
+    def rows(constraints):
+        return tuple(_row(lc) for lc in constraints)
+
+    @classmethod
+    def check_extended(cls, decider, dim, kind, constraints):
+        """decider is feasible and decides as lp._root(dim) extended by
+        constraints' rows does, down to its witness."""
+        expected = lp._root(dim).extended(cls.rows(constraints))
+        assert type(decider) is kind and decider.feasible and expected.feasible
+        assert (decider.rows, decider.witness) == (expected.rows, expected.witness)
+
+    def test_no_constraints_return_the_state_itself(self, dim, kind):
+        start = (None, ())
+        assert pwa._narrowed(start, ()) is start
+        state = pwa._narrowed(start, (_axis(dim, 0, 1, 1),))
+        assert pwa._narrowed(state, ()) is state
+        assert pwa._narrowed(state, []) is state
+
+    def test_rows_the_origin_satisfies_build_the_root_and_wait(self, monkeypatch, dim, kind):
+        lcs = (_axis(dim, 0, 1, 1), _axis(dim, dim - 1, -1, 0))
+        states = []
+        runs = TestLivePieces.runs(
+            monkeypatch, lambda s: states.append(pwa._narrowed(s, lcs)), (None, ()), dim
+        )
+        assert runs == (0, 0)
+        ((decider, pending),) = states
+        assert type(decider) is kind
+        assert (decider.n, decider.rows, decider.feasible) == (dim, (), True)
+        assert decider.witness == (1, [0] * dim)
+        assert pending == self.rows(lcs)
+
+    def test_a_row_the_origin_violates_extends_the_root(self, dim, kind):
+        # x_0 >= 1 cuts the origin off; x_0 + ... <= 3 keeps a point.
+        lcs = (_axis(dim, 0, -1, -1), _halfspace([1] * dim, 3))
+        decider, pending = pwa._narrowed((None, ()), lcs)
+        assert pending == ()
+        self.check_extended(decider, dim, kind, lcs)
+
+    def test_a_violated_row_extends_by_every_pending_row(self, dim, kind):
+        waiting = (_axis(dim, 0, 1, 2), _axis(dim, dim - 1, 1, 0))
+        state = pwa._narrowed((None, ()), waiting)
+        assert state[1] == self.rows(waiting)
+        cut = (_axis(dim, 0, -1, -1),)
+        decider, pending = pwa._narrowed(state, cut)
+        assert pending == ()
+        self.check_extended(decider, dim, kind, waiting + cut)
+
+    def test_contradicting_rows_give_none(self, dim, kind):
+        # x_0 >= 0 and x_0 <= -1: in one step, and in two.
+        lcs = (_axis(dim, 0, -1, 0), _axis(dim, 0, 1, -1))
+        assert pwa._narrowed((None, ()), lcs) is None
+        state = pwa._narrowed((None, ()), lcs[:1])
+        assert state is not None and state[1] == self.rows(lcs[:1])
+        assert pwa._narrowed(state, lcs[1:]) is None
+
+
 def _moved(fn, k):
     """fn with 1 added to row 0 of piece k's offset."""
     pieces = list(fn.pieces)
@@ -1087,7 +1158,7 @@ class TestValueKeys:
             den, ints = rows[k]
             assert rows[k] == scaled_ints(c + (b,))
             assert number[(den, *ints)] == k
-            assert scan.negation(k) == values.get((tuple(-a for a in c), -b), -1)
+            assert scan.negations[k] == values.get((tuple(-a for a in c), -b), -1)
         return keys, rows
 
     def test_equal_constraints_held_by_distinct_objects_share_a_key(self):
@@ -1121,7 +1192,7 @@ class TestValueKeys:
         _, rows = self.check(fn)
         assert rows[:2] == [(6, [3, 2]), (6, [-3, -2])]
         scan = pwa._PairScan(fn)
-        assert [scan.negation(k) for k in range(4)] == [1, 0, -1, -1]
+        assert [scan.negations[k] for k in range(4)] == [1, 0, -1, -1]
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=5))
     @given(st.one_of(_prefix_sharing_fns(), _facet_sharing_fns().map(lambda drawn: drawn[0])))
