@@ -1896,6 +1896,14 @@ class TestCorpusChecks:
                 yield text
                 yield corpus.refuted_document(text)
 
+    def test_verdicts_are_pinned(self):
+        # The verdicts alone, down to pair, row and witness: whichever
+        # decider settles a pair, these may not move.
+        lines = [repr(check_univalence(parse_pwa(text))) for text in self.documents()]
+        assert sha256("\n".join(lines).encode()).hexdigest() == (
+            "01c4c453dd0e757f9b663548db12473fe8a424e2d1d703409e0d224c9007cdc3"
+        )
+
     def test_verdicts_cores_and_phase_1s_are_pinned(self, monkeypatch):
         documents = list(self.documents())
         cores, phase_1s = [], []
