@@ -39,8 +39,8 @@ arguments once. _off_target decides one such row on a feasible tableau,
 starting each objective from a copy of it, which is the tableau a fresh
 solve would reach, since phase 1 is deterministic; _first_off returns
 the first row of a list that is off target, with its point. pwa's pair
-scan calls it on a warm tableau to decide a pair, and on a fresh one
-for the witness.
+scan calls it on the one fresh tableau of a pair's intersection, for
+the witness and for the verdict of a pair its flat does not decide.
 
 An infeasible phase 1 leaves a Farkas certificate: y >= 0, one entry per
 constraint c_i.x <= b_i, with sum y_i c_i = 0 and sum y_i b_i < 0, so no
@@ -63,9 +63,9 @@ their support is kept as the core; a non-empty verdict's basic point,
 kept as (den, ints), satisfies every row. A failed check raises
 RuntimeError, so no caller reads an unchecked verdict.
 
-Emptiness alone, on R^n with n <= 3, needs no tableau. _LowDim keeps a
-witness of its rows, as a feasible tableau does, and has _Simplex's
-extension interface. A new row h that the witness violates is decided on
+Emptiness alone, on R^n with n <= _MAX_LOW_DIM, needs no tableau.
+_LowDim keeps a witness of its rows, as a feasible tableau does, and has
+_Simplex's extension interface. A new row h that the witness violates is decided on
 h's hyperplane: the rows with h added have a point exactly when they
 have one there, since the witness lies strictly on the other side.
 Eliminating one coordinate of the hyperplane, in integers (_Flat),
@@ -78,14 +78,13 @@ most n + 1 rows back through the eliminations; the hyperplane's own
 multiplier is positive for the same reason. Its verdicts are certified
 as a phase 1's are: the multipliers pass _checked_support and their
 support is the core, and a new witness satisfies every row. The
-recursion is the same in every dimension, but its cost grows like m^n
-in the worst case (m^3 on R^3; without _interval's single pass over a
-line it would be m^4), where the simplex stays polynomial in practice,
-so _root gives R^n with n >= 4 the simplex's empty tableau instead. pwa's
-trie walk and network's pruned fold start from _root; every LP with an
-objective, and the pair scan's tableaus, keep the simplex. _Flat, the
-one elimination, also serves pwa's pair scan on the flat of an
-overlap's facet equalities.
+recursion is the same in every dimension, but _MAX_LOW_DIM, which
+states why, bounds the coordinates it decides: _root gives a larger R^n
+the simplex's empty tableau instead. pwa's trie walk and network's
+pruned fold start from _root; every LP with an objective keeps the
+simplex. _Flat, the one elimination, and the walk also serve
+pwa's pair scan on the flat of an overlap's facet equalities, where
+_MAX_LOW_DIM bounds the coordinates left.
 """
 
 from __future__ import annotations
@@ -433,18 +432,22 @@ class _LowDim:
 _Decider = Union[_LowDim, _Simplex]
 
 
+# The most coordinates _LowDim's walk (_advanced) decides: _root's R^n
+# and the flats of pwa's pair scan. The walk's worst case grows like m^n
+# in m rows (m^3 on R^3; without _interval's single pass over a line it
+# would be m^4), where the simplex stays polynomial in practice. This is
+# a safety choice, not a measured crossover: on R^3 the walk still beat the
+# simplex on 300 rows ordered so that each cuts the last witness, but on
+# R^12 36 rows took it seconds against the simplex's milliseconds. Where
+# between them the simplex starts to win was not measured.
+_MAX_LOW_DIM = 3
+
+
 def _root(n: int) -> _Decider:
     """The emptiness decider of R^n with no rows, which pwa's trie walk
-    and network's pruned fold extend: _LowDim for n <= 3, else the
-    simplex's empty tableau.
-
-    The cutoff 3 is a safety choice, not a measured crossover. _LowDim's
-    worst case grows like m^n in m rows: on R^3 it still beat the simplex
-    on 300 rows ordered so that each cuts the last witness, but on R^12
-    36 rows took it seconds against the simplex's milliseconds. Where
-    between them the simplex starts to win was not measured.
-    """
-    return _LowDim.empty(n) if n <= 3 else _Simplex.empty(n)
+    and network's pruned fold extend: _LowDim up to _MAX_LOW_DIM, else
+    the simplex's empty tableau."""
+    return _LowDim.empty(n) if n <= _MAX_LOW_DIM else _Simplex.empty(n)
 
 
 def _advanced(

@@ -27,17 +27,16 @@ A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
 no LP either: it is zero on their flat (lp._Flat). Each pair's row
-differences are built once and written on that flat. Equalities that
-leave only a point or a line decide the pair with no LP at all: the
-overlap's rows bound the line to an interval, an empty one files the
-core of a Farkas certificate that the flat lifts and lp checks, a point
-of a non-empty one is checked against every row, and the rows written
-on the flat decide where they are off target.
-Any other pair extends its first piece's tableau by the constraints of
-the second that it lacks; only the pair that disagrees is searched
-again from scratch, for its witness. Both searches are lp._first_off on
-the pair's integer row differences. Only a univalent function is
-independent of piece order.
+differences are built once and written on that flat. Consistent
+equalities that leave at most three coordinates decide the pair with no
+simplex, by the hyperplane walk of lp._LowDim on the overlap's rows
+written there: an empty overlap files the core of a Farkas certificate
+that the flat lifts and lp checks, a point of a non-empty one is
+checked against every row, and a row is off target when the walk finds
+a point past it one coordinate up. Every other pair is decided, and
+every witness found, from scratch by one simplex on the pair's own
+intersection (lp._first_off on the pair's integer row differences).
+Only a univalent function is independent of piece order.
 
 prune_empty and count_regions walk the pieces' shared constraint
 prefixes, and the pruned compile (network._fold) its layers, by one
@@ -290,13 +289,12 @@ class _PairScan:
 
     keys and the integer rows come from _value_keys, and negations, built
     once from its numbering, hold each key's exact negation, or -1;
-    cores are the scan's _EmptyCores. tableau is one piece's: the rows of
-    its distinct keys, held, in order, after phase 1. It is built when a
-    pair (i, j) first needs an LP and replaced when the outer index moves
-    on.
+    cores are the scan's _EmptyCores. Nothing else passes from pair to
+    pair but the flats and the rows written on them: beyond a core that
+    skips it, a pair is decided the same whatever pairs came before.
 
     The scan also finds the facet equalities of overlaps, the map rows
-    they pin, and the point or line they leave. A constraint c.x <= b of
+    they pin, and the flat they leave. A constraint c.x <= b of
     an overlap whose exact negation -c.x <= -b is in the same overlap
     makes c.x = b hold on all of it. compose_relu writes the hyperplane
     of a flipping unit as such a pair, one side in each of the two pieces
@@ -307,8 +305,8 @@ class _PairScan:
     them on the facets' lp._Flat, the elimination lp._LowDim decides
     hyperplanes with: a row is in the span when it is zero on the flat,
     or only its d when the facets contradict each other, whose span
-    holds (0, 1) too. The rows left go to hull_off as written on
-    the flat, and to tableau_off and the witness search as integer rows.
+    holds (0, 1) too. The rows left go to flat_off as written on the
+    flat, and to the cold simplex as integer rows.
     """
 
     def __init__(self, fn: PwaFn):
@@ -317,10 +315,7 @@ class _PairScan:
         self.keys, self.rows, number = _value_keys(fn)
         self.negations = [number.get((den, *(-a for a in ints)), -1) for den, ints in self.rows]
         self.cores = _EmptyCores()
-        self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, tuple[int, int]]]] = {}
-        self.piece = -1
-        self.held: tuple[int, ...] = ()
-        self.tableau: Optional[lp._Simplex] = None
+        self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, list[int]]]] = {}
 
     def of(self, overlap: set[int]) -> tuple[int, ...]:
         """The facets of an overlap, whose constraint keys are overlap: the
@@ -328,9 +323,9 @@ class _PairScan:
         negations = self.negations
         return tuple(sorted(k for k in overlap if k < negations[k] and negations[k] in overlap))
 
-    def flat(self, facets: tuple[int, ...]) -> tuple[lp._Flat, dict[int, tuple[int, int]]]:
+    def flat(self, facets: tuple[int, ...]) -> tuple[lp._Flat, dict[int, list[int]]]:
         """The lp._Flat of the facets' (c, b) rows, built once per set of
-        facets, and the constraints hull_off has written on it, by key."""
+        facets, and the constraints flat_off has written on it, by key."""
         entry = self.flats.get(facets)
         if entry is None:
             entry = self.flats[facets] = (lp._Flat([self.rows[key][1] for key in facets]), {})
@@ -347,71 +342,52 @@ class _PairScan:
             for row_i, row_j, bi, bj in zip(rows_i, rows_j, offsets_i, offsets_j)
         ]
 
-    def tableau_off(self, i: int, j: int, own: set[int], rows: list[tuple]) -> Optional[int]:
-        """The first of rows, (r, (den, row difference)) for the rows of
-        pieces i and j left to the deciders, off target on their overlap,
-        or None, by LPs on piece i's tableau extended by the keys of piece
-        j it lacks, own being piece i's. An infeasible tableau of piece i
-        files its core, which covers every later pair of piece i, and an
-        empty extension files its own."""
-        if self.piece != i:
-            held = tuple(dict.fromkeys(self.keys[i]))
-            tableau = lp._Simplex.empty(self.in_dim)
-            if held:
-                tableau = tableau.extended([self.rows[k] for k in held])
-            if not tableau.feasible:
-                self.cores.add(held, tableau.core)
-            self.piece, self.held, self.tableau = i, held, tableau
-        tableau = self.tableau
-        if not tableau.feasible:
-            # Piece i is empty, and its core is filed.
-            return None
-        new = tuple(key for key in dict.fromkeys(self.keys[j]) if key not in own)
-        if new:
-            tableau = tableau.extended([self.rows[key] for key in new])
-            if not tableau.feasible:
-                self.cores.add(self.held + new, tableau.core)
-                return None
-        # Optima and unboundedness do not depend on the basis a
-        # maximization starts from, so each row's verdict is the plain
-        # scan's.
-        found = lp._first_off(tableau, rows)
-        return None if found is None else found[0]
-
-    def hull_off(
+    def flat_off(
         self, overlap: set[int], facets: tuple[int, ...], on_flat: list[tuple[int, list[int]]]
     ) -> Optional[int]:
         """The first of on_flat, (r, row difference written on the facets'
         flat) for the rows left to the deciders, off target on the
-        overlap, or None, when its facets leave a point or a line: no
-        simplex.
+        overlap, or None, when the consistent facets leave k <= 3
+        coordinates (lp._MAX_LOW_DIM): no simplex.
 
-        Written on the flat, once per key, each constraint is c t <= d
-        in the coordinate t the flat leaves (c = 0 on a point). The
-        tightest bounds come from lp._interval, as on lp._LowDim's lines.
-        An empty interval, or a constant row that fails, weighs one or
-        two rows; the flat's weights add the facets, each on its
-        constraint or its exact negation by sign, and lp checks the
-        certificate before its support is filed as a core. Otherwise
-        _Flat.point lifts t = d / c at an end, or t = 0, which must
-        satisfy every constraint. The flat writes each row as a positive
-        multiple of itself, so a row a t = b is off target at t = d / c
-        exactly when a d != b c. On a segment of zero width that decides
-        each row; on a point every row given is off, and on a longer
-        segment the first is.
+        Written on the flat, once per key, each constraint is a row on
+        the k coordinates left. On a line lp._interval bounds them, and
+        on a point or a 2- or 3-flat lp._advanced walks them from the
+        origin. An empty verdict weighs the rows; the flat's weights add
+        the facets, each on its constraint or its exact negation by sign,
+        and lp checks the certificate before its support is filed as a
+        core. Otherwise _Flat.point lifts a point of the walk, or t = d / c
+        at an end of the line, or t = 0, which must satisfy every
+        constraint.
+
+        The flat writes each row as a positive multiple of itself. On a
+        point every row given is off; on a line a row a t = b is off at
+        t = d / c exactly when a d != b c, which on a segment of zero
+        width decides each row, and on a longer one the first is off.
+        On a 2- or 3-flat, where the overlap P is not empty, some y of P
+        has d.y > t exactly when some (y, s) has s >= 0, c.y - b s <= 0
+        for each row c.y <= b of P and t s - d.y <= -1, one coordinate
+        up; lp._advanced tests that from the origin, which satisfies the
+        cone, for each side, and a side on target passes lp's check of
+        its multipliers.
         """
         flat, written = self.flat(facets)
         new = list(overlap.difference(written))
         if new:
-            rows = flat.restricted([self.rows[key][1] for key in new])
-            written.update(zip(new, [(row[0] if len(row) > 1 else 0, row[-1]) for row in rows]))
+            written.update(zip(new, flat.restricted([self.rows[key][1] for key in new])))
         keys = list(overlap)
-        line = [written[key] for key in keys]
-        feasible, found = lp._interval(line)
+        on = [written[key] for key in keys]
+        left = self.in_dim - len(flat.kept)
+        if left == 1:
+            feasible, found = lp._interval(on)
+        else:
+            feasible, found = lp._advanced(left, on, (1, [0] * left), 0)
+            if not feasible:
+                found = [(k, y) for k, y in enumerate(found) if y]
         if not feasible:
             used = [keys[k] for k, _ in found]
             m = len(used)
-            weights = flat.weights([self.rows[key][1] for key in used], [z for _, z in found])
+            weights = flat.weights([self.rows[key][1] for key in used], [y for _, y in found])
             for k, w in zip(flat.kept, weights[m:]):
                 if w:
                     used.append(facets[k] if w > 0 else self.negations[facets[k]])
@@ -421,20 +397,31 @@ class _PairScan:
             certificate = tuple(y * d for y, (d, _) in zip(weights, rows))
             self.cores.add(tuple(used), lp._checked_support(rows, certificate))
             return None
-        lo, hi = found
-        width = 1
-        if lo is not None and hi is not None:
-            (cl, dl), (ch, dh) = line[lo], line[hi]
-            width = dl * ch - dh * cl
-        end = hi if hi is not None else lo
-        left = self.in_dim - len(flat.kept)
-        inside = flat.point((1, [0] * left) if end is None else (line[end][0], [line[end][1]]))
-        if not lp._satisfies(inside, [self.rows[key] for key in keys]):
-            raise RuntimeError("a hull point leaves its pair's overlap")
-        if not left or width:
+        if left == 1:
+            lo, hi = found
+            width = 1
+            if lo is not None and hi is not None:
+                (cl, dl), (ch, dh) = on[lo], on[hi]
+                width = dl * ch - dh * cl
+            end = hi if hi is not None else lo
+            found = (1, [0]) if end is None else (on[end][0], on[end][1:])
+        if not lp._satisfies(flat.point(found), [self.rows[key] for key in keys]):
+            raise RuntimeError("a point lifted from a flat leaves its pair's overlap")
+        if left == 0 or left == 1 and width:
             return on_flat[0][0]
-        c, d = line[end]
-        return next((r for r, (a, b) in on_flat if a * d != b * c), None)
+        if left == 1:
+            c, d = on[end]
+            return next((r for r, (a, b) in on_flat if a * d != b * c), None)
+        cone = [[0] * left + [-1, 0]] + [row[:-1] + [-row[-1], 0] for row in on]
+        origin = (1, [0] * (left + 1))
+        for r, (*d, t) in on_flat:
+            for sign in (1, -1):
+                system = cone + [[-sign * a for a in d] + [sign * t, -1]]
+                feasible, found = lp._advanced(left + 1, system, origin, len(cone))
+                if feasible:
+                    return r
+                lp._checked_support([(1, row) for row in system], tuple(found))
+        return None
 
 
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
@@ -445,21 +432,20 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     written on the flat of the overlap's facet equalities: a row is
     pinned when it is zero there, or only its d when the facets
     contradict each other, and a pair whose every row is pinned needs no
-    LP either. When the facets leave a point or a line, the rows written
-    on the flat decide the pair with no simplex (_PairScan.hull_off).
-    Otherwise piece i's tableau, extended by the keys of piece j it
-    lacks, decides the overlap, as check_univalence describes. Only a
-    pair with a row off target is searched again from scratch, on
-    intersect(pi, pj), for its witness; both searches are lp._first_off
-    on the same rows.
+    LP either. When the facets are consistent and leave at most three
+    coordinates, the rows written on the flat decide the pair with no
+    simplex (_PairScan.flat_off), and one found off target is searched
+    again on the cold simplex of intersect(pi, pj), for its witness,
+    which must agree on the row. Any other pair is decided by that cold
+    simplex alone: lp._first_off gives its verdict and witness, and an
+    infeasible one files its core.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
     if _int_map(pi) == _int_map(pj):
         # Identical maps agree everywhere, overlap or not.
         return None
-    own = set(scan.keys[i])
-    overlap = own.union(scan.keys[j])
+    overlap = set(scan.keys[i]).union(scan.keys[j])
     if scan.cores.cover(overlap):
         return None
     facets = scan.of(overlap)
@@ -470,18 +456,19 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row[:cut])]
     if not on_flat:
         return None
-    rows = [(r, (den, diffs[r])) for r, _ in on_flat]
-    if flat.consistent and len(flat.kept) >= fn.in_dim - 1:
-        off = scan.hull_off(overlap, facets, on_flat)
-    else:
-        off = scan.tableau_off(i, j, own, rows)
-    if off is None:
-        return None
+    decided = flat.consistent and fn.in_dim - len(flat.kept) <= lp._MAX_LOW_DIM
+    if decided:
+        off = scan.flat_off(overlap, facets, on_flat)
+        if off is None:
+            return None
     cold = lp._Simplex(intersect(pi.polyhedron, pj.polyhedron))
-    found = lp._first_off(cold, rows)
-    if found is None or found[0] != off:
-        raise RuntimeError("the warm and the cold simplex disagree on a pair's overlap")
-    return UnivalenceViolation(i, j, *found)
+    found = lp._first_off(cold, [(r, (den, diffs[r])) for r, _ in on_flat])
+    if decided:
+        if found is None or found[0] != off:
+            raise RuntimeError("the flat and the cold simplex disagree on a pair's overlap")
+    elif not cold.feasible:
+        scan.cores.add(scan.keys[i] + scan.keys[j], cold.core)
+    return None if found is None else UnivalenceViolation(i, j, *found)
 
 
 def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
@@ -491,18 +478,19 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     identical maps agree and need no LP. Maps are compared on their
     integer encodings (_int_map), M and b scaled to ints by the lcm of
     their denominators, which are equal exactly when the maps are equal
-    by value. Otherwise, after phase 1 over the pair's intersection, two
-    exact linear programs per output row decide whether the row
-    difference is pinned to the offset difference.
+    by value. Otherwise each output row decides whether the row
+    difference is pinned to the offset difference on the pair's
+    intersection: on the flat its facets leave, or by two exact linear
+    programs after phase 1 over the intersection.
     The scan stops at the first violation in pair order (then row order)
     and returns it with a witness point lying in both polyhedra.
 
-    An empty overlap never disagrees. When a pair's phase 1 finds its
-    overlap empty, the constraints that its checked Farkas certificate
-    uses form a core, and a later pair whose overlap holds every
-    constraint of a core, by value, is skipped without an LP.
+    An empty overlap never disagrees. When a pair's flat or phase 1 finds
+    its overlap empty, the constraints that its checked Farkas
+    certificate uses form a core, and a later pair whose overlap holds
+    every constraint of a core, by value, is skipped without an LP.
 
-    Before its phase 1, a pair collects its overlap's facet equalities:
+    First, a pair collects its overlap's facet equalities:
     each constraint c.x <= b whose exact negation -c.x <= -b, by value,
     is in the overlap too. A row whose difference and offset difference
     lie in the exact rational span of their (c, b) holds on all of the
@@ -510,35 +498,34 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     pinned is skipped, and only the other rows go to the LPs, in order.
     A row is in the span when it is zero on their flat (lp._Flat).
 
-    Where the overlap's facet equalities are consistent and leave a
-    point or a line (normals of rank n - 1 or more, on R^n; on R^0 and
-    R^1 no facet is needed), the pair needs no simplex. On a line, each
-    of the overlap's rows either bounds the position along it or is
-    constant there. An empty interval, or a constant row that fails,
-    gives a Farkas certificate from one or two rows, and the flat lifts
-    it to the facets' multipliers, each on the facet's constraint or on
-    its exact negation by sign; lp checks it, and its support, at most
-    n + 1 constraints, is filed as a core. Otherwise a point of the
-    overlap, lifted from the line, is checked against all of its rows.
-    Each pair's row differences are built once and written on the flat,
-    each as a positive multiple of itself, so a single point decides
-    each row by its value there, read on the flat. On a point flat and
-    on a longer segment the first row the facets leave is off target,
-    since an affine row constant on a segment of the line is constant
-    on the line, where only a row in the facets' span is.
+    Where the overlap's facet equalities are consistent and leave k <= 3
+    coordinates (normals of rank n - k on R^n), the pair needs no
+    simplex. The overlap's rows, written on the flat, are bounded on a
+    line by lp._interval and walked elsewhere by lp._advanced, whose
+    worst case grows like m^k (lp._MAX_LOW_DIM). An empty verdict gives
+    a Farkas certificate on at most k + 1 rows, and the flat lifts it to
+    the facets' multipliers, each on the facet's constraint or on its
+    exact negation by sign; lp checks it, and its support, at most n + 1
+    constraints, is filed as a core. Otherwise a point of the overlap,
+    lifted from the flat, is checked against all of its rows. Each row
+    difference is written on the flat as a positive multiple of itself.
+    On a point every row left is off target, and on a segment of
+    positive length the first is, since an affine row constant on a
+    segment of the line is constant on the line, where only a row in the
+    facets' span is; a zero-width segment decides each row at its
+    point. On a 2- or 3-flat a row is off target when the walk finds a
+    point past it one coordinate up (_PairScan.flat_off), and on target
+    when both walks end with multipliers that lp checks.
 
-    Phase 1 is warm: while i is the outer index, piece i's tableau is
-    kept, and pair (i, j) extends it by the constraints of piece j that
-    it lacks, by value; lp certifies each phase 1 before its verdict is
-    read. Each row's LPs reach the optima a from-scratch tableau would,
-    so the decisions are the plain scan's. A witness comes from a
-    from-scratch simplex on its pair's own intersection, which is built
-    only for the pair that disagrees, and must agree on the row.
+    Any other pair, with contradicting facets or more than three
+    coordinates left, builds one cold simplex on its own intersection;
+    lp certifies its phase 1, and lp._first_off gives the verdict and
+    the witness. A pair that its flat finds off target takes its
+    witness from the same cold simplex, which must agree on the row.
 
     Pinned rows never have an off-target point and skipped pairs are
     empty or agree, so the verdict, down to the witness, is that of the
-    plain scan; a pair that a hull finds off target takes its witness
-    from the same from-scratch simplex. fn.univalence is set to the
+    plain scan. fn.univalence is set to the
     verdict's status and fn.claimed is cleared; the violation itself is
     only returned.
     """

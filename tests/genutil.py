@@ -181,6 +181,30 @@ def corrupt_hyperplane_point(monkeypatch) -> list:
     return corrupted
 
 
+def corrupt_walk_multiplier(monkeypatch) -> list:
+    """Corrupt the multipliers of every empty verdict of an outermost
+    lp._advanced call, before they are lifted or checked: the first
+    positive one is raised by one. The walk's own recursion is left as
+    it is. Returns the list of multipliers corrupted so far."""
+    corrupted, depth = [], []
+    advanced = lp._advanced
+
+    def corrupt(n, rows, point, start):
+        depth.append(n)
+        try:
+            feasible, found = advanced(n, rows, point, start)
+        finally:
+            depth.pop()
+        if not feasible and not depth:
+            corrupted.append(found)
+            k = next(k for k, y in enumerate(found) if y)
+            found = found[:k] + [found[k] + 1] + found[k + 1 :]
+        return feasible, found
+
+    monkeypatch.setattr(lp, "_advanced", corrupt)
+    return corrupted
+
+
 def single_piece(poly: Polyhedron, m: Mat | None = None) -> PwaFn:
     """poly as the domain of one piece: m (default the zero map onto R^0) and a zero offset."""
     m = Mat([], cols=poly.dim) if m is None else m

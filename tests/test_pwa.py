@@ -48,6 +48,7 @@ from genutil import (
     colvec_of,
     corrupt_hyperplane_point,
     corrupt_phase_1,
+    corrupt_walk_multiplier,
     dense_network,
     mat_of,
     perfbench_corpus,
@@ -892,12 +893,12 @@ class TestEmptyCores:
 
     @pytest.mark.parametrize(
         "shape, plain, scan",
-        [((2, 3, 3, 2), 91, 0), ((2, 4, 4), 300, 0), ((3, 3, 2), 38, 16)],
+        [((2, 3, 3, 2), 91, 0), ((2, 4, 4), 300, 0), ((3, 3, 2), 38, 0)],
         ids=["2-3-3-2", "2-4-4", "3-3-2"],
     )
     def test_pair_simplex_builds_on_a_seeded_compile(self, monkeypatch, shape, plain, scan):
-        # On R^2 every pair that the cores and facet pins leave has facets
-        # of rank 1, a line, and is decided on it; on R^3 some are not.
+        # On R^2 and R^3 every pair that the cores and facet pins leave
+        # has consistent facets and is decided on the flat they leave.
         fn = prune_empty(transform(dense_network(random.Random(1), shape)))
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, plain_check_univalence, fn) == plain
@@ -1041,10 +1042,11 @@ class TestFacetEqualities:
     def pinned(monkeypatch, fn):
         """check_univalence on fn, recording each pair that reached the
         facet test, _PairScan.of: (i, j, the rows it left to the
-        deciders, as hull_off or tableau_off took them; none if neither
-        ran)."""
+        deciders, as _PairScan.flat_off or the cold lp._first_off took
+        them; none if neither ran)."""
         seen, pair = [], []
         check_pair, of = pwa._check_pair, pwa._PairScan.of
+        flat_off, first_off = pwa._PairScan.flat_off, lp._first_off
 
         def checking(fn, i, j, scan):
             pair[:] = [i, j]
@@ -1054,20 +1056,24 @@ class TestFacetEqualities:
             seen.append((*pair, []))
             return of(self, overlap)
 
-        def deciding(name):
-            decide = getattr(pwa._PairScan, name)
+        def left(rows):
+            # Each (r, row); a pair the flat decides off target hands the
+            # same rows to the cold search after it.
+            if not seen[-1][2]:
+                seen[-1][2].extend(r for r, _ in rows)
 
-            def decided(self, *args):
-                # The last argument is the rows left, each (r, row).
-                seen[-1][2].extend(r for r, _ in args[-1])
-                return decide(self, *args)
+        def on_flat(self, overlap, facets, rows):
+            left(rows)
+            return flat_off(self, overlap, facets, rows)
 
-            monkeypatch.setattr(pwa._PairScan, name, decided)
+        def cold(simplex, rows):
+            left(rows)
+            return first_off(simplex, rows)
 
         monkeypatch.setattr(pwa, "_check_pair", checking)
         monkeypatch.setattr(pwa._PairScan, "of", reached)
-        deciding("hull_off")
-        deciding("tableau_off")
+        monkeypatch.setattr(pwa._PairScan, "flat_off", on_flat)
+        monkeypatch.setattr(lp, "_first_off", cold)
         check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         monkeypatch.undo()
         return seen
@@ -1351,9 +1357,10 @@ def _warm_pair_fns(draw):
 
 
 class TestWarmPairs:
-    """check_univalence decides a pair on piece i's tableau, extended by
-    the constraints of piece j it lacks, and runs a from-scratch simplex
-    only for the witness of the pair that disagrees.
+    """check_univalence decides a pair on the flat its facets leave, with
+    no simplex, and runs a from-scratch simplex on the pair's own
+    intersection only for the witness of the pair that disagrees, or for
+    a pair whose flat it cannot decide.
 
     The oracle is the plain pair loop, with a cold phase 1 and LPs on
     every pair whose maps differ; the verdict, down to the pair, row and
@@ -1391,21 +1398,21 @@ class TestWarmPairs:
 
     @staticmethod
     def pair_steps(monkeypatch, fn):
-        """check_univalence on fn: the number of rows of each extension
-        and each core filed, in order."""
+        """check_univalence on fn: the number of rows of each cold
+        simplex and each core filed, in order."""
         steps = []
-        extended = lp._Simplex.extended
+        build = lp._Simplex.__init__
         add = pwa._EmptyCores.add
 
-        def recorded(self, rows):
-            steps.append(("extended", len(rows)))
-            return extended(self, rows)
+        def recorded(self, poly):
+            steps.append(("cold", len(poly.constraints)))
+            build(self, poly)
 
         def filed(self, keys, certificate):
             steps.append(("core", keys))
             add(self, keys, certificate)
 
-        monkeypatch.setattr(lp._Simplex, "extended", recorded)
+        monkeypatch.setattr(lp._Simplex, "__init__", recorded)
         monkeypatch.setattr(pwa._EmptyCores, "add", filed)
         verdict = check_univalence(fn)
         monkeypatch.undo()
@@ -1434,14 +1441,15 @@ class TestWarmPairs:
             (((-1, -1), (1, 0), (1, 0)), 2),
         ])
 
-    def test_an_overlap_extends_by_the_rows_it_lacks(self, monkeypatch):
-        # On R^2, with no facet, the overlap has no hull and takes the
-        # simplex. Keys 0 (x_0 <= 2) and 1 (x_0 >= 1), then key 2
-        # (x_0 <= 0), whose certificate needs only x_0 >= 1 and x_0 <= 0.
+    def test_an_overlap_without_facets_is_decided_on_r2(self, monkeypatch):
+        # On R^2, with no facet, the overlap's rows are walked on all of
+        # R^2 and no simplex is built. Keys 0 (x_0 <= 2) and 1 (x_0 >= 1),
+        # then key 2 (x_0 <= 0): the certificate needs only x_0 >= 1 and
+        # x_0 <= 0.
         fn = self.lacking(2)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
-        assert steps == [("extended", 2), ("extended", 1), ("core", (0, 1, 2))]
+        assert steps == [("core", (1, 2))]
         assert self.check(_moved(fn, 1)) == Univalent()
 
     def test_on_the_line_the_hull_files_the_core(self, monkeypatch):
@@ -1464,10 +1472,11 @@ class TestWarmPairs:
         fn = self.after_an_empty_piece(2)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
-        # On R^2 no pair has a hull. Piece 0's tableau is empty and its
-        # core covers pair (0, 2). Pieces 1 and 2 meet on x_0 = 0, where
-        # their maps agree, so the row goes to the LPs.
-        assert steps == [("extended", 2), ("core", (0, 1)), ("extended", 1), ("extended", 1)]
+        # On R^2 with no facet, pair (0, 1) walks x_0 <= -2, then x_0 >= 1,
+        # and files their core, which covers pair (0, 2). Pieces 1 and 2
+        # meet on x_0 = 0, where their maps agree: neither side of the
+        # row has a point one coordinate up, and no simplex is built.
+        assert steps == [("core", (0, 1))]
         moved = _moved(fn, 2)
         assert self.check(moved) == UnivalenceViolation(1, 2, 0, ColVec([0, 0]))
 
@@ -1609,41 +1618,54 @@ class TestFacetHulls:
 
     @staticmethod
     def scanned(fn):
-        """check_univalence on a copy of fn: its verdict, each hull
-        decision ("empty", "agree" or "off") and each pair the simplex
-        decided, and the (dim, rows, certificate) of each core a hull
-        filed."""
-        decided, certificates, filing = [], [], []
-        hull_off = pwa._PairScan.hull_off
-        tableau_off = pwa._PairScan.tableau_off
-        checked_support = lp._checked_support
+        """check_univalence on a copy of fn: its verdict, each flat
+        decision ("empty", "agree" or "off") and each pair decided cold,
+        on a from-scratch simplex alone ("simplex"), and the (dim, rows,
+        certificate) of each core a flat filed."""
+        decided, certificates, filing, built, last = [], [], [], [], []
+        check_pair, flat_off = pwa._check_pair, pwa._PairScan.flat_off
+        build = lp._Simplex.__init__
+        checked_support, add = lp._checked_support, pwa._EmptyCores.add
 
-        def on_hull(self, *args):
-            # A certificate checked inside hull_off is the hull's.
+        def checking(fn, i, j, scan):
+            ran, built[:] = len(decided), []
+            found = check_pair(fn, i, j, scan)
+            if built and len(decided) == ran:
+                decided.append("simplex")
+            return found
+
+        def on_flat(self, *args):
+            # A certificate checked inside flat_off is the flat's.
             filed = len(certificates)
             filing.append(self.in_dim)
             try:
-                off = hull_off(self, *args)
+                off = flat_off(self, *args)
             finally:
                 filing.pop()
             empty = len(certificates) > filed
             decided.append("empty" if empty else "agree" if off is None else "off")
             return off
 
-        def on_tableau(self, *args):
-            decided.append("simplex")
-            return tableau_off(self, *args)
+        def cold(self, poly):
+            built.append(poly)
+            build(self, poly)
 
         def checked(rows, certificate):
             support = checked_support(rows, certificate)
-            if filing:
-                certificates.append((filing[-1], rows, certificate))
+            last[:] = [rows, certificate]
             return support
 
+        def filed(self, keys, support):
+            if filing:
+                certificates.append((filing[-1], *last))
+            add(self, keys, support)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pwa._PairScan, "hull_off", on_hull)
-            patch.setattr(pwa._PairScan, "tableau_off", on_tableau)
+            patch.setattr(pwa, "_check_pair", checking)
+            patch.setattr(pwa._PairScan, "flat_off", on_flat)
+            patch.setattr(lp._Simplex, "__init__", cold)
             patch.setattr(lp, "_checked_support", checked)
+            patch.setattr(pwa._EmptyCores, "add", filed)
             verdict = check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         return verdict, decided, certificates
 
@@ -1740,7 +1762,7 @@ class TestFacetHulls:
             return den, [a + den for a in ints]
 
         monkeypatch.setattr(lp._Flat, "point", moved)
-        with pytest.raises(RuntimeError, match="hull point"):
+        with pytest.raises(RuntimeError, match="leaves its pair's overlap"):
             check_univalence(fn)
         assert [cores.filed for cores in made] == [{}]
 
@@ -1853,9 +1875,10 @@ class TestFacetHulls:
         assert self.scanned(fn)[:2] == (verdict, decided)
         assert self.check(fn) == decided
 
-    def test_a_3_input_compile_keeps_the_simplex(self):
-        # The 3-input network of the CI console step: on R^3 some overlaps
-        # keep a plane, and the simplex decides those.
+    def test_a_3_input_compile_is_decided_on_its_flats(self):
+        # The 3-input network of the CI console step: on R^3 every flat
+        # leaves at most three coordinates, so no pair needs the simplex;
+        # some overlaps keep a plane, or all of R^3, and are walked there.
         fn = transform(parse_network(json.dumps({
             "input_dim": 3, "output_dim": 2, "layers": [
                 {"kind": "linear", "weights": [["0", "-1", "1"], ["-2", "-2", "2"], ["-2", "0", "2"]],
@@ -1868,9 +1891,7 @@ class TestFacetHulls:
         })), prune=True)
         assert len(fn.pieces) == 22
         decided = self.check(fn)
-        assert {kind: decided.count(kind) for kind in set(decided)} == {
-            "simplex": 44, "agree": 22, "empty": 7
-        }
+        assert {kind: decided.count(kind) for kind in set(decided)} == {"agree": 64, "empty": 9}
         moved = _moved(fn, 6)
         self.check(moved)
         assert check_univalence(moved) == UnivalenceViolation(
@@ -1878,11 +1899,228 @@ class TestFacetHulls:
         )
 
 
+@st.composite
+def _flat_fns(draw):
+    """Functions on R^2 to R^5 whose overlaps leave flats of every size.
+
+    Up to three planes c.x = b are drawn, as in _hull_fns: new ones,
+    earlier ones scaled, and earlier normals with the bound moved by 1,
+    which contradict them where both are facets. Each piece takes a side
+    of each plane, or neither, so on R^4 and R^5 many overlaps keep four
+    or more coordinates. A wedge of three rows, u.x <= 0 and v.x <= 0 on
+    one side and -(u + v).x <= 0 on the other, each now and then doubled,
+    collapses an overlap of the two sides onto u.x = v.x = 0 with no
+    exact negation among them; past the wedge, output row r adds
+    mu_r u.x + nu_r v.x, so the two sides agree where they meet. Pieces
+    may add a strip -1 <= a.x <= 1 or a halfspace from a pool, and a
+    sixth of them take a slope of their own. Half the functions then
+    have one offset moved.
+    """
+    dim = draw(st.integers(2, 5))
+    out = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    normal = st.lists(small, min_size=dim, max_size=dim)
+    bound = st.sampled_from((0, 0, 1, -1))
+    planes = []
+    for _ in range(draw(st.integers(0, 3))):
+        options = [(draw(normal), draw(bound))]
+        if planes:
+            c, b = draw(st.sampled_from(planes))
+            options += [([2 * a for a in c], 2 * b), (c, b + 1)]
+        planes.append(draw(st.sampled_from(options)))
+    mus = [draw(st.lists(small, min_size=out, max_size=out)) for _ in planes]
+    wedge = draw(st.integers(0, 3)) > 0
+    u, v = draw(normal), draw(normal)
+    w = [-a - b for a, b in zip(u, v)]
+    wedge_mus = draw(st.lists(st.tuples(small, small), min_size=out, max_size=out))
+    a = draw(normal)
+    pool = [_halfspace(a, 1), _halfspace([-e for e in a], 1)]
+    pool += draw(st.lists(st.builds(_halfspace, normal, bound), max_size=2))
+    m0 = draw(st.lists(normal, min_size=out, max_size=out))
+    b0 = draw(st.lists(bound, min_size=out, max_size=out))
+    pieces = []
+    for _ in range(draw(st.integers(2, 5))):
+        lcs, m, b = [], [list(r) for r in m0], list(b0)
+        for (c, t), mu in zip(planes, mus):
+            k = draw(st.sampled_from((1, -1) * 3 + (0, -2)))
+            if k:
+                lcs.append(_halfspace([k * e for e in c], k * t))
+            if k < 0:
+                for r in range(out):
+                    m[r] = [e + mu[r] * ck for e, ck in zip(m[r], c)]
+                    b[r] -= mu[r] * t
+        if wedge:
+            k = draw(st.sampled_from((1, 2)))
+            if draw(st.booleans()):
+                lcs += [_halfspace([k * e for e in u], 0), _halfspace(v, 0)]
+            else:
+                lcs.append(_halfspace([k * e for e in w], 0))
+                for r, (mu, nu) in enumerate(wedge_mus):
+                    m[r] = [e + mu * x + nu * y for e, x, y in zip(m[r], u, v)]
+        lcs += draw(st.lists(st.sampled_from(pool), max_size=2))
+        if draw(st.integers(0, 5)) == 0:
+            m = draw(st.lists(normal, min_size=out, max_size=out))
+        pieces.append(AffinePiece(
+            Polyhedron(dim, tuple(_copy(lc) if draw(st.booleans()) else lc for lc in lcs)),
+            Mat(m, cols=dim),
+            ColVec(b),
+        ))
+    fn = PwaFn(dim, out, pieces)
+    if draw(st.booleans()):
+        fn = _moved(fn, draw(st.integers(0, len(pieces) - 1)))
+    return fn
+
+
+class TestFlatPairs:
+    """check_univalence decides a pair whose consistent facets leave at
+    most three coordinates on their flat, with no simplex, and every
+    other pair on one cold simplex over the pair's own intersection.
+
+    The oracle is the plain pair loop, with LPs on every pair whose maps
+    differ; the verdict, down to the pair, row and witness, must be its.
+    Every core the scan files, from a flat or from a cold simplex, must
+    refute its constraints and stop refuting them when any one
+    multiplier is dropped. The one exception is a cold core that weighs
+    two rows 0 <= b with b < 0, as contradicting facets on a zero normal
+    give: each refutes the overlap alone, and phase 1 weighs both.
+    """
+
+    @staticmethod
+    def check(fn):
+        """check_univalence on fn against the plain loop, with the checks
+        of every core filed: the verdict, each decision as
+        TestFacetHulls.scanned gives it, and the coordinates each flat
+        left."""
+        cores, last, left, inside = [], [], [], []
+        checked_support, add = lp._checked_support, pwa._EmptyCores.add
+        flat_off = pwa._PairScan.flat_off
+
+        def checked(rows, certificate):
+            support = checked_support(rows, certificate)
+            last[:] = [rows, certificate]
+            return support
+
+        def filed(self, keys, support):
+            cores.append((bool(inside), *last))
+            add(self, keys, support)
+
+        def on_flat(self, overlap, facets, rows):
+            left.append(self.in_dim - len(self.flat(facets)[0].kept))
+            inside.append(True)
+            try:
+                return flat_off(self, overlap, facets, rows)
+            finally:
+                inside.pop()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "_checked_support", checked)
+            patch.setattr(pwa._EmptyCores, "add", filed)
+            patch.setattr(pwa._PairScan, "flat_off", on_flat)
+            verdict, decided, on_flats = TestFacetHulls.scanned(fn)
+        assert verdict == plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
+        assert all(sum(map(bool, certificate)) <= fn.in_dim + 1 for *_, certificate in on_flats)
+        for on_a_flat, rows, certificate in cores:
+            poly = Polyhedron(fn.in_dim, tuple(_constraint(den, ints) for den, ints in rows))
+            assert farkas_refutes(poly, certificate)
+            zero = [y for y, (_, ints) in zip(certificate, rows) if y and not any(ints[:-1])]
+            if not on_a_flat and len(zero) > 1:
+                continue
+            for k, y in enumerate(certificate):
+                if y:
+                    dropped = certificate[:k] + (0,) + certificate[k + 1 :]
+                    assert not farkas_refutes(poly, dropped)
+        return verdict, decided, left
+
+    def test_drawn_functions_match_the_plain_loop(self):
+        cold, on_flats, refuted = 0, [], []
+
+        @settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=10))
+        @given(_flat_fns())
+        def drawn(fn):
+            nonlocal cold
+            verdict, decided, left = self.check(fn)
+            cold += decided.count("simplex")
+            flat = [kind for kind in decided if kind != "simplex"]
+            on_flats.extend(zip(left, flat))
+            refuted.append(isinstance(verdict, UnivalenceViolation))
+
+        drawn()
+        # Flats of 2 and 3 coordinates each find empty overlaps, rows that
+        # agree and rows that do not; contradicting facets and R^4 or
+        # more still take the cold simplex; both verdicts occur.
+        for kind in ("empty", "agree", "off"):
+            assert on_flats.count((2, kind)) >= 10 and on_flats.count((3, kind)) >= 10
+        assert cold >= 50
+        assert refuted.count(False) >= 50 and refuted.count(True) >= 50
+
+    @staticmethod
+    def wedge(dim):
+        """On R^dim, x_0 <= 0 and x_1 <= 0 with map 0, and -x_0 - 2 x_1 <=
+        0 with map x_0 + 2 x_1: they meet only where x_0 = x_1 = 0, a
+        point on R^2 and a line on R^3, with no exact negation, and
+        agree there."""
+        pad = [0] * (dim - 2)
+        return PwaFn(dim, 1, (
+            AffinePiece(
+                Polyhedron(dim, (_halfspace([1, 0] + pad, 0), _halfspace([0, 1] + pad, 0))),
+                Mat([[0] * dim]), ColVec([0]),
+            ),
+            AffinePiece(
+                Polyhedron(dim, (_halfspace([-1, -2] + pad, 0),)), Mat([[1, 2] + pad]), ColVec([0]),
+            ),
+        ))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_collapsed_overlap_is_decided_on_its_flat(self, monkeypatch, dim):
+        # No facet, so the flat is all of R^dim: the walk finds the
+        # overlap's point, and neither side of the row has a point one
+        # coordinate up. With the offset moved, the row is off at once.
+        fn = self.wedge(dim)
+        runs = TestLivePieces.phase_1_runs
+        assert runs(monkeypatch, check_univalence, fn) == 0
+        assert self.check(fn) == (Univalent(), ["agree"], [dim])
+        moved = _moved(fn, 1)
+        assert runs(monkeypatch, check_univalence, moved) == 1
+        assert self.check(moved) == (UnivalenceViolation(0, 1, 0, ColVec([0] * dim)), ["off"], [dim])
+
+    def test_r4_without_facets_takes_the_cold_simplex(self, monkeypatch):
+        fn = self.wedge(4)
+        runs = TestLivePieces.phase_1_runs
+        assert runs(monkeypatch, check_univalence, fn) == 1
+        assert self.check(fn) == (Univalent(), ["simplex"], [])
+
+    def test_a_corrupted_walk_multiplier_raises_and_files_nothing(self, monkeypatch):
+        # The row's on-target sides end with multipliers, and so does the
+        # walk over an empty overlap on R^2; each is checked before use.
+        for fn in (self.wedge(3), TestWarmPairs.lacking(2)):
+            with pytest.MonkeyPatch.context() as patch:
+                made = TestFacetHulls.recorded_cores(patch)
+                corrupted = corrupt_walk_multiplier(patch)
+                with pytest.raises(RuntimeError, match="do not refute"):
+                    check_univalence(fn)
+                assert len(corrupted) == 1
+                assert [cores.filed for cores in made] == [{}]
+
+    def test_a_corrupted_flat_point_raises_and_files_nothing(self, monkeypatch):
+        made = TestFacetHulls.recorded_cores(monkeypatch)
+        lifted = lp._Flat.point
+
+        def moved(self, point):
+            den, ints = lifted(self, point)
+            return den, [a + 1000 * den for a in ints]
+
+        monkeypatch.setattr(lp._Flat, "point", moved)
+        with pytest.raises(RuntimeError, match="leaves its pair's overlap"):
+            check_univalence(self.wedge(3))
+        assert [cores.filed for cores in made] == [{}]
+
+
 class TestCorpusChecks:
     """check_univalence on the benchmark's check corpus and three larger
     pruned shapes, at run seeds 1 and 2, each with its refuted variant
-    (perfbench/corpus.py): the verdicts, the cores the scan files, in
-    order, and its phase-1 runs are pinned as one sha256."""
+    (perfbench/corpus.py): the verdicts are pinned as one sha256, and
+    with the cores the scan files, in order, and its phase-1 runs as
+    another."""
 
     SHAPES = [(2, 4, 4), (3, 4, 4, 2), (4, 3, 3, 2)]
 
@@ -1927,10 +2165,11 @@ class TestCorpusChecks:
             totals = [totals[0] + len(cores), totals[1] + len(phase_1s)]
             cores.clear()
             phase_1s.clear()
-        assert totals == [1166, 1648]
-        # Recorded with the echelon basis that the facet flats replaced.
+        assert totals == [1050, 14]
+        # Cores and phase 1s follow the deciders; the verdicts alone are
+        # pinned by test_verdicts_are_pinned.
         assert sha256("\n".join(lines).encode()).hexdigest() == (
-            "34d7d4c71a5a4d7a025d4639097b76d6e45c9be5901d3efeb51344da88a227fc"
+            "d76033452388791b12aa334951e3660f064a08686fc36a5612a78909d21cdb56"
         )
 
     def test_each_pair_builds_its_row_differences_once(self, monkeypatch):
