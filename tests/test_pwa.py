@@ -1612,7 +1612,7 @@ class TestFacetHulls:
 
     The oracle is the plain pair loop, with LPs on every pair whose maps
     differ; the verdict, down to the pair, row and witness, must be its.
-    Every certificate a hull files must refute its constraints and stop
+    Every certificate a flat files must refute its constraints and stop
     refuting them when any one multiplier is dropped.
     """
 
@@ -1691,9 +1691,9 @@ class TestFacetHulls:
             decided.extend(self.check(fn))
 
         drawn()
-        # Over the drawn corpus, the hull finds empty overlaps, points
+        # Over the drawn corpus, the flats find empty overlaps, points
         # where the maps agree and overlaps where they do not, and the
-        # simplex still decides some pairs.
+        # cold simplex still decides some pairs (contradicting facets).
         assert all(decided.count(kind) for kind in ("empty", "agree", "off", "simplex"))
 
     @staticmethod
@@ -1815,7 +1815,7 @@ class TestFacetHulls:
                 AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([1])),
             )), ["off"], UnivalenceViolation(0, 1, 0, ColVec([]))),
             # y = 0 and y = 1 are parallel facets that contradict each
-            # other: no hull, and the simplex finds the overlap empty.
+            # other: no flat, and the cold simplex finds the overlap empty.
             (PwaFn(2, 1, (
                 AffinePiece(
                     Polyhedron(2, (_halfspace([0, 1], 0), _halfspace([0, 1], 1))),
