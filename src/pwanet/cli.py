@@ -3,21 +3,26 @@
 Subcommands: compile a network file into a PWA file, evaluate either kind
 of file at an exact rational point, check univalence, count non-empty
 regions, and export an SMT script. Exit codes are stable: 0 success,
-2 parse problem, 3 dimension problem (a layer chain that breaks, which
-building the Network reports, or a point of the wrong width), 4 non-PWA
-layer, 5 univalence violation, 6 result too large (a compile that
-network.oversize refuses: by the product of the layers' piece counts,
-or under --prune by the live pieces, which the pruned fold checks as
-it grows; an SMT script that would declare more than
-network.MAX_RATIONALS variables, or a rational too long to write as
-text; no output file is written).
-Output is deterministic byte for byte.
+2 parse problem or a file that cannot be read or written, 3 dimension
+problem (a layer chain that breaks, which building the Network reports,
+or a point of the wrong width), 4 non-PWA layer, 5 univalence
+violation, 6 result too large (a compile that network.oversize refuses:
+by the product of the layers' piece counts, or under --prune by the live
+pieces, which the pruned fold checks as it grows; an SMT script that
+would declare more than network.MAX_RATIONALS variables, or a rational
+too long to write as text; no output file is written or changed).
+Output is deterministic byte for byte. An existing output is rewritten in
+place: it stays the same file, with the same mode and links, and is cut
+to the new length after the write, so a write that fails leaves a prefix
+of the new text and no old bytes after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from . import formats, network, pwa
@@ -40,9 +45,28 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
 
+def _over(path: str, flags: int) -> int:
+    # Without O_TRUNC an existing file keeps its blocks for the write to
+    # reuse; os.open's default mode 0o777 would make new files executable.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(path, "w", encoding="utf-8", opener=_over) as handle:
+        fd = handle.fileno()
+        # The length of an older text that the new one may not cover; a
+        # FIFO, /dev/null or a terminal has none.
+        old = os.fstat(fd)
+        left = old.st_size if stat.S_ISREG(old.st_mode) else 0
+        try:
+            handle.write(text)
+            handle.flush()
+        finally:
+            # Cut after the last byte written, also when the write failed.
+            if left:
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if left > end:
+                    os.ftruncate(fd, end)
 
 
 def _parse_point(text: str) -> ColVec:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -599,6 +600,145 @@ class TestExportSmt:
             f"error: the SMT script would declare more than {MAX_RATIONALS} variables\n"
         )
         assert not out.exists()
+
+
+def compiled(tmp_path, name, doc, *switches) -> Path:
+    """The file `compile` writes for doc at a fresh path."""
+    net = write(tmp_path, f"{name}.net", doc)
+    out = tmp_path / name
+    assert main(["compile", "--network", net, "--out", str(out), *switches]) == 0
+    return out
+
+
+class TestOutputFiles:
+    """An existing output is rewritten in place, and ends as a fresh file's bytes."""
+
+    @pytest.mark.parametrize("kind", ["file", "symlink", "hardlink"])
+    def test_a_shorter_compile_over_a_longer_output(self, tmp_path, kind):
+        longer = compiled(tmp_path, "longer.json", DEEP).read_bytes()
+        fresh = compiled(tmp_path, "fresh.json", EXAMPLE_NET).read_bytes()
+        assert len(fresh) < len(longer)
+        target = tmp_path / "target.json"
+        target.write_bytes(longer)
+        inode = target.stat().st_ino
+        out = tmp_path / "out.json"
+        if kind == "file":
+            out = target
+        elif kind == "symlink":
+            out.symlink_to(target)
+        else:
+            os.link(target, out)
+        net = write(tmp_path, "net.json", EXAMPLE_NET)
+        assert main(["compile", "--network", net, "--out", str(out)]) == 0
+        assert out.is_symlink() == (kind == "symlink")
+        assert target.stat().st_ino == inode
+        assert target.read_bytes() == out.read_bytes() == fresh
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    @pytest.mark.parametrize("existing", [None, 0o640])
+    def test_mode_of_the_output(self, tmp_path, mask, existing):
+        out = tmp_path / "out.json"
+        if existing is not None:
+            out.write_text("old")
+            out.chmod(existing)
+        net = write(tmp_path, "net.json", EXAMPLE_NET)
+        old = os.umask(mask)
+        try:
+            assert main(["compile", "--network", net, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        expected = 0o666 & ~mask if existing is None else existing
+        assert out.stat().st_mode & 0o7777 == expected
+
+    @pytest.mark.parametrize("sink", ["devnull", "fifo"])
+    def test_an_output_with_no_length_to_cut(self, tmp_path, capsys, sink):
+        net = write(tmp_path, "net.json", EXAMPLE_NET)
+        if sink == "devnull":
+            assert main(["compile", "--network", net, "--out", os.devnull]) == 0
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes")
+            fresh = compiled(tmp_path, "fresh.json", EXAMPLE_NET).read_bytes()
+            fifo = tmp_path / "fifo"
+            os.mkfifo(fifo)
+            # The pipe's buffer holds the whole compile, so one process can
+            # write it all before reading it back.
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                assert main(["compile", "--network", net, "--out", str(fifo)]) == 0
+                assert os.read(reader, 2 * len(fresh)) == fresh
+            finally:
+                os.close(reader)
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "where, code",
+        [("a_directory", errno.EISDIR), ("missing/out.json", errno.ENOENT)],
+    )
+    def test_an_output_that_cannot_be_opened_exits_2(self, tmp_path, capsys, where, code):
+        (tmp_path / "a_directory").mkdir()
+        out = str(tmp_path / where)
+        net = write(tmp_path, "net.json", EXAMPLE_NET)
+        assert main(["compile", "--network", net, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n")
+
+    @pytest.mark.parametrize("command", ["compile", "export-smt"])
+    def test_a_refusal_leaves_an_existing_output_as_it_was(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"old bytes\n")
+        if command == "compile":
+            argv = ["compile", "--network", write(tmp_path, "wide.json", relu_net(13))]
+            err = f"error: the compiled function would have more than {MAX_PIECES} pieces\n"
+        else:
+            doc = {"in_dim": 10**18, "out_dim": 0, "univalence": "unchecked", "pieces": []}
+            argv = ["export-smt", "--pwa", write(tmp_path, "wide.json", json.dumps(doc))]
+            err = f"error: the SMT script would declare more than {MAX_RATIONALS} variables\n"
+        assert main(argv + ["--out", str(out)]) == 6
+        assert capsys.readouterr() == ("", err)
+        assert out.read_bytes() == b"old bytes\n"
+
+    def test_a_failed_write_leaves_what_truncating_first_leaves(self, tmp_path):
+        # A child process whose files may not grow past `limit` bytes, with
+        # SIGXFSZ ignored so that the write fails with EFBIG. It compiles
+        # over a longer file, then runs the writer that truncates first on
+        # a fresh path, as reference.
+        pytest.importorskip("resource")
+        fresh = compiled(tmp_path, "fresh.json", DEEP, "--prune").read_bytes()
+        out = tmp_path / "out.json"
+        out.write_bytes(compiled(tmp_path, "longer.json", DEEP).read_bytes())
+        assert len(out.read_bytes()) > len(fresh)
+        limit = len(fresh) // 2 + 1
+        net = write(tmp_path, "net.json", DEEP)
+        reference = tmp_path / "reference.json"
+        code = (
+            "import resource, signal, sys\n"
+            "from pwanet import cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "limit, net, out, reference, fresh = sys.argv[1:]\n"
+            "with open(fresh, encoding='utf-8') as handle:\n"
+            "    text = handle.read()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(limit), hard))\n"
+            "code = cli.main(['compile', '--network', net, '--out', out, '--prune'])\n"
+            "try:\n"
+            "    with open(reference, 'w', encoding='utf-8') as handle:\n"
+            "        handle.write(text)\n"
+            "except OSError:\n"
+            "    pass\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        args = [str(limit), net, str(out), str(reference), str(tmp_path / "fresh.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert out.read_bytes() == reference.read_bytes() == fresh[:limit]
 
 
 class TestNoReluPieces:
