@@ -69,27 +69,33 @@ _Simplex's extension interface. A new row h that the witness violates is decided
 h's hyperplane: the rows with h added have a point exactly when they
 have one there, since the witness lies strictly on the other side.
 Eliminating one coordinate of the hyperplane, in integers (_Flat),
-leaves n - 1 coordinates: an interval of bounds on a line for n = 2
-(_interval, which pwa's pair scan also uses on its lines), the same
-step one dimension down for n = 3, and a sign test for n = 1 (Seidel,
+leaves n - 1 coordinates, which the flat step _on_flat decides: an
+interval of bounds on a line for n = 2 (_on_line), the same step one
+dimension down for n = 3, and a sign test for n = 1 (Seidel,
 "Small-dimensional linear programming and convex hulls made easy",
 1991, without the random order). An empty verdict lifts the multipliers of at
 most n + 1 rows back through the eliminations; the hyperplane's own
 multiplier is positive for the same reason. Its verdicts are certified
-as a phase 1's are: the multipliers pass _checked_support and their
-support is the core, and a new witness satisfies every row. The
-recursion is the same in every dimension, but _MAX_LOW_DIM, which
+as a phase 1's are: the multipliers pass _checked_support (_certified)
+and their support is the core, and a new witness satisfies every row.
+The recursion is the same in every dimension, but _MAX_LOW_DIM, which
 states why, bounds the coordinates it decides: _root gives a larger R^n
 the simplex's empty tableau instead. pwa's trie walk and network's
 pruned fold start from _root; every LP with an objective keeps the
-simplex. _Flat, the one elimination, and the walk also serve
-pwa's pair scan on the flat of an overlap's facet equalities, where
-_MAX_LOW_DIM bounds the coordinates left.
+simplex.
+
+pwa's pair scan decides on the flat of an overlap's facet equalities
+here too, whenever _Flat.decides admits it: _on_flat gives a lifted
+point or multipliers, which the scan maps to constraint keys and files
+through _certified, and _flat_off checks the point and finds the first
+row off target, on a line at the ends of the interval and on a 2- or
+3-flat by two walks one coordinate up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -410,18 +416,11 @@ class _LowDim:
         """A new decider: this feasible one with rows appended. Each row is
         (den, ints) as polyhedra._row gives it."""
         other = object.__new__(_LowDim)
-        other.n = self.n
-        other.rows = self.rows + tuple(rows)
+        other.n, other.rows = self.n, self.rows + tuple(rows)
         ints_rows = [ints for _, ints in other.rows]
-        feasible, found = _advanced(self.n, ints_rows, self.witness, len(self.rows))
-        other.feasible = feasible
-        if not feasible:
-            # found weights the integer rows; the certificate weights the
-            # constraints, each its integer row over its den.
-            certificate = [y * den for y, (den, _) in zip(found, other.rows)]
-            g = gcd(*certificate)
-            other.farkas = tuple(y // g for y in certificate)
-            other.core = _checked_support(other.rows, other.farkas)
+        other.feasible, found = _advanced(self.n, ints_rows, self.witness, len(self.rows))
+        if not other.feasible:
+            other.farkas, other.core = _certified(other.rows, found)
         else:
             if found is not self.witness and not _satisfies(found, other.rows):
                 raise RuntimeError("a point found on a hyperplane leaves its polyhedron")
@@ -433,7 +432,7 @@ _Decider = Union[_LowDim, _Simplex]
 
 
 # The most coordinates _LowDim's walk (_advanced) decides: _root's R^n
-# and the flats of pwa's pair scan. The walk's worst case grows like m^n
+# and the flats that _Flat.decides admits. The walk's worst case grows like m^n
 # in m rows (m^3 on R^3; without _interval's single pass over a line it
 # would be m^4), where the simplex stays polynomial in practice. This is
 # a safety choice, not a measured crossover: on R^3 the walk still beat the
@@ -482,21 +481,36 @@ def _on_hyperplane(n: int, rows: list[list[int]], h: list[int]) -> tuple[bool, o
     rows with h added have a point exactly when they have one on the
     hyperplane: the segment from a point of theirs to the one past h
     crosses it. There, _Flat([h]) writes each row on the n - 1
-    coordinates h leaves, decided at once when one is left (_on_line),
-    else by _advanced from the origin, and lifts a point or multipliers
-    back. h's weight is positive: the combination is positive at the
-    point past h, where each row is at most its bound. A zero h is
-    0 <= b with b < 0, its own certificate.
+    coordinates h leaves, and _on_flat decides them. h's weight is
+    positive: the combination is positive at the point past h, where
+    each row is at most its bound. A zero h is 0 <= b with b < 0, its
+    own certificate.
     """
     flat = _Flat([h])
     if not flat.kept:
         return False, [0] * len(rows) + [1]
-    reduced = flat.restricted(rows)
-    if n == 2:
-        feasible, found = _on_line(reduced)
-    else:
-        feasible, found = _advanced(n - 1, reduced, (1, [0] * (n - 1)), 0)
-    return (True, flat.point(found)) if feasible else (False, flat.weights(rows, found))
+    return _on_flat(flat, n - 1, rows, flat.restricted(rows))
+
+
+def _on_flat(
+    flat: _Flat, k: int, rows: Iterable[list[int]], written: list[list[int]]
+) -> tuple[bool, object]:
+    """rows as in _advanced, decided on the flat, consistent and leaving
+    k <= _MAX_LOW_DIM coordinates, where written holds them: (True, a
+    point of the flat that satisfies rows, lifted as (den, ints)) or
+    (False, multipliers for rows and then the planes kept, as
+    _Flat.weights lifts them). rows are read only for the multipliers.
+
+    A line is decided at once (_on_line); a point or a 2- or 3-flat by
+    _advanced from the origin. _on_hyperplane decides each hyperplane
+    here, and pwa's pair scan the flat of an overlap's facet equalities.
+    """
+    feasible, found = _on_line(written) if k == 1 else _advanced(k, written, (1, [0] * k), 0)
+    if feasible:
+        return True, flat.point(found)
+    # Only the rows of nonzero weight are lifted, then put back in place.
+    lifted = iter(flat.weights(list(compress(rows, found)), list(filter(None, found))))
+    return False, [next(lifted) if y else 0 for y in found] + list(lifted)
 
 
 class _Flat:
@@ -534,6 +548,11 @@ class _Flat:
             self.kept.append(i)
             q = self.levels[-1][2] if self.levels else 1
             self.levels.append((k, 1 if a > 0 else -1, abs(a), q, h))
+
+    def decides(self, n: int) -> bool:
+        """Does _on_flat decide rows on this flat of R^n: are the planes
+        consistent, and do they leave at most _MAX_LOW_DIM coordinates?"""
+        return self.consistent and n - len(self.kept) <= _MAX_LOW_DIM
 
     def restricted(self, rows: list[list[int]], depth: Optional[int] = None) -> list[list[int]]:
         """Each row, n + 1 ints c then b, written on the flat, or on that
@@ -587,9 +606,10 @@ class _Flat:
 def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
     """_advanced on a line, rows c t <= d, from 0 at once: 0 when it lies
     between the bounds that _interval finds, else the nearer bound, as
-    (den, [t]) with a den that may be negative. Only lines left by an
-    elimination come here; a decider on R^1 walks its new rows from its
-    witness with _advanced, one hyperplane solve per violated row."""
+    (den, [t]) with a den that may be negative. Every line that _on_flat
+    decides comes here, a hyperplane's of R^2 and a pair's flat of one
+    coordinate; a decider on R^1 walks its new rows from its witness
+    with _advanced, one hyperplane solve per violated row."""
     feasible, found = _interval(rows)
     if not feasible:
         y = [0] * len(rows)
@@ -598,9 +618,8 @@ def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
         return False, y
     for i in found:
         if i is not None and rows[i][1] < 0:
-            # t = d / c; _on_hyperplane's lift makes the den positive.
-            c, d = rows[i]
-            return True, (c, [d])
+            # t = d / c; _on_flat's lift makes the den positive.
+            return True, (rows[i][0], rows[i][1:])
     return True, (1, [0])
 
 
@@ -716,6 +735,17 @@ def _checked_support(
     raise RuntimeError("Farkas multipliers do not refute the polyhedron")
 
 
+def _certified(
+    rows: Sequence[tuple[int, list[int]]], y: Sequence[int]
+) -> tuple[tuple[int, ...], list[int]]:
+    """The certificate of multipliers y >= 0 that weigh the integer rows
+    (den, ints) to 0 <= negative, and its support once _checked_support
+    has checked it: each constraint, its ints over its den, gets y_i
+    times den."""
+    certificate = tuple(a * den for a, (den, _) in zip(y, rows))
+    return certificate, _checked_support(rows, certificate)
+
+
 def _off_target(simplex: _Simplex, row: tuple[int, list[int]]) -> ColVec | None:
     """A point of the feasible tableau's polyhedron where d.x != t, for
     the row (den, ints), ints = den * (d, t); None when d.x = t all over
@@ -758,4 +788,47 @@ def _first_off(
             point = _off_target(simplex, row)
             if point is not None:
                 return r, point
+    return None
+
+
+def _flat_off(
+    rows: Sequence[tuple[int, list[int]]],
+    point: tuple[int, list[int]],
+    written: list[list[int]],
+    diffs: list[tuple[int, list[int]]],
+) -> Optional[int]:
+    """The first r of diffs, (r, d then t written on a flat), whose d.y = t
+    is off target on a polyhedron that _on_flat found non-empty, or None.
+    rows are its constraints as (den, ints), point the point _on_flat
+    lifted, which must satisfy every row or RuntimeError is raised, and
+    written the rows' ints on the flat, whose k <= _MAX_LOW_DIM
+    coordinates each row of diffs spans; no row of diffs is zero there.
+
+    The flat writes each row as a positive multiple of itself. On a point
+    every row given is off. On a line a row a t = b is on target over a
+    segment exactly when it holds at both ends, t = d / c for a bound
+    (c, d), that is when a d = b c at each: on a segment of zero width
+    each row is decided at its point, and on a longer one or a ray the
+    first is off. On a 2- or 3-flat P, some y of P has d.y > t exactly
+    when some (y, s) has s >= 0, c.y - b s <= 0 for each row c.y <= b of
+    P and t s - d.y <= -1, one coordinate up; _advanced tests that from
+    the origin, which satisfies the cone, for each side, and a side on
+    target passes _checked_support with its multipliers.
+    """
+    if not _satisfies(point, rows):
+        raise RuntimeError("a point lifted from a flat leaves its pair's overlap")
+    k = len(diffs[0][1]) - 1
+    if k == 1 and None not in (ends := _interval(written)[1]):
+        ends = [written[i] for i in ends]
+        return next((r for r, (a, b) in diffs if any(a * d != b * c for c, d in ends)), None)
+    if k < 2:
+        return diffs[0][0]
+    cone = [[0] * k + [-1, 0]] + [row[:-1] + [-row[-1], 0] for row in written]
+    for r, (*d, t) in diffs:
+        for sign in (1, -1):
+            system = cone + [[-sign * a for a in d] + [sign * t, -1]]
+            feasible, found = _advanced(k + 1, system, (1, [0] * (k + 1)), len(cone))
+            if feasible:
+                return r
+            _checked_support(list(zip(repeat(1), system)), tuple(found))
     return None

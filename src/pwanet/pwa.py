@@ -27,13 +27,14 @@ A constraint whose exact negation is in the same overlap is a facet
 equality, c.x = b all over it, as where two ReLU regions meet; a map
 row whose difference lies in the rational span of those (c, b) needs
 no LP either: it is zero on their flat (lp._Flat). Each pair's row
-differences are built once and written on that flat. Consistent
-equalities that leave at most three coordinates decide the pair with no
-simplex, by the hyperplane walk of lp._LowDim on the overlap's rows
-written there: an empty overlap files the core of a Farkas certificate
-that the flat lifts and lp checks, a point of a non-empty one is
-checked against every row, and a row is off target when the walk finds
-a point past it one coordinate up. Every other pair is decided, and
+differences are built once and written on that flat. When the
+equalities are consistent and leave at most three coordinates
+(lp._Flat.decides), lp decides the pair there with no simplex, by the
+flat step of lp._LowDim's hyperplane walk (lp._on_flat): an empty
+overlap gives multipliers that the scan maps to constraint keys and
+files as a core once lp has checked them, and on a non-empty one
+lp._flat_off checks the lifted point against every row and finds the
+first row off target. Every other pair is decided, and
 every witness found, from scratch by one simplex on the pair's own
 intersection (lp._first_off on the pair's integer row differences).
 Only a univalent function is independent of piece order.
@@ -287,11 +288,12 @@ class _EmptyCores:
 class _PairScan:
     """What check_univalence keeps from pair to pair: one table per check.
 
-    keys and the integer rows come from _value_keys, and negations, built
-    once from its numbering, hold each key's exact negation, or -1;
-    cores are the scan's _EmptyCores. Nothing else passes from pair to
-    pair but the flats and the rows written on them: beyond a core that
-    skips it, a pair is decided the same whatever pairs came before.
+    keys and the integer rows come from _value_keys, ints holds each
+    row's ints alone, and negations, built once from its numbering, hold
+    each key's exact negation, or -1; cores are the scan's _EmptyCores.
+    Nothing else passes from pair to pair but the flats and the rows
+    written on them: beyond a core that skips it, a pair is decided the
+    same whatever pairs came before.
 
     The scan also finds the facet equalities of overlaps, the map rows
     they pin, and the flat they leave. A constraint c.x <= b of
@@ -306,13 +308,17 @@ class _PairScan:
     hyperplanes with: a row is in the span when it is zero on the flat,
     or only its d when the facets contradict each other, whose span
     holds (0, 1) too. The rows left go to flat_off as written on the
-    flat, and to the cold simplex as integer rows.
+    flat, and to the cold simplex as integer rows. Every decision on a
+    flat is lp's; the scan keeps only what needs constraint keys: the
+    rows written on each flat by key, the constraint each facet's
+    weight stands for, and the cores.
     """
 
     def __init__(self, fn: PwaFn):
         self.fn = fn
         self.in_dim = fn.in_dim
         self.keys, self.rows, number = _value_keys(fn)
+        self.ints = [ints for _, ints in self.rows]
         self.negations = [number.get((den, *(-a for a in ints)), -1) for den, ints in self.rows]
         self.cores = _EmptyCores()
         self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, list[int]]]] = {}
@@ -328,7 +334,7 @@ class _PairScan:
         facets, and the constraints flat_off has written on it, by key."""
         entry = self.flats.get(facets)
         if entry is None:
-            entry = self.flats[facets] = (lp._Flat([self.rows[key][1] for key in facets]), {})
+            entry = self.flats[facets] = (lp._Flat([self.ints[key] for key in facets]), {})
         return entry
 
     def diffs(self, i: int, j: int) -> tuple[int, list[list[int]]]:
@@ -347,80 +353,32 @@ class _PairScan:
     ) -> Optional[int]:
         """The first of on_flat, (r, row difference written on the facets'
         flat) for the rows left to the deciders, off target on the
-        overlap, or None, when the consistent facets leave k <= 3
-        coordinates (lp._MAX_LOW_DIM): no simplex.
+        overlap, or None, when the flat decides the pair
+        (lp._Flat.decides): no simplex.
 
         Written on the flat, once per key, each constraint is a row on
-        the k coordinates left. On a line lp._interval bounds them, and
-        on a point or a 2- or 3-flat lp._advanced walks them from the
-        origin. An empty verdict weighs the rows; the flat's weights add
-        the facets, each on its constraint or its exact negation by sign,
-        and lp checks the certificate before its support is filed as a
-        core. Otherwise _Flat.point lifts a point of the walk, or t = d / c
-        at an end of the line, or t = 0, which must satisfy every
-        constraint.
-
-        The flat writes each row as a positive multiple of itself. On a
-        point every row given is off; on a line a row a t = b is off at
-        t = d / c exactly when a d != b c, which on a segment of zero
-        width decides each row, and on a longer one the first is off.
-        On a 2- or 3-flat, where the overlap P is not empty, some y of P
-        has d.y > t exactly when some (y, s) has s >= 0, c.y - b s <= 0
-        for each row c.y <= b of P and t s - d.y <= -1, one coordinate
-        up; lp._advanced tests that from the origin, which satisfies the
-        cone, for each side, and a side on target passes lp's check of
-        its multipliers.
+        the coordinates left, and lp._on_flat decides them. An empty
+        verdict weighs the rows and the facets; each facet's weight goes
+        to its constraint or its exact negation by sign, and
+        lp._certified checks the certificate before its support is filed
+        as a core. Otherwise lp._flat_off checks the lifted point against
+        every constraint and finds the first row off target.
         """
         flat, written = self.flat(facets)
         new = list(overlap.difference(written))
         if new:
-            written.update(zip(new, flat.restricted([self.rows[key][1] for key in new])))
+            written.update(zip(new, flat.restricted([self.ints[key] for key in new])))
         keys = list(overlap)
-        on = [written[key] for key in keys]
+        on = list(map(written.__getitem__, keys))
         left = self.in_dim - len(flat.kept)
-        if left == 1:
-            feasible, found = lp._interval(on)
-        else:
-            feasible, found = lp._advanced(left, on, (1, [0] * left), 0)
-            if not feasible:
-                found = [(k, y) for k, y in enumerate(found) if y]
-        if not feasible:
-            used = [keys[k] for k, _ in found]
-            m = len(used)
-            weights = flat.weights([self.rows[key][1] for key in used], [y for _, y in found])
-            for k, w in zip(flat.kept, weights[m:]):
-                if w:
-                    used.append(facets[k] if w > 0 else self.negations[facets[k]])
-            weights = weights[:m] + [abs(w) for w in weights[m:] if w]
-            rows = [self.rows[key] for key in used]
-            # Multipliers on the integer rows, each den times its constraint.
-            certificate = tuple(y * d for y, (d, _) in zip(weights, rows))
-            self.cores.add(tuple(used), lp._checked_support(rows, certificate))
-            return None
-        if left == 1:
-            lo, hi = found
-            width = 1
-            if lo is not None and hi is not None:
-                (cl, dl), (ch, dh) = on[lo], on[hi]
-                width = dl * ch - dh * cl
-            end = hi if hi is not None else lo
-            found = (1, [0]) if end is None else (on[end][0], on[end][1:])
-        if not lp._satisfies(flat.point(found), [self.rows[key] for key in keys]):
-            raise RuntimeError("a point lifted from a flat leaves its pair's overlap")
-        if left == 0 or left == 1 and width:
-            return on_flat[0][0]
-        if left == 1:
-            c, d = on[end]
-            return next((r for r, (a, b) in on_flat if a * d != b * c), None)
-        cone = [[0] * left + [-1, 0]] + [row[:-1] + [-row[-1], 0] for row in on]
-        origin = (1, [0] * (left + 1))
-        for r, (*d, t) in on_flat:
-            for sign in (1, -1):
-                system = cone + [[-sign * a for a in d] + [sign * t, -1]]
-                feasible, found = lp._advanced(left + 1, system, origin, len(cone))
-                if feasible:
-                    return r
-                lp._checked_support([(1, row) for row in system], tuple(found))
+        feasible, found = lp._on_flat(flat, left, map(self.ints.__getitem__, keys), on)
+        if feasible:
+            return lp._flat_off(list(map(self.rows.__getitem__, keys)), found, on, on_flat)
+        for k, w in zip(flat.kept, found[len(keys) :]):
+            keys.append(facets[k] if w > 0 else self.negations[facets[k]])
+        used = list(itertools.compress(keys, found))
+        weights = list(map(abs, filter(None, found)))
+        self.cores.add(tuple(used), lp._certified([self.rows[key] for key in used], weights)[1])
         return None
 
 
@@ -433,8 +391,8 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     pinned when it is zero there, or only its d when the facets
     contradict each other, and a pair whose every row is pinned needs no
     LP either. When the facets are consistent and leave at most three
-    coordinates, the rows written on the flat decide the pair with no
-    simplex (_PairScan.flat_off), and one found off target is searched
+    coordinates (lp._Flat.decides), the rows written on the flat decide
+    the pair with no simplex (_PairScan.flat_off), and one found off target is searched
     again on the cold simplex of intersect(pi, pj), for its witness,
     which must agree on the row. Any other pair is decided by that cold
     simplex alone: lp._first_off gives its verdict and witness, and an
@@ -456,7 +414,7 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
     on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row[:cut])]
     if not on_flat:
         return None
-    decided = flat.consistent and fn.in_dim - len(flat.kept) <= lp._MAX_LOW_DIM
+    decided = flat.decides(fn.in_dim)
     if decided:
         off = scan.flat_off(overlap, facets, on_flat)
         if off is None:
@@ -499,23 +457,25 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
     A row is in the span when it is zero on their flat (lp._Flat).
 
     Where the overlap's facet equalities are consistent and leave k <= 3
-    coordinates (normals of rank n - k on R^n), the pair needs no
-    simplex. The overlap's rows, written on the flat, are bounded on a
-    line by lp._interval and walked elsewhere by lp._advanced, whose
-    worst case grows like m^k (lp._MAX_LOW_DIM). An empty verdict gives
-    a Farkas certificate on at most k + 1 rows, and the flat lifts it to
-    the facets' multipliers, each on the facet's constraint or on its
-    exact negation by sign; lp checks it, and its support, at most n + 1
-    constraints, is filed as a core. Otherwise a point of the overlap,
-    lifted from the flat, is checked against all of its rows. Each row
+    coordinates (normals of rank n - k on R^n; lp._Flat.decides), the
+    pair needs no simplex. lp decides the overlap's rows, written on the
+    flat, by the flat step of its hyperplane walk (lp._on_flat), at once
+    on a line and by the walk elsewhere, whose worst case grows like
+    m^k. An empty verdict gives a Farkas certificate on at most k + 1
+    rows, and the flat lifts it to the facets' multipliers, each on the
+    facet's constraint or on its exact negation by sign; lp checks it
+    (lp._certified), and its support, at most n + 1 constraints, is
+    filed as a core. Otherwise lp._flat_off checks a point of the
+    overlap, lifted from the flat, against all of its rows. Each row
     difference is written on the flat as a positive multiple of itself.
-    On a point every row left is off target, and on a segment of
-    positive length the first is, since an affine row constant on a
-    segment of the line is constant on the line, where only a row in the
-    facets' span is; a zero-width segment decides each row at its
-    point. On a 2- or 3-flat a row is off target when the walk finds a
-    point past it one coordinate up (_PairScan.flat_off), and on target
-    when both walks end with multipliers that lp checks.
+    On a point every row left is off target. On a line a row is on
+    target exactly when it holds at both ends of the overlap's segment,
+    so on a ray or a segment of positive length the first is off, since
+    an affine row constant on a segment of the line is constant on the
+    line, where only a row in the facets' span is; a zero-width segment
+    decides each row at its point. On a 2- or 3-flat a row is off
+    target when the walk finds a point past it one coordinate up, and on
+    target when both walks end with multipliers that lp checks.
 
     Any other pair, with contradicting facets or more than three
     coordinates left, builds one cold simplex on its own intersection;

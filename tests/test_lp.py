@@ -889,3 +889,171 @@ class TestFlat:
         assert (flat.kept, flat.consistent) == ([0, 2], False)
         assert flat.point((1, [])) == (1, [1, 0])
         assert lp._Flat([[1, 1, 1], [2, 2, 2]]).consistent
+
+
+@st.composite
+def _flat_problems(draw):
+    """Planes c.x = b on R^1 to R^4 whose flat lp._Flat.decides, leaving
+    k = 0 to 3 coordinates; rows c.x <= b; and rows (d, t) that ask
+    whether d.x = t: all n + 1 small ints.
+
+    k is drawn first and n - k planes after it, so dependent planes, a
+    multiple of an earlier one among them, leave more. Rows are drawn as
+    _low_dim_chains draws them: fresh, zero, repeated, as an exact
+    negation (so two of them pin a hyperplane, and two such pairs a
+    segment or a point), as a parallel row offset by g in -2..2 (a strip
+    for g > 0, nothing for g < 0) or scaled by 2 or 3; a row may also be
+    a side of a plane, offset the same way. A row (d, t) is fresh or a
+    multiple of a row plus a multiple of a plane, which holds where that
+    row is tight, as at one end of a segment. In two problems of three
+    every one is a multiple of one row, whose exact negation is added to the
+    rows and pins it: then each is on target wherever the rows have a
+    point.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(n, 3)))
+    small = st.integers(-2, 2)
+    fresh = st.lists(small, min_size=n + 1, max_size=n + 1)
+    planes = []
+    for _ in range(n - k):
+        if planes and draw(st.integers(0, 4)) == 0:
+            planes.append([2 * a for a in draw(st.sampled_from(planes))])
+        else:
+            planes.append(draw(fresh))
+    assume(lp._Flat(planes).decides(n))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 6)) if rows else draw(st.sampled_from((0, 1, 6)))
+        if kind == 0:
+            rows.append(draw(fresh))
+        elif kind == 1:
+            rows.append([0] * n + [draw(small)])
+        elif kind == 6:
+            if not planes:
+                continue
+            side = draw(st.sampled_from((1, -1)))
+            rows.append([side * a for a in draw(st.sampled_from(planes))])
+            rows[-1][-1] += draw(st.integers(0, 2))
+        else:
+            r = draw(st.sampled_from(rows))
+            if kind == 2:
+                rows.append(r)
+            elif kind == 3:
+                rows.append([-a for a in r])
+            elif kind == 4:
+                rows.append([-a for a in r[:-1]] + [-r[-1] + draw(st.integers(-2, 2))])
+            else:
+                scale = draw(st.integers(2, 3))
+                rows.append([scale * a for a in r])
+    diffs = []
+    pinned = rows and draw(st.integers(0, 2)) > 0
+    if pinned:
+        r = draw(st.sampled_from(rows))
+        rows.append([-a for a in r])
+    for _ in range(draw(st.integers(1, 3))):
+        if pinned or rows and draw(st.booleans()):
+            scale = draw(st.integers(1, 2))
+            d = [scale * a for a in (r if pinned else draw(st.sampled_from(rows)))]
+            if planes:
+                lam = draw(small)
+                d = [a + lam * e for a, e in zip(d, draw(st.sampled_from(planes)))]
+            diffs.append(d)
+        else:
+            diffs.append(draw(fresh))
+    return n, planes, rows, diffs
+
+
+def _cold_flat(n, planes, rows):
+    """The cold lp._Simplex of rows and both sides of each plane, and its
+    polyhedron."""
+    sides = [side for plane in planes for side in (plane, [-a for a in plane])]
+    poly = Polyhedron(n, tuple(LinearConstraint(ColVec(r[:-1]), r[-1]) for r in rows + sides))
+    return lp._Simplex(poly), poly
+
+
+class TestFlatStep:
+    """lp._on_flat decides rows on a flat as a cold simplex decides them
+    with both sides of each plane added, with a point on the flat or
+    multipliers whose lifted certificate refutes the simplex's rows; on
+    a non-empty flat lp._flat_off finds the row that lp._first_off finds
+    first off target on that simplex."""
+
+    @staticmethod
+    def stepped(n, planes, rows):
+        flat = lp._Flat(planes)
+        return flat, lp._on_flat(flat, n - len(flat.kept), rows, flat.restricted(rows))
+
+    def test_drawn_verdicts_and_certificates_match_a_cold_simplex(self):
+        seen = []
+
+        @settings(derandomize=True, database=None, max_examples=500, deadline=timedelta(seconds=5))
+        @given(_flat_problems())
+        def drawn(problem):
+            n, planes, rows, _ = problem
+            flat, (feasible, found) = self.stepped(n, planes, rows)
+            cold, poly = _cold_flat(n, planes, rows)
+            assert feasible == cold.feasible
+            seen.append((n - len(flat.kept), feasible))
+            if feasible:
+                assert found[0] > 0 and lp._satisfies(found, cold.rows)
+                return
+            # Each plane's weight goes to the side of its sign.
+            m = len(rows)
+            y = list(found[:m]) + [0] * (2 * len(planes))
+            for j, w in zip(flat.kept, found[m:]):
+                y[m + 2 * j + (w < 0)] = abs(w)
+            assert farkas_refutes(poly, y)
+            assert sum(map(bool, y)) <= n + 1
+            certificate, support = lp._certified(cold.rows, y)
+            assert support == [i for i, a in enumerate(certificate) if a]
+
+        drawn()
+        for k in range(4):
+            assert seen.count((k, True)) >= 10 and seen.count((k, False)) >= 10
+
+    def test_drawn_first_rows_off_match_first_off(self):
+        seen = []
+
+        @settings(derandomize=True, database=None, max_examples=500, deadline=timedelta(seconds=5))
+        @given(_flat_problems())
+        def drawn(problem):
+            n, planes, rows, diffs = problem
+            flat, (feasible, found) = self.stepped(n, planes, rows)
+            assume(feasible)
+            on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row)]
+            assume(on_flat)
+            off = lp._flat_off([(1, r) for r in rows], found, flat.restricted(rows), on_flat)
+            cold, _ = _cold_flat(n, planes, rows)
+            first = lp._first_off(cold, [(r, (1, diffs[r])) for r, _ in on_flat])
+            assert off == (None if first is None else first[0])
+            seen.append((n - len(flat.kept), off is None))
+
+        drawn()
+        for k in range(4):
+            assert seen.count((k, False)) >= 10
+        for k in range(1, 4):
+            assert seen.count((k, True)) >= 10
+
+    def test_on_a_line_a_row_is_on_target_only_if_it_holds_at_both_ends(self):
+        # On R^1, -t <= 0 and t <= 1 leave the segment [0, 1]: t = 0 holds
+        # at one end only, so it is off target. With t <= 0 too, the
+        # segment is the point 0, where t = 0 holds and 2 t = 1 does not.
+        rows = [[-1, 0], [1, 1]]
+        diffs = [(0, [1, 0]), (1, [2, 1])]
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs) == 0
+        rows.append([1, 0])
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs) == 1
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs[:1]) is None
+
+    def test_a_lifted_point_outside_the_rows_raises(self):
+        # x <= 1 on the line R^1 holds at 0, not at 2.
+        with pytest.raises(RuntimeError, match="leaves"):
+            lp._flat_off([(1, [1, 1])], (1, [2]), [[1, 1]], [(0, [1, 0])])
+
+    def test_a_certificate_weighs_each_constraint_by_its_den(self):
+        # x <= 1/2 as (2, [2, 1]) and -x <= -1: the integer rows weighed
+        # by 1 and 2 read 0 <= -1, so the constraints take 2 and 2.
+        rows = [(2, [2, 1]), (1, [-1, -1])]
+        assert lp._certified(rows, [1, 2]) == ((2, 2), [0, 1])
+        with pytest.raises(RuntimeError, match="do not refute"):
+            lp._certified(rows, [1, 1])

@@ -935,7 +935,7 @@ class TestEmptyCores:
         assert len(corrupted) == 1
         corrupted.clear()
 
-        # The scan files the core of the overlap that its hull, the line
+        # The scan files the core of the overlap that its flat, the line
         # R^1, proves empty.
         made = []
 
@@ -1309,8 +1309,8 @@ class TestIntegerMapEquality:
 
 
 @st.composite
-def _warm_pair_fns(draw):
-    """Functions on R^1 or R^2 onto R^1 or R^2 for the warm pair scan.
+def _flat_scan_fns(draw):
+    """Functions on R^1 or R^2 onto R^1 or R^2 for the pair scan on flats.
 
     Two disjoint pieces with different maps, x_0 <= -1 and -x_0 <= 0,
     are among the first, so their pair files an empty core early. An
@@ -1356,7 +1356,7 @@ def _warm_pair_fns(draw):
     return fn
 
 
-class TestWarmPairs:
+class TestFlatScan:
     """check_univalence decides a pair on the flat its facets leave, with
     no simplex, and runs a from-scratch simplex on the pair's own
     intersection only for the witness of the pair that disagrees, or for
@@ -1379,7 +1379,7 @@ class TestWarmPairs:
         return found
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
-    @given(_warm_pair_fns())
+    @given(_flat_scan_fns())
     def test_drawn_function_matches_the_plain_loop(self, fn):
         self.check(fn)
 
@@ -1452,13 +1452,14 @@ class TestWarmPairs:
         assert steps == [("core", (1, 2))]
         assert self.check(_moved(fn, 1)) == Univalent()
 
-    def test_on_the_line_the_hull_files_the_core(self, monkeypatch):
-        # On R^1 the hull is the whole line: x <= 0 (key 2) bounds it from
-        # above and x >= 1 (key 1) from below, past it. No tableau.
+    def test_on_the_line_the_flat_files_the_core(self, monkeypatch):
+        # On R^1 the flat is the whole line: x <= 0 (key 2) bounds it from
+        # above and x >= 1 (key 1) from below, past it. No tableau. The
+        # core's keys come in the overlap's key order.
         fn = self.lacking(1)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
-        assert steps == [("core", (2, 1))]
+        assert steps == [("core", (1, 2))]
         assert self.check(_moved(fn, 1)) == Univalent()
 
     @classmethod
@@ -1480,7 +1481,7 @@ class TestWarmPairs:
         moved = _moved(fn, 2)
         assert self.check(moved) == UnivalenceViolation(1, 2, 0, ColVec([0, 0]))
 
-    def test_on_the_line_an_empty_piece_files_a_hull_core(self, monkeypatch):
+    def test_on_the_line_an_empty_piece_files_a_flat_core(self, monkeypatch):
         fn = self.after_an_empty_piece(1)
         verdict, steps = self.pair_steps(monkeypatch, fn)
         assert verdict == Univalent()
@@ -1520,7 +1521,7 @@ class TestWarmPairs:
 
     @pytest.mark.parametrize("cold", ["empty", "on target"])
     def test_a_cold_search_that_disagrees_raises(self, monkeypatch, cold):
-        # On R^1 every pair is decided on its hull, so lp._first_off runs
+        # On R^1 every pair is decided on its flat, so lp._first_off runs
         # only for the witness, on the pair's from-scratch tableau. The
         # corrupted search finds the overlap empty, or every row on target.
         fn = self.violation_after_a_core()
@@ -1536,7 +1537,7 @@ class TestWarmPairs:
 
 
 @st.composite
-def _hull_fns(draw):
+def _facet_flat_fns(draw):
     """Functions on R^0 to R^3 whose overlaps' facet equalities often
     leave a point or a line.
 
@@ -1606,7 +1607,7 @@ def _constraint(den, ints):
     )
 
 
-class TestFacetHulls:
+class TestFacetFlats:
     """check_univalence decides a pair with no simplex when the facet
     equalities of its overlap leave a point or a line.
 
@@ -1686,7 +1687,7 @@ class TestFacetHulls:
         decided = []
 
         @settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=5))
-        @given(_hull_fns())
+        @given(_facet_flat_fns())
         def drawn(fn):
             decided.extend(self.check(fn))
 
@@ -1739,7 +1740,7 @@ class TestFacetHulls:
         monkeypatch.setattr(pwa, "_EmptyCores", Recorded)
         return made
 
-    def test_a_corrupted_hull_certificate_raises_and_files_nothing(self, monkeypatch):
+    def test_a_corrupted_flat_certificate_raises_and_files_nothing(self, monkeypatch):
         made = self.recorded_cores(monkeypatch)
         corrupted = corrupt_phase_1(monkeypatch, "multiplier")
         with pytest.raises(RuntimeError, match="do not refute"):
@@ -1747,19 +1748,19 @@ class TestFacetHulls:
         assert corrupted == [(1, 1, 1)]
         assert [cores.filed for cores in made] == [{}]
 
-    def test_a_hull_point_outside_its_overlap_raises_and_files_nothing(self, monkeypatch):
+    def test_a_flat_point_outside_its_overlap_raises_and_files_nothing(self, monkeypatch):
         # Two pieces on -1 <= x <= 1 with maps x and 2x: the overlap is a
-        # segment of the line R^1. With every point _Flat.point lifts
-        # moved by 1, the segment's end x = 1 comes back as 2, outside
-        # the overlap.
-        fn = TestWarmPairs.on_axis(1, [(((1, 1), (-1, 1)), 1), (((1, 1), (-1, 1)), 2)])
+        # segment of the line R^1, and its point is 0, which lies between
+        # the bounds. With every point _Flat.point lifts moved by 2, it
+        # comes back as 2, outside the overlap.
+        fn = TestFlatScan.on_axis(1, [(((1, 1), (-1, 1)), 1), (((1, 1), (-1, 1)), 2)])
         assert self.scanned(fn)[:2] == (UnivalenceViolation(0, 1, 0, ColVec([-1])), ["off"])
         made = self.recorded_cores(monkeypatch)
         lifted = lp._Flat.point
 
         def moved(self, point):
             den, ints = lifted(self, point)
-            return den, [a + den for a in ints]
+            return den, [a + 2 * den for a in ints]
 
         monkeypatch.setattr(lp._Flat, "point", moved)
         with pytest.raises(RuntimeError, match="leaves its pair's overlap"):
@@ -1809,7 +1810,7 @@ class TestFacetHulls:
     @pytest.mark.parametrize(
         "fn, decided, verdict",
         [
-            # On R^0 the hull is the one point, where offsets 0 and 1 differ.
+            # On R^0 the flat is the one point, where offsets 0 and 1 differ.
             (PwaFn(0, 1, (
                 AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([0])),
                 AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([1])),
@@ -1875,11 +1876,10 @@ class TestFacetHulls:
         assert self.scanned(fn)[:2] == (verdict, decided)
         assert self.check(fn) == decided
 
-    def test_a_3_input_compile_is_decided_on_its_flats(self):
-        # The 3-input network of the CI console step: on R^3 every flat
-        # leaves at most three coordinates, so no pair needs the simplex;
-        # some overlaps keep a plane, or all of R^3, and are walked there.
-        fn = transform(parse_network(json.dumps({
+    @staticmethod
+    def three_input_compile():
+        """The pruned compile of the CI console step's 3-input network."""
+        return transform(parse_network(json.dumps({
             "input_dim": 3, "output_dim": 2, "layers": [
                 {"kind": "linear", "weights": [["0", "-1", "1"], ["-2", "-2", "2"], ["-2", "0", "2"]],
                  "bias": ["-1", "1", "-1"]},
@@ -1889,6 +1889,12 @@ class TestFacetHulls:
                 {"kind": "output"},
             ],
         })), prune=True)
+
+    def test_a_3_input_compile_is_decided_on_its_flats(self):
+        # The 3-input network of the CI console step: on R^3 every flat
+        # leaves at most three coordinates, so no pair needs the simplex;
+        # some overlaps keep a plane, or all of R^3, and are walked there.
+        fn = self.three_input_compile()
         assert len(fn.pieces) == 22
         decided = self.check(fn)
         assert {kind: decided.count(kind) for kind in set(decided)} == {"agree": 64, "empty": 9}
@@ -1898,12 +1904,32 @@ class TestFacetHulls:
             6, 7, 0, ColVec([0, Fraction(3, 2), 1])
         )
 
+    def test_a_3_input_check_builds_no_simplex(self, monkeypatch):
+        # No tableau is built, cold or empty, from the first pair to the
+        # verdict.
+        fn = self.three_input_compile()
+        built = []
+        build, empty = lp._Simplex.__init__, lp._Simplex.empty.__func__
+
+        def cold(self, poly):
+            built.append(poly)
+            build(self, poly)
+
+        def made(cls, n):
+            built.append(n)
+            return empty(cls, n)
+
+        monkeypatch.setattr(lp._Simplex, "__init__", cold)
+        monkeypatch.setattr(lp._Simplex, "empty", classmethod(made))
+        assert check_univalence(fn) == Univalent()
+        assert built == []
+
 
 @st.composite
 def _flat_fns(draw):
     """Functions on R^2 to R^5 whose overlaps leave flats of every size.
 
-    Up to three planes c.x = b are drawn, as in _hull_fns: new ones,
+    Up to three planes c.x = b are drawn, as in _facet_flat_fns: new ones,
     earlier ones scaled, and earlier normals with the bound moved by 1,
     which contradict them where both are facets. Each piece takes a side
     of each plane, or neither, so on R^4 and R^5 many overlaps keep four
@@ -1989,7 +2015,7 @@ class TestFlatPairs:
     def check(fn):
         """check_univalence on fn against the plain loop, with the checks
         of every core filed: the verdict, each decision as
-        TestFacetHulls.scanned gives it, and the coordinates each flat
+        TestFacetFlats.scanned gives it, and the coordinates each flat
         left."""
         cores, last, left, inside = [], [], [], []
         checked_support, add = lp._checked_support, pwa._EmptyCores.add
@@ -2016,7 +2042,7 @@ class TestFlatPairs:
             patch.setattr(lp, "_checked_support", checked)
             patch.setattr(pwa._EmptyCores, "add", filed)
             patch.setattr(pwa._PairScan, "flat_off", on_flat)
-            verdict, decided, on_flats = TestFacetHulls.scanned(fn)
+            verdict, decided, on_flats = TestFacetFlats.scanned(fn)
         assert verdict == plain_check_univalence(PwaFn(fn.in_dim, fn.out_dim, fn.pieces))
         assert all(sum(map(bool, certificate)) <= fn.in_dim + 1 for *_, certificate in on_flats)
         for on_a_flat, rows, certificate in cores:
@@ -2092,9 +2118,9 @@ class TestFlatPairs:
     def test_a_corrupted_walk_multiplier_raises_and_files_nothing(self, monkeypatch):
         # The row's on-target sides end with multipliers, and so does the
         # walk over an empty overlap on R^2; each is checked before use.
-        for fn in (self.wedge(3), TestWarmPairs.lacking(2)):
+        for fn in (self.wedge(3), TestFlatScan.lacking(2)):
             with pytest.MonkeyPatch.context() as patch:
-                made = TestFacetHulls.recorded_cores(patch)
+                made = TestFacetFlats.recorded_cores(patch)
                 corrupted = corrupt_walk_multiplier(patch)
                 with pytest.raises(RuntimeError, match="do not refute"):
                     check_univalence(fn)
@@ -2102,7 +2128,7 @@ class TestFlatPairs:
                 assert [cores.filed for cores in made] == [{}]
 
     def test_a_corrupted_flat_point_raises_and_files_nothing(self, monkeypatch):
-        made = TestFacetHulls.recorded_cores(monkeypatch)
+        made = TestFacetFlats.recorded_cores(monkeypatch)
         lifted = lp._Flat.point
 
         def moved(self, point):
