@@ -416,7 +416,8 @@ class _LowDim:
         """A new decider: this feasible one with rows appended. Each row is
         (den, ints) as polyhedra._row gives it."""
         other = object.__new__(_LowDim)
-        other.n, other.rows = self.n, self.rows + tuple(rows)
+        other.n = self.n
+        other.rows = self.rows + tuple(rows)
         ints_rows = [ints for _, ints in other.rows]
         other.feasible, found = _advanced(self.n, ints_rows, self.witness, len(self.rows))
         if not other.feasible:
@@ -612,14 +613,12 @@ def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
     with _advanced, one hyperplane solve per violated row."""
     feasible, found = _interval(rows)
     if not feasible:
-        y = [0] * len(rows)
-        for i, z in found:
-            y[i] = z
-        return False, y
+        return False, found
     for i in found:
         if i is not None and rows[i][1] < 0:
             # t = d / c; _on_flat's lift makes the den positive.
-            return True, (rows[i][0], rows[i][1:])
+            c, d = rows[i]
+            return True, (c, [d])
     return True, (1, [0])
 
 
@@ -628,9 +627,9 @@ def _interval(rows: Sequence[Sequence[int]]) -> tuple[bool, object]:
 
     (True, (lo, hi)): the indices of the greatest lower and the least
     upper bound, each None where no row bounds that side; a tie goes to
-    the first row. (False, [(i, z), ...]): ints z > 0 that weigh rows to
-    0 <= negative, a constant row that fails or else the upper and the
-    lower bound that cross.
+    the first row. (False, multipliers): one int per row that weigh the
+    rows to 0 <= negative, positive on a constant row that fails or else
+    on the upper and the lower bound that cross.
     """
     lo = hi = None
     for i, (c, d) in enumerate(rows):
@@ -641,9 +640,9 @@ def _interval(rows: Sequence[Sequence[int]]) -> tuple[bool, object]:
             if lo is None or d * cl > dl * c:
                 lo, cl, dl = i, c, d
         elif d < 0:
-            return False, [(i, 1)]
+            return False, [0] * i + [1] + [0] * (len(rows) - i - 1)
     if lo is not None and hi is not None and cu * dl < cl * du:
-        return False, [(hi, -cl), (lo, cu)]
+        return False, [-cl if i == hi else cu if i == lo else 0 for i in range(len(rows))]
     return True, (lo, hi)
 
 
