@@ -818,8 +818,8 @@ def _flat_off(
         raise RuntimeError("a point lifted from a flat leaves its pair's overlap")
     k = len(diffs[0][1]) - 1
     if k == 1 and None not in (ends := _interval(written)[1]):
-        ends = [written[i] for i in ends]
-        return next((r for r, (a, b) in diffs if any(a * d != b * c for c, d in ends)), None)
+        (cl, dl), (ch, dh) = written[ends[0]], written[ends[1]]
+        return next((r for r, (a, b) in diffs if a * dl != b * cl or a * dh != b * ch), None)
     if k < 2:
         return diffs[0][0]
     cone = [[0] * k + [-1, 0]] + [row[:-1] + [-row[-1], 0] for row in written]

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from . import lp
@@ -288,12 +288,11 @@ class _EmptyCores:
 class _PairScan:
     """What check_univalence keeps from pair to pair: one table per check.
 
-    keys and the integer rows come from _value_keys, ints holds each
-    row's ints alone, and negations, built once from its numbering, hold
-    each key's exact negation, or -1; cores are the scan's _EmptyCores.
-    Nothing else passes from pair to pair but the flats and the rows
-    written on them: beyond a core that skips it, a pair is decided the
-    same whatever pairs came before.
+    keys and the integer rows come from _value_keys, and negations, built
+    once from its numbering, hold each key's exact negation, or -1;
+    cores are the scan's _EmptyCores. Nothing else passes from pair to
+    pair but the flats and the rows written on them: beyond a core that
+    skips it, a pair is decided the same whatever pairs came before.
 
     The scan also finds the facet equalities of overlaps, the map rows
     they pin, and the flat they leave. A constraint c.x <= b of
@@ -318,7 +317,6 @@ class _PairScan:
         self.fn = fn
         self.in_dim = fn.in_dim
         self.keys, self.rows, number = _value_keys(fn)
-        self.ints = [ints for _, ints in self.rows]
         self.negations = [number.get((den, *(-a for a in ints)), -1) for den, ints in self.rows]
         self.cores = _EmptyCores()
         self.flats: dict[tuple[int, ...], tuple[lp._Flat, dict[int, list[int]]]] = {}
@@ -334,7 +332,7 @@ class _PairScan:
         facets, and the constraints flat_off has written on it, by key."""
         entry = self.flats.get(facets)
         if entry is None:
-            entry = self.flats[facets] = (lp._Flat([self.ints[key] for key in facets]), {})
+            entry = self.flats[facets] = (lp._Flat([self.rows[key][1] for key in facets]), {})
         return entry
 
     def diffs(self, i: int, j: int) -> tuple[int, list[list[int]]]:
@@ -367,11 +365,13 @@ class _PairScan:
         flat, written = self.flat(facets)
         new = list(overlap.difference(written))
         if new:
-            written.update(zip(new, flat.restricted([self.ints[key] for key in new])))
+            written.update(zip(new, flat.restricted([self.rows[key][1] for key in new])))
         keys = list(overlap)
         on = list(map(written.__getitem__, keys))
         left = self.in_dim - len(flat.kept)
-        feasible, found = lp._on_flat(flat, left, map(self.ints.__getitem__, keys), on)
+        # Each constraint's ints, read only when the overlap is empty.
+        ints = map(itemgetter(1), map(self.rows.__getitem__, keys))
+        feasible, found = lp._on_flat(flat, left, ints, on)
         if feasible:
             return lp._flat_off(list(map(self.rows.__getitem__, keys)), found, on, on_flat)
         for k, w in zip(flat.kept, found[len(keys) :]):
