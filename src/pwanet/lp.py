@@ -97,7 +97,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numeric import (
@@ -741,7 +741,7 @@ def _certified(
     (den, ints) to 0 <= negative, and its support once _checked_support
     has checked it: each constraint, its ints over its den, gets y_i
     times den."""
-    certificate = tuple(a * den for a, (den, _) in zip(y, rows))
+    certificate = tuple(map(mul, y, map(itemgetter(0), rows)))
     return certificate, _checked_support(rows, certificate)
 
 
