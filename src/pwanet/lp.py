@@ -95,7 +95,7 @@ row off target, on a line at the ends of the interval and on a 2- or
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -507,11 +507,7 @@ def _on_flat(
     here, and pwa's pair scan the flat of an overlap's facet equalities.
     """
     feasible, found = _on_line(written) if k == 1 else _advanced(k, written, (1, [0] * k), 0)
-    if feasible:
-        return True, flat.point(found)
-    # Only the rows of nonzero weight are lifted, then put back in place.
-    lifted = iter(flat.weights(list(compress(rows, found)), list(filter(None, found))))
-    return False, [next(lifted) if y else 0 for y in found] + list(lifted)
+    return (True, flat.point(found)) if feasible else (False, flat.weights(list(rows), found))
 
 
 class _Flat:
@@ -592,11 +588,16 @@ class _Flat:
         positive factor, and planes, of either sign; with no plane kept,
         y itself. Back through plane j, the weights w of rows and later
         planes, written on the flat before j, become p w, and plane j's is
-        -s sum w r_k, which cancels entry k: the sum is q times the old."""
+        -s sum w r_k, which cancels entry k: the sum is q times the old.
+        Only the rows and planes of nonzero weight are written on the flat
+        before j."""
         w, at = y, rows
         for j in range(len(self.levels) - 1, -1, -1):
             k, s, p, _, _ = self.levels[j]
-            mu = -s * sum(a * r[k] for a, r in zip(w, self.restricted(at, j) if j else at) if a)
+            live = [(a, r) for a, r in zip(w, at) if a]
+            if j:
+                live = zip([a for a, _ in live], self.restricted([r for _, r in live], j))
+            mu = -s * sum(a * r[k] for a, r in live)
             w = [p * a for a in w]
             w.insert(len(rows), mu)
             if j:
