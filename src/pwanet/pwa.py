@@ -374,6 +374,8 @@ class _PairScan:
         feasible, found = lp._on_flat(flat, left, ints, on)
         if feasible:
             return lp._flat_off(list(map(self.rows.__getitem__, keys)), found, on, on_flat)
+        # Each kept facet's weight stands for its constraint or, when
+        # negative, its exact negation; keys then follow found.
         for k, w in zip(flat.kept, found[len(keys) :]):
             keys.append(facets[k] if w > 0 else self.negations[facets[k]])
         used = list(itertools.compress(keys, found))

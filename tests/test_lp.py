@@ -903,12 +903,12 @@ def _flat_problems(draw):
     negation (so two of them pin a hyperplane, and two such pairs a
     segment or a point), as a parallel row offset by g in -2..2 (a strip
     for g > 0, nothing for g < 0) or scaled by 2 or 3; a row may also be
-    a side of a plane, offset the same way. A row (d, t) is fresh or a
-    multiple of a row plus a multiple of a plane, which holds where that
-    row is tight, as at one end of a segment. In two problems of three
-    every one is a multiple of one row, whose exact negation is added to the
-    rows and pins it: then each is on target wherever the rows have a
-    point.
+    a side of a plane, its bound raised by 0 to 2. A row (d, t) is fresh
+    or a multiple of a row plus a multiple of a plane, which holds where
+    that row is tight, as at one end of a segment. In two problems of
+    three every one is a multiple of one row, whose exact negation is
+    added to the rows and pins it: then each is on target wherever the
+    rows have a point.
     """
     n = draw(st.integers(1, 4))
     k = draw(st.integers(0, min(n, 3)))
