@@ -84,12 +84,13 @@ the simplex's empty tableau instead. pwa's trie walk and network's
 pruned fold start from _root; every LP with an objective keeps the
 simplex.
 
-pwa's pair scan decides on the flat of an overlap's facet equalities
-here too, whenever _Flat.decides admits it: _on_flat gives a lifted
-point or multipliers, which the scan maps to constraint keys and files
-through _certified, and _flat_off checks the point and finds the first
-row off target, on a line at the ends of the interval and on a 2- or
-3-flat by two walks one coordinate up.
+pwa's pair scan skips an overlap whose facet equalities are not
+consistent (_Flat.consistent), and decides on the flat of consistent
+ones here too, whenever _Flat.decides admits it: _on_flat gives a
+lifted point or multipliers, which the scan maps to constraint keys
+and files through _certified, and _flat_off checks the point and finds
+the first row off target, on a line at the ends of the interval and on
+a 2- or 3-flat by two walks one coordinate up.
 """
 
 from __future__ import annotations
@@ -496,8 +497,10 @@ def _on_hyperplane(n: int, rows: list[list[int]], h: list[int]) -> tuple[bool, o
 def _on_flat(
     flat: _Flat, k: int, rows: Iterable[list[int]], written: list[list[int]]
 ) -> tuple[bool, object]:
-    """rows as in _advanced, decided on the flat, consistent and leaving
-    k <= _MAX_LOW_DIM coordinates, where written holds them: (True, a
+    """rows as in _advanced, decided on the flat, leaving k <=
+    _MAX_LOW_DIM coordinates, where written holds them; the flat must be
+    consistent, as its callers make sure: a hyperplane that keeps its
+    plane, or facets that pwa's pair scan found consistent. (True, a
     point of the flat that satisfies rows, lifted as (den, ints)) or
     (False, multipliers for rows and then the planes kept, as
     _Flat.weights lifts them). rows are read only for the multipliers.
@@ -517,7 +520,9 @@ class _Flat:
 
     Each plane is written on the flat of those kept before it, as h. If
     its c is zero there it is left out, and `consistent` turns False if
-    its b is not; `kept` indexes the planes kept, which are independent.
+    its b is not: the planes then share no point, and pwa's pair scan,
+    the one reader of `consistent`, skips an overlap whose facets these
+    are. `kept` indexes the planes kept, which are independent.
     Else its first nonzero coordinate k, h_k of sign s and size p, is
     eliminated: a row r becomes (p r - s r_k h) / q less entry k, q the
     previous plane's p (1 for the first), which on the new flat is p / q
@@ -547,9 +552,10 @@ class _Flat:
             self.levels.append((k, 1 if a > 0 else -1, abs(a), q, h))
 
     def decides(self, n: int) -> bool:
-        """Does _on_flat decide rows on this flat of R^n: are the planes
-        consistent, and do they leave at most _MAX_LOW_DIM coordinates?"""
-        return self.consistent and n - len(self.kept) <= _MAX_LOW_DIM
+        """Does _on_flat decide rows on this flat of R^n: do the planes
+        leave at most _MAX_LOW_DIM coordinates? Its callers make sure
+        that the flat is consistent."""
+        return n - len(self.kept) <= _MAX_LOW_DIM
 
     def restricted(self, rows: list[list[int]], depth: Optional[int] = None) -> list[list[int]]:
         """Each row, n + 1 ints c then b, written on the flat, or on that

@@ -24,19 +24,21 @@ certifies every phase 1. An overlap found empty leaves a core, the
 constraints its checked Farkas certificate uses, and a later pair whose
 overlap holds a whole core is empty without an LP.
 A constraint whose exact negation is in the same overlap is a facet
-equality, c.x = b all over it, as where two ReLU regions meet; a map
-row whose difference lies in the rational span of those (c, b) needs
-no LP either: it is zero on their flat (lp._Flat). Each pair's row
+equality, c.x = b all over it, as where two ReLU regions meet. When
+those equalities share no point (lp._Flat.consistent), neither does
+the overlap, and the pair needs nothing more. Otherwise a map row
+whose difference lies in the rational span of their (c, b) needs no
+LP either: it is zero on their flat (lp._Flat). Each pair's row
 differences are built once and written on that flat. When the
-equalities are consistent and leave at most three coordinates
-(lp._Flat.decides), lp decides the pair there with no simplex, by the
-flat step of lp._LowDim's hyperplane walk (lp._on_flat): an empty
-overlap gives multipliers that the scan maps to constraint keys and
-files as a core once lp has checked them, and on a non-empty one
-lp._flat_off checks the lifted point against every row and finds the
-first row off target. Every other pair is decided, and
-every witness found, from scratch by one simplex on the pair's own
-intersection (lp._first_off on the pair's integer row differences).
+equalities leave at most three coordinates (lp._Flat.decides), lp
+decides the pair there with no simplex, by the flat step of
+lp._LowDim's hyperplane walk (lp._on_flat): an empty overlap gives
+multipliers that the scan maps to constraint keys and files as a core
+once lp has checked them, and on a non-empty one lp._flat_off checks
+the lifted point against every row and finds the first row off
+target. Every other pair is decided, and every witness found, from
+scratch by one simplex on the pair's own intersection (lp._first_off
+on the pair's integer row differences).
 Only a univalent function is independent of piece order.
 
 prune_empty and count_regions walk the pieces' shared constraint
@@ -302,15 +304,15 @@ class _PairScan:
     it separates, and their maps differ by multiples of it. A row (d, t)
     in the rational span of the (c, b) of those equalities gives d.x = t
     on the overlap, with no LP, whether the overlap is empty or not.
-    _check_pair builds a pair's row differences once (diffs) and writes
-    them on the facets' lp._Flat, the elimination lp._LowDim decides
-    hyperplanes with: a row is in the span when it is zero on the flat,
-    or only its d when the facets contradict each other, whose span
-    holds (0, 1) too. The rows left go to flat_off as written on the
-    flat, and to the cold simplex as integer rows. Every decision on a
-    flat is lp's; the scan keeps only what needs constraint keys: the
-    rows written on each flat by key, the constraint each facet's
-    weight stands for, and the cores.
+    _check_pair writes the facets on their lp._Flat, the elimination
+    lp._LowDim decides hyperplanes with, and skips a pair whose facets
+    contradict each other there: its overlap is empty. Otherwise it
+    builds the pair's row differences once (diffs) and writes them on
+    the flat, where a row is in the span when it is zero. The rows left
+    go to flat_off as written on the flat, and to the cold simplex as
+    integer rows. Every decision on a flat is lp's; the scan keeps only
+    what needs constraint keys: the rows written on each flat by key,
+    the constraint each facet's weight stands for, and the cores.
     """
 
     def __init__(self, fn: PwaFn):
@@ -387,18 +389,18 @@ class _PairScan:
 def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[UnivalenceViolation]:
     """Search for a disagreement between pieces i and j on their overlap.
 
-    An overlap that holds one of the scan's cores needs no LP. Otherwise
-    the pair's row differences are built once (_PairScan.diffs) and
-    written on the flat of the overlap's facet equalities: a row is
-    pinned when it is zero there, or only its d when the facets
-    contradict each other, and a pair whose every row is pinned needs no
-    LP either. When the facets are consistent and leave at most three
-    coordinates (lp._Flat.decides), the rows written on the flat decide
-    the pair with no simplex (_PairScan.flat_off), and one found off target is searched
-    again on the cold simplex of intersect(pi, pj), for its witness,
-    which must agree on the row. Any other pair is decided by that cold
-    simplex alone: lp._first_off gives its verdict and witness, and an
-    infeasible one files its core.
+    An overlap that holds one of the scan's cores needs no LP, and
+    neither does one whose facet equalities contradict each other on
+    their flat: it is empty. Otherwise the pair's row differences are
+    built once (_PairScan.diffs) and written on that flat: a row is
+    pinned when it is zero there, and a pair whose every row is pinned
+    needs no LP either. When the facets leave at most three coordinates
+    (lp._Flat.decides), the rows written on the flat decide the pair
+    with no simplex (_PairScan.flat_off), and one found off target is
+    searched again on the cold simplex of intersect(pi, pj), for its
+    witness, which must agree on the row. Any other pair is decided by
+    that cold simplex alone: lp._first_off gives its verdict and
+    witness, and an infeasible one files its core.
     """
     pi = fn.pieces[i]
     pj = fn.pieces[j]
@@ -410,10 +412,11 @@ def _check_pair(fn: PwaFn, i: int, j: int, scan: _PairScan) -> Optional[Univalen
         return None
     facets = scan.of(overlap)
     flat = scan.flat(facets)[0]
+    if not flat.consistent:
+        # Each facet holds with equality on the overlap, and they share no point.
+        return None
     den, diffs = scan.diffs(i, j)
-    # Contradicting facets span (0, 1) too, so only a row's d counts.
-    cut = None if flat.consistent else -1
-    on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row[:cut])]
+    on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row)]
     if not on_flat:
         return None
     decided = flat.decides(fn.in_dim)
@@ -452,38 +455,25 @@ def check_univalence(fn: PwaFn) -> UnivalenceVerdict:
 
     First, a pair collects its overlap's facet equalities:
     each constraint c.x <= b whose exact negation -c.x <= -b, by value,
-    is in the overlap too. A row whose difference and offset difference
-    lie in the exact rational span of their (c, b) holds on all of the
-    overlap, empty or not, and needs no LP; a pair whose every row is
-    pinned is skipped, and only the other rows go to the LPs, in order.
-    A row is in the span when it is zero on their flat (lp._Flat).
+    is in the overlap too. When they contradict each other
+    (lp._Flat.consistent) the overlap is empty, and the pair is skipped
+    before its row differences are built. Otherwise a row whose
+    difference and offset difference lie in the exact rational span of
+    their (c, b) holds on all of the overlap, empty or not, and needs no
+    LP; a pair whose every row is pinned is skipped, and only the other
+    rows go to the LPs, in order. A row is in the span when it is zero
+    on their flat (lp._Flat).
 
-    Where the overlap's facet equalities are consistent and leave k <= 3
-    coordinates (normals of rank n - k on R^n; lp._Flat.decides), the
-    pair needs no simplex. lp decides the overlap's rows, written on the
-    flat, by the flat step of its hyperplane walk (lp._on_flat), at once
-    on a line and by the walk elsewhere, whose worst case grows like
-    m^k. An empty verdict gives a Farkas certificate on at most k + 1
-    rows, and the flat lifts it to the facets' multipliers, each on the
-    facet's constraint or on its exact negation by sign; lp checks it
-    (lp._certified), and its support, at most n + 1 constraints, is
-    filed as a core. Otherwise lp._flat_off checks a point of the
-    overlap, lifted from the flat, against all of its rows. Each row
-    difference is written on the flat as a positive multiple of itself.
-    On a point every row left is off target. On a line a row is on
-    target exactly when it holds at both ends of the overlap's segment,
-    so on a ray or a segment of positive length the first is off, since
-    an affine row constant on a segment of the line is constant on the
-    line, where only a row in the facets' span is; a zero-width segment
-    decides each row at its point. On a 2- or 3-flat a row is off
-    target when the walk finds a point past it one coordinate up, and on
-    target when both walks end with multipliers that lp checks.
-
-    Any other pair, with contradicting facets or more than three
-    coordinates left, builds one cold simplex on its own intersection;
-    lp certifies its phase 1, and lp._first_off gives the verdict and
-    the witness. A pair that its flat finds off target takes its
-    witness from the same cold simplex, which must agree on the row.
+    Where the facets leave k <= 3 coordinates (normals of rank n - k on
+    R^n; lp._Flat.decides), the pair needs no simplex: lp decides its
+    rows on the flat by the flat step of its hyperplane walk
+    (lp._on_flat, then lp._flat_off), and an empty verdict's checked
+    certificate, at most n + 1 constraints, is filed as a core. Any
+    other pair, with four or more coordinates left, builds one cold
+    simplex on its own intersection; lp certifies its phase 1, and
+    lp._first_off gives the verdict and the witness. A pair that its
+    flat finds off target takes its witness from the same cold simplex,
+    which must agree on the row.
 
     Pinned rows never have an off-target point and skipped pairs are
     empty or agree, so the verdict, down to the witness, is that of the

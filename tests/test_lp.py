@@ -893,9 +893,10 @@ class TestFlat:
 
 @st.composite
 def _flat_problems(draw):
-    """Planes c.x = b on R^1 to R^4 whose flat lp._Flat.decides, leaving
-    k = 0 to 3 coordinates; rows c.x <= b; and rows (d, t) that ask
-    whether d.x = t: all n + 1 small ints.
+    """Planes c.x = b on R^1 to R^4 whose flat is consistent and leaves
+    k = 0 to 3 coordinates, as lp._on_flat takes them
+    (lp._Flat.decides); rows c.x <= b; and rows (d, t) that ask whether
+    d.x = t: all n + 1 small ints.
 
     k is drawn first and n - k planes after it, so dependent planes, a
     multiple of an earlier one among them, leave more. Rows are drawn as
@@ -920,7 +921,8 @@ def _flat_problems(draw):
             planes.append([2 * a for a in draw(st.sampled_from(planes))])
         else:
             planes.append(draw(fresh))
-    assume(lp._Flat(planes).decides(n))
+    flat = lp._Flat(planes)
+    assume(flat.consistent and flat.decides(n))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 6)) if rows else draw(st.sampled_from((0, 1, 6)))

@@ -1693,9 +1693,12 @@ class TestFacetFlats:
 
         drawn()
         # Over the drawn corpus, the flats find empty overlaps, points
-        # where the maps agree and overlaps where they do not, and the
-        # cold simplex still decides some pairs (contradicting facets).
-        assert all(decided.count(kind) for kind in ("empty", "agree", "off", "simplex"))
+        # where the maps agree and overlaps where they do not. On R^0 to
+        # R^3 every consistent flat leaves at most three coordinates and
+        # contradicting facets are skipped, so a simplex is built only
+        # for a witness, after its flat found the pair off target.
+        assert all(decided.count(kind) for kind in ("empty", "agree", "off"))
+        assert "simplex" not in decided
 
     @staticmethod
     def tilted_pieces():
@@ -1816,7 +1819,8 @@ class TestFacetFlats:
                 AffinePiece(full_space(0), Mat([[]], cols=0), ColVec([1])),
             )), ["off"], UnivalenceViolation(0, 1, 0, ColVec([]))),
             # y = 0 and y = 1 are parallel facets that contradict each
-            # other: no flat, and the cold simplex finds the overlap empty.
+            # other: the overlap is empty, and the pair is skipped with no
+            # flat decision and no simplex.
             (PwaFn(2, 1, (
                 AffinePiece(
                     Polyhedron(2, (_halfspace([0, 1], 0), _halfspace([0, 1], 1))),
@@ -1826,7 +1830,7 @@ class TestFacetFlats:
                     Polyhedron(2, (_halfspace([0, -1], 0), _halfspace([0, -1], -1))),
                     Mat([[2, 0]]), ColVec([0]),
                 ),
-            )), ["simplex"], Univalent()),
+            )), [], Univalent()),
             # y = 0 leaves the x axis, and x >= 0 a ray on it, where x and
             # 2x differ past 0.
             (PwaFn(2, 1, (
@@ -1904,10 +1908,10 @@ class TestFacetFlats:
             6, 7, 0, ColVec([0, Fraction(3, 2), 1])
         )
 
-    def test_a_3_input_check_builds_no_simplex(self, monkeypatch):
-        # No tableau is built, cold or empty, from the first pair to the
-        # verdict.
-        fn = self.three_input_compile()
+    @staticmethod
+    def built_tableaus(monkeypatch):
+        """Each lp._Simplex built from now on, cold (its polyhedron) or
+        empty (its n)."""
         built = []
         build, empty = lp._Simplex.__init__, lp._Simplex.empty.__func__
 
@@ -1921,6 +1925,13 @@ class TestFacetFlats:
 
         monkeypatch.setattr(lp._Simplex, "__init__", cold)
         monkeypatch.setattr(lp._Simplex, "empty", classmethod(made))
+        return built
+
+    def test_a_3_input_check_builds_no_simplex(self, monkeypatch):
+        # No tableau is built, cold or empty, from the first pair to the
+        # verdict.
+        fn = self.three_input_compile()
+        built = self.built_tableaus(monkeypatch)
         assert check_univalence(fn) == Univalent()
         assert built == []
 
@@ -1998,17 +2009,19 @@ def _flat_fns(draw):
 
 
 class TestFlatPairs:
-    """check_univalence decides a pair whose consistent facets leave at
-    most three coordinates on their flat, with no simplex, and every
-    other pair on one cold simplex over the pair's own intersection.
+    """check_univalence skips a pair whose facets contradict each other,
+    decides a pair whose consistent facets leave at most three
+    coordinates on their flat, with no simplex, and every other pair on
+    one cold simplex over the pair's own intersection.
 
     The oracle is the plain pair loop, with LPs on every pair whose maps
     differ; the verdict, down to the pair, row and witness, must be its.
     Every core the scan files, from a flat or from a cold simplex, must
     refute its constraints and stop refuting them when any one
     multiplier is dropped. The one exception is a cold core that weighs
-    two rows 0 <= b with b < 0, as contradicting facets on a zero normal
-    give: each refutes the overlap alone, and phase 1 weighs both.
+    two rows 0 <= b with b < 0, such as 0 <= -1 and 0 <= -2 with
+    neither's negation in the overlap: each refutes it alone, and phase
+    1 may weigh both.
     """
 
     @staticmethod
@@ -2072,8 +2085,8 @@ class TestFlatPairs:
 
         drawn()
         # Flats of 2 and 3 coordinates each find empty overlaps, rows that
-        # agree and rows that do not; contradicting facets and R^4 or
-        # more still take the cold simplex; both verdicts occur.
+        # agree and rows that do not; consistent facets that leave four or
+        # more coordinates take the cold simplex; both verdicts occur.
         for kind in ("empty", "agree", "off"):
             assert on_flats.count((2, kind)) >= 10 and on_flats.count((3, kind)) >= 10
         assert cold >= 50
@@ -2114,6 +2127,31 @@ class TestFlatPairs:
         runs = TestLivePieces.phase_1_runs
         assert runs(monkeypatch, check_univalence, fn) == 1
         assert self.check(fn) == (Univalent(), ["simplex"], [])
+
+    def test_contradicting_facets_on_r5_build_no_simplex(self, monkeypatch):
+        # x_0 = 0 and x_0 = 1 are facets of the overlap that contradict
+        # each other; their flat keeps one plane and would leave four
+        # coordinates. The overlap is empty, so the pair is skipped: no
+        # tableau is built and no core is filed.
+        pad = [0] * 4
+        fn = PwaFn(5, 1, (
+            AffinePiece(
+                Polyhedron(5, (_halfspace([1] + pad, 0), _halfspace([1] + pad, 1))),
+                Mat([[0, 1] + pad[1:]]), ColVec([0]),
+            ),
+            AffinePiece(
+                Polyhedron(5, (_halfspace([-1] + pad, 0), _halfspace([-1] + pad, -1))),
+                Mat([[0, 2] + pad[1:]]), ColVec([0]),
+            ),
+        ))
+        flat = lp._Flat([[1] + pad + [0], [1] + pad + [1]])
+        assert (flat.kept, flat.consistent) == ([0], False)
+        assert self.check(fn) == (Univalent(), [], [])
+        made = TestFacetFlats.recorded_cores(monkeypatch)
+        built = TestFacetFlats.built_tableaus(monkeypatch)
+        assert check_univalence(fn) == Univalent()
+        assert built == []
+        assert [cores.filed for cores in made] == [{}]
 
     def test_a_corrupted_walk_multiplier_raises_and_files_nothing(self, monkeypatch):
         # The row's on-target sides end with multipliers, and so does the
@@ -2198,17 +2236,23 @@ class TestCorpusChecks:
             "d76033452388791b12aa334951e3660f064a08686fc36a5612a78909d21cdb56"
         )
 
-    def test_each_pair_builds_its_row_differences_once(self, monkeypatch):
-        # The benchmark's check corpus at run seeds 1 and 2, each with its
-        # refuted variant: every pair that reaches the facet test builds
-        # its row differences once, and no other pair builds them.
+    @staticmethod
+    def check_documents():
+        """The benchmark's check corpus at run seeds 1 and 2, each with its
+        refuted variant."""
         corpus = perfbench_corpus()
-        documents = []
         for shape in corpus.SHAPES["check"]:
             for seed in (1, 2):
                 net = parse_network(corpus.network_document(corpus.relabelled_layers(shape, seed)))
                 text = serialize_pwa(transform(net, prune=True))
-                documents += [text, corpus.refuted_document(text)]
+                yield text
+                yield corpus.refuted_document(text)
+
+    def test_each_pair_builds_its_row_differences_once(self, monkeypatch):
+        # On the check corpus, every pair that reaches the facet test
+        # builds its row differences once, but for a pair whose facets
+        # contradict each other, which is empty and builds none; no other
+        # pair builds them.
         pair, reached, built = [], [], []
         check_pair, of, diffs = pwa._check_pair, pwa._PairScan.of, pwa._PairScan.diffs
 
@@ -2217,8 +2261,9 @@ class TestCorpusChecks:
             return check_pair(fn, i, j, scan)
 
         def reaching(self, overlap):
-            reached.append(tuple(pair))
-            return of(self, overlap)
+            facets = of(self, overlap)
+            reached.append((tuple(pair), self.flat(facets)[0].consistent))
+            return facets
 
         def building(self, i, j):
             built.append((i, j))
@@ -2227,6 +2272,79 @@ class TestCorpusChecks:
         monkeypatch.setattr(pwa, "_check_pair", checking)
         monkeypatch.setattr(pwa._PairScan, "of", reaching)
         monkeypatch.setattr(pwa._PairScan, "diffs", building)
-        for text in documents:
+        for text in self.check_documents():
             check_univalence(parse_pwa(text))
-        assert reached and built == reached
+        assert [consistent for _, consistent in reached].count(False) == 22
+        assert built == [ij for ij, consistent in reached if consistent]
+
+    def test_each_pair_is_settled_as_pinned(self, monkeypatch):
+        # How each pair of the check corpus is settled, through the hooks
+        # TestFacetFlats.scanned patches and the facet test: identical
+        # maps, a core, contradicting facets, every row pinned, a flat
+        # leaving k coordinates ("empty", "agree" or "off") or a cold
+        # simplex with k left; a flat found off target builds one more
+        # simplex, for its witness. No pair here has contradicting facets
+        # and a row they leave unpinned.
+        settled, steps = [], []
+        check_pair, of = pwa._check_pair, pwa._PairScan.of
+        flat_off, build, add = pwa._PairScan.flat_off, lp._Simplex.__init__, pwa._EmptyCores.add
+
+        def checking(fn, i, j, scan):
+            steps[:] = []
+            found = check_pair(fn, i, j, scan)
+            if not steps:
+                same = pwa._int_map(fn.pieces[i]) == pwa._int_map(fn.pieces[j])
+                settled.append("identical maps" if same else "core")
+                return found
+            (k, consistent), *rest = steps
+            if not rest:
+                settled.append("pinned" if consistent else "contradicting facets")
+            elif rest[0] == "simplex":
+                settled.append(("cold", k))
+            else:
+                settled.append(rest[0])
+                settled.extend(["witness"] * rest.count("simplex"))
+            return found
+
+        def reaching(self, overlap):
+            facets = of(self, overlap)
+            flat = self.flat(facets)[0]
+            steps.append((self.in_dim - len(flat.kept), flat.consistent))
+            return facets
+
+        def on_flat(self, *args):
+            at = len(steps)
+            off = flat_off(self, *args)
+            kind = "empty" if "core" in steps[at:] else "agree" if off is None else "off"
+            steps[at:] = [(steps[0][0], kind)]
+            return off
+
+        def cold(self, poly):
+            steps.append("simplex")
+            build(self, poly)
+
+        def filed(self, keys, support):
+            steps.append("core")
+            add(self, keys, support)
+
+        monkeypatch.setattr(pwa, "_check_pair", checking)
+        monkeypatch.setattr(pwa._PairScan, "of", reaching)
+        monkeypatch.setattr(pwa._PairScan, "flat_off", on_flat)
+        monkeypatch.setattr(lp._Simplex, "__init__", cold)
+        monkeypatch.setattr(pwa._EmptyCores, "add", filed)
+        for text in self.check_documents():
+            check_univalence(parse_pwa(text))
+        assert {kind: settled.count(kind) for kind in set(settled)} == {
+            "identical maps": 124,
+            "core": 132,
+            "contradicting facets": 22,
+            "pinned": 102,
+            (0, "empty"): 16,
+            (1, "empty"): 29,
+            (1, "agree"): 24,
+            (1, "off"): 6,
+            (2, "empty"): 2,
+            (2, "off"): 2,
+            "witness": 8,
+        }
+        assert len(settled) - settled.count("witness") == 459
