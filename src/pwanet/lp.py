@@ -491,26 +491,34 @@ def _on_hyperplane(n: int, rows: list[list[int]], h: list[int]) -> tuple[bool, o
     flat = _Flat([h])
     if not flat.kept:
         return False, [0] * len(rows) + [1]
-    return _on_flat(flat, n - 1, rows, flat.restricted(rows))
+    return _on_flat(flat, n - 1, rows, flat.restricted(rows))[:2]
 
 
 def _on_flat(
     flat: _Flat, k: int, rows: Iterable[list[int]], written: list[list[int]]
-) -> tuple[bool, object]:
+) -> tuple[bool, object, Optional[tuple]]:
     """rows as in _advanced, decided on the flat, leaving k <=
     _MAX_LOW_DIM coordinates, where written holds them; the flat must be
     consistent, as its callers make sure: a hyperplane that keeps its
     plane, or facets that pwa's pair scan found consistent. (True, a
-    point of the flat that satisfies rows, lifted as (den, ints)) or
-    (False, multipliers for rows and then the planes kept, as
-    _Flat.weights lifts them). rows are read only for the multipliers.
+    point of the flat that satisfies rows, lifted as (den, ints), and on
+    a line the bounds that _interval found, else None) or (False,
+    multipliers for rows and then the planes kept, as _Flat.weights
+    lifts them, None). rows are read only for the multipliers.
 
     A line is decided at once (_on_line); a point or a 2- or 3-flat by
     _advanced from the origin. _on_hyperplane decides each hyperplane
-    here, and pwa's pair scan the flat of an overlap's facet equalities.
+    here, and pwa's pair scan the flat of an overlap's facet equalities,
+    whose line bounds go on to _flat_off.
     """
-    feasible, found = _on_line(written) if k == 1 else _advanced(k, written, (1, [0] * k), 0)
-    return (True, flat.point(found)) if feasible else (False, flat.weights(list(rows), found))
+    ends = None
+    if k == 1:
+        feasible, found, ends = _on_line(written)
+    else:
+        feasible, found = _advanced(k, written, (1, [0] * k), 0)
+    if feasible:
+        return True, flat.point(found), ends
+    return False, flat.weights(list(rows), found), None
 
 
 class _Flat:
@@ -611,22 +619,23 @@ class _Flat:
         return w
 
 
-def _on_line(rows: list[list[int]]) -> tuple[bool, object]:
+def _on_line(rows: list[list[int]]) -> tuple[bool, object, Optional[tuple]]:
     """_advanced on a line, rows c t <= d, from 0 at once: 0 when it lies
     between the bounds that _interval finds, else the nearer bound, as
-    (den, [t]) with a den that may be negative. Every line that _on_flat
-    decides comes here, a hyperplane's of R^2 and a pair's flat of one
-    coordinate; a decider on R^1 walks its new rows from its witness
-    with _advanced, one hyperplane solve per violated row."""
+    (den, [t]) with a den that may be negative, and then those bounds; or
+    (False, multipliers, None). Every line that _on_flat decides comes
+    here, a hyperplane's of R^2 and a pair's flat of one coordinate; a
+    decider on R^1 walks its new rows from its witness with _advanced,
+    one hyperplane solve per violated row."""
     feasible, found = _interval(rows)
     if not feasible:
-        return False, found
+        return False, found, None
     for i in found:
         if i is not None and rows[i][1] < 0:
             # t = d / c; _on_flat's lift makes the den positive.
             c, d = rows[i]
-            return True, (c, [d])
-    return True, (1, [0])
+            return True, (c, [d]), found
+    return True, (1, [0]), found
 
 
 def _interval(rows: Sequence[Sequence[int]]) -> tuple[bool, object]:
@@ -802,13 +811,15 @@ def _flat_off(
     point: tuple[int, list[int]],
     written: list[list[int]],
     diffs: list[tuple[int, list[int]]],
+    ends: Optional[tuple],
 ) -> Optional[int]:
     """The first r of diffs, (r, d then t written on a flat), whose d.y = t
     is off target on a polyhedron that _on_flat found non-empty, or None.
     rows are its constraints as (den, ints), point the point _on_flat
-    lifted, which must satisfy every row or RuntimeError is raised, and
+    lifted, which must satisfy every row or RuntimeError is raised,
     written the rows' ints on the flat, whose k <= _MAX_LOW_DIM
-    coordinates each row of diffs spans; no row of diffs is zero there.
+    coordinates each row of diffs spans, and ends, on a line, the bounds
+    of written that _on_flat found; no row of diffs is zero there.
 
     The flat writes each row as a positive multiple of itself. On a point
     every row given is off. On a line a row a t = b is on target over a
@@ -824,7 +835,7 @@ def _flat_off(
     if not _satisfies(point, rows):
         raise RuntimeError("a point lifted from a flat leaves its pair's overlap")
     k = len(diffs[0][1]) - 1
-    if k == 1 and None not in (ends := _interval(written)[1]):
+    if k == 1 and None not in ends:
         (cl, dl), (ch, dh) = written[ends[0]], written[ends[1]]
         return next((r for r, (a, b) in diffs if a * dl != b * cl or a * dh != b * ch), None)
     if k < 2:

@@ -373,9 +373,9 @@ class _PairScan:
         left = self.in_dim - len(flat.kept)
         # Each constraint's ints, read only when the overlap is empty.
         ints = map(itemgetter(1), map(self.rows.__getitem__, keys))
-        feasible, found = lp._on_flat(flat, left, ints, on)
+        feasible, found, ends = lp._on_flat(flat, left, ints, on)
         if feasible:
-            return lp._flat_off(list(map(self.rows.__getitem__, keys)), found, on, on_flat)
+            return lp._flat_off(list(map(self.rows.__getitem__, keys)), found, on, on_flat, ends)
         # Each kept facet's weight stands for its constraint or, when
         # negative, its exact negation; keys then follow found.
         for k, w in zip(flat.kept, found[len(keys) :]):

@@ -961,7 +961,8 @@ def _mangled(draw, docs):
 
 def _doc(n, m, pieces) -> str:
     """A document of pieces given as (constraints, M, b), each constraint
-    as the text of its c entries and then its b, one character each."""
+    as its c entries and then its b: a string, one character each, or a
+    tuple."""
     return json.dumps(
         {
             "in_dim": n,
@@ -985,6 +986,18 @@ class TestReaderOracle:
     @example(_doc(2, 2, [([], [["1", "0"], ["0", "1"]], ["1", "0"]), ([], [["0", "1"]] * 2, "10")]))
     @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], ["10"], ["1"])]))
     @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], [{"1": 0, "0": 0}], ["1"])]))
+    # First appearances that parse_pwa declines and hands to the careful
+    # reader: a constraint whose c was read before and whose b is a new
+    # malformed literal or a JSON number, a new row of known literals at the
+    # wrong width, and a new row with a new malformed literal.
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), (["10x"], [["1", "0"]], ["1"])]))
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([("1", "0", 0)], [["1", "0"]], ["1"])]))
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([], [["0", "1", "1"]], ["1"])]))
+    @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([], [["1", "1/0"]], ["1"])]))
+    # First appearances it reads itself: offsets on out_dim 0, which are
+    # empty and falsy ColVecs, and a document in which nothing repeats.
+    @example(_doc(1, 0, [(["10"], [], []), ([("-1", "2")], [], [])]))
+    @example(_doc(2, 1, [(["123"], [["4", "5"]], ["6"]), (["789"], [["0", "-1"]], ["1/2"])]))
     @given(
         _repeating_docs().map(json.dumps)
         | _mangled(_repeating_docs())

@@ -992,7 +992,7 @@ class TestFlatStep:
         @given(_flat_problems())
         def drawn(problem):
             n, planes, rows, _ = problem
-            flat, (feasible, found) = self.stepped(n, planes, rows)
+            flat, (feasible, found, _) = self.stepped(n, planes, rows)
             cold, poly = _cold_flat(n, planes, rows)
             assert feasible == cold.feasible
             seen.append((n - len(flat.kept), feasible))
@@ -1020,11 +1020,11 @@ class TestFlatStep:
         @given(_flat_problems())
         def drawn(problem):
             n, planes, rows, diffs = problem
-            flat, (feasible, found) = self.stepped(n, planes, rows)
+            flat, (feasible, found, ends) = self.stepped(n, planes, rows)
             assume(feasible)
             on_flat = [(r, row) for r, row in enumerate(flat.restricted(diffs)) if any(row)]
             assume(on_flat)
-            off = lp._flat_off([(1, r) for r in rows], found, flat.restricted(rows), on_flat)
+            off = lp._flat_off([(1, r) for r in rows], found, flat.restricted(rows), on_flat, ends)
             cold, _ = _cold_flat(n, planes, rows)
             first = lp._first_off(cold, [(r, (1, diffs[r])) for r, _ in on_flat])
             assert off == (None if first is None else first[0])
@@ -1040,17 +1040,19 @@ class TestFlatStep:
         # On R^1, -t <= 0 and t <= 1 leave the segment [0, 1]: t = 0 holds
         # at one end only, so it is off target. With t <= 0 too, the
         # segment is the point 0, where t = 0 holds and 2 t = 1 does not.
+        # The bounds, as _on_flat hands them over, are rows 0 and 1, then
+        # rows 0 and 2.
         rows = [[-1, 0], [1, 1]]
         diffs = [(0, [1, 0]), (1, [2, 1])]
-        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs) == 0
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs, (0, 1)) == 0
         rows.append([1, 0])
-        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs) == 1
-        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs[:1]) is None
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs, (0, 2)) == 1
+        assert lp._flat_off([(1, r) for r in rows], (1, [0]), rows, diffs[:1], (0, 2)) is None
 
     def test_a_lifted_point_outside_the_rows_raises(self):
         # x <= 1 on the line R^1 holds at 0, not at 2.
         with pytest.raises(RuntimeError, match="leaves"):
-            lp._flat_off([(1, [1, 1])], (1, [2]), [[1, 1]], [(0, [1, 0])])
+            lp._flat_off([(1, [1, 1])], (1, [2]), [[1, 1]], [(0, [1, 0])], (None, 0))
 
     def test_a_certificate_weighs_each_constraint_by_its_den(self):
         # x <= 1/2 as (2, [2, 1]) and -x <= -1: the integer rows weighed
