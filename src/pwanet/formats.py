@@ -32,11 +32,12 @@ results, and check_univalence never relies on any tag.
 Each document is read with one table (_Reader.known) that maps raw text
 to what it parsed to, so the pieces share those immutable objects.
 parse_pwa finds a repeated constraint, map row or offset in one lookup of
-its raw text, and reads a first appearance in its piece loop, storing each
-new literal, row and constraint under the key the careful item reader
-would. Only a malformed item goes to that reader, which fails where, and
-with the message, a reading of every entry afresh would, and makes
-location text only then; parse_network reads every item through it.
+its raw text; a first appearance, or anything malformed, goes to the item
+reader. That reader looks each row and literal up with dict.get and parses
+only new literals, so a well-formed item raises and catches nothing; a
+malformed one fails where, and with the message, a reading of every entry
+afresh would, and makes location text only then. parse_network reads every
+item through the same reader.
 
 serialize_pwa writes json.dumps(doc, indent=2) plus a newline, laid out
 from templates and precomputed indents (json's indenting encoder is slow
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .numeric import ColVec, Mat, _too_long, _unchecked_mat, _unchecked_vec, parse_scalar
 from .polyhedra import LinearConstraint, _unchecked_constraint, _unchecked_polyhedron
@@ -89,15 +89,14 @@ def _nat(value, where) -> int:
 
 
 class _Reader:
-    """One document's parse table, known, and the careful reader of its items.
+    """One document's parse table, known, and the reader of its items.
 
-    parse_pwa fills known itself and calls the reader only for a malformed
-    item, whose error it raises; parse_network reads every item here.
     known maps a literal's text, a raw row (a tuple) and a constraint's
     (tuple of c, b) to what they parsed to; no key of one kind equals one of
     another (JSON has no tuples). Only text that parsed is stored, and a
-    row's width is checked on every use. An index joins a location only
-    when its entry fails.
+    row's width is checked on every use. A well-formed item is read with
+    lookups and parse_scalar on its new literals alone; an index joins a
+    location only when its entry fails.
     """
 
     __slots__ = ("known",)
@@ -119,23 +118,24 @@ class _Reader:
     def vector(self, value, dim, where, *at) -> ColVec:
         if not isinstance(value, list):
             raise ParseError(f"{_at(where, at)}: expected a list")
-        key = tuple(value)
+        get = self.known.get
         try:
-            vec = self.known.get(key)
+            vec = get(key := tuple(value))
         except TypeError:
             vec = None
         if vec is None:
-            try:
-                entries = tuple([self.known[v] for v in value])
-            except (KeyError, TypeError):
-                entries = tuple([self.scalar(v, where, *at, j) for j, v in enumerate(value)])
-            vec = self.known[key] = _unchecked_vec(entries)
+            entries = []
+            for v in value:
+                if type(v) is not str or (q := get(v)) is None:
+                    q = self.scalar(v, where, *at, len(entries))
+                entries.append(q)
+            vec = self.known[key] = _unchecked_vec(tuple(entries))
         if len(value) != dim:
             raise ParseError(f"{_at(where, at)}: expected {dim} entries, got {len(value)}")
         return vec
 
     def constraint(self, raw, dim, k) -> LinearConstraint:
-        """Constraint k of a piece, read afresh and stored under its raw text."""
+        """Constraint k of a piece, read and stored under its raw text."""
         try:
             c = self.vector(_get(raw, "c", ""), dim, ".c")
             lc = _unchecked_constraint(c, self.scalar(_get(raw, "b", ""), ".b"))
@@ -213,54 +213,12 @@ def parse_pwa(text: str) -> PwaFn:
     if not isinstance(raw_pieces, list):
         raise ParseError("pieces: expected a list")
     read = _Reader()
-    known = read.known
-    get = known.get
-
-    def literal(v) -> Optional[Fraction]:
-        """The Fraction of literal text v, from known or parsed and stored;
-        None when v is not a string or does not parse."""
-        if type(v) is not str:
-            return None
-        q = get(v)
-        if q is None:
-            try:
-                q = known[v] = parse_scalar(v)
-            except ValueError:
-                return None
-        return q
-
-    def row(raw, width) -> Optional[ColVec]:
-        """The ColVec of raw, a row of width literals, from known or built
-        and stored under its text; None when raw is malformed."""
-        if type(raw) is not list or len(raw) != width:
-            return None
-        entries = []
-        for v in raw:
-            if (q := literal(v)) is None:
-                return None
-            entries.append(q)
-        vec = get(key := tuple(raw))
-        if vec is None:
-            vec = known[key] = _unchecked_vec(tuple(entries))
-        return vec
-
-    def constraint(rc) -> Optional[LinearConstraint]:
-        """The constraint of rc, built and stored under its text; None when
-        rc is malformed."""
-        if type(rc) is not dict or (c := row(rc.get("c"), in_dim)) is None:
-            return None
-        if (b := literal(rc.get("b"))) is None:
-            return None
-        lc = known[tuple(rc["c"]), rc["b"]] = _unchecked_constraint(c, b)
-        return lc
-
+    get = read.known.get
     pieces = []
     for i, raw in enumerate(raw_pieces):
-        # An item that repeats text read before is one table lookup, and a
-        # first appearance is parsed here, its new literals, row and
-        # constraint stored under their text. Only a malformed item goes to
-        # the careful reader, which raises its error located within the
-        # piece; the piece's number is added on the way out.
+        # An item that repeats text read before is one table lookup; a miss,
+        # or anything malformed, goes to the item reader, whose errors are
+        # located within the piece and get its number on the way out.
         try:
             rcs = _get(raw, "constraints", "")
             if not isinstance(rcs, list):
@@ -271,9 +229,7 @@ def parse_pwa(text: str) -> PwaFn:
                     lc = get((tuple(c) if type(c := rc["c"]) is list else None, rc["b"]))
                 except (KeyError, TypeError):
                     lc = None
-                if lc is None and (lc := constraint(rc)) is None:
-                    lc = read.constraint(rc, in_dim, k)  # raises
-                cons.append(lc)
+                cons.append(read.constraint(rc, in_dim, k) if lc is None else lc)
             rm = _get(raw, "M", "")
             if not isinstance(rm, list) or len(rm) != out_dim:
                 read.matrix(rm, out_dim, in_dim, ".M")  # raises
@@ -283,16 +239,14 @@ def parse_pwa(text: str) -> PwaFn:
                     vec = get(tuple(r) if type(r) is list and len(r) == in_dim else None)
                 except TypeError:
                     vec = None
-                if vec is None and (vec := row(r, in_dim)) is None:
-                    vec = read.vector(r, in_dim, ".M", j)  # raises
-                rows.append(vec)
+                rows.append(read.vector(r, in_dim, ".M", j) if vec is None else vec)
             rb = _get(raw, "b", "")
             try:
                 b = get(tuple(rb) if type(rb) is list and len(rb) == out_dim else None)
             except TypeError:
                 b = None
-            if b is None and (b := row(rb, out_dim)) is None:
-                b = read.vector(rb, out_dim, ".b")  # raises
+            if b is None:
+                b = read.vector(rb, out_dim, ".b")
         except ParseError as exc:
             raise ParseError(f"piece {i}{exc}") from None
         m = _unchecked_mat(tuple([r.entries for r in rows]), in_dim)

@@ -986,16 +986,17 @@ class TestReaderOracle:
     @example(_doc(2, 2, [([], [["1", "0"], ["0", "1"]], ["1", "0"]), ([], [["0", "1"]] * 2, "10")]))
     @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], ["10"], ["1"])]))
     @example(_doc(2, 1, [([], [["1", "0"]], ["1"]), ([], [{"1": 0, "0": 0}], ["1"])]))
-    # First appearances that parse_pwa declines and hands to the careful
-    # reader: a constraint whose c was read before and whose b is a new
+    # First appearances that the item reader finds malformed after lookups
+    # that hit: a constraint whose c was read before and whose b is a new
     # malformed literal or a JSON number, a new row of known literals at the
     # wrong width, and a new row with a new malformed literal.
     @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), (["10x"], [["1", "0"]], ["1"])]))
     @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([("1", "0", 0)], [["1", "0"]], ["1"])]))
     @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([], [["0", "1", "1"]], ["1"])]))
     @example(_doc(2, 1, [(["100"], [["1", "0"]], ["1"]), ([], [["1", "1/0"]], ["1"])]))
-    # First appearances it reads itself: offsets on out_dim 0, which are
-    # empty and falsy ColVecs, and a document in which nothing repeats.
+    # Well-formed first appearances: offsets on out_dim 0, which are empty
+    # and falsy ColVecs (parse_pwa tells a miss by "is None"), and a
+    # document in which nothing repeats.
     @example(_doc(1, 0, [(["10"], [], []), ([("-1", "2")], [], [])]))
     @example(_doc(2, 1, [(["123"], [["4", "5"]], ["6"]), (["789"], [["0", "-1"]], ["1/2"])]))
     @given(
